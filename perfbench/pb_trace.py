@@ -1,11 +1,11 @@
 """Per-layer tracing from outside the program: wrappers, spans, self-time.
 
 A traced run replaces the public entry point of each simulator layer with
-a timing wrapper, runs the workload, and puts every original back.  The
-wrappers keep a span stack on one thread; a layer's *self-time* is the
-duration of its spans minus the time of the wrapped spans nested inside
-them, so the self-times of one run add up to the traced ops' time minus
-what the benchmark itself spent between layers.
+a timing wrapper, runs the workload's set-up and ops, and puts every
+original back.  The wrappers keep a span stack on one thread; a layer's
+*self-time* is the duration of its spans minus the time of the wrapped
+spans nested inside them, so the self-times of one run add up to its
+traced wall time minus what the benchmark itself spent between layers.
 
 Functions are patched in every loaded module that holds them, so a name
 bound early by ``from x import y`` is traced as well; methods are patched
@@ -20,7 +20,7 @@ import sys
 import time
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -230,17 +230,14 @@ def _rebind(old: Callable, new: Callable) -> None:
 class Tracer:
     """Installs the wrappers, collects spans and counts, restores on exit."""
 
-    def __init__(self, targets: tuple[Target, ...] = TARGETS,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        self.targets = targets
-        self.clock = clock
+    def __init__(self) -> None:
         self.timer = SelfTimer()
         self.counts: dict[str, float] = defaultdict(float)
         self.responses: list[np.ndarray] = []
         self._installed: list[tuple[Any, str, Callable, Callable]] = []
 
     def _wrap(self, target: Target, fn: Callable) -> Callable:
-        timer, clock, count = self.timer, self.clock, target.count
+        timer, clock, count = self.timer, time.perf_counter, target.count
         layer, entry = target.layer, target.entry
 
         @functools.wraps(fn)
@@ -257,7 +254,7 @@ class Tracer:
         return wrapper
 
     def install(self) -> None:
-        for target in self.targets:
+        for target in TARGETS:
             owner, attr, original = _resolve(target.path)
             wrapper = self._wrap(target, original)
             self._installed.append((owner, attr, original, wrapper))
@@ -290,7 +287,7 @@ class Tracer:
     def unfired(self, workload: str) -> list[str]:
         """Wrappers meant to fire on ``workload`` that never did."""
         return [
-            t.path for t in self.targets
+            t.path for t in TARGETS
             if workload in t.expect and not self.timer.fired[t.entry]
         ]
 

@@ -47,6 +47,16 @@ SETUP_SAMPLES = 5
 #: Ops beyond the tail percentile ``op_tail_ms`` reports.
 TAIL_OPS = 10
 
+#: Op times are reported at a reference host speed.  A shared host's
+#: speed swings by a quarter from one second to the next, so every op is
+#: bracketed by a fixed pure-Python loop and its time is scaled by
+#: CALIBRATION_REF_S over the loop's mean time around it.  The loop
+#: slows with the host but not with the simulator, so the ratio keeps a
+#: change in the simulator's speed and drops the host's drift.  Set-up
+#: time is scaled by one probe taken right after set-up.
+CALIBRATION_LOOPS = 40_000
+CALIBRATION_REF_S = 0.003
+
 CHILD_TIMEOUT_S = 150
 
 
@@ -88,18 +98,31 @@ def _setup(wl, args):
     return ctx, [wl.bind(ctx, spec) for spec in wl.plan(args.workload, args.seed, args.seconds)]
 
 
+def calibration_s() -> float:
+    """Host time of a fixed pure-Python loop (the host-speed probe)."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(CALIBRATION_LOOPS):
+        total += i * i
+    return time.perf_counter() - start
+
+
 def run_ops(ops):
     """Run each op closed-loop; returns (latencies in s, failure messages).
 
-    Every message starts with the failed op's name.
+    Latencies are at reference host speed (see CALIBRATION_REF_S).  Every
+    message starts with the failed op's name.
     """
     latencies, failures = [], []
     for op in ops:
         try:
             call = op.prepare()
+            before = calibration_s()
             start = time.perf_counter()
             result = call()
-            latencies.append(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            probe = (before + calibration_s()) / 2
+            latencies.append(elapsed * CALIBRATION_REF_S / probe)
             problems = op.check(result)
         except Exception:
             problems = [traceback.format_exc()]
@@ -139,7 +162,7 @@ def main(argv=None) -> int:
     if args.trace and not args.child:
         return _traced(args, wl)
     ctx, ops = _setup(wl, args)
-    setup_s = time.perf_counter() - _T0
+    setup_s = (time.perf_counter() - _T0) * CALIBRATION_REF_S / calibration_s()
     if args.child == "setup":
         _emit({"setup_s": setup_s})
         return 0

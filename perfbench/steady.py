@@ -19,9 +19,9 @@ from pathlib import Path
 RUN = Path(__file__).resolve().with_name("run.py")
 
 
-def measure(workload: str, seed: int, seconds: int, trace: int) -> dict:
+def measure(workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, capture_output=True, text=True, check=False, timeout=600)
     if done.returncode != 0:
         raise SystemExit(f"seed {seed}: exit {done.returncode}\n{done.stderr}")
@@ -47,11 +47,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--seeds", type=int, nargs="*")
-    parser.add_argument("--seconds", type=int, default=10)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seconds", type=int, default=20)
     args = parser.parse_args(argv)
     seeds = args.seeds or list(range(1, args.runs + 1))
-    runs = [measure(args.workload, seed, args.seconds, args.trace) for seed in seeds]
+    runs = [measure(args.workload, seed, args.seconds) for seed in seeds]
     sys.stdout.write(f"{args.workload}: {len(seeds)} runs, seeds {seeds}\n")
     sys.stdout.write(f"{'metric':32s} {'median':>12s} {'q1':>12s} {'q3':>12s} "
                      f"{'iqr/med':>8s} {'max/min':>8s}\n")
