@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
@@ -67,8 +68,14 @@ def _check_choice(field: str, value: object, choices: tuple[Any, ...]) -> None:
 
 def _check_positive(field: str, value: object, integer: bool = False) -> None:
     kind = "a positive integer" if integer else "a positive number"
-    ok = isinstance(value, int) if integer else isinstance(value, (int, float))
+    # bool is an int subclass, but a JSON true is not a count.
+    ok = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
     _require(ok and value > 0, f"{field} must be {kind}, got {value!r}")
+
+
+def _check_seed(value: object) -> None:
+    _require(not isinstance(value, bool) and isinstance(value, int) and value >= 0,
+             f"seed must be a non-negative integer, got {value!r}")
 
 
 def _check_optional_positive(field: str, value: object, integer: bool = False) -> None:
@@ -185,10 +192,18 @@ def _float_tuple(field: str, value: Any) -> tuple[float, ...]:
              f"{field} must be a non-empty sequence of numbers, got {value!r}")
     out = []
     for v in value:
-        _require(isinstance(v, (int, float)),
+        _require(not isinstance(v, bool) and isinstance(v, (int, float)),
                  f"{field} entries must be numbers, got {v!r}")
         out.append(float(v))
     return tuple(out)
+
+
+def _load_fractions(value: Any) -> tuple[float, ...]:
+    """Offered loads: finite fractions of capacity, each above zero."""
+    loads = _float_tuple("loads", value)
+    _require(all(math.isfinite(load) and load > 0 for load in loads),
+             f"loads must be finite positive fractions, got {value!r}")
+    return loads
 
 
 @dataclass(frozen=True)
@@ -247,10 +262,9 @@ class ServeScenario(ScenarioSpec):
         _check_optional_positive("batch", self.batch, integer=True)
         _check_optional_positive("timeout_ms", self.timeout_ms)
         _check_choice("router", self.router, ROUTERS)
-        _set(self, "loads", _float_tuple("loads", self.loads))
+        _set(self, "loads", _load_fractions(self.loads))
         _check_positive("requests", self.requests, integer=True)
-        _require(isinstance(self.seed, int) and self.seed >= 0,
-                 f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         _check_choice("traffic", self.traffic, TRAFFIC_KINDS)
         _require(
             isinstance(self.diurnal_swing, (int, float))
@@ -304,8 +318,7 @@ class DatacenterScenario(ScenarioSpec):
         _check_positive("requests", self.requests, integer=True)
         _check_positive("max_replicas", self.max_replicas, integer=True)
         _check_choice("router", self.router, ROUTERS)
-        _require(isinstance(self.seed, int) and self.seed >= 0,
-                 f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         _check_positive("usd_per_kwh", self.usd_per_kwh)
         _require(isinstance(self.pue, (int, float)) and self.pue >= 1.0,
                  f"pue must be >= 1.0 (power usage effectiveness), "
@@ -498,8 +511,7 @@ class GlobalScenario(ScenarioSpec):
             triples.append((a, b, float(ms)))
         _set(self, "rtt_ms", tuple(triples))
         _check_positive("event_requests", self.event_requests, integer=True)
-        _require(isinstance(self.seed, int) and self.seed >= 0,
-                 f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.backend == "exact":
             expected = sum(r.rate_rps for r in self.regions) * self.duration_s
             _require(
@@ -579,9 +591,7 @@ class LLMServeScenario(ScenarioSpec):
         _check_positive("prompt_tokens", self.prompt_tokens, integer=True)
         _check_positive("decode_tokens", self.decode_tokens, integer=True)
         _check_positive("requests", self.requests, integer=True)
-        _set(self, "loads", _float_tuple("loads", self.loads))
-        _require(all(load > 0 for load in self.loads),
-                 f"loads must be positive fractions, got {self.loads!r}")
+        _set(self, "loads", _load_fractions(self.loads))
         _check_positive("slo_tpot_ms", self.slo_tpot_ms)
         _check_positive("slo_ttft_ms", self.slo_ttft_ms)
         _require(
@@ -599,8 +609,7 @@ class LLMServeScenario(ScenarioSpec):
         _require(not (self.autoscale and self.mode != "disaggregated"),
                  "autoscale=true needs mode='disaggregated' (per-pool "
                  "autoscalers only exist once the fleet is split)")
-        _require(isinstance(self.seed, int) and self.seed >= 0,
-                 f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 def _norm_axis_value(value: Any) -> Any:

@@ -153,8 +153,8 @@ def _bench_compile(quick: bool) -> list[BenchRecord]:
     """Cold vs cache-hot compilation of the six paper programs.
 
     ``compile_cold`` drops the process-wide emission memo and lowers all
-    six programs from scratch on a fresh driver -- the array-emission
-    fast path's cost.  ``compile_warm`` compiles the same six on another
+    six programs from scratch on a fresh driver -- the full emission
+    pass's cost.  ``compile_warm`` compiles the same six on another
     fresh driver: every lowering should replay a cached emission and pay
     only for allocation, which is the cost a sweep's curve anchors or a
     ``report --jobs`` worker actually sees.
@@ -179,8 +179,8 @@ def _bench_compile(quick: bool) -> list[BenchRecord]:
 def _bench_serving_inner_loop(quick: bool) -> list[BenchRecord]:
     """The raw fleet inner loop, isolated from platform curves and sweep
     scaffolding: saturating Poisson traffic into four constant-curve
-    replicas through the jsq router.  Times exactly the vectorized
-    admission/completion path that ``REPRO_SERVING_FAST`` gates.
+    replicas through the jsq router.  Times exactly the bulk-admission
+    and array-completion path.
     """
     from repro.serving.batcher import TimeoutBatcher
     from repro.serving.engine import ConstantCurve

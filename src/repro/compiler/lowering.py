@@ -26,14 +26,13 @@ Conventions established here and honoured by the device:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
 from repro.compiler.allocator import Allocation, LivenessAllocator, Request
-from repro.compiler.tiling import tile_grid, tile_matmul
+from repro.compiler.tiling import tile_grid
 from repro.core.config import TPUConfig
 from repro.isa.instructions import (
     Activate,
@@ -76,13 +75,6 @@ SETUP_BANK_STRIDE = 1 << 22
 #: The paper: the Unified Buffer was sized so MLPs could run at batch
 #: sizes up to 2048; the driver stages that many examples for all-FC apps.
 MLP_STAGING_EXAMPLES = 2048
-
-#: ``REPRO_LOWERING_FAST=0`` forces the reference per-tile emission loop
-#: (mirrors ``REPRO_DEVICE_FAST``); the fast path hoists loop-invariant
-#: dependency reads and memoizes repeated instruction values, and is
-#: byte-identical by construction (pinned by tests/test_paper_parity.py).
-_FAST_DEFAULT = os.environ.get("REPRO_LOWERING_FAST", "1") != "0"
-
 
 def groups_of(width: int) -> int:
     return math.ceil(width / ROW_BYTES)
@@ -249,7 +241,6 @@ class Lowering:
         allocator=None,
         weight_bits: int = 8,
         activation_bits: int = 8,
-        fast: bool | None = None,
     ) -> None:
         if config.matrix_dim != ROW_BYTES:
             raise NotImplementedError(
@@ -291,13 +282,12 @@ class Lowering:
         self._pass_toggle = 0
         self._setup_toggle = 0
         self._unit_scale = TensorScale(1.0)
-        self.fast = _FAST_DEFAULT if fast is None else fast
         #: Filled by :meth:`lower`; what the driver hands to the
         #: process-wide lowering cache.
         self.record: EmissionRecord | None = None
-        # Fast-path instruction memos: frozen dataclasses compare by
-        # value, so an equal instruction object is interchangeable in the
-        # stream (and in ``binary()``) with a freshly built one.
+        # Instruction memos: frozen dataclasses compare by value, so an
+        # equal instruction object is interchangeable in the stream (and
+        # in ``binary()``) with a freshly built one.
         self._rw_memo: dict[int, ReadWeights] = {}
         self._mm_memo: dict[tuple, MatrixMultiply] = {}
 
@@ -448,38 +438,26 @@ class Lowering:
         weight = None
         if not dynamic and self.params is not None and layer_name in self.params.weights:
             weight = self.params.weights[layer_name].data
+        # N-major grid (the tile_matmul order) built from plain coordinates;
+        # only functional compiles slice per-tile weight data.
+        dim = self.dim
+        kt, nt = tile_grid(k, n, dim)
+        k_coords = [(ki * dim, min(dim, k - ki * dim)) for ki in range(kt)]
+        tiles = self._tiles
         stripes: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        if weight is None and self.fast:
-            # Timing mode: no tile data to slice, so the grid coordinates
-            # come straight from arrays instead of per-tile objects.
-            kt, nt = tile_grid(k, n, self.dim)
-            k0s = (np.arange(kt) * self.dim).tolist()
-            k_exts = np.minimum(self.dim, k - np.arange(kt) * self.dim).tolist()
-            n0s = (np.arange(nt) * self.dim).tolist()
-            n_exts = np.minimum(self.dim, n - np.arange(nt) * self.dim).tolist()
-            tiles = self._tiles
-            for ni in range(nt):
-                n0, n_ext = n0s[ni], n_exts[ni]
-                stripe = stripes[n0] = []
-                for ki in range(kt):
-                    tile_id = len(tiles)
-                    tiles[tile_id] = TileSpec(
-                        tile_id=tile_id, rows=k_exts[ki], cols=n_ext,
-                        data=None, dynamic=dynamic,
-                    )
-                    stripe.append((tile_id, k0s[ki], k_exts[ki], n0, n_ext))
-            return stripes
-        for coord in tile_matmul(k, n, self.dim):
-            tile_id = len(self._tiles)
-            data = None
-            if weight is not None:
-                data = np.ascontiguousarray(
-                    weight[coord.k0 : coord.k0 + coord.k, coord.n0 : coord.n0 + coord.n]
+        for ni in range(nt):
+            n0 = ni * dim
+            n_ext = min(dim, n - n0)
+            stripe = stripes[n0] = []
+            for k0, k_ext in k_coords:
+                tile_id = len(tiles)
+                data = None
+                if weight is not None:
+                    data = np.ascontiguousarray(weight[k0 : k0 + k_ext, n0 : n0 + n_ext])
+                tiles[tile_id] = TileSpec(
+                    tile_id=tile_id, rows=k_ext, cols=n_ext, data=data, dynamic=dynamic
                 )
-            self._tiles[tile_id] = TileSpec(
-                tile_id=tile_id, rows=coord.k, cols=coord.n, data=data, dynamic=dynamic
-            )
-            stripes.setdefault(coord.n0, []).append((tile_id, coord.k0, coord.k, coord.n0, coord.n))
+                stripe.append((tile_id, k0, k_ext, n0, n_ext))
         return stripes
 
     def _matmul_pass(
@@ -496,56 +474,8 @@ class Lowering:
 
         ``rw_reads`` carries the tokens a *dynamic* tile's staging reads
         (the activations it is built from); static weight fetches have no
-        UB dependencies.
-        """
-        if self.fast:
-            self._matmul_pass_fast(
-                stripe, src_tokens_of_group, src_row_of_group, rows,
-                acc_base, convolve, rw_reads,
-            )
-            return
-        for seq, (tile_id, k0, _k_ext, _n0, _n_ext) in enumerate(stripe):
-            group = k0 // self.dim
-            self._emit(ReadWeights(tile_id=tile_id), InstrDeps(reads=rw_reads))
-            acc_writes, acc_war = (
-                self._acc_write(acc_base, rows) if seq == 0 else ((), ())
-            )
-            if seq > 0:
-                # Accumulating writes read-modify-write the same rows.
-                acc_reads = self._tracker.read("acc", acc_base, acc_base + rows)
-            else:
-                acc_reads = ()
-            self._emit(
-                MatrixMultiply(
-                    ub_row=src_row_of_group(group),
-                    acc_row=acc_base,
-                    rows=rows,
-                    accumulate=seq > 0,
-                    load_new_tile=True,
-                    convolve=convolve,
-                    weight_bits=self.weight_bits,
-                    activation_bits=self.activation_bits,
-                ),
-                InstrDeps(
-                    reads=tuple(src_tokens_of_group(group)) + acc_reads,
-                    writes=acc_writes,
-                    war=acc_war,
-                ),
-            )
-
-    def _matmul_pass_fast(
-        self,
-        stripe: list[tuple[int, int, int, int, int]],
-        src_tokens_of_group,
-        src_row_of_group,
-        rows: int,
-        acc_base: int,
-        convolve: bool,
-        rw_reads: tuple[int, ...],
-    ) -> None:
-        """The default emission loop: same stream, less Python.
-
-        Identical to the reference loop above by construction:
+        UB dependencies.  The loop does as little Python per tile as the
+        stream allows:
 
         * Read_Weights and MatrixMultiply values repeat heavily (an LSTM
           re-streams the same resident tiles over the same concat rows
@@ -554,11 +484,10 @@ class Lowering:
           stream and in ``binary()``.
         * Every Read_Weights of a pass carries the same dependency tuple,
           and the accumulating K-steps (seq > 0) all read the same token
-          set: nothing writes the accumulator range between them, so the
-          reference loop's per-step ``_tracker.read`` calls return one
-          value, computed here once.
-        * Token *allocation* order is untouched: the single accumulator
-          write still happens at seq == 0.
+          set: nothing writes the accumulator range between them, so one
+          ``_tracker.read`` serves them all.
+        * The single accumulator write happens at seq == 0, which fixes
+          the token allocation order.
         """
         instructions = self._instructions
         deps = self._deps
@@ -578,6 +507,7 @@ class Lowering:
                 acc_reads: tuple[int, ...] = ()
             else:
                 if accumulate_reads is None:
+                    # Accumulating writes read-modify-write the same rows.
                     accumulate_reads = self._tracker.read(
                         "acc", acc_base, acc_base + rows
                     )
@@ -612,21 +542,15 @@ class Lowering:
 
         Call sites hoist this out of their stripe loops: nothing writes
         the source tensor between the stripes of one row chunk, so every
-        stripe's per-group token reads return identical tuples.  The fast
-        path materializes them once per chunk; the reference path keeps
-        the per-tile lazy reads.
+        stripe's per-group token reads return identical tuples, read here
+        once per chunk.
         """
-        if self.fast:
-            tokens = [
-                self._read_tensor_range(src_t, r0, rows, g * ROW_BYTES, ROW_BYTES)
-                for g in range(src_t.groups)
-            ]
-            ub_rows = [src_t.group_row(g, r0) for g in range(src_t.groups)]
-            return tokens.__getitem__, ub_rows.__getitem__
-        return (
-            lambda g: self._read_tensor_range(src_t, r0, rows, g * ROW_BYTES, ROW_BYTES),
-            lambda g: src_t.group_row(g, r0),
-        )
+        tokens = [
+            self._read_tensor_range(src_t, r0, rows, g * ROW_BYTES, ROW_BYTES)
+            for g in range(src_t.groups)
+        ]
+        ub_rows = [src_t.group_row(g, r0) for g in range(src_t.groups)]
+        return tokens.__getitem__, ub_rows.__getitem__
 
     def _acc_write(self, acc_base: int, rows: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         token, war = self._tracker.write("acc", acc_base, acc_base + rows)

@@ -24,7 +24,6 @@ Every cycle of the run is attributed to exactly one Table 3 category:
 from __future__ import annotations
 
 import math
-import os
 import time
 from bisect import bisect_right
 from collections import deque
@@ -66,12 +65,6 @@ from repro.nn.reference import im2col, max_pool
 ROW_BYTES = 256
 SETUP_BASE = 0x800000
 SETUP_BANK_STRIDE = 1 << 22
-
-#: Timing-mode fast path (precomputed per-program plan + batched counter
-#: accounting).  Bit-identical to the reference loop; ``REPRO_DEVICE_FAST=0``
-#: forces the reference path for cross-checking.
-_FAST_DEFAULT = os.environ.get("REPRO_DEVICE_FAST", "1") != "0"
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
@@ -116,7 +109,6 @@ class TPUDevice:
         config: TPUConfig = TPU_V1,
         functional: bool = False,
         activation_mode: str = "exact",
-        fast: bool | None = None,
     ) -> None:
         if config.matrix_dim != ROW_BYTES:
             raise NotImplementedError(
@@ -125,7 +117,6 @@ class TPUDevice:
             )
         self.config = config
         self.functional = functional
-        self.fast = _FAST_DEFAULT if fast is None else fast
         self.activation_unit = ActivationUnit(config.activation_lanes, mode=activation_mode)
         self.dma = DMAEngine(config.pcie_bandwidth)
 
@@ -165,7 +156,6 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
             sim_ms=result.seconds * 1e3,
             mxu_active_frac=round(b.active_fraction, 4),
             functional=device.functional,
-            fast=device.fast,
         )
     if obs.REGISTRY.enabled:
         obs.counter("device.runs").inc()
@@ -191,15 +181,18 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
 
 
 # ----------------------------------------------------------------------
-# timing-mode fast path
+# timing plan
 # ----------------------------------------------------------------------
 # Everything about an instruction that does not depend on the schedule --
 # its engine, duration, weight-tile pairing, and counter increments -- is
 # fixed at compile time.  The plan hoists all of it out of the run loop in
 # one pass per program: per-instruction accounting is batched onto numpy
 # arrays and reduced once (integer sums are exact, so the totals are
-# bit-identical to the reference loop's one-at-a-time adds), and the run
-# loop that remains touches only the scoreboard and engine clocks.
+# bit-identical to the per-instruction loop's one-at-a-time adds), and the
+# run loop that remains touches only the scoreboard and engine clocks.
+# Every timing run of a compiled program takes the plan; the
+# per-instruction loop serves functional runs and programs without a
+# dependency sidecar.
 
 _OP_RW, _OP_MM, _OP_ACT, _OP_VEC, _OP_DIN, _OP_DOUT, _OP_SYNC, _OP_CTRL = range(8)
 
@@ -216,7 +209,7 @@ class _TimingPlan:
 
 def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | None:
     """One static pass over the instruction stream; None = use the
-    reference loop (missing dependency sidecar or a malformed stream)."""
+    per-instruction loop (missing dependency sidecar or a malformed stream)."""
     deps = program.metadata.get("deps")
     if deps is None:
         return None
@@ -241,7 +234,7 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
     n_issued = n_sync = n_nop = n_activate = 0
     # Ordered float accumulation (fill-weighted active time and DMA cycle
     # conversions are not integers, so addition order must match the
-    # reference loop exactly).
+    # per-instruction loop exactly).
     active = 0.0
     useful = 0.0
     din_cycles = 0.0
@@ -267,7 +260,7 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
             spec = None
             if instr.load_new_tile:
                 if not fifo_ids:
-                    return None  # reference loop raises the real error
+                    return None  # the per-instruction loop raises the real error
                 spec = program.tiles[fifo_ids.popleft()]
             duration = instr.rows * speed_factor(
                 instr.weight_bits, instr.activation_bits
@@ -496,10 +489,10 @@ class _Run:
     # main loop
     # ------------------------------------------------------------------
     def execute(self) -> ExecutionResult:
-        if not self.functional and self.device.fast and self.deps is not None:
+        if not self.functional and self.deps is not None:
             plan = _timing_plan_for(self.program, self.config)
             if plan is not None:
-                return self._execute_fast(plan)
+                return self._execute_plan(plan)
         bank = self.counters
         for index, instr in enumerate(self.program.instructions):
             bank.add("instructions_issued", 1)
@@ -566,14 +559,15 @@ class _Run:
         )
 
     # ------------------------------------------------------------------
-    # fast path: plan-driven scheduler
+    # plan-driven scheduler
     # ------------------------------------------------------------------
-    def _execute_fast(self, plan: _TimingPlan) -> ExecutionResult:
-        """The reference loop with every static quantity precomputed.
+    def _execute_plan(self, plan: _TimingPlan) -> ExecutionResult:
+        """The per-instruction loop with every static quantity precomputed.
 
         Only the scoreboard and per-engine clocks remain per-instruction;
-        every arithmetic expression matches the reference methods term for
-        term, so cycle counts and stall attribution are bit-identical.
+        every arithmetic expression matches the ``_exec_*`` engine methods
+        term for term, so cycle counts and stall attribution are
+        bit-identical.
         """
         token_write: dict[int, tuple[float, str]] = {}
         token_read: dict[int, float] = {}

@@ -20,12 +20,11 @@ structure, not object identities, so two independently built
 ``TPUPlatform()`` instances -- or a workload rebuilt from a JSON scenario
 round-trip -- share entries.  The cache is explicitly invalidatable (all
 entries, one platform, or one workload) and counts hits and misses so
-benchmarks can prove the fast path is engaged.
+benchmarks can prove the cache is engaged.
 
-Disable it with ``REPRO_PERFCACHE=0`` in the environment, the
-:func:`set_enabled` switch, or the :func:`disabled` context manager;
-cached and uncached results are identical by construction (the cache
-stores exactly what the platform computed on the first miss).
+Bypass it with the :func:`disabled` context manager; cached and
+uncached results are identical by construction (the cache stores exactly
+what the platform computed on the first miss).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import threading
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -192,9 +190,7 @@ class PerfCache:
     business (:class:`~repro.serving.fleet.PlatformCurve`).
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get("REPRO_PERFCACHE", "1") != "0"
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._entries: dict[tuple[str, str, int], tuple[float, float]] = {}
         self._lock = threading.Lock()
@@ -292,16 +288,10 @@ class LoweringCache:
     Values are opaque to the cache (the compiler stores its own record
     type); entries are immutable once stored, so cached and uncached
     compiles share the very same instruction objects and stay
-    byte-identical by construction.  Disable with ``REPRO_PERFCACHE=0``
-    or ``REPRO_LOWERING_CACHE=0`` (or :func:`disabled`).
+    byte-identical by construction.  Bypass it with :func:`disabled`.
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        if enabled is None:
-            enabled = (
-                os.environ.get("REPRO_PERFCACHE", "1") != "0"
-                and os.environ.get("REPRO_LOWERING_CACHE", "1") != "0"
-            )
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._entries: dict[tuple, object] = {}
         self._lock = threading.Lock()
@@ -407,11 +397,6 @@ def occupancy_latency(
 ) -> tuple[float, float]:
     """Module-level convenience over :data:`GLOBAL` (the hot entrypoint)."""
     return GLOBAL.occupancy_latency(platform, model, batch)
-
-
-def set_enabled(enabled: bool) -> None:
-    """Turn the process-wide cache on or off (results are identical)."""
-    GLOBAL.enabled = enabled
 
 
 @contextmanager

@@ -16,21 +16,12 @@ is what lets TPU throughput exceed 1/service_seconds in Table 4.
 from __future__ import annotations
 
 import heapq
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-
-#: ``REPRO_SERVING_FAST=0`` forces the reference per-request Python
-#: loops in the serving inner paths (mirrors ``REPRO_DEVICE_FAST``).
-#: The fast paths batch latency lookups and completion writes over
-#: numpy arrays and are bit-identical: IEEE float64 arithmetic is the
-#: same operation elementwise whether issued from a scalar or an array.
-_FAST_DEFAULT = os.environ.get("REPRO_SERVING_FAST", "1") != "0"
-
 
 class EventLoop:
     """A minimal heap-based discrete-event scheduler.
@@ -203,7 +194,6 @@ def run_closed_loop(
     batch_size: int,
     curve: LatencyCurve,
     n_batches: int = 2000,
-    fast: bool | None = None,
 ) -> tuple[np.ndarray, BatchServer]:
     """Closed-loop load generation: ``concurrency`` requests in flight.
 
@@ -213,37 +203,26 @@ def run_closed_loop(
     ``(concurrency / batch) * occupancy + (latency - occupancy)``, the
     pipeline-depth inflation behind the published p99/service ratios.
 
-    ``fast`` (default: ``REPRO_SERVING_FAST``) vectorizes the per-slot
-    completion loop; results are bit-identical to the scalar loop.
+    Each batch's completions are written over the slot array at once;
+    IEEE float64 subtraction is elementwise, so this matches a
+    per-request loop bit for bit.
     """
     if concurrency < batch_size:
         raise ValueError(
             f"concurrency {concurrency} cannot fill batches of {batch_size}"
         )
-    fast = _FAST_DEFAULT if fast is None else fast
     server = BatchServer(curve)
     head = 0
     responses = np.empty(n_batches * batch_size)
     out = 0
-    if fast:
-        enqueue = np.zeros(concurrency)
-        offsets = np.arange(batch_size)
-        for _ in range(n_batches):
-            start = server.free_at
-            done = server.start_batch(start, batch_size)
-            slots = (head + offsets) % concurrency
-            responses[out : out + batch_size] = done - enqueue[slots]
-            enqueue[slots] = done  # the requests re-enter the pool
-            out += batch_size
-            head = (head + batch_size) % concurrency
-        return responses, server
-    enqueue_list = [0.0] * concurrency
+    enqueue = np.zeros(concurrency)
+    offsets = np.arange(batch_size)
     for _ in range(n_batches):
         start = server.free_at
         done = server.start_batch(start, batch_size)
-        for _slot in range(batch_size):
-            responses[out] = done - enqueue_list[head]
-            out += 1
-            enqueue_list[head] = done  # the request re-enters the pool
-            head = (head + 1) % concurrency
+        slots = (head + offsets) % concurrency
+        responses[out : out + batch_size] = done - enqueue[slots]
+        enqueue[slots] = done  # the requests re-enter the pool
+        out += batch_size
+        head = (head + batch_size) % concurrency
     return responses, server

@@ -25,7 +25,6 @@ from repro.nn.graph import Model
 from repro.platforms.base import BATCH_CANDIDATES, Platform
 from repro.serving.batcher import Batcher
 from repro.serving.engine import (
-    _FAST_DEFAULT,
     BatchServer,
     EventLoop,
     LatencyCurve,
@@ -236,7 +235,6 @@ class FleetSim:
         router: Router,
         arrivals: np.ndarray,
         drain: bool = True,
-        fast: bool | None = None,
     ) -> None:
         arrivals = np.asarray(arrivals, dtype=float)
         if arrivals.size == 0:
@@ -249,9 +247,6 @@ class FleetSim:
         self.loop = EventLoop()
         self.responses = np.full(arrivals.size, np.nan)
         self.pending = arrivals.size  # arrivals not yet processed
-        #: ``REPRO_SERVING_FAST=0`` forces the per-request reference
-        #: loops (no bulk admission, scalar completion writes).
-        self.fast = _FAST_DEFAULT if fast is None else fast
         # Arrival times as a plain list: queue heads are looked up per
         # poll, and list indexing beats ndarray scalar extraction there.
         self._times: list[float] = arrivals.tolist()
@@ -292,7 +287,7 @@ class FleetSim:
         popleft = replica.queue.popleft
         batch = [popleft() for _ in range(n)]
         done = replica.server.start_batch(now, n)
-        if self.fast and n >= 32:
+        if n >= 32:
             # Completion scheduling over arrays: one float64 subtraction
             # per batch.  Bit-identical to the scalar loop -- IEEE
             # arithmetic is elementwise either way.
@@ -389,8 +384,8 @@ class FleetSim:
         pop = heapq.heappop
         on_arrival = self._on_arrival
         # Bulk admission replays only the in-tree routers exactly; a
-        # custom Router subclass keeps the per-arrival reference path.
-        bulk = self.fast and type(self.router) in (RoundRobinRouter, ShortestQueueRouter)
+        # custom Router subclass keeps the per-arrival path.
+        bulk = type(self.router) in (RoundRobinRouter, ShortestQueueRouter)
         times = self._times
         n = len(times)
         i = 0
@@ -445,7 +440,7 @@ class FleetSim:
         times = self._times
         if times[i] >= bound:
             return i
-        # The final arrival always takes the reference path: its
+        # The final arrival always takes the per-arrival path: its
         # ``_on_arrival`` triggers the end-of-trace drain polls.
         j = min(bisect_left(times, bound, i, len(times)), len(times) - 1)
         m = j - i

@@ -1,0 +1,174 @@
+"""Reference implementations that the production paths are checked against.
+
+Every layer under ``src/`` has one production path.  The plainer loops
+those paths replaced live here as test-only oracles, so each parity test
+compares the production path with a second, live implementation:
+
+* :class:`ReferenceLowering` -- per-tile emission: one ``TileCoord`` per
+  weight tile, a freshly built instruction and accumulator read per
+  K-step, and lazy per-tile source-token reads;
+* :func:`reference_closed_loop` -- closed-loop load generation with one
+  Python step per request slot;
+* :func:`withhold_timing_plan` -- stands in for
+  ``repro.core.device._timing_plan_for``, so timing runs take the
+  device's per-instruction loop (the fallback a malformed stream takes);
+* :func:`no_bulk_admission` -- stands in for ``FleetSim._bulk_admit``
+  with its "window too small" answer, so every arrival takes the
+  per-arrival admission path.
+
+:func:`install` routes a whole process through the first three, for
+checks that render paper tables end to end in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+
+from repro.compiler.lowering import InstrDeps, Lowering, LoweredTensor, ROW_BYTES
+from repro.compiler.tiling import tile_matmul
+from repro.isa.instructions import MatrixMultiply, ReadWeights
+from repro.isa.program import TileSpec
+from repro.serving.engine import BatchServer, LatencyCurve
+
+
+class ReferenceLowering(Lowering):
+    """:class:`Lowering` with the per-tile emission loop."""
+
+    def _weight_tiles(self, layer_name, k, n, dynamic=False):
+        weight = None
+        if not dynamic and self.params is not None and layer_name in self.params.weights:
+            weight = self.params.weights[layer_name].data
+        stripes: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        for coord in tile_matmul(k, n, self.dim):
+            tile_id = len(self._tiles)
+            data = None
+            if weight is not None:
+                data = np.ascontiguousarray(
+                    weight[coord.k0 : coord.k0 + coord.k, coord.n0 : coord.n0 + coord.n]
+                )
+            self._tiles[tile_id] = TileSpec(
+                tile_id=tile_id, rows=coord.k, cols=coord.n, data=data, dynamic=dynamic
+            )
+            stripes.setdefault(coord.n0, []).append(
+                (tile_id, coord.k0, coord.k, coord.n0, coord.n)
+            )
+        return stripes
+
+    def _matmul_pass(
+        self,
+        stripe,
+        src_tokens_of_group,
+        src_row_of_group,
+        rows,
+        acc_base,
+        convolve=False,
+        rw_reads=(),
+    ):
+        for seq, (tile_id, k0, _k_ext, _n0, _n_ext) in enumerate(stripe):
+            group = k0 // self.dim
+            self._emit(ReadWeights(tile_id=tile_id), InstrDeps(reads=rw_reads))
+            acc_writes, acc_war = (
+                self._acc_write(acc_base, rows) if seq == 0 else ((), ())
+            )
+            if seq > 0:
+                # Accumulating writes read-modify-write the same rows.
+                acc_reads = self._tracker.read("acc", acc_base, acc_base + rows)
+            else:
+                acc_reads = ()
+            self._emit(
+                MatrixMultiply(
+                    ub_row=src_row_of_group(group),
+                    acc_row=acc_base,
+                    rows=rows,
+                    accumulate=seq > 0,
+                    load_new_tile=True,
+                    convolve=convolve,
+                    weight_bits=self.weight_bits,
+                    activation_bits=self.activation_bits,
+                ),
+                InstrDeps(
+                    reads=tuple(src_tokens_of_group(group)) + acc_reads,
+                    writes=acc_writes,
+                    war=acc_war,
+                ),
+            )
+
+    def _pass_inputs(self, src_t: LoweredTensor, r0: int, rows: int):
+        return (
+            lambda g: self._read_tensor_range(src_t, r0, rows, g * ROW_BYTES, ROW_BYTES),
+            lambda g: src_t.group_row(g, r0),
+        )
+
+
+def reference_closed_loop(
+    concurrency: int,
+    batch_size: int,
+    curve: LatencyCurve,
+    n_batches: int = 2000,
+) -> tuple[np.ndarray, BatchServer]:
+    """:func:`repro.serving.engine.run_closed_loop`, one slot at a time."""
+    if concurrency < batch_size:
+        raise ValueError(
+            f"concurrency {concurrency} cannot fill batches of {batch_size}"
+        )
+    server = BatchServer(curve)
+    head = 0
+    responses = np.empty(n_batches * batch_size)
+    out = 0
+    enqueue = [0.0] * concurrency
+    for _ in range(n_batches):
+        start = server.free_at
+        done = server.start_batch(start, batch_size)
+        for _slot in range(batch_size):
+            responses[out] = done - enqueue[head]
+            out += 1
+            enqueue[head] = done  # the request re-enters the pool
+            head = (head + 1) % concurrency
+    return responses, server
+
+
+def withhold_timing_plan(program, config):
+    """No timing plan: the device falls back to its per-instruction loop."""
+    return None
+
+
+def no_bulk_admission(sim, i, top_when):
+    """Admit nothing in bulk: every arrival takes the per-arrival path."""
+    return i
+
+
+def install() -> Counter:
+    """Route this process's compiler, device and closed-loop calls through
+    the oracles; returns a live count of how often each one fired.
+
+    Patches module attributes in place and never undoes them, so call it
+    only in a fresh interpreter.  ``Lowering`` and ``run_closed_loop`` are
+    bound by name in ``repro.compiler.driver`` and
+    ``repro.latency.queueing`` at import, so those bindings are the ones
+    replaced.
+    """
+    from repro.compiler import driver
+    from repro.core import device
+    from repro.latency import queueing
+
+    fired: Counter = Counter()
+
+    class CountingLowering(ReferenceLowering):
+        def _matmul_pass(self, *args, **kwargs):
+            fired["lowering"] += 1
+            super()._matmul_pass(*args, **kwargs)
+
+    def device_loop(program, config):
+        fired["device"] += 1
+        return withhold_timing_plan(program, config)
+
+    def closed_loop(*args, **kwargs):
+        fired["closed_loop"] += 1
+        return reference_closed_loop(*args, **kwargs)
+
+    driver.Lowering = CountingLowering
+    device._timing_plan_for = device_loop
+    queueing.run_closed_loop = closed_loop
+    return fired

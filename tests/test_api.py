@@ -10,6 +10,7 @@ import repro
 from repro.api import (
     DatacenterScenario,
     Experiment,
+    LLMServeScenario,
     ProfileScenario,
     ScenarioResult,
     ScenarioSpec,
@@ -132,6 +133,23 @@ class TestValidation:
         (lambda: DatacenterScenario(platforms=()), "platforms must be a non-empty"),
         (lambda: DatacenterScenario(pue=0.5), "pue must be >= 1.0"),
         (lambda: DatacenterScenario(swing=1.0), "swing must be in"),
+        (lambda: ServeScenario(loads=(float("nan"),)), "loads must be finite positive"),
+        (lambda: ServeScenario(loads=(0.5, 0.0)), "loads must be finite positive"),
+        (lambda: ServeScenario(loads=(-0.5,)), "loads must be finite positive"),
+        (lambda: ServeScenario(loads=(float("inf"),)), "loads must be finite positive"),
+        (lambda: ServeScenario(loads=(True,)), "loads entries must be numbers, got True"),
+        (lambda: LLMServeScenario(loads=(float("inf"),)), "loads must be finite positive"),
+        (lambda: LLMServeScenario(loads=(float("nan"),)), "loads must be finite positive"),
+        (lambda: LLMServeScenario(loads=(0,)), "loads must be finite positive"),
+        (lambda: ScenarioSpec.from_dict({"kind": "serve", "replicas": True}),
+         "replicas must be a positive integer"),
+        (lambda: ServeScenario(requests=True), "requests must be a positive integer"),
+        (lambda: ServeScenario(slo_ms=True), "slo_ms must be a positive number"),
+        (lambda: ScenarioSpec.from_dict({"kind": "serve", "seed": True}),
+         "seed must be a non-negative integer"),
+        (lambda: DatacenterScenario(seed=False), "seed must be a non-negative integer"),
+        (lambda: LLMServeScenario(seed=True), "seed must be a non-negative integer"),
+        (lambda: LLMServeScenario(max_batch=True), "max_batch must be a positive integer"),
     ])
     def test_actionable_messages(self, build, message):
         with pytest.raises(SpecError, match=message):

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro import benchmark, perfcache
+from repro import benchmark
 
 pytestmark = pytest.mark.bench
 
@@ -79,18 +79,25 @@ def test_wall_seconds_positive(payload):
         assert bench["wall_seconds"] > 0
 
 
-def test_device_fast_path_engaged_by_default():
-    """The vectorized device path must be on (REPRO_DEVICE_FAST=1)."""
+def test_device_fast_path_engaged_by_default(monkeypatch):
+    """Timing runs of compiled programs must take the precomputed plan."""
     from repro.compiler.driver import TPUDriver
-    from repro.core.device import TPUDevice, _timing_plan_for
-
+    from repro.core import device as device_mod
     from repro.nn.workloads import build_workload
 
-    device = TPUDevice()
-    assert device.fast, "device fast path should be enabled by default"
     compiled = TPUDriver.shared().compile(build_workload("mlp0"))
-    plan = _timing_plan_for(compiled.program, device.config)
+    plan = device_mod._timing_plan_for(compiled.program, device_mod.TPU_V1)
     assert plan is not None, "paper programs must take the precomputed plan"
+    runs = []
+    original = device_mod._Run._execute_plan
+
+    def spy(run, plan):
+        runs.append(plan)
+        return original(run, plan)
+
+    monkeypatch.setattr(device_mod._Run, "_execute_plan", spy)
+    device_mod.TPUDevice().run(compiled.program)
+    assert runs == [plan]
 
 
 def test_validate_rejects_malformed():
@@ -112,11 +119,3 @@ def test_validate_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             benchmark.validate({**good, **breakage})
-
-
-def test_perfcache_env_toggle_respected(monkeypatch):
-    """REPRO_PERFCACHE=0 builds a disabled cache (results identical)."""
-    monkeypatch.setenv("REPRO_PERFCACHE", "0")
-    assert perfcache.PerfCache().enabled is False
-    monkeypatch.delenv("REPRO_PERFCACHE")
-    assert perfcache.PerfCache().enabled is True

@@ -24,6 +24,7 @@ from repro.serving.batcher import TimeoutBatcher
 from repro.serving.engine import ConstantCurve
 from repro.serving.fleet import Fleet, Replica
 from repro.serving.traffic import diurnal_arrivals, poisson_arrivals, uniform_arrivals
+from tests import oracles
 
 SERVICE = 2e-3
 
@@ -259,11 +260,11 @@ class TestAutoscaler:
 class TestAutoscalerFastPath:
     """Bulk admission in the autoscaler's dynamic-eligible-set path.
 
-    The ``REPRO_SERVING_FAST`` window logic keys off ``sim.eligible``
-    at admission time, so a routing set that grows and shrinks between
-    control ticks neither disables it nor changes a single response:
-    the window bound (``min(free_at)`` vs the next heap event) already
-    fences every control tick, activation, and deactivation.
+    The bulk-admission window keys off ``sim.eligible`` at admission
+    time, so a routing set that grows and shrinks between control ticks
+    neither disables it nor changes a single response: the window bound
+    (``min(free_at)`` vs the next heap event) already fences every
+    control tick, activation, and deactivation.
     """
 
     REPLICA_RPS = 16 / SERVICE
@@ -301,17 +302,14 @@ class TestAutoscalerFastPath:
         from repro.serving import fleet as fleet_mod
 
         arrivals = diurnal_arrivals(6000.0, 0.8, 2.0, 12000, seed=5)
-
-        def run(fast):
-            monkeypatch.setattr(fleet_mod, "_FAST_DEFAULT", fast)
-            return self._run(policy_factory(), arrivals)
-
-        fast, slow = run(True), run(False)
-        assert np.array_equal(fast.fleet.responses, slow.fleet.responses)
-        assert fast.timeline == slow.timeline
-        assert fast.powered == slow.powered
-        assert fast.peak_replicas == slow.peak_replicas
-        assert fast.mean_powered == slow.mean_powered
+        bulk = self._run(policy_factory(), arrivals)
+        monkeypatch.setattr(fleet_mod.FleetSim, "_bulk_admit", oracles.no_bulk_admission)
+        per_arrival = self._run(policy_factory(), arrivals)
+        assert np.array_equal(bulk.fleet.responses, per_arrival.fleet.responses)
+        assert bulk.timeline == per_arrival.timeline
+        assert bulk.powered == per_arrival.powered
+        assert bulk.peak_replicas == per_arrival.peak_replicas
+        assert bulk.mean_powered == per_arrival.mean_powered
 
 
 class TestTCO:

@@ -3,6 +3,8 @@ metrics registry semantics, logging, and the CLI trace surfaces."""
 
 import json
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +338,14 @@ def test_bench_validate_accepts_and_checks_metrics():
     base["benches"][0]["metrics"] = ["not", "a", "dict"]
     with pytest.raises(ValueError, match="metrics must be a dict"):
         validate(base)
+
+
+def test_environment_switches_are_observability_only():
+    """The only ``REPRO_*`` variables the library reads are the
+    observability ones.  Each layer has one implementation, so no switch
+    may pick between a fast path and a reference path."""
+    package = Path(obs.__file__).resolve().parents[1]
+    names = set()
+    for path in package.rglob("*.py"):
+        names.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
+    assert names == {"REPRO_TRACE", "REPRO_METRICS", "REPRO_TRACE_OUT", "REPRO_LOG"}

@@ -18,6 +18,11 @@ say why in its message.
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +30,11 @@ from repro import perfcache
 from repro.analysis import EXPERIMENTS
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering
+from repro.core import device as device_mod
 from repro.core.config import TPU_V1
 from repro.core.device import TPUDevice
-from repro.nn.workloads import paper_workloads
+from repro.nn.workloads import WORKLOAD_NAMES, build_workload, paper_workloads
+from tests import oracles
 
 #: sha256 of TPUProgram.binary() per paper workload (timing compile).
 PROGRAM_SHA256 = {
@@ -84,38 +91,111 @@ def test_paper_table_text_pinned_with_perfcache_disabled(exp_id):
     )
 
 
-@pytest.mark.parametrize("name", list(PROGRAM_SHA256))
-def test_vectorized_device_path_bit_identical(name):
-    """The numpy-batched device fast path must match the reference loop.
+#: Operand widths (weight bits, activation bits) the parity tests cover:
+#: full speed and the quarter-speed 16-bit mode.
+WIDTHS = ((8, 8), (16, 16))
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_vectorized_device_path_bit_identical(name, monkeypatch):
+    """The device's timing plan must match its per-instruction loop.
 
     Cycle counts, seconds, the cycle breakdown, and every counter --
     including the int-vs-float type of each value, which the Table 3
     rendering distinguishes -- must be identical instruction for
-    instruction.  (The pinned tables above already run through the fast
-    path, so this localizes any future divergence to the device layer.)
+    instruction.  (The pinned tables above run through the plan, so this
+    localizes any future divergence to the device layer.)  The
+    transformer programs cover the plan's dynamic K^T/V tile staging.
     """
-    program = TPUDriver.shared().compile(paper_workloads()[name]).program
-    fast = TPUDevice(fast=True).run(program)
-    reference = TPUDevice(fast=False).run(program)
-    assert fast.cycles == reference.cycles
-    assert fast.seconds == reference.seconds
-    assert dataclasses.asdict(fast.breakdown) == dataclasses.asdict(reference.breakdown)
-    assert fast.counters == reference.counters
-    assert {k: type(v) for k, v in fast.counters.items()} == {
-        k: type(v) for k, v in reference.counters.items()
-    }
+    driver = TPUDriver.shared()
+    model = build_workload(name)
+    for weight_bits, activation_bits in WIDTHS:
+        program = driver.compile(
+            model, weight_bits=weight_bits, activation_bits=activation_bits
+        ).program
+        assert device_mod._timing_plan_for(program, TPU_V1) is not None
+        plan = TPUDevice().run(program)
+        with monkeypatch.context() as patch:
+            patch.setattr(device_mod, "_timing_plan_for", oracles.withhold_timing_plan)
+            loop = TPUDevice().run(program)
+        label = f"{name} at {weight_bits}x{activation_bits}"
+        assert plan.cycles == loop.cycles, label
+        assert plan.seconds == loop.seconds, label
+        assert dataclasses.asdict(plan.breakdown) == dataclasses.asdict(loop.breakdown), label
+        assert plan.counters == loop.counters, label
+        assert {k: type(v) for k, v in plan.counters.items()} == {
+            k: type(v) for k, v in loop.counters.items()
+        }, label
 
 
-@pytest.mark.parametrize("name", list(PROGRAM_SHA256))
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_fast_lowering_bit_identical(name):
-    """The array-emission compiler fast path must match the reference
-    per-tile loop: same instruction stream, same dependency tokens, same
-    metadata -- byte for byte, in the same key order.  (The pinned
-    program hashes above run through the fast path by default; this
-    localizes any future divergence to the emission pass.)"""
-    model = paper_workloads()[name]
-    fast = Lowering(model, TPU_V1, fast=True).lower()
-    reference = Lowering(model, TPU_V1, fast=False).lower()
-    assert fast.program.binary() == reference.program.binary()
-    assert fast.program.metadata == reference.program.metadata
-    assert list(fast.program.metadata) == list(reference.program.metadata)
+    """The compiler's emission pass must match the per-tile oracle in
+    tests/oracles.py: same instruction stream, same dependency tokens,
+    same metadata -- byte for byte, in the same key order.  (The pinned
+    program hashes above run through the production pass; this localizes
+    any future divergence to emission.)"""
+    model = build_workload(name)
+    for weight_bits, activation_bits in WIDTHS:
+        widths = {"weight_bits": weight_bits, "activation_bits": activation_bits}
+        emitted = Lowering(model, TPU_V1, **widths).lower().program
+        reference = oracles.ReferenceLowering(model, TPU_V1, **widths).lower().program
+        label = f"{name} at {weight_bits}x{activation_bits}"
+        assert emitted.binary() == reference.binary(), label
+        assert emitted.metadata == reference.metadata, label
+        assert list(emitted.metadata) == list(reference.metadata), label
+
+
+#: Runs in a fresh interpreter: installs the compiler, device and
+#: closed-loop oracles, turns both caches off, and prints the digests of
+#: the six paper programs and the requested tables plus the oracle counts.
+_THROUGH_THE_ORACLES = """
+import hashlib, json, sys
+
+from tests import oracles
+
+fired = oracles.install()
+
+from repro import perfcache
+from repro.analysis import EXPERIMENTS
+from repro.compiler.driver import TPUDriver
+from repro.nn.workloads import paper_workloads
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+with perfcache.disabled():
+    programs = {
+        name: sha(TPUDriver().compile(model).program.binary())
+        for name, model in paper_workloads().items()
+    }
+    tables = {
+        exp_id: sha(EXPERIMENTS[exp_id]().text.encode()) for exp_id in sys.argv[1:]
+    }
+print(json.dumps({"programs": programs, "tables": tables, "fired": fired}))
+"""
+
+
+def test_paper_pins_hold_through_the_oracles():
+    """The six programs and Tables 1-8 hash identically when every layer
+    runs its oracle instead of its production path, with both caches off.
+
+    A fresh process keeps the module patches and the cold caches away
+    from the rest of the suite.  The oracle counts make sure each one
+    actually fired, so a missed rebinding cannot pass vacuously.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _THROUGH_THE_ORACLES, *TABLE_TEXT_SHA256],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout.splitlines()[-1])
+    assert report["programs"] == PROGRAM_SHA256
+    assert report["tables"] == TABLE_TEXT_SHA256
+    assert set(report["fired"]) == {"lowering", "device", "closed_loop"}
+    assert all(count > 0 for count in report["fired"].values()), report["fired"]

@@ -25,6 +25,7 @@ from repro.serving.traffic import (
     trace_arrivals,
     uniform_arrivals,
 )
+from tests import oracles
 
 SERVICE = 2e-3  # 2 ms per batch, any size
 
@@ -313,11 +314,11 @@ class TestTraffic:
 
 
 class TestVectorizedServingParity:
-    """The REPRO_SERVING_FAST paths must be bit-identical to the
-    reference per-request loops: same responses, same per-replica
-    accounting, same busy timeline.  Overloaded traffic exercises the
-    bulk-admission window; the trailing drain exercises partial
-    batches."""
+    """Bulk admission and the array closed loop must be bit-identical to
+    the per-request oracles in tests/oracles.py: same responses, same
+    per-replica accounting, same busy timeline.  Overloaded traffic
+    exercises the bulk-admission window; the trailing drain exercises
+    partial batches."""
 
     def _replicas(self, n=3):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=1.5e-3)
@@ -325,7 +326,7 @@ class TestVectorizedServingParity:
 
     @pytest.mark.parametrize("router", ["round_robin", "jsq"])
     @pytest.mark.parametrize("traffic", ["poisson", "diurnal"])
-    def test_fleet_fast_matches_reference(self, router, traffic):
+    def test_fleet_fast_matches_reference(self, router, traffic, monkeypatch):
         if traffic == "poisson":
             arrivals = poisson_arrivals(rate=4000.0, n_requests=3000, seed=3)
         else:
@@ -333,33 +334,29 @@ class TestVectorizedServingParity:
                 mean_rate=4000.0, swing=0.6, period_seconds=0.25,
                 n_requests=3000, seed=3,
             )
-        runs = {}
-        for fast in (True, False):
-            sim = FleetSim(self._replicas(), make_router(router), arrivals, fast=fast)
-            runs[fast] = sim.run()
-        assert np.array_equal(runs[True].responses, runs[False].responses)
-        assert runs[True].served_per_replica == runs[False].served_per_replica
-        assert runs[True].batches_per_replica == runs[False].batches_per_replica
-        assert runs[True].busy_intervals == runs[False].busy_intervals
+        bulk = FleetSim(self._replicas(), make_router(router), arrivals).run()
+        monkeypatch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
+        per_arrival = FleetSim(self._replicas(), make_router(router), arrivals).run()
+        assert np.array_equal(bulk.responses, per_arrival.responses)
+        assert bulk.served_per_replica == per_arrival.served_per_replica
+        assert bulk.batches_per_replica == per_arrival.batches_per_replica
+        assert bulk.busy_intervals == per_arrival.busy_intervals
 
-    def test_fleet_fast_matches_reference_under_light_load(self):
+    def test_fleet_fast_matches_reference_under_light_load(self, monkeypatch):
         """Below saturation bulk admission must stand down, not misfire."""
         arrivals = poisson_arrivals(rate=500.0, n_requests=1000, seed=9)
-        runs = {
-            fast: FleetSim(
-                self._replicas(), make_router("jsq"), arrivals, fast=fast
-            ).run()
-            for fast in (True, False)
-        }
-        assert np.array_equal(runs[True].responses, runs[False].responses)
-        assert runs[True].busy_intervals == runs[False].busy_intervals
+        bulk = FleetSim(self._replicas(), make_router("jsq"), arrivals).run()
+        monkeypatch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
+        per_arrival = FleetSim(self._replicas(), make_router("jsq"), arrivals).run()
+        assert np.array_equal(bulk.responses, per_arrival.responses)
+        assert bulk.busy_intervals == per_arrival.busy_intervals
 
     def test_closed_loop_fast_matches_reference(self):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=2e-3)
-        fast, fast_server = run_closed_loop(64, 16, curve, n_batches=50, fast=True)
-        ref, ref_server = run_closed_loop(64, 16, curve, n_batches=50, fast=False)
-        assert np.array_equal(fast, ref)
-        assert fast_server.busy_intervals == ref_server.busy_intervals
+        responses, server = run_closed_loop(64, 16, curve, n_batches=50)
+        ref, ref_server = oracles.reference_closed_loop(64, 16, curve, n_batches=50)
+        assert np.array_equal(responses, ref)
+        assert server.busy_intervals == ref_server.busy_intervals
 
 
 class TestSummarize:
