@@ -491,14 +491,22 @@ def _stride_assign(n: int, fractions: np.ndarray) -> np.ndarray:
     active = np.nonzero(fractions > 0)[0]
     if active.size == 1:
         return np.full(n, active[0], dtype=np.intp)
-    credits = np.zeros_like(fractions)
-    out = np.empty(n, dtype=np.intp)
+    # Plain floats: the same IEEE adds and first-maximum pick as numpy
+    # credits with ``argmax``, without array overhead on 2-4 elements.
+    shares = fractions.tolist()
+    credits = [0.0] * len(shares)
+    rest = range(1, len(shares))
+    out = [0] * n
     for k in range(n):
-        credits += fractions
-        pick = int(np.argmax(credits))
-        credits[pick] -= 1.0
+        pick = 0
+        top = credits[0] = credits[0] + shares[0]
+        for c in rest:
+            value = credits[c] = credits[c] + shares[c]
+            if value > top:
+                pick, top = c, value
+        credits[pick] = top - 1.0
         out[k] = pick
-    return out
+    return np.array(out, dtype=np.intp)
 
 
 def evaluate_exact(

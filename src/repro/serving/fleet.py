@@ -23,7 +23,7 @@ import numpy as np
 from repro import obs, perfcache
 from repro.nn.graph import Model
 from repro.platforms.base import BATCH_CANDIDATES, Platform
-from repro.serving.batcher import Batcher
+from repro.serving.batcher import Batcher, FixedBatcher, TimeoutBatcher
 from repro.serving.engine import (
     BatchServer,
     EventLoop,
@@ -128,6 +128,12 @@ class Replica:
         self.queue: deque[int] = deque()
         self.admitted = 0
 
+    def reset(self) -> None:
+        """Idle server, empty queue, nothing admitted: a fresh run's start."""
+        self.server = BatchServer(self.server.curve)
+        self.queue.clear()
+        self.admitted = 0
+
     def admit(self, request: Request) -> None:
         self.admit_index(request.index)
 
@@ -146,9 +152,15 @@ class Router:
     def pick(self, replicas: list[Replica], now: float) -> Replica:
         raise NotImplementedError
 
+    def reset(self) -> None:
+        """Forget routing state from earlier runs (stateless by default)."""
+
 
 class RoundRobinRouter(Router):
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
         self._next = 0
 
     def pick(self, replicas: list[Replica], now: float) -> Replica:
@@ -251,10 +263,10 @@ class FleetSim:
         # poll, and list indexing beats ndarray scalar extraction there.
         self._times: list[float] = arrivals.tolist()
         # One flag decides whether the hot launch path pays for
-        # observability at all; replica trace tracks are assigned lazily
-        # so autoscaler-spawned replicas get tids too.
+        # observability at all.  Replica trace tracks follow list
+        # position; autoscaler-spawned replicas get the next tids lazily.
         self._observe = obs.TRACER.enabled or obs.REGISTRY.enabled
-        self._tids: dict[int, int] = {}
+        self._tids: dict[int, int] = {id(r): i for i, r in enumerate(self.replicas)}
 
     def poll(self, replica: Replica) -> None:
         """Launch a batch on ``replica`` if its policy says so."""
@@ -283,7 +295,7 @@ class FleetSim:
 
     def _launch(self, replica: Replica, n: int, now: float) -> None:
         if self._observe:
-            self._pre_launch(replica, n)
+            self._pre_launch(replica, len(replica.queue))
         popleft = replica.queue.popleft
         batch = [popleft() for _ in range(n)]
         done = replica.server.start_batch(now, n)
@@ -301,17 +313,18 @@ class FleetSim:
         if self._observe:
             self._post_launch(replica, batch, now, done)
 
-    def _pre_launch(self, replica: Replica, n: int) -> None:
-        """Observability bookkeeping before a batch is popped (cold path)."""
+    def _pre_launch(self, replica: Replica, depth: int) -> None:
+        """Observability bookkeeping before a batch launches from a queue
+        ``depth`` requests deep (cold path)."""
         tid = self._tids.get(id(replica))
         if tid is None:
             tid = self._tids[id(replica)] = len(self._tids)
         replica.server.trace_tid = tid
         if obs.REGISTRY.enabled:
-            obs.histogram("serving.queue_depth_at_launch").observe(len(replica.queue))
+            obs.histogram("serving.queue_depth_at_launch").observe(depth)
 
     def _post_launch(
-        self, replica: Replica, batch: list[int], now: float, done: float
+        self, replica: Replica, batch: Sequence[int], now: float, done: float
     ) -> None:
         """Per-request lifecycle spans and queue-wait metrics (cold path)."""
         times = self._times
@@ -362,10 +375,13 @@ class FleetSim:
     def _run_events(self) -> None:
         """Drive the event loop over the arrival trace.
 
-        Sorted traces (every generated workload) merge the arrival
-        stream directly against the dynamic-event heap instead of
-        pushing a heap event per arrival -- the single hottest loop in
-        the repo.  Event order is identical to scheduling every arrival
+        Sorted traces whose per-replica arrival streams are known up
+        front (:meth:`_scan_applies`) are stepped per batch by
+        :meth:`_scan_batches` instead.  Other sorted traces (JSQ,
+        SLO-adaptive batching, custom policies, the autoscaler's
+        dynamic replica set) merge the arrival stream directly against
+        the dynamic-event heap instead of pushing a heap event per
+        arrival.  Event order is identical to scheduling every arrival
         up front: events already on the loop when the run starts carry
         lower sequence numbers than the arrivals would have received,
         so they win exact time ties; events scheduled during the run
@@ -378,6 +394,9 @@ class FleetSim:
             for index, when in enumerate(self._times):
                 loop.schedule(when, lambda _t, i=index: self._on_arrival(i))
             loop.run()
+            return
+        if self._scan_applies():
+            self._scan_batches()
             return
         heap = loop._heap
         pre_seq = loop._seq  # events below this watermark win time ties
@@ -492,6 +511,131 @@ class FleetSim:
                 replica.admitted += c
                 pos += c
 
+    def _scan_applies(self) -> bool:
+        """Whether each replica's batches follow from its own arrivals.
+
+        They do under exactly :class:`RoundRobinRouter` over a static
+        set of exactly :class:`FixedBatcher` and :class:`TimeoutBatcher`
+        replicas that are idle with empty queues at the first arrival,
+        with nothing pre-scheduled on the loop: replica ``q`` then
+        receives the strided slice ``arrivals[(q - base) % R :: R]`` and
+        nothing else touches its queue.  The trace must start at t >= 0,
+        where the age test can beat a deadline by at most one ulp.
+        O(replicas); the caller has checked the trace is sorted.
+        """
+        if type(self.router) is not RoundRobinRouter or self.loop._heap:
+            return False
+        first = self._times[0]
+        return (
+            all(type(r.batcher) in (FixedBatcher, TimeoutBatcher) for r in self.replicas)
+            and first >= 0.0
+            and self.eligible == self.replicas
+            and all(not r.queue and r.server.free_at <= first for r in self.replicas)
+        )
+
+    def _scan_batches(self) -> None:
+        """Step every replica batch by batch over its round-robin share."""
+        times = self._times
+        count = len(self.replicas)
+        base = self.router._next
+        for q, replica in enumerate(self.replicas):
+            start = (q - base) % count
+            own = times if count == 1 else times[start::count]
+            if own:
+                self._scan_replica(replica, own, start, count)
+            replica.admitted += len(own)
+        self.router._next = base + len(times)
+        self.pending = 0
+
+    def _scan_replica(
+        self, replica: Replica, own: list[float], start: int, stride: int
+    ) -> None:
+        """Launch ``replica``'s batches over its arrivals ``own``, global
+        indices ``start::stride``, exactly as :meth:`poll` would.
+
+        A replica polls at its own arrivals, when its server frees, at
+        queue-head deadlines (timers), and at the end-of-trace drain.
+        At equal times its arrivals come first, in index order, so a
+        poll is ordered by ``(time, own arrivals admitted)``.  Between
+        launches every launch condition can only turn true, so the next
+        batch starts at the earliest of:
+
+        * the first poll with the server free and the head queued;
+        * the poll admitting the ``max_batch``-th queued arrival;
+        * the first poll at or past the head's deadline, the float
+          ``wait_deadline`` returns -- or one ulp earlier, where the age
+          test ``now - oldest >= timeout`` can already hold, if an
+          arrival or an earlier head's still-pending timer polls there;
+        * the drain poll after the global last arrival.
+
+        Python work is per batch; responses go through strided slices,
+        and the queue stays empty apart from what a non-draining fixed
+        batcher leaves behind.
+        """
+        m = len(own)
+        cap = replica.batcher.max_batch
+        timeout = (
+            replica.batcher.timeout_seconds
+            if type(replica.batcher) is TimeoutBatcher else None
+        )
+        server = replica.server
+        responses = self.responses[start::stride]
+        arrivals = self.arrivals[start::stride]
+        drain_at = (self._times[-1], m) if self.drain else None
+        timers = (None, None)  # the last two distinct deadlines timers were set for
+        free = server.free_at
+        head = admitted = 0
+        while head < m:
+            j = bisect_left(own, free, admitted)
+            if j < m and own[j] == free:
+                now, admitted = free, j + 1
+            elif j > head:
+                now, admitted = free, j
+            else:  # idle with an empty queue until the head arrives
+                now, admitted = own[head], head + 1
+            oldest = own[head]
+            if not (
+                admitted - head >= cap
+                or (drain_at is not None and (now, admitted) >= drain_at)
+                or (timeout is not None
+                    and (now - oldest >= timeout or oldest + timeout <= now))
+            ):
+                options = []
+                if head + cap <= m:
+                    options.append((own[head + cap - 1], head + cap))
+                if drain_at is not None:
+                    options.append(drain_at)
+                if timeout is not None:
+                    deadline = oldest + timeout
+                    early = math.nextafter(deadline, -math.inf)
+                    if early - oldest < timeout:
+                        early = deadline
+                    j = bisect_left(own, early, admitted)
+                    if j < m and own[j] == early:
+                        options.append((early, j + 1))
+                    elif early < deadline and early in timers:
+                        options.append((early, j))
+                    elif j < m and own[j] == deadline:
+                        options.append((deadline, j + 1))
+                    else:
+                        options.append((deadline, j))
+                    if deadline != timers[1]:
+                        timers = (timers[1], deadline)
+                if not options:  # fixed batcher, no drain: the rest stays queued
+                    replica.queue.extend(range(start + head * stride, len(self._times), stride))
+                    return
+                now, admitted = min(options)
+            n = min(admitted - head, cap)
+            if self._observe:
+                self._pre_launch(replica, admitted - head)
+            done = server.start_batch(now, n)
+            responses[head : head + n] = done - arrivals[head : head + n]
+            if self._observe:
+                first = start + head * stride
+                self._post_launch(replica, range(first, first + n * stride, stride), now, done)
+            head += n
+            free = server.free_at
+
     def run(self) -> FleetResult:
         self._run_events()
         if self.drain:
@@ -541,5 +685,10 @@ class Fleet:
         ``drain=False`` requests a non-draining policy (e.g. a fixed
         batcher with a partial final batch) never launches are reported
         via ``FleetResult.unserved`` and excluded from the statistics.
+        Every run starts from idle replicas and a fresh router, so one
+        fleet can be run again.
         """
+        for replica in self.replicas:
+            replica.reset()
+        self.router.reset()
         return FleetSim(self.replicas, self.router, arrivals, drain=drain).run()

@@ -14,7 +14,12 @@ compares the production path with a second, live implementation:
   device's per-instruction loop (the fallback a malformed stream takes);
 * :func:`no_bulk_admission` -- stands in for ``FleetSim._bulk_admit``
   with its "window too small" answer, so every arrival takes the
-  per-arrival admission path.
+  per-arrival admission path;
+* :func:`no_batch_scan` -- stands in for ``FleetSim._scan_applies``, so
+  round-robin fixed/timeout fleets take the per-arrival event loop
+  instead of the per-batch scan;
+* :func:`reference_stride_assign` -- the globe exact backend's stride
+  scheduler over a numpy credit vector, one ``argmax`` per arrival.
 
 :func:`install` routes a whole process through the first three, for
 checks that render paper tables end to end in a fresh interpreter.
@@ -137,6 +142,26 @@ def withhold_timing_plan(program, config):
 def no_bulk_admission(sim, i, top_when):
     """Admit nothing in bulk: every arrival takes the per-arrival path."""
     return i
+
+
+def no_batch_scan(sim):
+    """Never scan per batch: every fleet takes the per-arrival event loop."""
+    return False
+
+
+def reference_stride_assign(n: int, fractions: np.ndarray) -> np.ndarray:
+    """:func:`repro.globe.backend._stride_assign` with numpy credits."""
+    active = np.nonzero(fractions > 0)[0]
+    if active.size == 1:
+        return np.full(n, active[0], dtype=np.intp)
+    credits = np.zeros_like(fractions)
+    out = np.empty(n, dtype=np.intp)
+    for k in range(n):
+        credits += fractions
+        pick = int(np.argmax(credits))
+        credits[pick] -= 1.0
+        out[k] = pick
+    return out
 
 
 def install() -> Counter:

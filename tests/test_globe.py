@@ -32,12 +32,15 @@ from repro.globe import (
     simulate_global,
     weighted_percentile,
 )
+from repro.globe.backend import _stride_assign
 from repro.latency.queueing import (
     erlang_c,
     fluid_backlog,
     mdc_mean_wait,
     mmc_mean_wait,
 )
+from repro.serving.fleet import FleetSim
+from tests import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +126,46 @@ class TestHybridVsExact:
         a = simulate_global(small_world(rate=4000.0))
         b = simulate_global(small_world(rate=4000.0))
         assert a == b
+
+
+class TestExactBackendOracles:
+    """The exact backend's fast paths against the oracles in
+    tests/oracles.py: FleetSim's per-batch scan (each cluster is a
+    round-robin timeout fleet) and the plain-float stride scheduler."""
+
+    def test_rows_identical_through_the_per_arrival_loop(self, monkeypatch):
+        # Loaded enough that some bins spill across regions, so clusters
+        # replay merged multi-region arrival streams.
+        scenario = small_world(
+            rate=14000.0, duration_s=1.0, period_s=1.0, bins=4, backend="exact",
+        )
+        scanned = repro.run(scenario)
+        answered = []
+
+        def no_batch_scan(sim):
+            answered.append(sim)
+            return oracles.no_batch_scan(sim)
+
+        monkeypatch.setattr(FleetSim, "_scan_applies", no_batch_scan)
+        per_arrival = repro.run(scenario)
+        assert len(answered) == 3
+        assert scanned.rows == per_arrival.rows
+        global_row = next(r for r in scanned.rows if r["section"] == "global")
+        assert global_row["spill_fraction"] > 0
+
+    def test_stride_assign_matches_the_numpy_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            fractions = rng.random(int(rng.integers(2, 5)))
+            fractions[rng.random(fractions.size) < 0.3] = 0.0  # zero-share clusters
+            if not fractions.any():
+                fractions[0] = 1.0
+            fractions /= fractions.sum()
+            n = int(rng.integers(1, 2000))
+            assert np.array_equal(
+                _stride_assign(n, fractions),
+                oracles.reference_stride_assign(n, fractions),
+            ), fractions
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Fleet serving simulator tests: batchers, routers, traffic, sweeps."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.latency.queueing import simulate_batch_queue
 from repro.serving.batcher import (
     FixedBatcher,
@@ -32,6 +36,30 @@ SERVICE = 2e-3  # 2 ms per batch, any size
 
 def single_replica(batcher, occupancy=SERVICE, latency=None):
     return Fleet([Replica(ConstantCurve(occupancy, latency), batcher)])
+
+
+def withhold_batch_scan(patch):
+    """Route round-robin fixed/timeout fleets through the per-arrival
+    event loop (``oracles.no_batch_scan``); returns the sims it answered."""
+    answered = []
+
+    def no_batch_scan(sim):
+        answered.append(sim)
+        return oracles.no_batch_scan(sim)
+
+    patch.setattr(FleetSim, "_scan_applies", no_batch_scan)
+    return answered
+
+
+def assert_same_run(a, b):
+    """Bit-identical fleet results, accounting and busy timelines."""
+    assert np.array_equal(a.responses, b.responses)
+    assert a.served_per_replica == b.served_per_replica
+    assert a.batches_per_replica == b.batches_per_replica
+    assert a.busy_intervals == b.busy_intervals
+    assert a.horizon == b.horizon
+    assert a.busy_time == b.busy_time
+    assert a.unserved == b.unserved
 
 
 class TestEventLoop:
@@ -334,9 +362,13 @@ class TestVectorizedServingParity:
                 mean_rate=4000.0, swing=0.6, period_seconds=0.25,
                 n_requests=3000, seed=3,
             )
+        # Round-robin timeout fleets take the batch scan; withhold it so
+        # both runs step per arrival and differ only in admission.
+        answered = withhold_batch_scan(monkeypatch)
         bulk = FleetSim(self._replicas(), make_router(router), arrivals).run()
         monkeypatch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
         per_arrival = FleetSim(self._replicas(), make_router(router), arrivals).run()
+        assert len(answered) == 2
         assert np.array_equal(bulk.responses, per_arrival.responses)
         assert bulk.served_per_replica == per_arrival.served_per_replica
         assert bulk.batches_per_replica == per_arrival.batches_per_replica
@@ -357,6 +389,241 @@ class TestVectorizedServingParity:
         ref, ref_server = oracles.reference_closed_loop(64, 16, curve, n_batches=50)
         assert np.array_equal(responses, ref)
         assert server.busy_intervals == ref_server.busy_intervals
+
+
+class TestBatchScanParity:
+    """Round-robin fixed/timeout fleets step per batch (``FleetSim``'s
+    batch scan).  The per-arrival event loop is the oracle: with
+    ``no_batch_scan`` and ``no_bulk_admission`` from tests/oracles.py
+    installed, the same fleet must give bit-identical responses,
+    per-replica accounting, busy intervals, horizon and busy time."""
+
+    # Powers of two: on the duplicate-timestamp grid, deadlines and free
+    # times land exactly on arrivals.
+    OCCUPANCY = 2.0**-10
+    BATCH = 8
+    TIMEOUT = 2.0**-11
+
+    def _fleet(self, replicas, policy, batch=BATCH, timeout=TIMEOUT):
+        curve = ConstantCurve(self.OCCUPANCY, latency_seconds=1.5 * self.OCCUPANCY)
+
+        def batcher():
+            if policy == "fixed":
+                return FixedBatcher(batch)
+            return TimeoutBatcher(batch, timeout)
+
+        return Fleet([Replica(curve, batcher(), name=f"r{i}") for i in range(replicas)])
+
+    def _arrivals(self, traffic, replicas, load, n=3000, seed=5):
+        rate = load * replicas * self.BATCH / self.OCCUPANCY
+        if traffic == "poisson":
+            return poisson_arrivals(rate, n, seed=seed)
+        if traffic == "diurnal":
+            return diurnal_arrivals(rate, 0.6, 0.1, n, seed=seed)
+        # Duplicate timestamps on a grid the timeout is a multiple of,
+        # so deadlines, free times and arrivals collide exactly.
+        rng = np.random.default_rng(seed)
+        step = self.TIMEOUT / 2
+        return np.sort(rng.integers(0, int(n / (rate * step)) + 1, n)) * step
+
+    def check(self, monkeypatch, make_fleet, arrivals, drain=True):
+        """Run the scan and the oracle; returns the scan's result."""
+        polls = []
+        original_poll = FleetSim.poll
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "poll", lambda sim, r: polls.append(r))
+            scanned = make_fleet().run(arrivals, drain=drain)
+        assert polls == [], "the batch scan did not engage"
+        with monkeypatch.context() as patch:
+            answered = withhold_batch_scan(patch)
+            patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
+            patch.setattr(FleetSim, "poll", original_poll)
+            per_arrival = make_fleet().run(arrivals, drain=drain)
+        assert len(answered) == 1, "the no_batch_scan oracle did not fire"
+        assert_same_run(scanned, per_arrival)
+        return scanned
+
+    @pytest.mark.parametrize("traffic", ["poisson", "diurnal", "duplicates"])
+    @pytest.mark.parametrize("replicas", [1, 3, 4])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    def test_matches_the_event_loop(self, monkeypatch, policy, replicas, traffic):
+        arrivals = self._arrivals(traffic, replicas, load=0.7)
+        if traffic == "duplicates":
+            assert np.any(np.diff(arrivals) == 0)
+        self.check(monkeypatch, lambda: self._fleet(replicas, policy), arrivals)
+
+    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    def test_max_batch_one(self, monkeypatch, policy):
+        arrivals = self._arrivals("duplicates", 3, load=0.1)
+        self.check(monkeypatch, lambda: self._fleet(3, policy, batch=1), arrivals)
+
+    @pytest.mark.parametrize("traffic", ["poisson", "duplicates"])
+    def test_zero_timeout(self, monkeypatch, traffic):
+        arrivals = self._arrivals(traffic, 3, load=0.5)
+        self.check(monkeypatch, lambda: self._fleet(3, "timeout", timeout=0.0), arrivals)
+
+    @pytest.mark.parametrize("drain", [True, False])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    def test_trace_ending_in_a_partial_batch(self, monkeypatch, policy, drain):
+        arrivals = self._arrivals("poisson", 3, load=0.6, n=3 * self.BATCH * 40 + 5)
+        result = self.check(
+            monkeypatch, lambda: self._fleet(3, policy), arrivals, drain=drain
+        )
+        assert result.unserved == (0 if drain or policy == "timeout" else 5)
+
+    @pytest.mark.parametrize("replicas", [1, 4])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    def test_overload(self, monkeypatch, policy, replicas):
+        arrivals = self._arrivals("poisson", replicas, load=1.4)
+        self.check(monkeypatch, lambda: self._fleet(replicas, policy), arrivals)
+
+    def test_router_base_offset(self, monkeypatch):
+        # A FleetSim driven directly may start round-robin mid-cycle.
+        arrivals = self._arrivals("poisson", 3, load=0.8, n=500)
+
+        def run():
+            fleet = self._fleet(3, "timeout")
+            router = make_router("round_robin")
+            router._next = 7
+            return FleetSim(fleet.replicas, router, arrivals).run()
+
+        scanned = run()
+        with monkeypatch.context() as patch:
+            answered = withhold_batch_scan(patch)
+            per_arrival = run()
+        assert answered and scanned.served_per_replica[1] == 167
+        assert_same_run(scanned, per_arrival)
+
+    def test_age_test_one_ulp_before_the_deadline(self, monkeypatch):
+        """``now - oldest >= timeout`` can hold one ulp before the float
+        deadline ``oldest + timeout``.  A launch happens there if an
+        arrival, the server-free poll, or a still-pending timer set for
+        an earlier head polls at that instant, and at the deadline
+        otherwise.
+        """
+        timeout, unit = 1.5, 2.0**-56
+        oldest = 24 * unit
+        deadline = oldest + timeout
+        early = math.nextafter(deadline, -math.inf)
+        assert early - oldest >= timeout
+        # An earlier head whose deadline is exactly `early`.
+        assert 9 * unit + timeout == early
+
+        def fleet(batch, occupancy):
+            curve = ConstantCurve(occupancy_seconds=occupancy)
+            return lambda: Fleet([Replica(curve, TimeoutBatcher(batch, timeout))])
+
+        cases = [
+            # (batch, occupancy, arrivals, index and start of the checked batch)
+            (4, 1e-3, [oldest, early, 10.0], 0, early),  # an arrival polls
+            (4, early, [0.0] * 4 + [oldest, 10.0], 1, early),  # the server frees
+            (2, 1e-300, [9 * unit, 10 * unit, oldest, 10.0], 1, early),  # stale timer
+            (4, 1e-3, [oldest, deadline, 10.0], 0, deadline),  # nothing polls early
+        ]
+        for batch, occupancy, arrivals, k, start in cases:
+            result = self.check(monkeypatch, fleet(batch, occupancy), np.array(arrivals))
+            assert result.busy_intervals[0][k][0] == start
+        assert result.batches_per_replica == (2,)  # the deadline arrival joined
+
+    def test_observability_matches_the_event_loop(self, monkeypatch):
+        """Spans equal as a multiset, histograms equal up to the order
+        observations arrive in (replica by replica under the scan)."""
+        arrivals = self._arrivals("poisson", 3, load=0.9)
+
+        def observed():
+            obs.REGISTRY.reset()
+            obs.set_metrics(True)
+            try:
+                with obs.capture() as tracer:
+                    self._fleet(3, "timeout").run(arrivals)
+                spans = Counter(
+                    (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, tuple(sorted(s.args.items())))
+                    for s in tracer.snapshot()
+                )
+                return spans, obs.metrics_snapshot()
+            finally:
+                obs.set_metrics(False)
+                obs.REGISTRY.reset()
+                obs.TRACER.clear()
+
+        spans, metrics = observed()
+        with monkeypatch.context() as patch:
+            answered = withhold_batch_scan(patch)
+            ref_spans, ref_metrics = observed()
+        assert answered
+        assert spans == ref_spans
+        assert metrics.keys() == ref_metrics.keys()
+        for name, value in metrics.items():
+            ref = ref_metrics[name]
+            if not isinstance(value, dict):
+                assert value == ref, name
+                continue
+            for field in ("count", "min", "max", "p50", "p99"):
+                assert value[field] == ref[field], (name, field)
+            for field in ("sum", "mean"):
+                assert value[field] == pytest.approx(ref[field], rel=1e-12, abs=0.0)
+        assert metrics["serving.queue_depth_at_launch"]["max"] > 1
+
+    def test_scan_stands_down_unless_streams_are_known_up_front(self):
+        class CustomTimeout(TimeoutBatcher):
+            pass
+
+        def sim(batcher=TimeoutBatcher, router="round_robin", arrivals=(0.1, 0.2)):
+            curve = ConstantCurve(self.OCCUPANCY)
+            replicas = [Replica(curve, batcher(4, self.TIMEOUT)) for _ in range(2)]
+            return FleetSim(replicas, make_router(router), np.array(arrivals))
+
+        assert sim()._scan_applies()
+        assert not sim(router="jsq")._scan_applies()
+        assert not sim(batcher=CustomTimeout)._scan_applies()
+        assert not sim(arrivals=(-0.1, 0.2))._scan_applies()
+        scheduled = sim()
+        scheduled.loop.schedule(0.15, lambda _t: None)  # e.g. an autoscaler tick
+        assert not scheduled._scan_applies()
+        shrunk = sim()
+        shrunk.eligible.pop()
+        assert not shrunk._scan_applies()
+        busy = sim()
+        busy.replicas[1].server.start_batch(0.0995, 4)  # busy past the first arrival
+        assert not busy._scan_applies()
+
+    @pytest.mark.parametrize("router", ["round_robin", "jsq"])
+    def test_a_fleet_runs_twice_identically(self, router):
+        curve = ConstantCurve(occupancy_seconds=self.OCCUPANCY)
+        fleet = Fleet(
+            [Replica(curve, TimeoutBatcher(self.BATCH, self.TIMEOUT)) for _ in range(3)],
+            router=router,
+        )
+        arrivals = self._arrivals("poisson", 3, load=0.8, n=1000)
+        first = fleet.run(arrivals)
+        second = fleet.run(arrivals)
+        assert_same_run(first, second)
+        assert sum(r.admitted for r in fleet.replicas) == 1000
+
+
+def test_batch_scan_engaged_by_default(monkeypatch):
+    """Round-robin timeout fleets and the legacy single-queue simulator
+    never poll; a JSQ fleet (no scan) does, so the spy is live."""
+    polls = []
+    original = FleetSim.poll
+
+    def spy(sim, replica):
+        polls.append(replica)
+        return original(sim, replica)
+
+    monkeypatch.setattr(FleetSim, "poll", spy)
+    curve = ConstantCurve(occupancy_seconds=1e-3)
+    arrivals = poisson_arrivals(6000.0, 2000, seed=4)
+    for router in ("round_robin", "jsq"):
+        fleet = Fleet(
+            [Replica(curve, TimeoutBatcher(8, 5e-4)) for _ in range(4)], router=router
+        )
+        result = fleet.run(arrivals)
+        assert sum(result.served_per_replica) == 2000
+        assert (len(polls) > 0) == (router == "jsq")
+    polls.clear()
+    simulate_batch_queue(1000.0, 16, SERVICE, n_requests=500)
+    assert polls == []
 
 
 class TestSummarize:
