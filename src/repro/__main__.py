@@ -1,16 +1,21 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Every subcommand is a thin argparse -> :class:`ScenarioSpec` adapter
-over the :func:`repro.run` facade: flags build a declarative scenario,
-``--config scenario.json`` loads one from disk instead, and ``--json``
-prints the structured :class:`ScenarioResult` rather than the rendered
-text.  ``python -m repro serve --config spec.json --json`` and
-``repro.run(ServeScenario(...))`` are the same computation.
+Every scenario subcommand is a thin argparse -> :class:`ScenarioSpec`
+adapter over the :func:`repro.run` facade, and its flags are generated
+from the spec dataclass: each scalar (or flat-tuple) field becomes one
+``--field-name`` flag whose type, default, choices and help come from
+the field itself, so ``python -m repro <kind> --help`` is the flag
+reference.  A flag left out keeps the dataclass default.  Flags build a
+declarative scenario, ``--config scenario.json`` loads one from disk
+instead, and ``--json`` prints the structured :class:`ScenarioResult`
+rather than the rendered text.  ``python -m repro serve --config
+spec.json --json`` and ``repro.run(ServeScenario(...))`` are the same
+computation.
 
 Commands:
 
-* ``profile <app>``     -- compile any registered workload (Table 1 six
-  or a transformer extension) and print its cycle breakdown (Table 3
+* ``profile <workload>`` -- compile any registered workload (Table 1
+  six or a transformer extension) and print its cycle breakdown (Table 3
   style);
 * ``experiment <id>``   -- regenerate one table/figure (e.g. ``table6``);
   ``--spec`` introspects its default scenario;
@@ -51,14 +56,17 @@ same without touching the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 
-#: ``serve`` flag defaults, resolved after parsing so the CLI can tell
-#: "flag left alone" from "flag explicitly set" (the --trace warning).
-_SERVE_DEFAULT_TRAFFIC = "poisson"
-_SERVE_DEFAULT_LOADS = "0.3,0.5,0.7,0.8,0.9,0.95"
+#: Scenario fields taken as a positional argument instead of a flag;
+#: required unless ``--config`` is given.
+_POSITIONAL = {"profile": "workload"}
+
+_SCALARS = (str, int, float, bool)
 
 
 def _print_result(result, as_json: bool) -> None:
@@ -73,18 +81,61 @@ def _print_result(result, as_json: bool) -> None:
         print(rendered)
 
 
-def _load_config(path: str, command: str, kinds: tuple[str, ...]):
+def _load_config(path: str, kind: str):
     """Load a scenario config and check it fits the invoking subcommand."""
     from repro.api import SpecError, SweepSpec, load_scenario
 
     scenario = load_scenario(path)
-    kind = scenario.base.kind if isinstance(scenario, SweepSpec) else scenario.kind
-    if kind not in kinds:
+    found = scenario.base.kind if isinstance(scenario, SweepSpec) else scenario.kind
+    if found != kind:
         raise SpecError(
-            f"{path} holds a {kind!r} scenario; run it with "
-            f"`python -m repro {kind} --config {path}`"
+            f"{path} holds a {found!r} scenario; run it with "
+            f"`python -m repro {found} --config {path}`"
         )
     return scenario
+
+
+def scenario_from_args(args: argparse.Namespace):
+    """The scenario a scenario subcommand's flags (or ``--config``) describe.
+
+    Only the flags actually given reach the constructor; every other
+    field keeps its dataclass default.
+    """
+    from repro.api import SpecError
+    from repro.api.spec import DEFAULT_REGIONS
+
+    if args.config:
+        return _load_config(args.config, args.command)
+    cls = args.scenario_cls
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
+    positional = _POSITIONAL.get(args.command)
+    if positional is not None and positional not in given:
+        raise SpecError(f"give a {positional} (see `python -m repro list`) "
+                        "or --config scenario.json")
+    if args.command == "serve" and "trace" in given:
+        ignored = [f"--{name}" for name in ("traffic", "loads") if name in given]
+        if ignored:
+            print(f"serve: --trace replays recorded arrivals; ignoring "
+                  f"{'/'.join(ignored)}", file=sys.stderr)
+    if args.command == "globe" and "rate" in args:
+        given["regions"] = tuple(
+            dataclasses.replace(r, rate_rps=args.rate) for r in DEFAULT_REGIONS
+        )
+    return cls(**given)
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.api import run
+
+    try:
+        result = run(scenario_from_args(args))
+    except (ValueError, OSError) as exc:
+        # Bad flags (a SpecError is a ValueError), configs and trace files
+        # carry their own message; surface it as a CLI error, not a traceback.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    _print_result(result, args.json)
+    return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -108,31 +159,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
           + "  (see docs/WORKLOADS.md)")
     print("experiments: " + ", ".join(EXPERIMENTS))
     print("scenarios:  " + ", ".join(scenario_kinds())
-          + "  (see `--config`/`--json` on profile/serve/datacenter)")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.api import ProfileScenario, SpecError, run
-
-    try:
-        if args.config:
-            scenario = _load_config(args.config, "profile", ("profile",))
-        elif args.app is not None:
-            scenario = ProfileScenario(
-                workload=args.app,
-                weight_bits=args.weight_bits,
-                activation_bits=args.activation_bits,
-            )
-        else:
-            print("profile: give a workload (see `python -m repro list`) "
-                  "or --config scenario.json", file=sys.stderr)
-            return 2
-        result = run(scenario)
-    except (SpecError, OSError) as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
-    _print_result(result, args.json)
+          + "  (see `--config`/`--json` on profile/serve/datacenter/globe/llm)")
     return 0
 
 
@@ -195,161 +222,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return _with_obs(inner)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.api import ServeScenario, SpecError, run
-
-    try:
-        if args.config:
-            scenario = _load_config(args.config, "serve", ("serve",))
-        else:
-            if args.trace and (args.traffic is not None or args.loads is not None):
-                ignored = [
-                    flag for flag, value in
-                    (("--traffic", args.traffic), ("--loads", args.loads))
-                    if value is not None
-                ]
-                print(f"serve: --trace replays recorded arrivals; ignoring "
-                      f"{'/'.join(ignored)}", file=sys.stderr)
-            scenario = ServeScenario(
-                workload=args.workload,
-                platform=args.platform,
-                replicas=args.replicas,
-                slo_ms=args.slo_ms,
-                policy=args.policy,
-                batch=args.batch,
-                timeout_ms=args.timeout_ms,
-                router=args.router,
-                loads=tuple(
-                    float(f)
-                    for f in (args.loads or _SERVE_DEFAULT_LOADS).split(",")
-                ),
-                requests=args.requests,
-                seed=args.seed,
-                traffic=args.traffic or _SERVE_DEFAULT_TRAFFIC,
-                diurnal_swing=args.diurnal_swing,
-                diurnal_period_s=args.diurnal_period_s,
-                trace=args.trace,
-            )
-        result = run(scenario)
-    except (SpecError, ValueError, OSError) as exc:
-        # Bad loads/SLO/trace inputs carry their own message; surface it
-        # as a CLI error, not a traceback.
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    _print_result(result, args.json)
-    return 0
-
-
-def _cmd_datacenter(args: argparse.Namespace) -> int:
-    from repro.api import DatacenterScenario, SpecError, run
-
-    try:
-        if args.config:
-            scenario = _load_config(args.config, "datacenter", ("datacenter",))
-        else:
-            scenario = DatacenterScenario(
-                workload=args.workload,
-                slo_ms=args.slo_ms,
-                platforms=tuple(
-                    k.strip() for k in args.platforms.split(",") if k.strip()
-                ),
-                rate=args.rate,
-                swing=args.swing,
-                requests=args.requests,
-                max_replicas=args.max_replicas,
-                router=args.router,
-                seed=args.seed,
-                usd_per_kwh=args.usd_per_kwh,
-                pue=args.pue,
-                capex_per_watt=args.capex_per_watt,
-            )
-        result = run(scenario)
-    except (SpecError, ValueError, OSError) as exc:
-        print(f"datacenter: {exc}", file=sys.stderr)
-        return 2
-    _print_result(result, args.json)
-    return 0
-
-
-def _cmd_globe(args: argparse.Namespace) -> int:
-    from repro.api import GlobalScenario, SpecError, run
-
-    try:
-        if args.config:
-            scenario = _load_config(args.config, "globe", ("globe",))
-        else:
-            import dataclasses
-
-            from repro.api.spec import DEFAULT_REGIONS
-
-            regions = DEFAULT_REGIONS
-            if args.rate is not None:
-                regions = tuple(
-                    dataclasses.replace(r, rate_rps=args.rate)
-                    for r in DEFAULT_REGIONS
-                )
-            scenario = GlobalScenario(
-                workload=args.workload,
-                slo_ms=args.slo_ms,
-                policy=args.policy,
-                batch=args.batch,
-                timeout_ms=args.timeout_ms,
-                router=args.router,
-                routing=args.routing,
-                regions=regions,
-                period_s=args.period_s,
-                duration_s=args.duration_s,
-                bins=args.bins,
-                backend=args.backend,
-                spill_threshold=args.spill_threshold,
-                default_rtt_ms=args.default_rtt_ms,
-                event_requests=args.event_requests,
-                seed=args.seed,
-            )
-        result = run(scenario)
-    except (SpecError, ValueError, OSError) as exc:
-        print(f"globe: {exc}", file=sys.stderr)
-        return 2
-    _print_result(result, args.json)
-    return 0
-
-
-def _cmd_llm(args: argparse.Namespace) -> int:
-    from repro.api import LLMServeScenario, SpecError, run
-
-    try:
-        if args.config:
-            scenario = _load_config(args.config, "llm", ("llm",))
-        else:
-            scenario = LLMServeScenario(
-                workload=args.workload,
-                scheduler=args.scheduler,
-                mode=args.mode,
-                chips=args.chips,
-                prefill_chips=args.prefill_chips,
-                max_batch=args.max_batch,
-                prefill_batch=args.prefill_batch,
-                prompt_tokens=args.prompt_tokens,
-                decode_tokens=args.decode_tokens,
-                requests=args.requests,
-                loads=tuple(
-                    float(x) for x in args.loads.split(",") if x.strip()
-                ),
-                slo_tpot_ms=args.slo_tpot_ms,
-                slo_ttft_ms=args.slo_ttft_ms,
-                transfer_ms=args.transfer_ms,
-                link_gbps=args.link_gbps,
-                autoscale=args.autoscale,
-                seed=args.seed,
-            )
-        result = run(scenario)
-    except (SpecError, ValueError, OSError) as exc:
-        print(f"llm: {exc}", file=sys.stderr)
-        return 2
-    _print_result(result, args.json)
-    return 0
-
-
 def _add_scenario_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, metavar="SCENARIO.json",
                         help="load the scenario from a JSON config file "
@@ -369,7 +241,76 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                              "after the run")
 
 
+def _flag_type(hint: object) -> tuple[type, bool] | None:
+    """``(item type, is_tuple)`` of a scalar or flat-tuple field, else None.
+
+    Scalars are str/int/float/bool, each optionally ``| None``.  Nested
+    fields (the globe's region tree and RTT triples) stay config-only.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        items = set(args) - {Ellipsis}
+        item = items.pop() if len(items) == 1 else None
+        return (item, True) if item in _SCALARS else None
+    if args:  # ``X | None``
+        args = tuple(a for a in args if a is not type(None))
+        hint = args[0] if len(args) == 1 else None
+    return (hint, False) if hint in _SCALARS else None
+
+
+def _comma_list(item: type):
+    """argparse ``type`` of a tuple flag: comma-separated, empty items skipped."""
+    def parse(text: str) -> tuple:
+        return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+
+    parse.__name__ = f"comma-separated {item.__name__}"  # argparse names it on error
+    return parse
+
+
+def _add_scenario_command(sub, cls, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand with one flag per scalar or flat-tuple field of ``cls``.
+
+    Name, type, choices, help and the default shown in the help all come
+    from the field.  Flags default to "not given", so a flag left out
+    keeps the dataclass default.
+    """
+    parser = sub.add_parser(cls.kind, **kwargs)
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        flag_type = _flag_type(hints[f.name])
+        if flag_type is None:
+            continue
+        item, is_tuple = flag_type
+        if f.name == _POSITIONAL.get(cls.kind):
+            parser.add_argument(f.name, nargs="?", default=argparse.SUPPRESS,
+                                help=f.metadata["help"])
+            continue
+        shown = ",".join(map(str, f.default)) if is_tuple else f.default
+        options = {"default": argparse.SUPPRESS,
+                   "help": f"{f.metadata['help']} (default: {shown})"}
+        if item is bool:
+            options["action"] = "store_true"
+        elif is_tuple:
+            options["type"] = _comma_list(item)
+        else:
+            options.update(type=item, choices=f.metadata["choices"])
+        parser.add_argument("--" + f.name.replace("_", "-"), **options)
+    _add_scenario_io(parser)
+    _add_obs_flags(parser)
+    parser.set_defaults(fn=_cmd_scenario, scenario_cls=cls)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.api.spec import (
+        DEFAULT_REGIONS,
+        DatacenterScenario,
+        GlobalScenario,
+        LLMServeScenario,
+        ProfileScenario,
+        ServeScenario,
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TPU ISCA-2017 reproduction: simulate, analyze, report.",
@@ -382,15 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dump the registries (with default specs) as JSON")
     lister.set_defaults(fn=_cmd_list)
 
-    profile = sub.add_parser("profile", help="simulate one workload")
-    profile.add_argument("app", nargs="?", default=None,
-                         help="a workload name, e.g. mlp0|lstm1|cnn0|bert_s|gpt_s "
-                              "(`repro list` shows all)")
-    profile.add_argument("--weight-bits", type=int, default=8, choices=(8, 16))
-    profile.add_argument("--activation-bits", type=int, default=8, choices=(8, 16))
-    _add_scenario_io(profile)
-    _add_obs_flags(profile)
-    profile.set_defaults(fn=_cmd_profile)
+    _add_scenario_command(sub, ProfileScenario, help="simulate one workload")
 
     experiment = sub.add_parser("experiment", help="regenerate one table/figure")
     experiment.add_argument("exp_id", help="e.g. table6, figure9, tpu_prime")
@@ -432,55 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "name and exit (for CI scripting)")
     bench.set_defaults(fn=_cmd_bench)
 
-    serve = sub.add_parser(
-        "serve",
+    _add_scenario_command(
+        sub, ServeScenario,
         help="simulate a serving fleet under a p99 SLO (Table 4 at scale)",
         description="Event-driven fleet serving simulation: sweep offered "
         "load across N replicas and print the p99-vs-throughput operating "
         "curve plus the max sustainable throughput under the SLO.",
     )
-    serve.add_argument("--workload", default="mlp0",
-                       help="any workload from `repro list`, e.g. mlp0 or "
-                            "bert_s (default mlp0)")
-    serve.add_argument("--platform", default="tpu", choices=("cpu", "gpu", "tpu"))
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="number of accelerator replicas (default 1)")
-    serve.add_argument("--slo-ms", type=float, default=7.0,
-                       help="p99 response-time limit in ms (paper: 7)")
-    serve.add_argument("--policy", default="adaptive",
-                       choices=("adaptive", "fixed", "timeout"),
-                       help="batching policy (default: SLO-adaptive)")
-    serve.add_argument("--batch", type=int, default=None,
-                       help="batch size for fixed/timeout policies")
-    serve.add_argument("--timeout-ms", type=float, default=None,
-                       help="batch collection timeout for the timeout policy")
-    serve.add_argument("--router", default="round_robin",
-                       choices=("round_robin", "jsq"))
-    serve.add_argument("--loads", default=None,
-                       help="offered loads as fractions of fleet capacity "
-                            f"(default {_SERVE_DEFAULT_LOADS})")
-    serve.add_argument("--requests", type=int, default=20000,
-                       help="requests simulated per operating point")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--traffic", default=None,
-                       choices=("poisson", "diurnal", "uniform"),
-                       help="arrival process for the load sweep "
-                            f"(default {_SERVE_DEFAULT_TRAFFIC})")
-    serve.add_argument("--diurnal-swing", type=float, default=0.5,
-                       help="diurnal load swing in [0, 1) around the mean "
-                            "(default 0.5)")
-    serve.add_argument("--diurnal-period-s", type=float, default=None,
-                       help="diurnal period in seconds (default: one full "
-                            "cycle per operating point)")
-    serve.add_argument("--trace", default=None,
-                       help="replay an arrival trace file (one timestamp/line) "
-                            "instead of sweeping Poisson loads")
-    _add_scenario_io(serve)
-    _add_obs_flags(serve)
-    serve.set_defaults(fn=_cmd_serve)
-
-    datacenter = sub.add_parser(
-        "datacenter",
+    _add_scenario_command(
+        sub, DatacenterScenario,
         help="provision, autoscale, and price an SLO-bound fleet "
         "(Figure 10's energy penalty at datacenter load)",
         description="Energy-aware capacity planning: find the smallest "
@@ -490,35 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         "a CapEx+energy TCO model, and compare static, reactive, and "
         "predictive autoscaling on the largest fleet.",
     )
-    datacenter.add_argument("--workload", default="mlp0",
-                            help="any workload from `repro list` (default mlp0)")
-    datacenter.add_argument("--slo-ms", type=float, default=7.0,
-                            help="p99 response-time limit in ms (paper: 7)")
-    datacenter.add_argument("--platforms", default="cpu,gpu,tpu",
-                            help="comma-separated subset of cpu,gpu,tpu")
-    datacenter.add_argument("--rate", type=float, default=20000.0,
-                            help="mean offered load, requests/s (default 20000)")
-    datacenter.add_argument("--swing", type=float, default=0.6,
-                            help="diurnal swing in [0, 1) (default 0.6)")
-    datacenter.add_argument("--requests", type=int, default=20000,
-                            help="requests simulated (one diurnal cycle)")
-    datacenter.add_argument("--max-replicas", type=int, default=32,
-                            help="provisioning search ceiling per platform")
-    datacenter.add_argument("--router", default="jsq",
-                            choices=("round_robin", "jsq"))
-    datacenter.add_argument("--seed", type=int, default=0)
-    datacenter.add_argument("--usd-per-kwh", type=float, default=0.10,
-                            help="electricity price (default 0.10)")
-    datacenter.add_argument("--pue", type=float, default=1.5,
-                            help="power usage effectiveness (default 1.5)")
-    datacenter.add_argument("--capex-per-watt", type=float, default=12.0,
-                            help="CapEx per provisioned TDP Watt (default 12)")
-    _add_scenario_io(datacenter)
-    _add_obs_flags(datacenter)
-    datacenter.set_defaults(fn=_cmd_datacenter)
-
-    globe = sub.add_parser(
-        "globe",
+    globe = _add_scenario_command(
+        sub, GlobalScenario,
         help="planet-scale multi-region serving on the hybrid "
         "queueing/event backend",
         description="Simulate a multi-region fleet: phase-offset diurnal "
@@ -530,50 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
         "cycle apart; region/cluster trees beyond the defaults come from "
         "--config.",
     )
-    globe.add_argument("--workload", default="mlp0",
-                       help="any workload from `repro list` (default mlp0)")
-    globe.add_argument("--slo-ms", type=float, default=7.0,
-                       help="p99 response-time limit in ms (paper: 7)")
-    globe.add_argument("--policy", default="adaptive",
-                       choices=("adaptive", "fixed", "timeout"),
-                       help="cluster batching policy (default: SLO-adaptive)")
-    globe.add_argument("--batch", type=int, default=None,
-                       help="batch size for fixed/timeout policies")
-    globe.add_argument("--timeout-ms", type=float, default=None,
-                       help="batch collection timeout for the timeout policy")
-    globe.add_argument("--router", default="round_robin",
-                       choices=("round_robin", "jsq"))
-    globe.add_argument("--routing", default="latency",
-                       choices=("latency", "cost", "spillover"),
-                       help="global routing policy (default latency)")
-    globe.add_argument("--rate", type=float, default=None,
-                       help="override every default region's mean req/s "
-                            "(default world: 3 x 120000)")
-    globe.add_argument("--period-s", type=float, default=120.0,
-                       help="diurnal period in seconds (default 120)")
-    globe.add_argument("--duration-s", type=float, default=120.0,
-                       help="simulated horizon in seconds (default 120)")
-    globe.add_argument("--bins", type=int, default=24,
-                       help="time bins over the horizon (default 24)")
-    globe.add_argument("--backend", default="hybrid",
-                       choices=("hybrid", "exact"),
-                       help="hybrid prices rates; exact event-simulates "
-                            "every request (small traces only)")
-    globe.add_argument("--spill-threshold", type=float, default=0.9,
-                       help="fill clusters to this utilization before "
-                            "spilling demand (default 0.9)")
-    globe.add_argument("--default-rtt-ms", type=float, default=80.0,
-                       help="inter-region round trip in ms (default 80)")
-    globe.add_argument("--event-requests", type=int, default=4000,
-                       help="trace length of each memoized event-regime "
-                            "sample (default 4000)")
-    globe.add_argument("--seed", type=int, default=0)
-    _add_scenario_io(globe)
-    _add_obs_flags(globe)
-    globe.set_defaults(fn=_cmd_globe)
-
-    llm = sub.add_parser(
-        "llm",
+    globe.add_argument("--rate", type=float, default=argparse.SUPPRESS,
+                       help="set rate_rps, the mean req/s, of every default "
+                            "region (default: " + "/".join(
+                                f"{r.rate_rps:g}" for r in DEFAULT_REGIONS) + ")")
+    _add_scenario_command(
+        sub, LLMServeScenario,
         help="iteration-level (continuous) transformer decode serving "
              "under the KV-cache capacity budget",
         description="Sweep offered load over an iteration-level decode "
@@ -583,47 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "request-level gang baseline; --mode disaggregated splits "
         "prefill and decode pools with a KV transfer hop.",
     )
-    llm.add_argument("--workload", default="gpt_s",
-                     help="transformer extension workload (default gpt_s)")
-    llm.add_argument("--scheduler", default="continuous",
-                     choices=["continuous", "fixed"],
-                     help="iteration-level vs request-level gang batching")
-    llm.add_argument("--mode", default="aggregated",
-                     choices=["aggregated", "disaggregated"],
-                     help="one pool, or split prefill/decode pools")
-    llm.add_argument("--chips", type=int, default=2,
-                     help="decode-pool chips (the whole fleet when "
-                          "aggregated; default 2)")
-    llm.add_argument("--prefill-chips", type=int, default=1,
-                     help="prefill-pool chips in disaggregated mode")
-    llm.add_argument("--max-batch", type=int, default=32,
-                     help="decode batch-slot cap per chip (default 32)")
-    llm.add_argument("--prefill-batch", type=int, default=8,
-                     help="prompts per batched prefill pass (default 8)")
-    llm.add_argument("--prompt-tokens", type=int, default=96,
-                     help="mean prompt length (default 96)")
-    llm.add_argument("--decode-tokens", type=int, default=48,
-                     help="mean generated length (default 48)")
-    llm.add_argument("--requests", type=int, default=2000,
-                     help="requests per load point (default 2000)")
-    llm.add_argument("--loads", default="0.3,0.5,0.7,0.85,0.95",
-                     help="offered loads as fractions of ideal decode "
-                          "capacity (default 0.3,0.5,0.7,0.85,0.95)")
-    llm.add_argument("--slo-tpot-ms", type=float, default=1.5,
-                     help="p99 time-per-token SLO in ms (default 1.5)")
-    llm.add_argument("--slo-ttft-ms", type=float, default=100.0,
-                     help="time-to-first-token SLO in ms (default 100)")
-    llm.add_argument("--transfer-ms", type=float, default=0.2,
-                     help="prefill->decode KV hop RTT in ms (default 0.2)")
-    llm.add_argument("--link-gbps", type=float, default=100.0,
-                     help="pool interconnect bandwidth (default 100 Gb/s)")
-    llm.add_argument("--autoscale", action="store_true",
-                     help="per-pool reactive autoscaling "
-                          "(disaggregated mode only)")
-    llm.add_argument("--seed", type=int, default=0)
-    _add_scenario_io(llm)
-    _add_obs_flags(llm)
-    llm.set_defaults(fn=_cmd_llm)
 
     trace = sub.add_parser(
         "trace",

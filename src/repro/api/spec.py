@@ -32,6 +32,7 @@ PLATFORM_KINDS = ("cpu", "gpu", "tpu")
 BATCH_POLICIES = ("adaptive", "fixed", "timeout")
 ROUTERS = ("round_robin", "jsq")
 TRAFFIC_KINDS = ("poisson", "diurnal", "uniform")
+OPERAND_BITS = (8, 16)
 
 
 class SpecError(ValueError):
@@ -70,7 +71,14 @@ def _check_positive(field: str, value: object, integer: bool = False) -> None:
     kind = "a positive integer" if integer else "a positive number"
     # bool is an int subclass, but a JSON true is not a count.
     ok = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
-    _require(ok and value > 0, f"{field} must be {kind}, got {value!r}")
+    _require(ok and (integer or math.isfinite(value)) and value > 0,
+             f"{field} must be {kind}, got {value!r}")
+
+
+def _check_non_negative(field: str, value: object) -> None:
+    ok = not isinstance(value, bool) and isinstance(value, (int, float))
+    _require(ok and math.isfinite(value) and value >= 0,
+             f"{field} must be a finite non-negative number, got {value!r}")
 
 
 def _check_seed(value: object) -> None:
@@ -81,6 +89,15 @@ def _check_seed(value: object) -> None:
 def _check_optional_positive(field: str, value: object, integer: bool = False) -> None:
     if value is not None:
         _check_positive(field, value, integer=integer)
+
+
+def _field(default: Any, help: str, choices: tuple[Any, ...] | None = None) -> Any:
+    """A scenario field carrying its help text (and choices) as metadata.
+
+    ``python -m repro <kind>`` builds each scalar field's flag from this;
+    ``choices`` is the same tuple ``validate`` checks the value against.
+    """
+    return dataclasses.field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass(frozen=True)
@@ -212,16 +229,17 @@ class ProfileScenario(ScenarioSpec):
 
     kind: ClassVar[str] = "profile"
 
-    workload: str = "mlp0"
-    weight_bits: int = 8
-    activation_bits: int = 8
+    workload: str = _field("mlp0", "a workload name, e.g. mlp0|lstm1|cnn0|bert_s|gpt_s "
+                                   "(`repro list` shows all)")
+    weight_bits: int = _field(8, "weight operand width in bits", OPERAND_BITS)
+    activation_bits: int = _field(8, "activation operand width in bits", OPERAND_BITS)
 
     def validate(self) -> None:
         if isinstance(self.workload, str):
             _set(self, "workload", self.workload.lower())
         _check_workload(self.workload)
-        _check_choice("weight_bits", self.weight_bits, (8, 16))
-        _check_choice("activation_bits", self.activation_bits, (8, 16))
+        _check_choice("weight_bits", self.weight_bits, OPERAND_BITS)
+        _check_choice("activation_bits", self.activation_bits, OPERAND_BITS)
 
 
 @dataclass(frozen=True)
@@ -230,22 +248,26 @@ class ServeScenario(ScenarioSpec):
 
     kind: ClassVar[str] = "serve"
 
-    workload: str = "mlp0"
-    platform: str = "tpu"
-    replicas: int = 1
-    slo_ms: float = 7.0
-    policy: str = "adaptive"
-    batch: int | None = None
-    timeout_ms: float | None = None
-    router: str = "round_robin"
-    loads: tuple[float, ...] = (0.3, 0.5, 0.7, 0.8, 0.9, 0.95)
-    requests: int = 20000
-    seed: int = 0
-    traffic: str = "poisson"
-    diurnal_swing: float = 0.5
-    diurnal_period_s: float | None = None
-    #: When set, replay this arrival-trace file instead of sweeping loads.
-    trace: str | None = None
+    workload: str = _field("mlp0", "any workload from `repro list`, e.g. mlp0 or bert_s")
+    platform: str = _field("tpu", "accelerator platform of every replica", PLATFORM_KINDS)
+    replicas: int = _field(1, "number of accelerator replicas")
+    slo_ms: float = _field(7.0, "p99 response-time limit in ms")
+    policy: str = _field("adaptive", "batching policy; adaptive sizes batches to the SLO",
+                         BATCH_POLICIES)
+    batch: int | None = _field(None, "batch size for fixed/timeout policies")
+    timeout_ms: float | None = _field(None, "batch collection timeout for the timeout policy")
+    router: str = _field("round_robin", "replica router; jsq is join-shortest-queue", ROUTERS)
+    loads: tuple[float, ...] = _field((0.3, 0.5, 0.7, 0.8, 0.9, 0.95),
+                                      "offered loads as fractions of fleet capacity")
+    requests: int = _field(20000, "requests simulated per operating point")
+    seed: int = _field(0, "random seed")
+    traffic: str = _field("poisson", "arrival process for the load sweep", TRAFFIC_KINDS)
+    diurnal_swing: float = _field(0.5, "diurnal load swing in [0, 1) around the mean")
+    diurnal_period_s: float | None = _field(
+        None, "diurnal period in seconds; unset means one full cycle per operating point")
+    trace: str | None = _field(
+        None, "replay this arrival-trace file (one timestamp per line) "
+              "instead of sweeping loads")
 
     @property
     def slo_seconds(self) -> float:
@@ -282,18 +304,19 @@ class DatacenterScenario(ScenarioSpec):
 
     kind: ClassVar[str] = "datacenter"
 
-    workload: str = "mlp0"
-    slo_ms: float = 7.0
-    platforms: tuple[str, ...] = ("cpu", "gpu", "tpu")
-    rate: float = 20000.0
-    swing: float = 0.6
-    requests: int = 20000
-    max_replicas: int = 32
-    router: str = "jsq"
-    seed: int = 0
-    usd_per_kwh: float = 0.10
-    pue: float = 1.5
-    capex_per_watt: float = 12.0
+    workload: str = _field("mlp0", "any workload from `repro list`")
+    slo_ms: float = _field(7.0, "p99 response-time limit in ms")
+    platforms: tuple[str, ...] = _field(("cpu", "gpu", "tpu"),
+                                        "platforms to provision and compare")
+    rate: float = _field(20000.0, "mean offered load, requests/s")
+    swing: float = _field(0.6, "diurnal swing in [0, 1) around the mean")
+    requests: int = _field(20000, "requests simulated over one diurnal cycle")
+    max_replicas: int = _field(32, "provisioning search ceiling per platform")
+    router: str = _field("jsq", "replica router; jsq is join-shortest-queue", ROUTERS)
+    seed: int = _field(0, "random seed")
+    usd_per_kwh: float = _field(0.10, "electricity price, $/kWh")
+    pue: float = _field(1.5, "power usage effectiveness, >= 1")
+    capex_per_watt: float = _field(12.0, "CapEx per provisioned TDP Watt, $")
 
     @property
     def slo_seconds(self) -> float:
@@ -320,8 +343,9 @@ class DatacenterScenario(ScenarioSpec):
         _check_choice("router", self.router, ROUTERS)
         _check_seed(self.seed)
         _check_positive("usd_per_kwh", self.usd_per_kwh)
-        _require(isinstance(self.pue, (int, float)) and self.pue >= 1.0,
-                 f"pue must be >= 1.0 (power usage effectiveness), "
+        _require(isinstance(self.pue, (int, float)) and math.isfinite(self.pue)
+                 and self.pue >= 1.0,
+                 f"pue must be >= 1.0 and finite (power usage effectiveness), "
                  f"got {self.pue!r}")
         _check_positive("capex_per_watt", self.capex_per_watt)
 
@@ -380,8 +404,8 @@ class RegionSpec:
         _require(isinstance(self.swing, (int, float)) and 0 <= self.swing < 1,
                  f"region {self.name!r} swing must be in [0, 1), "
                  f"got {self.swing!r}")
-        _require(isinstance(self.phase, (int, float)),
-                 f"region {self.name!r} phase must be a number, "
+        _require(isinstance(self.phase, (int, float)) and math.isfinite(self.phase),
+                 f"region {self.name!r} phase must be a finite number, "
                  f"got {self.phase!r}")
         _require(isinstance(self.clusters, (tuple, list)),
                  f"region {self.name!r} clusters must be a list, "
@@ -418,29 +442,30 @@ class GlobalScenario(ScenarioSpec):
 
     kind: ClassVar[str] = "globe"
 
-    workload: str = "mlp0"
-    slo_ms: float = 7.0
-    policy: str = "adaptive"
-    batch: int | None = None
-    timeout_ms: float | None = None
-    router: str = "round_robin"
-    #: Global routing policy: latency / cost / spillover.
-    routing: str = "latency"
-    regions: tuple[RegionSpec, ...] = DEFAULT_REGIONS
-    period_s: float = 120.0
-    duration_s: float = 120.0
-    bins: int = 24
-    #: ``hybrid`` prices rates; ``exact`` event-simulates every request.
-    backend: str = "hybrid"
-    #: (knee_lo, knee_hi) utilization bounds of the hybrid's event band.
-    knee: tuple[float, float] = (0.35, 1.0)
-    spill_threshold: float = 0.9
-    default_rtt_ms: float = 80.0
-    #: Symmetric overrides: (region_a, region_b, rtt_ms) triples.
-    rtt_ms: tuple[tuple[str, str, float], ...] = ()
-    #: Trace length of each memoized event-regime sample.
-    event_requests: int = 4000
-    seed: int = 0
+    workload: str = _field("mlp0", "any workload from `repro list`")
+    slo_ms: float = _field(7.0, "p99 response-time limit in ms")
+    policy: str = _field("adaptive", "cluster batching policy; adaptive sizes batches to the SLO",
+                         BATCH_POLICIES)
+    batch: int | None = _field(None, "batch size for fixed/timeout policies")
+    timeout_ms: float | None = _field(None, "batch collection timeout for the timeout policy")
+    router: str = _field("round_robin", "replica router inside each cluster", ROUTERS)
+    routing: str = _field("latency", "global routing policy: latency, cost, or spillover")
+    regions: tuple[RegionSpec, ...] = _field(DEFAULT_REGIONS,
+                                             "demand regions, each with its clusters")
+    period_s: float = _field(120.0, "diurnal period in seconds")
+    duration_s: float = _field(120.0, "simulated horizon in seconds")
+    bins: int = _field(24, "time bins over the horizon")
+    backend: str = _field("hybrid", "hybrid prices rates; exact event-simulates every "
+                                    "request, for small traces only", GLOBE_BACKENDS)
+    knee: tuple[float, float] = _field((0.35, 1.0), "lo,hi utilization bounds of the "
+                                                    "hybrid's event band")
+    spill_threshold: float = _field(0.9, "fill clusters to this utilization before "
+                                         "spilling demand")
+    default_rtt_ms: float = _field(80.0, "inter-region round trip in ms")
+    rtt_ms: tuple[tuple[str, str, float], ...] = _field(
+        (), "symmetric overrides: (region_a, region_b, rtt_ms) triples")
+    event_requests: int = _field(4000, "trace length of each memoized event-regime sample")
+    seed: int = _field(0, "random seed")
 
     @property
     def slo_seconds(self) -> float:
@@ -487,11 +512,7 @@ class GlobalScenario(ScenarioSpec):
             and 0 < self.spill_threshold <= 1,
             f"spill_threshold must be in (0, 1], got {self.spill_threshold!r}",
         )
-        _require(
-            isinstance(self.default_rtt_ms, (int, float))
-            and self.default_rtt_ms >= 0,
-            f"default_rtt_ms must be non-negative, got {self.default_rtt_ms!r}",
-        )
+        _check_non_negative("default_rtt_ms", self.default_rtt_ms)
         _require(isinstance(self.rtt_ms, (tuple, list)),
                  f"rtt_ms must be a list of (region, region, ms) triples, "
                  f"got {self.rtt_ms!r}")
@@ -499,9 +520,10 @@ class GlobalScenario(ScenarioSpec):
         for entry in self.rtt_ms:
             ok = (isinstance(entry, (tuple, list)) and len(entry) == 3
                   and isinstance(entry[0], str) and isinstance(entry[1], str)
-                  and isinstance(entry[2], (int, float)) and entry[2] >= 0)
+                  and isinstance(entry[2], (int, float)) and math.isfinite(entry[2])
+                  and entry[2] >= 0)
             _require(ok,
-                     f"each rtt_ms entry must be [region_a, region_b, ms >= 0], "
+                     f"each rtt_ms entry must be [region_a, region_b, finite ms >= 0], "
                      f"got {entry!r}")
             a, b, ms = entry
             _require(a in names and b in names,
@@ -539,31 +561,30 @@ class LLMServeScenario(ScenarioSpec):
 
     kind: ClassVar[str] = "llm"
 
-    workload: str = "gpt_s"
-    scheduler: str = "continuous"
-    mode: str = "aggregated"
-    #: Decode-pool size (the whole fleet in aggregated mode).
-    chips: int = 2
-    prefill_chips: int = 1
-    max_batch: int = 32
-    prefill_batch: int = 8
-    #: Mean prompt/decode lengths; sampled uniform in ``[m - m//2, m + m//2]``.
-    prompt_tokens: int = 96
-    decode_tokens: int = 48
-    requests: int = 2000
-    #: Offered load as fractions of the ideal decode-pool token capacity.
-    loads: tuple[float, ...] = (0.3, 0.5, 0.7, 0.85, 0.95)
-    #: Per-token pace SLO (p99 time-per-token) and first-token SLO.
-    slo_tpot_ms: float = 1.5
-    slo_ttft_ms: float = 100.0
-    #: Unified Buffer MiB held back from the KV cache for activations.
-    kv_reserve_mib: float = 2.0
-    #: Prefill->decode KV hop: fixed RTT plus payload over the link.
-    transfer_ms: float = 0.2
-    link_gbps: float = 100.0
-    #: Per-pool reactive autoscaling (disaggregated mode only).
-    autoscale: bool = False
-    seed: int = 0
+    workload: str = _field("gpt_s", "transformer extension workload from `repro list`")
+    scheduler: str = _field("continuous", "iteration-level (continuous) vs request-level "
+                                          "gang (fixed) batching", LLM_SCHEDULERS)
+    mode: str = _field("aggregated", "one pool, or split prefill/decode pools", LLM_MODES)
+    chips: int = _field(2, "decode-pool chips, the whole fleet when aggregated")
+    prefill_chips: int = _field(1, "prefill-pool chips in disaggregated mode")
+    max_batch: int = _field(32, "decode batch-slot cap per chip")
+    prefill_batch: int = _field(8, "prompts per batched prefill pass")
+    prompt_tokens: int = _field(96, "mean prompt length m; lengths are sampled "
+                                    "uniform in [m - m//2, m + m//2]")
+    decode_tokens: int = _field(48, "mean generated length, sampled like prompt_tokens")
+    requests: int = _field(2000, "requests per load point")
+    loads: tuple[float, ...] = _field((0.3, 0.5, 0.7, 0.85, 0.95),
+                                      "offered loads as fractions of the ideal "
+                                      "decode-pool token capacity")
+    slo_tpot_ms: float = _field(1.5, "p99 time-per-token SLO in ms")
+    slo_ttft_ms: float = _field(100.0, "time-to-first-token SLO in ms")
+    kv_reserve_mib: float = _field(2.0, "Unified Buffer MiB held back from the KV cache "
+                                        "for activations")
+    transfer_ms: float = _field(0.2, "prefill->decode KV hop: fixed RTT in ms, plus the "
+                                     "payload over the link")
+    link_gbps: float = _field(100.0, "pool interconnect bandwidth in Gb/s")
+    autoscale: bool = _field(False, "per-pool reactive autoscaling, disaggregated mode only")
+    seed: int = _field(0, "random seed")
 
     @property
     def slo_tpot_seconds(self) -> float:
@@ -594,15 +615,8 @@ class LLMServeScenario(ScenarioSpec):
         _set(self, "loads", _load_fractions(self.loads))
         _check_positive("slo_tpot_ms", self.slo_tpot_ms)
         _check_positive("slo_ttft_ms", self.slo_ttft_ms)
-        _require(
-            isinstance(self.kv_reserve_mib, (int, float))
-            and self.kv_reserve_mib >= 0,
-            f"kv_reserve_mib must be non-negative, got {self.kv_reserve_mib!r}",
-        )
-        _require(
-            isinstance(self.transfer_ms, (int, float)) and self.transfer_ms >= 0,
-            f"transfer_ms must be non-negative, got {self.transfer_ms!r}",
-        )
+        _check_non_negative("kv_reserve_mib", self.kv_reserve_mib)
+        _check_non_negative("transfer_ms", self.transfer_ms)
         _check_positive("link_gbps", self.link_gbps)
         _require(isinstance(self.autoscale, bool),
                  f"autoscale must be true or false, got {self.autoscale!r}")

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api import (
+    ClusterSpec,
     DatacenterScenario,
     Experiment,
+    GlobalScenario,
     LLMServeScenario,
     ProfileScenario,
+    RegionSpec,
     ScenarioResult,
     ScenarioSpec,
     ServeScenario,
@@ -150,6 +153,25 @@ class TestValidation:
         (lambda: DatacenterScenario(seed=False), "seed must be a non-negative integer"),
         (lambda: LLMServeScenario(seed=True), "seed must be a non-negative integer"),
         (lambda: LLMServeScenario(max_batch=True), "max_batch must be a positive integer"),
+        # Infinite or NaN numbers never reach the engines.
+        (lambda: ServeScenario(slo_ms=float("inf")),
+         "slo_ms must be a positive number, got inf"),
+        (lambda: DatacenterScenario(rate=float("inf")), "rate must be a positive number"),
+        (lambda: DatacenterScenario(usd_per_kwh=float("inf")),
+         "usd_per_kwh must be a positive number"),
+        (lambda: DatacenterScenario(pue=float("inf")), "pue must be >= 1.0 and finite"),
+        (lambda: GlobalScenario(duration_s=float("inf")),
+         "duration_s must be a positive number"),
+        (lambda: GlobalScenario(default_rtt_ms=float("inf")),
+         "default_rtt_ms must be a finite non-negative number"),
+        (lambda: GlobalScenario(rtt_ms=(("americas", "asia", float("inf")),)),
+         "each rtt_ms entry must be"),
+        (lambda: ClusterSpec(name="c", cost=float("inf")), "cluster cost must be a positive"),
+        (lambda: RegionSpec(name="r", phase=float("nan")), "phase must be a finite number"),
+        (lambda: LLMServeScenario(kv_reserve_mib=float("inf")),
+         "kv_reserve_mib must be a finite non-negative number"),
+        (lambda: LLMServeScenario(transfer_ms=float("inf")),
+         "transfer_ms must be a finite non-negative number"),
     ])
     def test_actionable_messages(self, build, message):
         with pytest.raises(SpecError, match=message):

@@ -1,10 +1,19 @@
 """CLI smoke tests."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_parser, main, scenario_from_args
+from repro.api import (
+    DatacenterScenario,
+    GlobalScenario,
+    LLMServeScenario,
+    ProfileScenario,
+    ServeScenario,
+)
 
 
 class TestCLI:
@@ -206,3 +215,111 @@ class TestScenarioCLI:
             "report", str(tmp_path / "r.md"), "--only", "table99",
         ]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+SCENARIOS = [ProfileScenario, ServeScenario, DatacenterScenario, GlobalScenario,
+             LLMServeScenario]
+#: Nested fields (the globe's region tree and RTT triples) are config-only.
+CONFIG_ONLY = {"regions", "rtt_ms"}
+#: Flags every scenario command has that set no field.
+COMMON_FLAGS = {"--help", "--config", "--json", "--trace-out", "--trace-jsonl", "--profile"}
+#: Fields whose non-default value only validates alongside another field's.
+REQUIRES = {"autoscale": ("mode", "disaggregated"), "backend": ("duration_s", 1.0)}
+#: Valid non-default values the generic rule in ``other_value`` cannot make.
+SPECIAL = {"workload": "bert_s", "routing": "cost", "knee": "0.4,0.9", "pue": "2"}
+
+
+def build(argv):
+    return scenario_from_args(build_parser().parse_args(argv))
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def other_value(field):
+    """CLI tokens that set ``field`` to a valid value other than its default."""
+    if field.name in SPECIAL:
+        return [SPECIAL[field.name]]
+    default = field.default
+    choices = field.metadata["choices"]
+    if choices:
+        return [str(next(c for c in choices if c != default))]
+    if isinstance(default, bool):
+        return []
+    if default is None:
+        return ["4"]
+    if isinstance(default, tuple):
+        return [str(default[0])]
+    if isinstance(default, int):
+        return [str(default + 1)]
+    return [str(default / 2)]
+
+
+def flag_fields(cls):
+    return [f for f in dataclasses.fields(cls) if f.name not in CONFIG_ONLY]
+
+
+@pytest.mark.parametrize("cls", SCENARIOS, ids=lambda cls: cls.kind)
+class TestFlagsFromSpecs:
+    """Each scenario command's flags are its spec's fields, one to one."""
+
+    def test_help_lists_a_flag_per_field_and_no_other(self, cls, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([cls.kind, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        fields = {flag(f.name) for f in flag_fields(cls)}
+        if cls is ProfileScenario:
+            fields.remove("--workload")  # positional: `repro profile mlp0`
+            assert "positional arguments:\n  workload" in out
+        assert fields <= shown
+        cli_only = {"--rate"} if cls is GlobalScenario else set()
+        assert shown - fields - COMMON_FLAGS == cli_only
+
+    def test_no_flags_builds_the_default_spec(self, cls):
+        argv = [cls.kind, "mlp0"] if cls is ProfileScenario else [cls.kind]
+        assert build(argv) == cls()
+
+    def test_each_flag_changes_its_field_only(self, cls):
+        for field in flag_fields(cls):
+            context = dict([REQUIRES[field.name]]) if field.name in REQUIRES else {}
+            base = cls(**context)
+            argv = [cls.kind]
+            for name, value in context.items():
+                argv += [flag(name), str(value)]
+            if cls is ProfileScenario and field.name == "workload":
+                argv += other_value(field)
+            else:
+                if cls is ProfileScenario:
+                    argv.append(base.workload)
+                argv += [flag(field.name), *other_value(field)]
+            spec = build(argv)
+            changed = [f.name for f in dataclasses.fields(cls)
+                       if getattr(spec, f.name) != getattr(base, f.name)]
+            assert changed == [field.name], argv
+
+
+class TestCommaLists:
+    """Every tuple flag parses the same way."""
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["serve", "--loads", "0.5,"], "loads", (0.5,)),
+        (["llm", "--loads", "0.5,,0.9"], "loads", (0.5, 0.9)),
+        (["datacenter", "--platforms", "cpu, tpu,"], "platforms", ("cpu", "tpu")),
+        (["globe", "--knee", "0.4,0.9,"], "knee", (0.4, 0.9)),
+    ])
+    def test_empty_items_are_skipped(self, argv, field, value):
+        assert getattr(build(argv), field) == value
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--loads", "abc"],
+        ["llm", "--loads", "0.5,x"],
+        ["globe", "--knee", "0.4,hi"],
+    ])
+    def test_an_item_that_does_not_parse_names_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
