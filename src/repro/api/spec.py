@@ -67,17 +67,28 @@ def _check_choice(field: str, value: object, choices: tuple[Any, ...]) -> None:
              f"{', '.join(str(c) for c in choices)}; got {value!r}")
 
 
+def _finite(value: object) -> bool:
+    """A finite int or float.  bool is an int subclass, but a JSON true
+    is not a number; an int too large for a float is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_positive(field: str, value: object, integer: bool = False) -> None:
     kind = "a positive integer" if integer else "a positive number"
-    # bool is an int subclass, but a JSON true is not a count.
-    ok = not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
-    _require(ok and (integer or math.isfinite(value)) and value > 0,
-             f"{field} must be {kind}, got {value!r}")
+    if integer:
+        ok = not isinstance(value, bool) and isinstance(value, int)
+    else:
+        ok = _finite(value)
+    _require(ok and value > 0, f"{field} must be {kind}, got {value!r}")
 
 
 def _check_non_negative(field: str, value: object) -> None:
-    ok = not isinstance(value, bool) and isinstance(value, (int, float))
-    _require(ok and math.isfinite(value) and value >= 0,
+    _require(_finite(value) and value >= 0,
              f"{field} must be a finite non-negative number, got {value!r}")
 
 
@@ -211,6 +222,8 @@ def _float_tuple(field: str, value: Any) -> tuple[float, ...]:
     for v in value:
         _require(not isinstance(v, bool) and isinstance(v, (int, float)),
                  f"{field} entries must be numbers, got {v!r}")
+        _require(isinstance(v, float) or _finite(v),
+                 f"{field} entries must fit in a float, got {v!r}")
         out.append(float(v))
     return tuple(out)
 
@@ -289,8 +302,7 @@ class ServeScenario(ScenarioSpec):
         _check_seed(self.seed)
         _check_choice("traffic", self.traffic, TRAFFIC_KINDS)
         _require(
-            isinstance(self.diurnal_swing, (int, float))
-            and 0 <= self.diurnal_swing < 1,
+            _finite(self.diurnal_swing) and 0 <= self.diurnal_swing < 1,
             f"diurnal_swing must be in [0, 1), got {self.diurnal_swing!r}",
         )
         _check_optional_positive("diurnal_period_s", self.diurnal_period_s)
@@ -336,15 +348,14 @@ class DatacenterScenario(ScenarioSpec):
                  f"platforms must be a subset of {','.join(PLATFORM_KINDS)}, "
                  f"got {','.join(self.platforms)!r}")
         _check_positive("rate", self.rate)
-        _require(isinstance(self.swing, (int, float)) and 0 <= self.swing < 1,
+        _require(_finite(self.swing) and 0 <= self.swing < 1,
                  f"swing must be in [0, 1), got {self.swing!r}")
         _check_positive("requests", self.requests, integer=True)
         _check_positive("max_replicas", self.max_replicas, integer=True)
         _check_choice("router", self.router, ROUTERS)
         _check_seed(self.seed)
         _check_positive("usd_per_kwh", self.usd_per_kwh)
-        _require(isinstance(self.pue, (int, float)) and math.isfinite(self.pue)
-                 and self.pue >= 1.0,
+        _require(_finite(self.pue) and self.pue >= 1.0,
                  f"pue must be >= 1.0 and finite (power usage effectiveness), "
                  f"got {self.pue!r}")
         _check_positive("capex_per_watt", self.capex_per_watt)
@@ -401,10 +412,10 @@ class RegionSpec:
         _require(isinstance(self.name, str) and bool(self.name),
                  f"region name must be a non-empty string, got {self.name!r}")
         _check_positive(f"region {self.name!r} rate_rps", self.rate_rps)
-        _require(isinstance(self.swing, (int, float)) and 0 <= self.swing < 1,
+        _require(_finite(self.swing) and 0 <= self.swing < 1,
                  f"region {self.name!r} swing must be in [0, 1), "
                  f"got {self.swing!r}")
-        _require(isinstance(self.phase, (int, float)) and math.isfinite(self.phase),
+        _require(_finite(self.phase),
                  f"region {self.name!r} phase must be a finite number, "
                  f"got {self.phase!r}")
         _require(isinstance(self.clusters, (tuple, list)),
@@ -508,8 +519,7 @@ class GlobalScenario(ScenarioSpec):
                  f"knee must be (lo, hi) with 0 < lo < hi <= 1, got {self.knee!r}")
         _set(self, "knee", knee)
         _require(
-            isinstance(self.spill_threshold, (int, float))
-            and 0 < self.spill_threshold <= 1,
+            _finite(self.spill_threshold) and 0 < self.spill_threshold <= 1,
             f"spill_threshold must be in (0, 1], got {self.spill_threshold!r}",
         )
         _check_non_negative("default_rtt_ms", self.default_rtt_ms)
@@ -520,8 +530,7 @@ class GlobalScenario(ScenarioSpec):
         for entry in self.rtt_ms:
             ok = (isinstance(entry, (tuple, list)) and len(entry) == 3
                   and isinstance(entry[0], str) and isinstance(entry[1], str)
-                  and isinstance(entry[2], (int, float)) and math.isfinite(entry[2])
-                  and entry[2] >= 0)
+                  and _finite(entry[2]) and entry[2] >= 0)
             _require(ok,
                      f"each rtt_ms entry must be [region_a, region_b, finite ms >= 0], "
                      f"got {entry!r}")

@@ -31,8 +31,8 @@ event simulation (:mod:`repro.serving.llm_reference`) within
 
 from __future__ import annotations
 
-import math
-from collections import deque
+import heapq
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +44,6 @@ from repro.platforms.kv import (
     kv_capacity_tokens,
     kv_transfer_seconds,
 )
-from repro.serving.engine import EventLoop
 from repro.util.units import MIB
 
 #: Pinned relative tolerance between the continuous scheduler and the
@@ -141,12 +140,16 @@ def fleet_capacity_tokens_per_s(
 
 
 class _LLMRequest:
-    """Mutable per-request record inside one simulation run."""
+    """Mutable per-request record inside one simulation run.
+
+    While the request runs, ``start`` is the index of the chip iteration
+    that admitted it; ``emitted`` is written back only when that
+    residency closes (eviction or finish), never once per token.
+    """
 
     __slots__ = (
         "index", "arrival", "prompt", "decode",
-        "emitted", "kv", "prefills", "evictions",
-        "first_token", "finish", "token_times",
+        "emitted", "prefills", "evictions", "start",
     )
 
     def __init__(self, index: int, arrival: float, prompt: int, decode: int):
@@ -155,20 +158,23 @@ class _LLMRequest:
         self.prompt = prompt
         self.decode = decode
         self.emitted = 0
-        self.kv = 0
         self.prefills = 0
         self.evictions = 0
-        self.first_token = math.nan
-        self.finish = math.nan
-        self.token_times: list[float] = []
+        self.start = 0
 
 
 class _Chip:
-    """One accelerator in a pool: running set, KV ledger, power state."""
+    """One accelerator in a pool: running set, KV ledger, power state.
+
+    ``log`` holds the end time of every decode iteration the chip has
+    run, so ``len(log)`` is the index of the next one; ``finishing`` maps
+    an iteration index to the running requests whose last token it emits.
+    """
 
     __slots__ = (
         "index", "running", "kv_used", "idle", "enabled", "spinning",
         "busy_seconds", "powered_since", "powered_seconds",
+        "log", "finishing",
     )
 
     def __init__(self, index: int, enabled: bool):
@@ -181,6 +187,8 @@ class _Chip:
         self.busy_seconds = 0.0
         self.powered_since: float | None = 0.0 if enabled else None
         self.powered_seconds = 0.0
+        self.log: list[float] = []
+        self.finishing: defaultdict[int, list[int]] = defaultdict(list)
 
     def power_off(self, now: float) -> None:
         if self.powered_since is not None:
@@ -238,8 +246,63 @@ class LLMRunResult:
     prefill_chip_seconds: float
 
 
+def _reject_first(name: str, values: np.ndarray, bad: np.ndarray, want: str) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name}[{i}] must be {want}, got {values[i].item()!r}")
+
+
+def _integers(name: str, values, low: int) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    _reject_first(name, values, values < low, f"an integer >= {low}")
+    return values.astype(np.int64)
+
+
+def _validated_trace(
+    arrivals, prompts, decodes, kv_capacity: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``run``'s arrays as float64/int64, or a ``ValueError`` naming the
+    argument and its first bad index."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    n = len(arrivals)
+    if n == 0:
+        raise ValueError("arrivals is empty: a trace needs at least one request")
+    for name, values in (("prompts", prompts), ("decodes", decodes)):
+        if len(values) != n:
+            raise ValueError(
+                f"{name} has {len(values)} entries but arrivals has {n}: "
+                "give one per request"
+            )
+    ok = np.isfinite(arrivals) & (arrivals >= 0)
+    _reject_first("arrivals", arrivals, ~ok, "a finite time >= 0 s")
+    prompts = _integers("prompts", prompts, low=0)
+    decodes = _integers("decodes", decodes, low=1)
+    too_big = prompts + decodes + 1 > kv_capacity
+    if too_big.any():
+        i = int(np.argmax(too_big))
+        raise ValueError(
+            f"one request can exceed the KV budget: request {i} caches up to "
+            f"{prompts[i] + decodes[i]} tokens (prompts[{i}] + decodes[{i}]) "
+            f"vs capacity {kv_capacity}; shrink its prompt or decode length "
+            "or the KV reserve"
+        )
+    return arrivals, prompts, decodes
+
+
 class ContinuousBatchingSim:
-    """The iteration-level engine (both schedulers, both fleet modes)."""
+    """The iteration-level engine (both schedulers, both fleet modes).
+
+    An iteration costs O(1) bookkeeping however large its batch: each
+    chip appends the iteration's end time to its ``log``, a running
+    request holds only the index of the iteration that admitted it, and
+    the requests whose last token an iteration emits are found through
+    the chip's ``finishing`` index.  A request's emitted count, cache
+    length and token times follow from that index and the chip log; they
+    are written when it is evicted or finishes (:meth:`_close`), and
+    :meth:`_finalize` gathers every token time from the logs at once.
+    """
 
     def __init__(self, cfg: ContinuousConfig) -> None:
         if cfg.scheduler not in ("continuous", "fixed"):
@@ -257,12 +320,26 @@ class ContinuousBatchingSim:
         prompts: np.ndarray,
         decodes: np.ndarray,
     ) -> LLMRunResult:
+        arrivals, prompts, decodes = _validated_trace(
+            arrivals, prompts, decodes, self.cfg.kv_capacity
+        )
+        times = arrivals.tolist()
+        self._begin([
+            _LLMRequest(i, arrival, prompt, decode)
+            for i, (arrival, prompt, decode) in enumerate(
+                zip(times, prompts.tolist(), decodes.tolist())
+            )
+        ])
+        self._schedule_ticks()
+        horizon = self._run_events(
+            times, np.argsort(arrivals, kind="stable").tolist()
+        )
+        return self._finalize(horizon)
+
+    def _begin(self, requests: list[_LLMRequest]) -> None:
         cfg = self.cfg
-        self.requests = [
-            _LLMRequest(i, float(arrivals[i]), int(prompts[i]), int(decodes[i]))
-            for i in range(len(arrivals))
-        ]
-        self.n = len(self.requests)
+        self.requests = requests
+        self.n = len(requests)
         self.completed = 0
         self.tokens = 0
         self.iterations = 0
@@ -279,17 +356,46 @@ class ContinuousBatchingSim:
             _Pool("prefill", cfg.prefill_chips, cfg.prefill_controller)
             if disagg else None
         )
-        self.loop = EventLoop()
+        self._heap: list[tuple] = []
+        self._seq = 0
+        #: Closed residencies, four ints each: request, chip, first and
+        #: one-past-last chip iteration.
+        self._spans: list[int] = []
         self._observe = obs.TRACER.enabled or obs.REGISTRY.enabled
-        for req in self.requests:
-            self.loop.schedule(req.arrival, self._make_arrival(req.index))
+
+    def _schedule_ticks(self) -> None:
         for pool in self._pools():
             if pool.controller is not None:
-                self.loop.schedule(
-                    pool.controller.interval_s, self._make_tick(pool)
+                self._schedule(
+                    pool.controller.interval_s, self._control_tick, pool
                 )
-        self.loop.run()
-        return self._finalize()
+
+    def _schedule(self, when: float, callback, *args) -> None:
+        """Run ``callback(*args, when)`` at ``when``; ties keep this order."""
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, callback, args))
+
+    def _run_events(self, arrivals: list[float], order: list[int]) -> float:
+        """Merge the arrivals, in ``order``, against the event heap.
+
+        An arrival runs ahead of every event at the same or a later time,
+        as if it had been scheduled before all of them.  Returns the time
+        of the last event, the run's horizon.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        now = 0.0
+        for index in order:
+            when = arrivals[index]
+            while heap and heap[0][0] < when:
+                now, _, callback, args = pop(heap)
+                callback(*args, now)
+            now = when
+            self._arrive(index, now)
+        while heap:
+            now, _, callback, args = pop(heap)
+            callback(*args, now)
+        return now
 
     def _pools(self) -> list[_Pool]:
         pools = [self.decode_pool]
@@ -297,41 +403,66 @@ class ContinuousBatchingSim:
             pools.append(self.prefill_pool)
         return pools
 
-    def _finalize(self) -> LLMRunResult:
+    def _finalize(self, horizon: float) -> LLMRunResult:
         if self.completed != self.n:
             raise RuntimeError(
                 f"request conservation violated: {self.completed} of "
                 f"{self.n} requests completed (scheduler lost work)"
             )
-        horizon = self.loop.now
+        emitted = np.array([r.emitted for r in self.requests])
+        decodes = np.array([r.decode for r in self.requests])
+        if np.any(emitted != decodes):
+            i = int(np.argmax(emitted != decodes))
+            raise RuntimeError(
+                f"token conservation violated: request {i} "
+                f"emitted {emitted[i]} of {decodes[i]} tokens"
+            )
+        times = self._token_times()
+        last = np.cumsum(decodes) - 1
+        return self._result(
+            horizon,
+            first_token=times[last - decodes + 1],
+            finish=times[last],
+            # Drop the gap from each request's last token to the next one's first.
+            tpot_intervals=np.delete(np.diff(times), last[:-1]),
+        )
+
+    def _token_times(self) -> np.ndarray:
+        """Every token's emission time, request by request, gathered from
+        the chip logs in one indexing pass."""
+        logs = [chip.log for chip in self.decode_pool.chips]
+        offset = np.cumsum([0] + [len(log) for log in logs])
+        spans = np.array(self._spans, dtype=np.int64).reshape(-1, 4)
+        spans = spans[np.argsort(spans[:, 0], kind="stable")]
+        first = offset[spans[:, 1]] + spans[:, 2]
+        counts = spans[:, 3] - spans[:, 2]
+        ends = np.cumsum(counts)
+        index = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
+        return np.concatenate(logs)[index]
+
+    def _result(
+        self,
+        horizon: float,
+        first_token: np.ndarray,
+        finish: np.ndarray,
+        tpot_intervals: np.ndarray,
+    ) -> LLMRunResult:
         for pool in self._pools():
             for chip in pool.chips:
                 chip.power_off(horizon)
-        intervals: list[np.ndarray] = []
-        for req in self.requests:
-            if req.emitted != req.decode:
-                raise RuntimeError(
-                    f"token conservation violated: request {req.index} "
-                    f"emitted {req.emitted} of {req.decode} tokens"
-                )
-            times = np.asarray(req.token_times)
-            if times.size > 1:
-                intervals.append(np.diff(times))
         prefill_pool = self.prefill_pool
         return LLMRunResult(
             arrivals=np.array([r.arrival for r in self.requests]),
             prompts=np.array([r.prompt for r in self.requests]),
             decodes=np.array([r.decode for r in self.requests]),
-            first_token=np.array([r.first_token for r in self.requests]),
-            finish=np.array([r.finish for r in self.requests]),
+            first_token=first_token,
+            finish=finish,
             emitted=np.array([r.emitted for r in self.requests]),
             prefills=np.array([r.prefills for r in self.requests]),
             evictions_per_request=np.array(
                 [r.evictions for r in self.requests]
             ),
-            tpot_intervals=(
-                np.concatenate(intervals) if intervals else np.empty(0)
-            ),
+            tpot_intervals=tpot_intervals,
             horizon=horizon,
             tokens=self.tokens,
             iterations=self.iterations,
@@ -359,18 +490,13 @@ class ContinuousBatchingSim:
 
     # -- events ---------------------------------------------------------
 
-    def _make_arrival(self, index: int):
-        def arrival(now: float) -> None:
-            if self.prefill_pool is not None:
-                self.prefill_pool.window_arrivals += 1
-                self.prefill_queue.append(index)
-                self._kick_prefill(now)
-            else:
-                self.decode_pool.window_arrivals += 1
-                self.decode_queue.append(index)
-                self._kick_decode(now)
-
-        return arrival
+    def _arrive(self, index: int, now: float) -> None:
+        if self.prefill_pool is not None:
+            self.prefill_pool.window_arrivals += 1
+            self.prefill_queue.append(index)
+            self._kick_prefill(now)
+        else:
+            self._decode_arrival(index, now)
 
     def _kick_decode(self, now: float) -> None:
         for chip in self.decode_pool.chips:
@@ -391,51 +517,40 @@ class ContinuousBatchingSim:
     def _start_iteration(self, chip: _Chip, now: float) -> None:
         cfg = self.cfg
         run = chip.running
+        queue = self.decode_queue
+        k = len(chip.log)  # the index this iteration gets if it runs
         inline_prefill_macs = 0
         admit = chip.enabled and (cfg.scheduler == "continuous" or not run)
-        while admit and self.decode_queue and len(run) < cfg.max_batch:
-            req = self.requests[self.decode_queue[0]]
+        while admit and queue and len(run) < cfg.max_batch:
+            req = self.requests[queue[0]]
             need = req.prompt + req.emitted
             # Reserve one growth token per running request (including the
             # newcomer) so the admission iteration itself cannot overflow.
             if chip.kv_used + need + len(run) + 1 > cfg.kv_capacity:
                 break
-            self.decode_queue.popleft()
-            req.kv = need
+            queue.popleft()
             chip.kv_used += need
             run.append(req.index)
+            req.start = k
+            chip.finishing[k + req.decode - req.emitted - 1].append(req.index)
             if self.prefill_pool is None:
                 # Aggregated mode (re)builds the cache on the decode chip,
                 # piggybacked on this iteration's weight stream.
                 req.prefills += 1
                 inline_prefill_macs += self.timing.prefill_macs(need)
-        evicted = False
-        for index in run:
-            self.requests[index].kv += 1
+        # Every running request's cache grows by one token this iteration.
+        # ``run`` admits no request whose prompt + decode + 1 exceeds the
+        # budget, so a lone request always fits and eviction never empties
+        # the chip.
         chip.kv_used += len(run)
+        evicted = False
         while chip.kv_used > cfg.kv_capacity:
-            victim = self.requests[run.pop()]
-            chip.kv_used -= victim.kv
-            victim.kv = 0
-            victim.evictions += 1
-            self.evictions += 1
+            self._evict(chip, self.requests[run.pop()], k)
             evicted = True
-            if self.prefill_pool is not None:
-                self.prefill_queue.appendleft(victim.index)
-            else:
-                self.decode_queue.appendleft(victim.index)
         if not run:
-            if evicted and self.prefill_pool is None and self.decode_queue:
-                # Everything was evicted; retry admission on the now-empty
-                # chip (terminates: an empty chip either admits the head
-                # of the queue or the queue is truly oversized).
-                self._start_iteration(chip, now)
-                return
             chip.idle = True
             if not chip.enabled:
                 chip.power_off(now)
-            if evicted and self.prefill_pool is not None:
-                self._kick_prefill(now)
             return
         active = len(run)
         step = self.timing.iteration_seconds(
@@ -461,30 +576,39 @@ class ContinuousBatchingSim:
                     chip.kv_used / cfg.kv_capacity
                 )
                 obs.histogram("llm.iteration_batch").observe(active)
-        self.loop.schedule(
-            now + step, lambda t, c=chip: self._end_iteration(c, t)
-        )
+        self._schedule(now + step, self._end_iteration, chip)
         if evicted and self.prefill_pool is not None:
             self._kick_prefill(now)
 
+    def _evict(self, chip: _Chip, req: _LLMRequest, k: int) -> None:
+        """Evict ``req`` as iteration ``k`` starts: it keeps the tokens of
+        iterations ``start .. k-1`` and frees a cache grown through ``k``."""
+        chip.finishing[req.start + req.decode - req.emitted - 1].remove(req.index)
+        chip.kv_used -= req.prompt + req.emitted + k - req.start + 1
+        self._close(chip, req, k)
+        req.evictions += 1
+        self.evictions += 1
+        if self.prefill_pool is not None:
+            self.prefill_queue.appendleft(req.index)
+        else:
+            self.decode_queue.appendleft(req.index)
+
+    def _close(self, chip: _Chip, req: _LLMRequest, end: int) -> None:
+        """Credit ``req`` with one token per chip iteration ``start .. end-1``."""
+        self._spans += (req.index, chip.index, req.start, end)
+        req.emitted += end - req.start
+
     def _end_iteration(self, chip: _Chip, now: float) -> None:
-        finished = []
-        for index in chip.running:
-            req = self.requests[index]
-            req.emitted += 1
-            self.tokens += 1
-            if math.isnan(req.first_token):
-                req.first_token = now
-            req.token_times.append(now)
-            if req.emitted == req.decode:
-                finished.append(index)
+        k = len(chip.log)
+        chip.log.append(now)
+        self.tokens += len(chip.running)
         if obs.REGISTRY.enabled:
             obs.counter("llm.tokens").inc(len(chip.running))
-        for index in finished:
+        for index in chip.finishing.pop(k, ()):
             req = self.requests[index]
-            req.finish = now
-            chip.kv_used -= req.kv
-            req.kv = 0
+            # A finished request's cache holds its prompt and every token.
+            chip.kv_used -= req.prompt + req.decode
+            self._close(chip, req, k + 1)
             chip.running.remove(index)
             self.completed += 1
         self._start_iteration(chip, now)
@@ -532,10 +656,8 @@ class ContinuousBatchingSim:
             if obs.REGISTRY.enabled:
                 obs.counter("llm.prefill_batches").inc()
                 obs.histogram("llm.prefill_batch").observe(len(taken))
-        self.loop.schedule(
-            now + step,
-            lambda t, c=chip, m=tuple(taken), k=tuple(needs):
-                self._end_prefill(c, m, k, t),
+        self._schedule(
+            now + step, self._end_prefill, chip, tuple(taken), tuple(needs)
         )
 
     def _end_prefill(
@@ -549,9 +671,7 @@ class ContinuousBatchingSim:
                 cfg.transfer_bytes_per_s, cfg.transfer_rtt_s,
             )
             self.transfers += 1
-            self.loop.schedule(
-                now + delay, lambda t, i=index: self._decode_arrival(i, t)
-            )
+            self._schedule(now + delay, self._decode_arrival, index)
         if obs.REGISTRY.enabled:
             obs.counter("llm.transfers").inc(len(members))
         self._start_prefill(chip, now)
@@ -562,12 +682,6 @@ class ContinuousBatchingSim:
         self._kick_decode(now)
 
     # -- per-pool autoscaling --------------------------------------------
-
-    def _make_tick(self, pool: _Pool):
-        def tick(now: float) -> None:
-            self._control_tick(pool, now)
-
-        return tick
 
     def _control_tick(self, pool: _Pool, now: float) -> None:
         ctl = pool.controller
@@ -594,9 +708,8 @@ class ContinuousBatchingSim:
                     break
                 if not chip.enabled and not chip.spinning:
                     chip.spinning = True
-                    self.loop.schedule(
-                        now + ctl.spinup_s,
-                        lambda t, c=chip, p=pool: self._activate(p, c, t),
+                    self._schedule(
+                        now + ctl.spinup_s, self._activate, pool, chip
                     )
                     have += 1
         elif desired < have:
@@ -613,7 +726,7 @@ class ContinuousBatchingSim:
         if obs.REGISTRY.enabled:
             obs.gauge(f"llm.{pool.name}_chips").set(active)
         if self.completed < self.n:
-            self.loop.schedule(now + ctl.interval_s, self._make_tick(pool))
+            self._schedule(now + ctl.interval_s, self._control_tick, pool)
 
     def _activate(self, pool: _Pool, chip: _Chip, now: float) -> None:
         chip.spinning = False

@@ -1,12 +1,12 @@
 """A per-request reference simulation for the continuous batcher.
 
-The production scheduler (:mod:`repro.serving.continuous`) runs on the
-shared :class:`EventLoop` with pooled bookkeeping; this module replays
-the same scheduling *policy* -- FIFO admission with a one-token-per-slot
-growth reserve, newest-first eviction to the head of the queue, gang
-admission for the fixed baseline -- as a deliberately plain per-request
-event walk: explicit request/chip dicts, a hand-rolled next-event scan,
-no shared engine code.  The two implementations share only the
+The production scheduler (:mod:`repro.serving.continuous`) runs its own
+event heap with per-iteration bookkeeping over per-chip token-time logs;
+this module replays the same scheduling *policy* -- FIFO admission with
+a one-token-per-slot growth reserve, newest-first eviction to the head
+of the queue, gang admission for the fixed baseline -- as a deliberately
+plain per-request event walk: explicit request/chip dicts, a hand-rolled
+next-event scan, no shared engine code.  The two implementations share only the
 closed-form arithmetic in :class:`repro.platforms.kv.DecodeTiming`, so
 agreement (``tests/test_llm.py`` pins
 :data:`repro.serving.continuous.LLM_VALIDATION_RTOL`) checks the

@@ -19,7 +19,11 @@ compares the production path with a second, live implementation:
   round-robin fixed/timeout fleets take the per-arrival event loop
   instead of the per-batch scan;
 * :func:`reference_stride_assign` -- the globe exact backend's stride
-  scheduler over a numpy credit vector, one ``argmax`` per arrival.
+  scheduler over a numpy credit vector, one ``argmax`` per arrival;
+* :class:`PerTokenLLMSim` -- the LLM decode engine with per-token
+  bookkeeping: every iteration walks its running batch to bump each
+  request's cache, emitted count and token-time list, every arrival is
+  its own event-loop closure, and TPOT is one ``np.diff`` per request.
 
 :func:`install` routes a whole process through the first three, for
 checks that render paper tables end to end in a fresh interpreter.
@@ -27,15 +31,18 @@ checks that render paper tables end to end in a fresh interpreter.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 
+from repro import obs
 from repro.compiler.lowering import InstrDeps, Lowering, LoweredTensor, ROW_BYTES
 from repro.compiler.tiling import tile_matmul
 from repro.isa.instructions import MatrixMultiply, ReadWeights
 from repro.isa.program import TileSpec
-from repro.serving.engine import BatchServer, LatencyCurve
+from repro.serving.continuous import ContinuousBatchingSim, _Chip, _LLMRequest
+from repro.serving.engine import BatchServer, EventLoop, LatencyCurve
 
 
 class ReferenceLowering(Lowering):
@@ -162,6 +169,173 @@ def reference_stride_assign(n: int, fractions: np.ndarray) -> np.ndarray:
         credits[pick] -= 1.0
         out[k] = pick
     return out
+
+
+class _TokenRequest(_LLMRequest):
+    """A request that carries its cache length and token times itself."""
+
+    __slots__ = ("kv", "first_token", "finish", "token_times")
+
+    def __init__(self, index: int, arrival: float, prompt: int, decode: int):
+        super().__init__(index, arrival, prompt, decode)
+        self.kv = 0
+        self.first_token = math.nan
+        self.finish = math.nan
+        self.token_times: list[float] = []
+
+
+class PerTokenLLMSim(ContinuousBatchingSim):
+    """:class:`ContinuousBatchingSim` with per-token bookkeeping.
+
+    Every arrival is scheduled up front as its own :class:`EventLoop`
+    closure; every iteration walks its running batch to grow each cache,
+    count each token and append each token time.  ``walked`` counts the
+    per-token steps taken, so a parity test can tell this path ran.
+    """
+
+    def run(self, arrivals, prompts, decodes):
+        self.walked = 0
+        self._begin([
+            _TokenRequest(i, float(arrivals[i]), int(prompts[i]), int(decodes[i]))
+            for i in range(len(arrivals))
+        ])
+        self.loop = EventLoop()
+        for req in self.requests:
+            self.loop.schedule(req.arrival, self._make_arrival(req.index))
+        self._schedule_ticks()
+        self.loop.run()
+        return self._finalize(self.loop.now)
+
+    def _schedule(self, when, callback, *args):
+        self.loop.schedule(when, lambda t: callback(*args, t))
+
+    def _make_arrival(self, index: int):
+        def arrival(now: float) -> None:
+            self._arrive(index, now)
+
+        return arrival
+
+    def _finalize(self, horizon: float):
+        if self.completed != self.n:
+            raise RuntimeError(
+                f"request conservation violated: {self.completed} of "
+                f"{self.n} requests completed (scheduler lost work)"
+            )
+        intervals: list[np.ndarray] = []
+        for req in self.requests:
+            if req.emitted != req.decode:
+                raise RuntimeError(
+                    f"token conservation violated: request {req.index} "
+                    f"emitted {req.emitted} of {req.decode} tokens"
+                )
+            times = np.asarray(req.token_times)
+            if times.size > 1:
+                intervals.append(np.diff(times))
+        return self._result(
+            horizon,
+            first_token=np.array([r.first_token for r in self.requests]),
+            finish=np.array([r.finish for r in self.requests]),
+            tpot_intervals=(
+                np.concatenate(intervals) if intervals else np.empty(0)
+            ),
+        )
+
+    def _start_iteration(self, chip: _Chip, now: float) -> None:
+        cfg = self.cfg
+        run = chip.running
+        inline_prefill_macs = 0
+        admit = chip.enabled and (cfg.scheduler == "continuous" or not run)
+        while admit and self.decode_queue and len(run) < cfg.max_batch:
+            req = self.requests[self.decode_queue[0]]
+            need = req.prompt + req.emitted
+            if chip.kv_used + need + len(run) + 1 > cfg.kv_capacity:
+                break
+            self.decode_queue.popleft()
+            req.kv = need
+            chip.kv_used += need
+            run.append(req.index)
+            if self.prefill_pool is None:
+                req.prefills += 1
+                inline_prefill_macs += self.timing.prefill_macs(need)
+        evicted = False
+        for index in run:
+            self.requests[index].kv += 1
+        chip.kv_used += len(run)
+        while chip.kv_used > cfg.kv_capacity:
+            victim = self.requests[run.pop()]
+            chip.kv_used -= victim.kv
+            victim.kv = 0
+            victim.evictions += 1
+            self.evictions += 1
+            evicted = True
+            if self.prefill_pool is not None:
+                self.prefill_queue.appendleft(victim.index)
+            else:
+                self.decode_queue.appendleft(victim.index)
+        if not run:
+            if evicted and self.prefill_pool is None and self.decode_queue:
+                self._start_iteration(chip, now)
+                return
+            chip.idle = True
+            if not chip.enabled:
+                chip.power_off(now)
+            if evicted and self.prefill_pool is not None:
+                self._kick_prefill(now)
+            return
+        active = len(run)
+        step = self.timing.iteration_seconds(
+            active, chip.kv_used, inline_prefill_macs
+        )
+        chip.idle = False
+        chip.busy_seconds += step
+        self.decode_pool.window_busy += step
+        self.iterations += 1
+        self.token_batch_sum += active
+        if chip.kv_used > self.kv_peak:
+            self.kv_peak = chip.kv_used
+        if self._observe:
+            if obs.TRACER.enabled:
+                obs.TRACER.sim_span(
+                    f"iter b{active}", now, step, cat="llm",
+                    tid=chip.index, batch=active, kv=chip.kv_used,
+                )
+            if obs.REGISTRY.enabled:
+                obs.counter("llm.iterations").inc()
+                obs.gauge("llm.kv_tokens").set(chip.kv_used)
+                obs.histogram("llm.kv_occupancy").observe(
+                    chip.kv_used / cfg.kv_capacity
+                )
+                obs.histogram("llm.iteration_batch").observe(active)
+        self.loop.schedule(
+            now + step, lambda t, c=chip: self._end_iteration(c, t)
+        )
+        if evicted and self.prefill_pool is not None:
+            self._kick_prefill(now)
+
+    def _end_iteration(self, chip: _Chip, now: float) -> None:
+        finished = []
+        for index in chip.running:
+            req = self.requests[index]
+            req.emitted += 1
+            self.tokens += 1
+            self.walked += 1
+            if math.isnan(req.first_token):
+                req.first_token = now
+            req.token_times.append(now)
+            if req.emitted == req.decode:
+                finished.append(index)
+        if obs.REGISTRY.enabled:
+            obs.counter("llm.tokens").inc(len(chip.running))
+        for index in finished:
+            req = self.requests[index]
+            req.finish = now
+            chip.kv_used -= req.kv
+            req.kv = 0
+            chip.running.remove(index)
+            self.completed += 1
+        self._start_iteration(chip, now)
+        if self.decode_queue:
+            self._kick_decode(now)
 
 
 def install() -> Counter:

@@ -172,6 +172,20 @@ class TestValidation:
          "kv_reserve_mib must be a finite non-negative number"),
         (lambda: LLMServeScenario(transfer_ms=float("inf")),
          "transfer_ms must be a finite non-negative number"),
+        # A JSON true is not a number, and an integer too large for a
+        # float is not finite.
+        (lambda: ScenarioSpec.from_dict({"kind": "datacenter", "pue": True}),
+         r"pue must be >= 1.0 and finite.*got True"),
+        (lambda: ScenarioSpec.from_dict({"kind": "globe", "spill_threshold": True}),
+         r"spill_threshold must be in.*got True"),
+        (lambda: ScenarioSpec.from_dict({"kind": "serve", "slo_ms": 10**400}),
+         r"slo_ms must be a positive number.*got 10{400}$"),
+        (lambda: ScenarioSpec.from_dict({"kind": "llm", "slo_tpot_ms": 10**400}),
+         r"slo_tpot_ms must be a positive number.*got 10{400}$"),
+        (lambda: ScenarioSpec.from_dict({"kind": "globe", "default_rtt_ms": 10**400}),
+         r"default_rtt_ms must be a finite.*got 10{400}$"),
+        (lambda: ScenarioSpec.from_dict({"kind": "serve", "loads": [10**400]}),
+         "loads entries must fit in a float"),
     ])
     def test_actionable_messages(self, build, message):
         with pytest.raises(SpecError, match=message):

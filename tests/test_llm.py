@@ -6,14 +6,21 @@ match the reference event simulation within ``LLM_VALIDATION_RTOL`` for
 both schedulers.  Around that sit the conservation invariants (every
 admitted request emits exactly its decode length even under KV-eviction
 pressure), cross-process seed determinism, the KV accounting closed
-forms, the spec surface, and the CLI.
+forms, the spec surface, and the CLI.  The engine's per-iteration
+bookkeeping is pinned bit for bit to the per-token oracle in
+``tests/oracles.py``, the only bit-exact check for disaggregated mode.
 """
 
+import dataclasses
+import gc
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +53,7 @@ from repro.serving.continuous import (
     sample_llm_requests,
 )
 from repro.serving.llm_reference import simulate_reference
+from tests import oracles
 
 
 @pytest.fixture(autouse=True)
@@ -167,6 +175,20 @@ class TestConservation:
         assert result.prefill_batches > 0
 
 
+def assert_token_times_match(engine, ref):
+    """First token, TPOT intervals, evictions and horizon agree with the
+    replay as well as finish times (the replay's intervals are sorted)."""
+    np.testing.assert_allclose(
+        engine.first_token, ref["first_token"], rtol=LLM_VALIDATION_RTOL
+    )
+    np.testing.assert_allclose(
+        np.sort(engine.tpot_intervals), ref["tpot_intervals"],
+        rtol=LLM_VALIDATION_RTOL,
+    )
+    assert engine.evictions == ref["evictions"]
+    assert engine.horizon == pytest.approx(ref["horizon"], rel=LLM_VALIDATION_RTOL)
+
+
 class TestReferenceValidation:
     @pytest.mark.parametrize("scheduler", ["continuous", "fixed"])
     @pytest.mark.parametrize("load", [0.5, 0.9])
@@ -179,6 +201,7 @@ class TestReferenceValidation:
         assert float(rel.max()) <= LLM_VALIDATION_RTOL
         np.testing.assert_array_equal(engine.emitted, ref["emitted"])
         assert engine.tokens == ref["tokens"]
+        assert_token_times_match(engine, ref)
 
     def test_multi_chip_matches_reference(self):
         spec = scenario(chips=2, loads=(0.85,))
@@ -187,11 +210,209 @@ class TestReferenceValidation:
         ref = simulate_reference(cfg, arrivals, prompts, decodes)
         rel = np.abs(engine.finish - ref["finish"]) / ref["finish"]
         assert float(rel.max()) <= LLM_VALIDATION_RTOL
+        assert_token_times_match(engine, ref)
 
     def test_reference_rejects_disaggregated(self):
         cfg, *_ = run_trace(scenario(mode="disaggregated", chips=2))
         with pytest.raises(ValueError, match="aggregated"):
             simulate_reference(cfg, np.zeros(1), np.ones(1, int), np.ones(1, int))
+
+
+def assert_same_result(got, want):
+    """Every ``LLMRunResult`` field bit for bit: arrays with their dtype
+    and shape, scalars with their type."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, (field.name, a, b)
+
+
+#: The fleet shapes of the parity grid, as scenario overrides.
+PARITY_MODES = {
+    "aggregated": dict(mode="aggregated"),
+    "disaggregated": dict(mode="disaggregated"),
+    "autoscaled": dict(mode="disaggregated", autoscale=True, prefill_chips=2),
+}
+
+
+def parity_trace(scheduler, mode, *, chips=2, max_batch=32, kv_reserve_mib=2.0,
+                 load=0.9, requests=120):
+    """A config (with pool controllers when autoscaled) and its trace."""
+    spec = scenario(
+        scheduler=scheduler, chips=chips, max_batch=max_batch,
+        prompt_tokens=96, decode_tokens=48, kv_reserve_mib=kv_reserve_mib,
+        requests=requests, seed=chips * 10 + max_batch, **PARITY_MODES[mode],
+    )
+    controllers = {}
+    if spec.autoscale:
+        controllers = pool_controllers(
+            build_llm_config(spec), spec.prompt_tokens, spec.decode_tokens,
+            scale=PoolAutoscaleConfig(min_chips=1),
+        )
+    cfg = build_llm_config(spec, **controllers)
+    capacity = fleet_capacity_tokens_per_s(
+        cfg, spec.prompt_tokens, spec.decode_tokens
+    )
+    arrivals, prompts, decodes = sample_llm_requests(
+        requests, load * capacity / spec.decode_tokens,
+        spec.prompt_tokens, spec.decode_tokens, spec.seed,
+    )
+    return cfg, arrivals, prompts, decodes
+
+
+def run_against_oracle(cfg, arrivals, prompts, decodes):
+    """Run the engine and the per-token oracle; they must agree bit for bit."""
+    got = ContinuousBatchingSim(cfg).run(arrivals, prompts, decodes)
+    oracle = oracles.PerTokenLLMSim(cfg)
+    want = oracle.run(arrivals, prompts, decodes)
+    assert oracle.walked == want.tokens > 0  # the per-token path ran
+    assert_same_result(got, want)
+    return got
+
+
+class TestOracleParity:
+    """The per-iteration engine against the per-token oracle, bit for bit.
+
+    A larger ``kv_reserve_mib`` shrinks the cache to ~850 tokens, so
+    ``max_batch=32`` runs under constant eviction pressure.
+    """
+
+    @pytest.mark.parametrize("mode", sorted(PARITY_MODES))
+    @pytest.mark.parametrize("scheduler", ["continuous", "fixed"])
+    def test_grid_matches_oracle(self, scheduler, mode):
+        evictions = 0
+        for chips, max_batch, reserve, load in itertools.product(
+            (1, 2, 3), (4, 32), (2.0, 19.0), (0.3, 0.9, 1.5)
+        ):
+            trace = parity_trace(scheduler, mode, chips=chips,
+                                 max_batch=max_batch, kv_reserve_mib=reserve,
+                                 load=load)
+            evictions += run_against_oracle(*trace).evictions
+        assert evictions > 0  # the grid exercised eviction
+
+    @pytest.mark.parametrize(
+        "kind", ["shuffled", "duplicates", "tick_aligned", "step_aligned"]
+    )
+    def test_arrival_order_edge_cases(self, kind):
+        """Arrivals out of index order, on equal timestamps, or exactly on
+        the times of other events: ties resolve as if every arrival had
+        been scheduled first, in index order."""
+        rng = np.random.default_rng(1)
+        for scheduler, mode in itertools.product(
+            ("continuous", "fixed"), ("aggregated", "autoscaled")
+        ):
+            cfg, arrivals, prompts, decodes = parity_trace(
+                scheduler, mode, chips=3, kv_reserve_mib=19.0, load=1.2
+            )
+            if kind == "shuffled":
+                arrivals = rng.permutation(arrivals)
+            elif kind == "duplicates":
+                # Groups of four equal timestamps, out of index order.
+                arrivals = rng.permutation(np.repeat(arrivals[::4], 4))
+            elif kind == "tick_aligned":
+                # Bursts of 80 on the autoscaler's ticks (accumulated as the
+                # controller accumulates them): a backlog above its 64 per
+                # chip only if the burst is queued before the tick runs.
+                ticks = [PoolAutoscaleConfig().control_interval_s]
+                while len(ticks) * 80 < arrivals.size:
+                    ticks.append(ticks[-1] + ticks[0])
+                arrivals = np.asarray(ticks)[np.arange(arrivals.size) // 80]
+            else:
+                # On the grid of weight-bound iteration and prefill ends.
+                step = cfg.timing.iteration_seconds(1, 0)
+                grid = [0.0]
+                while grid[-1] < arrivals.max():
+                    grid.append(grid[-1] + step)
+                arrivals = np.asarray(grid)[np.searchsorted(grid, arrivals)]
+            run_against_oracle(cfg, arrivals, prompts, decodes)
+
+    @pytest.mark.parametrize("mode", ["aggregated", "autoscaled"])
+    def test_spans_and_metrics_match_oracle(self, mode):
+        obs.set_tracing(True)
+        obs.set_metrics(True)
+        cfg, arrivals, prompts, decodes = parity_trace(
+            "continuous", mode, chips=3, kv_reserve_mib=19.0
+        )
+        seen = []
+        for sim in (ContinuousBatchingSim(cfg), oracles.PerTokenLLMSim(cfg)):
+            obs.TRACER.clear()
+            obs.REGISTRY.reset()
+            result = sim.run(arrivals, prompts, decodes)
+            spans = Counter(
+                (s.name, s.ts, s.dur, s.tid, tuple(sorted(s.args.items())))
+                for s in obs.TRACER.snapshot()
+                if s.name.startswith(("iter b", "prefill b"))
+            )
+            metrics = {
+                name: value for name, value in obs.metrics_snapshot().items()
+                if name.startswith("llm.")
+            }
+            seen.append((result, spans, metrics))
+        (got, got_spans, got_metrics), (want, want_spans, want_metrics) = seen
+        assert sim.walked == want.tokens  # the per-token path ran
+        assert_same_result(got, want)
+        assert got_spans == want_spans and sum(want_spans.values()) > 0
+        assert got_metrics == want_metrics
+        assert want_metrics["llm.tokens"] == float(decodes.sum())
+
+
+class TestTraceValidation:
+    """``run`` checks the arrays it is handed directly, without a spec."""
+
+    def trace(self):
+        cfg, arrivals, prompts, decodes = run_trace(scenario(requests=5))
+        return ContinuousBatchingSim(cfg), arrivals, prompts, decodes
+
+    def test_nan_arrival(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        arrivals[2] = np.nan
+        with pytest.raises(ValueError, match=r"arrivals\[2\] must be a finite time"):
+            sim.run(arrivals, prompts, decodes)
+
+    def test_negative_arrival(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        arrivals[0] = -1.0
+        with pytest.raises(ValueError, match=r"arrivals\[0\] must be a finite time >= 0"):
+            sim.run(arrivals, prompts, decodes)
+
+    def test_zero_decode_length(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        decodes[3] = 0
+        with pytest.raises(ValueError, match=r"decodes\[3\] must be an integer >= 1"):
+            sim.run(arrivals, prompts, decodes)
+
+    def test_request_over_the_kv_budget(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        prompts[1] = 5000
+        with pytest.raises(ValueError, match="one request can exceed the KV budget: .*request 1"):
+            sim.run(arrivals, prompts, decodes)
+
+    def test_prompts_shorter_than_arrivals(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        with pytest.raises(ValueError, match="prompts has 4 entries but arrivals has 5"):
+            sim.run(arrivals, prompts[:-1], decodes)
+
+    def test_prompts_longer_than_arrivals(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        with pytest.raises(ValueError, match="prompts has 6 entries but arrivals has 5"):
+            sim.run(arrivals, np.append(prompts, 64), decodes)
+
+    def test_empty_trace(self):
+        sim, *_ = self.trace()
+        empty = np.empty(0)
+        with pytest.raises(ValueError, match="at least one request"):
+            sim.run(empty, empty.astype(int), empty.astype(int))
+
+    def test_non_integer_lengths(self):
+        sim, arrivals, prompts, decodes = self.trace()
+        with pytest.raises(ValueError, match="prompts must hold integers, got dtype float64"):
+            sim.run(arrivals, prompts + 0.5, decodes)
+        with pytest.raises(ValueError, match="decodes must hold integers, got dtype bool"):
+            sim.run(arrivals, prompts, decodes > 0)
 
 
 class TestSchedulers:
@@ -271,6 +492,20 @@ class TestAutoscaledPools:
 
 
 class TestDeterminism:
+    def test_run_leaves_no_reference_cycle(self):
+        """A finished simulator is freed by reference counting; one that
+        waits for the cycle collector holds its run's memory meanwhile."""
+        cfg, arrivals, prompts, decodes = parity_trace("continuous", "autoscaled")
+        sim = ContinuousBatchingSim(cfg)
+        sim.run(arrivals, prompts, decodes)
+        alive = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_same_seed_same_rows_in_process(self):
         spec = scenario()
         cfg, arrivals, prompts, decodes = run_trace(spec)
