@@ -78,6 +78,11 @@ def _finite(value: object) -> bool:
         return False
 
 
+#: The largest integer field value: counts size and index numpy arrays,
+#: which hold int64.
+_INT64_MAX = 2**63 - 1
+
+
 def _check_positive(field: str, value: object, integer: bool = False) -> None:
     kind = "a positive integer" if integer else "a positive number"
     if integer:
@@ -85,6 +90,10 @@ def _check_positive(field: str, value: object, integer: bool = False) -> None:
     else:
         ok = _finite(value)
     _require(ok and value > 0, f"{field} must be {kind}, got {value!r}")
+    if integer:
+        _require(value <= _INT64_MAX,
+                 f"{field} must fit in a signed 64-bit integer "
+                 f"(at most 2**63 - 1), got {value!r}")
 
 
 def _check_non_negative(field: str, value: object) -> None:

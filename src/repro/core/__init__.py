@@ -9,8 +9,8 @@ The package mirrors Figure 1's block diagram, one module per block:
 * :mod:`repro.core.matrix_unit` -- the 256x256 MXU tile engine with
   double-buffered weights and 8/16-bit speed modes;
 * :mod:`repro.core.unified_buffer`, :mod:`repro.core.accumulators`,
-  :mod:`repro.core.weight_fifo`, :mod:`repro.core.weight_memory` -- the
-  memory system;
+  :mod:`repro.core.weight_memory` -- the memory system (the device's
+  timing plan models the Weight FIFO);
 * :mod:`repro.core.activation_unit` -- nonlinearities and pooling;
 * :mod:`repro.core.dma` -- the PCIe host interface;
 * :mod:`repro.core.counters` -- the performance-counter bank (Table 3);

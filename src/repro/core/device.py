@@ -38,7 +38,6 @@ from repro.core.config import TPUConfig, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
 from repro.core.matrix_unit import MatrixUnit, speed_factor
-from repro.core.weight_fifo import WeightFIFO
 from repro.core.weight_memory import WeightMemory
 from repro.isa.instructions import (
     Activate,
@@ -57,7 +56,7 @@ from repro.isa.instructions import (
     WriteHostMemory,
     unpack_pooling_config,
 )
-from repro.isa.program import TPUProgram
+from repro.isa.program import TileSpec, TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import apply_activation, quantize
 from repro.nn.reference import im2col, max_pool
@@ -118,23 +117,34 @@ class TPUDevice:
         self.config = config
         self.functional = functional
         self.activation_unit = ActivationUnit(config.activation_lanes, mode=activation_mode)
-        self.dma = DMAEngine(config.pcie_bandwidth)
 
     # ------------------------------------------------------------------
     def run(self, program: TPUProgram, host_input: np.ndarray | None = None) -> ExecutionResult:
         """Execute one batch of ``program``.
 
-        In functional mode ``host_input`` must hold the quantized input
-        codes shaped (batch, *input_shape); the result carries the output
+        Every run takes its cycles, breakdown and counters from the
+        program's timing plan.  In functional mode ``host_input`` must
+        hold the quantized input codes shaped (batch, *input_shape); an
+        untimed pass moves the data, and the result carries the output
         codes.  In timing mode data is ignored entirely.
         """
-        runner = _Run(self, program, host_input)
         if not (obs.TRACER.enabled or obs.REGISTRY.enabled):
-            return runner.execute()
+            return self._execute(program, host_input)
         start = time.perf_counter()
-        result = runner.execute()
+        result = self._execute(program, host_input)
         _record_run(self, result, time.perf_counter() - start)
         return result
+
+    def _execute(self, program: TPUProgram, host_input: np.ndarray | None) -> ExecutionResult:
+        counters, output = CounterBank(), None
+        if self.functional:
+            # The data pass goes first: it stops at the program's first bad
+            # instruction, whether the fault is in its data or its timing.
+            data = _DataPass(self, program, host_input)
+            data.execute()
+            counters, output = data.counters, data.output
+        plan = _timing_plan_for(program, self.config)
+        return _execute_plan(plan, program, self.config, counters, output)
 
 
 def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> None:
@@ -187,12 +197,12 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
 # its engine, duration, weight-tile pairing, and counter increments -- is
 # fixed at compile time.  The plan hoists all of it out of the run loop in
 # one pass per program: per-instruction accounting is batched onto numpy
-# arrays and reduced once (integer sums are exact, so the totals are
-# bit-identical to the per-instruction loop's one-at-a-time adds), and the
-# run loop that remains touches only the scoreboard and engine clocks.
-# Every timing run of a compiled program takes the plan; the
-# per-instruction loop serves functional runs and programs without a
-# dependency sidecar.
+# arrays and reduced once (integer sums are exact, so the totals equal
+# one-at-a-time adds), and the run loop that remains touches only the
+# scoreboard and engine clocks.  The plan is the device's only timing
+# model: every run takes it, and a functional run adds an untimed
+# :class:`_DataPass`.  The per-instruction loop it replaced lives on as
+# the test oracle ``PerInstructionRun`` in ``tests/oracles.py``.
 
 _OP_RW, _OP_MM, _OP_ACT, _OP_VEC, _OP_DIN, _OP_DOUT, _OP_SYNC, _OP_CTRL = range(8)
 
@@ -207,12 +217,27 @@ class _TimingPlan:
     useful: float
 
 
-def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | None:
-    """One static pass over the instruction stream; None = use the
-    per-instruction loop (missing dependency sidecar or a malformed stream)."""
+def _pop_tile(program: TPUProgram, fifo: deque[int]) -> tuple[int, TileSpec]:
+    """The Weight FIFO's head tile, which a ``load_new_tile`` matmul shifts in."""
+    if not fifo:
+        raise RuntimeError("MatrixMultiply with load_new_tile but empty Weight FIFO")
+    tile_id = fifo.popleft()
+    return tile_id, program.tiles[tile_id]
+
+
+def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
+    """One static pass over the instruction stream.
+
+    Dependencies come from the compiler's sidecar.  A program without
+    one -- hand-assembled, or built with :func:`repro.isa.assemble` or
+    :func:`repro.isa.decode_program` -- runs as a serial chain: each
+    instruction waits for the one before it, except a weight fetch,
+    which waits only for the DRAM port and a free FIFO slot.  A
+    malformed stream raises: an instruction the device does not know, a
+    ``load_new_tile`` matmul with the Weight FIFO empty, or a tile
+    missing from ``program.tiles``.
+    """
     deps = program.metadata.get("deps")
-    if deps is None:
-        return None
     tile_load_cycles = config.tile_load_cycles()
     tile_bytes = config.tile_bytes
     lanes = config.activation_lanes
@@ -232,20 +257,28 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
     din_bytes: list[int] = []
     dout_bytes: list[int] = []
     n_issued = n_sync = n_nop = n_activate = 0
-    # Ordered float accumulation (fill-weighted active time and DMA cycle
-    # conversions are not integers, so addition order must match the
-    # per-instruction loop exactly).
+    # Ordered float accumulation: fill-weighted active time and DMA cycle
+    # conversions are not integers, so they add in program order.  The
+    # DMA totals start as int 0, like a counter, so they turn float with
+    # the first transfer, even an empty one.
     active = 0.0
     useful = 0.0
-    din_cycles = 0.0
-    dout_cycles = 0.0
+    din_cycles = dout_cycles = 0
     pool_config: dict[str, int] | None = None
     fifo_ids: deque[int] = deque()
 
     for index, instr in enumerate(program.instructions):
         n_issued += 1
-        dep = deps[index]
+        if deps is not None:
+            dep = deps[index]
+            reads, war, writes = dep.reads, dep.war, dep.writes
+        else:
+            reads = war = () if isinstance(instr, ReadWeights) else (index - 1,)
+            writes = (index,)
         if isinstance(instr, ReadWeights):
+            # Static tiles stream the full padded tile; dynamic tiles
+            # (attention K^T/V staged through Weight Memory) move only
+            # their packed bytes, and wait for the activations they stage.
             spec = program.tiles.get(instr.tile_id)
             if spec is not None and spec.dynamic:
                 nbytes = spec.rows * spec.cols
@@ -255,13 +288,9 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
                 load_cycles = tile_load_cycles
             rw_bytes.append(nbytes)
             fifo_ids.append(instr.tile_id)
-            ops.append((_OP_RW, load_cycles, dep.reads, dep.writes))
+            ops.append((_OP_RW, load_cycles, reads, writes))
         elif isinstance(instr, MatrixMultiply):
-            spec = None
-            if instr.load_new_tile:
-                if not fifo_ids:
-                    return None  # the per-instruction loop raises the real error
-                spec = program.tiles[fifo_ids.popleft()]
+            spec = _pop_tile(program, fifo_ids)[1] if instr.load_new_tile else None
             duration = instr.rows * speed_factor(
                 instr.weight_bits, instr.activation_bits
             )
@@ -274,13 +303,13 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
             )
             mm_convolve += 1 if instr.convolve else 0
             ops.append(
-                (_OP_MM, duration, dep.reads, dep.war, dep.writes, instr.load_new_tile)
+                (_OP_MM, duration, reads, war, writes, instr.load_new_tile)
             )
         elif isinstance(instr, Activate):
             duration = -(-(instr.rows * instr.lanes) // lanes)
             n_activate += 1
             act_cycles.append(duration)
-            ops.append((_OP_ACT, duration, dep.reads, dep.war, dep.writes))
+            ops.append((_OP_ACT, duration, reads, war, writes))
         elif isinstance(instr, VectorInstruction):
             elements = instr.rows * instr.lanes * VectorKind.PASSES[instr.kind]
             pooling = instr.kind == VectorKind.POOL
@@ -288,33 +317,37 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
                 elements *= pool_config["window"] ** 2
             duration = -(-elements // lanes)
             (pool_cycles if pooling else act_cycles).append(duration)
+            # Patch streaming runs on the floorplan's Systolic Data Setup
+            # block, concurrent with the activation pipeline.
             unit = "setup" if instr.kind == VectorKind.IM2COL else "vector"
-            ops.append((_OP_VEC, duration, unit, dep.reads, dep.war, dep.writes))
+            ops.append((_OP_VEC, duration, unit, reads, war, writes))
         elif isinstance(instr, ReadHostMemory):
             nbytes = instr.rows * ROW_BYTES
+            duration = dma_seconds(nbytes) * clock
             din_bytes.append(nbytes)
-            din_cycles += dma_seconds(nbytes) * clock
-            ops.append((_OP_DIN, nbytes, dep.war, dep.reads, dep.writes))
+            din_cycles += duration
+            ops.append((_OP_DIN, duration, war, reads, writes))
         elif isinstance(instr, WriteHostMemory):
             nbytes = instr.rows * ROW_BYTES
+            duration = dma_seconds(nbytes) * clock
             dout_bytes.append(nbytes)
-            dout_cycles += dma_seconds(nbytes) * clock
-            ops.append((_OP_DOUT, nbytes, dep.reads, dep.writes))
+            dout_cycles += duration
+            ops.append((_OP_DOUT, duration, reads, writes))
         elif isinstance(instr, Configure):
             if instr.key == Configure.KEY_POOLING:
                 pool_config = unpack_pooling_config(instr.value)
-            ops.append((_OP_CTRL, dep.reads, dep.writes))
+            ops.append((_OP_CTRL, reads, writes))
         elif isinstance(instr, (Sync, SyncHost)):
             n_sync += 1
-            ops.append((_OP_SYNC, dep.reads, dep.writes))
+            ops.append((_OP_SYNC, reads, writes))
         elif isinstance(instr, (DebugTag, Nop, InterruptHost)):
             if isinstance(instr, Nop):
                 n_nop += 1
-            ops.append((_OP_CTRL, dep.reads, dep.writes))
+            ops.append((_OP_CTRL, reads, writes))
         elif isinstance(instr, Halt):
             break
         else:
-            return None
+            raise TypeError(f"device cannot execute {type(instr)!r}")
 
     def isum(values: list[int]) -> int:
         return int(np.asarray(values, dtype=np.int64).sum()) if values else 0
@@ -344,13 +377,13 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan | 
     ]
     return _TimingPlan(
         ops=ops,
-        counter_totals=[(name, value) for name, value in totals if value],
+        counter_totals=totals,
         active=active,
         useful=useful,
     )
 
 
-def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan | None:
+def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
     """The program's cached plan (keyed by config, since durations derive
     from it).  Stored as a plain attribute: it must never leak into the
     program's dataclass fields, equality, or serialized binary."""
@@ -362,48 +395,250 @@ def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan | No
     return plan
 
 
-class _Run:
-    """Single-program execution state (timing + optional functional)."""
+def _execute_plan(
+    plan: _TimingPlan,
+    program: TPUProgram,
+    config: TPUConfig,
+    bank: CounterBank,
+    output: np.ndarray | None,
+) -> ExecutionResult:
+    """Run the plan's scoreboard and engine clocks; assemble the result.
 
-    def __init__(self, device: TPUDevice, program: TPUProgram, host_input: np.ndarray | None) -> None:
+    Each op waits for its dependency tokens and its engine, then occupies
+    the engine.  A matmul that loads a new tile also waits for the tile's
+    fetch and shift, and the breakdown splits its idle time into weight
+    stall, weight shift and the RAW/PCIe-input sub-counters.  The plan's
+    counter totals are added to ``bank``, which a functional run has
+    already charged with its data counters; ``output`` is that run's
+    output codes.
+    """
+    token_write: dict[int, tuple[float, str]] = {}
+    token_read: dict[int, float] = {}
+    tw_get = token_write.get
+    tr_get = token_read.get
+    matrix = vector = setup = dma_in = dma_out = dram = control = 0.0
+    ready_queue: deque[float] = deque()
+    pop_times: list[float] = []
+    push_count = 0
+    prev_mm_start = 0.0
+    weight_stall = weight_shift = raw_stall = input_stall = 0.0
+    fifo_depth = config.weight_fifo_tiles
+    shift_cycles = config.weight_shift_cycles
+
+    for op in plan.ops:
+        code = op[0]
+        if code == _OP_MM:
+            _, duration, reads, war, writes, load_new = op
+            ready = 0.0
+            unit = "control"
+            for token in reads:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > ready:
+                    ready, unit = rec
+            war_ready = 0.0
+            for token in war:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > war_ready:
+                    war_ready = rec[0]
+                t = tr_get(token, 0.0)
+                if t > war_ready:
+                    war_ready = t
+            matrix_free = matrix
+            shift_done = tile_ready = shift_start = 0.0
+            if load_new:
+                tile_ready = ready_queue.popleft()
+                shift_start = max(tile_ready, prev_mm_start)
+                pop_times.append(shift_start)
+                shift_done = shift_start + shift_cycles
+            start = max(matrix_free, shift_done, ready, war_ready)
+            idle = start - matrix_free
+            if idle > 0:
+                stall = 0.0
+                shift = 0.0
+                if load_new:
+                    stall = max(0.0, min(start, tile_ready) - matrix_free)
+                    shift = max(
+                        0.0,
+                        min(start, shift_done)
+                        - max(matrix_free, shift_start, tile_ready),
+                    )
+                weight_stall += stall
+                weight_shift += shift
+                rest = idle - (stall + shift)
+                if rest > 0 and ready >= start - 1e-9:
+                    if unit == "dma_in":
+                        input_stall += rest
+                    else:
+                        raw_stall += rest
+            end = start + duration
+            matrix = end
+            prev_mm_start = start
+            for token in writes:
+                token_write[token] = (end, "matrix")
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+        elif code == _OP_RW:
+            _, load_cycles, reads, writes = op
+            # A full FIFO frees a slot when the matmul that pops its
+            # oldest tile starts the shift; a fetch issued ahead of that
+            # matmul takes the matrix unit's clock instead.
+            slot_free = 0.0
+            if push_count >= fifo_depth:
+                pop_index = push_count - fifo_depth
+                slot_free = (
+                    pop_times[pop_index] if pop_index < len(pop_times) else matrix
+                )
+            dep_ready = 0.0
+            for token in reads:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > dep_ready:
+                    dep_ready = rec[0]
+            end = max(dram, slot_free, dep_ready) + load_cycles
+            dram = end
+            ready_queue.append(end)
+            push_count += 1
+            for token in writes:
+                token_write[token] = (end, "dram")
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+        elif code == _OP_ACT or code == _OP_VEC:
+            if code == _OP_ACT:
+                _, duration, reads, war, writes = op
+                unit = "vector"
+            else:
+                _, duration, unit, reads, war, writes = op
+            ready = 0.0
+            for token in reads:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > ready:
+                    ready = rec[0]
+            war_ready = 0.0
+            for token in war:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > war_ready:
+                    war_ready = rec[0]
+                t = tr_get(token, 0.0)
+                if t > war_ready:
+                    war_ready = t
+            if unit == "vector":
+                end = max(vector, ready, war_ready) + duration
+                vector = end
+            else:
+                end = max(setup, ready, war_ready) + duration
+                setup = end
+            for token in writes:
+                token_write[token] = (end, unit)
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+        elif code == _OP_DIN:
+            _, duration, war, reads, writes = op
+            war_ready = 0.0
+            for token in war:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > war_ready:
+                    war_ready = rec[0]
+                t = tr_get(token, 0.0)
+                if t > war_ready:
+                    war_ready = t
+            end = max(dma_in, war_ready) + duration
+            dma_in = end
+            for token in writes:
+                token_write[token] = (end, "dma_in")
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+        elif code == _OP_DOUT:
+            _, duration, reads, writes = op
+            ready = 0.0
+            for token in reads:
+                rec = tw_get(token)
+                if rec is not None and rec[0] > ready:
+                    ready = rec[0]
+            end = max(dma_out, ready) + duration
+            dma_out = end
+            for token in writes:
+                token_write[token] = (end, "dma_out")
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+        elif code == _OP_SYNC:
+            _, reads, writes = op
+            end = max(matrix, vector, setup, dma_in, dma_out, dram, control)
+            control = end
+            for token in writes:
+                token_write[token] = (end, "control")
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+        else:  # _OP_CTRL
+            _, reads, writes = op
+            end = control + 1
+            control = end
+            for token in writes:
+                token_write[token] = (end, "control")
+            for token in reads:
+                if tr_get(token, 0.0) < end:
+                    token_read[token] = end
+
+    total = max(matrix, vector, setup, dma_in, dma_out, dram, control)
+    total = max(total, 1.0)
+    for name, value in plan.counter_totals:
+        bank.add(name, value)
+    active = plan.active
+    bank.add("total_cycles", total)
+    bank.add("array_active_cycles", active)
+    bank.add("useful_mac_cycles", plan.useful)
+    bank.add("weight_stall_cycles", weight_stall)
+    bank.add("weight_shift_cycles", weight_shift)
+    non_matrix = max(total - active - weight_stall - weight_shift, 0.0)
+    bank.add("non_matrix_cycles", non_matrix)
+    bank.add("raw_stall_cycles", min(raw_stall, non_matrix))
+    bank.add("input_stall_cycles", min(input_stall, non_matrix))
+    bank.add("batches_completed", 1)
+    breakdown = CycleBreakdown(
+        total=total,
+        active=active,
+        weight_stall=weight_stall,
+        weight_shift=weight_shift,
+        non_matrix=non_matrix,
+        useful_mac_weighted=min(plan.useful, active),
+        raw_stall=min(raw_stall, non_matrix),
+        input_stall=min(input_stall, non_matrix),
+    )
+    return ExecutionResult(
+        program_name=program.name,
+        batch_size=program.batch_size,
+        cycles=total,
+        seconds=total / config.clock_hz,
+        breakdown=breakdown,
+        counters=bank.snapshot(),
+        output=output,
+    )
+
+
+# ----------------------------------------------------------------------
+# functional data pass
+# ----------------------------------------------------------------------
+class _DataPass:
+    """A functional run's data, moved by one untimed pass over the program.
+
+    Holds the Unified Buffer tensors, Weight Memory, the matrix unit and
+    the accumulators.  Timing comes from the plan; this pass charges only
+    the counters that need the data: ``ub_bytes_read``,
+    ``ub_bytes_written`` and ``acc_rows_written``.
+    """
+
+    def __init__(
+        self, device: TPUDevice, program: TPUProgram, host_input: np.ndarray | None
+    ) -> None:
         self.device = device
         self.config = device.config
         self.program = program
-        self.functional = device.functional
         self.host_input = host_input
         self.counters = CounterBank()
-        clock = self.config.clock_hz
-        self.cycles_per_second = clock
-        # -- engines -------------------------------------------------------
-        self.unit_free = {
-            "matrix": 0.0,
-            "vector": 0.0,
-            "setup": 0.0,  # the floorplan's Systolic Data Setup block
-            "dma_in": 0.0,
-            "dma_out": 0.0,
-            "dram": 0.0,
-            "control": 0.0,
-        }
-        # -- scoreboard ------------------------------------------------------
-        self.token_write: dict[int, tuple[float, str]] = {}
-        self.token_read: dict[int, float] = {}
-        deps = program.metadata.get("deps")
-        self.deps = deps if deps is not None else None
-        # -- weight path ------------------------------------------------------
-        self.fifo_depth = self.config.weight_fifo_tiles
-        self.tile_load_cycles = self.config.tile_load_cycles()
-        self.ready_queue: deque[tuple[int, float]] = deque()  # (tile_id, ready)
-        self.pop_times: list[float] = []
-        self.push_count = 0
-        self.prev_mm_start = 0.0
-        # -- stall accounting --------------------------------------------------
-        self.active = 0.0
-        self.useful = 0.0
-        self.weight_stall = 0.0
-        self.weight_shift = 0.0
-        self.raw_stall = 0.0
-        self.input_stall = 0.0
-        # -- functional state ----------------------------------------------------
         self.tensors: list[_Tensor] = []
         self.tensor_bases: list[int] = []
         self.setup: dict[int, np.ndarray] = {}
@@ -411,11 +646,8 @@ class _Run:
         self.pool_config: dict[str, int] | None = None
         self.conv_config: dict[str, int] | None = None
         self.output: np.ndarray | None = None
-        self.weight_memory: WeightMemory | None = None
-        self.fifo_data = WeightFIFO(self.fifo_depth)
         self.matrix_unit = MatrixUnit(self.config)
         self.acc = AccumulatorFile(self.config.accumulator_rows, self.config.matrix_dim)
-        self._last_serial_token = -1  # fallback chaining when deps missing
         self._init_memory()
 
     # ------------------------------------------------------------------
@@ -425,17 +657,16 @@ class _Run:
             self.tensors.append(_Tensor(base_row, rows, width))
         self.tensors.sort(key=lambda t: t.base_row)
         self.tensor_bases = [t.base_row for t in self.tensors]
-        if self.functional:
-            self.weight_memory = WeightMemory(
-                self.config.weight_dram_bytes, self.config.weight_bandwidth
-            )
-            for tile_id, spec in self.program.tiles.items():
-                if spec.data is None:
-                    raise ValueError(
-                        f"tile {tile_id} carries no data; compile with "
-                        f"quantized parameters for functional runs"
-                    )
-                self.weight_memory.store_tile(tile_id, spec.data)
+        self.weight_memory = WeightMemory(
+            self.config.weight_dram_bytes, self.config.weight_bandwidth
+        )
+        for tile_id, spec in self.program.tiles.items():
+            if spec.data is None:
+                raise ValueError(
+                    f"tile {tile_id} carries no data; compile with "
+                    f"quantized parameters for functional runs"
+                )
+            self.weight_memory.store_tile(tile_id, spec.data)
 
     def _find_tensor(self, row: int) -> tuple[_Tensor, int]:
         idx = bisect_right(self.tensor_bases, row) - 1
@@ -453,427 +684,41 @@ class _Run:
         return tensor.data
 
     # ------------------------------------------------------------------
-    # scoreboard helpers
-    # ------------------------------------------------------------------
-    def _dep_times(self, index: int) -> tuple[float, str, float]:
-        """(read-ready time, binding unit, WAR/WAW-ready time)."""
-        if self.deps is None:
-            # Sequential fallback for hand-assembled programs.
-            prev = self.token_write.get(self._last_serial_token, (0.0, "control"))
-            return prev[0], prev[1], prev[0]
-        dep = self.deps[index]
-        ready, unit = 0.0, "control"
-        for token in dep.reads:
-            t, u = self.token_write.get(token, (0.0, "control"))
-            if t > ready:
-                ready, unit = t, u
-        war_ready = 0.0
-        for token in dep.war:
-            t, _u = self.token_write.get(token, (0.0, "control"))
-            war_ready = max(war_ready, t, self.token_read.get(token, 0.0))
-        return ready, unit, war_ready
+    def execute(self) -> None:
+        """Walk the program in order, moving data only.
 
-    def _commit(self, index: int, end: float, unit: str) -> None:
-        if self.deps is None:
-            self._last_serial_token = index
-            self.token_write[index] = (end, unit)
-            return
-        dep = self.deps[index]
-        for token in dep.writes:
-            self.token_write[token] = (end, unit)
-        for token in dep.reads:
-            if self.token_read.get(token, 0.0) < end:
-                self.token_read[token] = end
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    def execute(self) -> ExecutionResult:
-        if not self.functional and self.deps is not None:
-            plan = _timing_plan_for(self.program, self.config)
-            if plan is not None:
-                return self._execute_plan(plan)
-        bank = self.counters
-        for index, instr in enumerate(self.program.instructions):
-            bank.add("instructions_issued", 1)
+        Raises at the first bad instruction: a fault in its data, or one
+        the timing plan would raise for it.
+        """
+        fifo_ids: deque[int] = deque()
+        for instr in self.program.instructions:
             if isinstance(instr, ReadWeights):
-                self._exec_read_weights(index, instr)
+                fifo_ids.append(instr.tile_id)
             elif isinstance(instr, MatrixMultiply):
-                self._exec_matmul(index, instr)
+                spec = None
+                if instr.load_new_tile:
+                    tile_id, spec = _pop_tile(self.program, fifo_ids)
+                    self._install_tile(tile_id)
+                self._matmul_functional(instr, spec)
             elif isinstance(instr, Activate):
-                self._exec_activate(index, instr)
+                self._activate_functional(instr)
             elif isinstance(instr, VectorInstruction):
-                self._exec_vector(index, instr)
+                self._vector_functional(instr)
             elif isinstance(instr, ReadHostMemory):
-                self._exec_dma_in(index, instr)
+                self._dma_in_functional(instr)
             elif isinstance(instr, WriteHostMemory):
-                self._exec_dma_out(index, instr)
+                self._dma_out_functional(instr)
             elif isinstance(instr, Configure):
-                self._exec_configure(index, instr)
-            elif isinstance(instr, (Sync, SyncHost)):
-                barrier = max(self.unit_free.values())
-                self.unit_free["control"] = barrier
-                bank.add("sync_instructions", 1)
-                self._commit(index, barrier, "control")
-            elif isinstance(instr, (DebugTag, Nop, InterruptHost)):
-                start = self.unit_free["control"]
-                self.unit_free["control"] = start + 1
-                if isinstance(instr, Nop):
-                    bank.add("nop_instructions", 1)
-                self._commit(index, start + 1, "control")
+                self._configure(instr)
             elif isinstance(instr, Halt):
                 break
-            else:
+            elif not isinstance(instr, (Sync, SyncHost, DebugTag, Nop, InterruptHost)):
                 raise TypeError(f"device cannot execute {type(instr)!r}")
 
-        total = max(self.unit_free.values())
-        total = max(total, 1.0)
-        bank.add("total_cycles", total)
-        bank.add("array_active_cycles", self.active)
-        bank.add("useful_mac_cycles", self.useful)
-        bank.add("weight_stall_cycles", self.weight_stall)
-        bank.add("weight_shift_cycles", self.weight_shift)
-        non_matrix = max(total - self.active - self.weight_stall - self.weight_shift, 0.0)
-        bank.add("non_matrix_cycles", non_matrix)
-        bank.add("raw_stall_cycles", min(self.raw_stall, non_matrix))
-        bank.add("input_stall_cycles", min(self.input_stall, non_matrix))
-        bank.add("batches_completed", 1)
-        breakdown = CycleBreakdown(
-            total=total,
-            active=self.active,
-            weight_stall=self.weight_stall,
-            weight_shift=self.weight_shift,
-            non_matrix=non_matrix,
-            useful_mac_weighted=min(self.useful, self.active),
-            raw_stall=min(self.raw_stall, non_matrix),
-            input_stall=min(self.input_stall, non_matrix),
-        )
-        return ExecutionResult(
-            program_name=self.program.name,
-            batch_size=self.program.batch_size,
-            cycles=total,
-            seconds=total / self.cycles_per_second,
-            breakdown=breakdown,
-            counters=bank.snapshot(),
-            output=self.output,
-        )
-
-    # ------------------------------------------------------------------
-    # plan-driven scheduler
-    # ------------------------------------------------------------------
-    def _execute_plan(self, plan: _TimingPlan) -> ExecutionResult:
-        """The per-instruction loop with every static quantity precomputed.
-
-        Only the scoreboard and per-engine clocks remain per-instruction;
-        every arithmetic expression matches the ``_exec_*`` engine methods
-        term for term, so cycle counts and stall attribution are
-        bit-identical.
-        """
-        token_write: dict[int, tuple[float, str]] = {}
-        token_read: dict[int, float] = {}
-        tw_get = token_write.get
-        tr_get = token_read.get
-        matrix = vector = setup = dma_in = dma_out = dram = control = 0.0
-        ready_queue: deque[float] = deque()
-        pop_times: list[float] = []
-        push_count = 0
-        prev_mm_start = 0.0
-        weight_stall = weight_shift = raw_stall = input_stall = 0.0
-        fifo_depth = self.fifo_depth
-        shift_cycles = self.config.weight_shift_cycles
-        dma = self.device.dma
-        clock = self.cycles_per_second
-
-        for op in plan.ops:
-            code = op[0]
-            if code == _OP_MM:
-                _, duration, reads, war, writes, load_new = op
-                ready = 0.0
-                unit = "control"
-                for token in reads:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > ready:
-                        ready, unit = rec
-                war_ready = 0.0
-                for token in war:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > war_ready:
-                        war_ready = rec[0]
-                    t = tr_get(token, 0.0)
-                    if t > war_ready:
-                        war_ready = t
-                matrix_free = matrix
-                shift_done = tile_ready = shift_start = 0.0
-                if load_new:
-                    tile_ready = ready_queue.popleft()
-                    shift_start = max(tile_ready, prev_mm_start)
-                    pop_times.append(shift_start)
-                    shift_done = shift_start + shift_cycles
-                start = max(matrix_free, shift_done, ready, war_ready)
-                idle = start - matrix_free
-                if idle > 0:
-                    stall = 0.0
-                    shift = 0.0
-                    if load_new:
-                        stall = max(0.0, min(start, tile_ready) - matrix_free)
-                        shift = max(
-                            0.0,
-                            min(start, shift_done)
-                            - max(matrix_free, shift_start, tile_ready),
-                        )
-                    weight_stall += stall
-                    weight_shift += shift
-                    rest = idle - (stall + shift)
-                    if rest > 0 and ready >= start - 1e-9:
-                        if unit == "dma_in":
-                            input_stall += rest
-                        else:
-                            raw_stall += rest
-                end = start + duration
-                matrix = end
-                prev_mm_start = start
-                for token in writes:
-                    token_write[token] = (end, "matrix")
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-            elif code == _OP_RW:
-                _, load_cycles, reads, writes = op
-                slot_free = 0.0
-                if push_count >= fifo_depth:
-                    pop_index = push_count - fifo_depth
-                    slot_free = (
-                        pop_times[pop_index] if pop_index < len(pop_times) else matrix
-                    )
-                dep_ready = 0.0
-                for token in reads:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > dep_ready:
-                        dep_ready = rec[0]
-                end = max(dram, slot_free, dep_ready) + load_cycles
-                dram = end
-                ready_queue.append(end)
-                push_count += 1
-                for token in writes:
-                    token_write[token] = (end, "dram")
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-            elif code == _OP_ACT or code == _OP_VEC:
-                if code == _OP_ACT:
-                    _, duration, reads, war, writes = op
-                    unit = "vector"
-                else:
-                    _, duration, unit, reads, war, writes = op
-                ready = 0.0
-                for token in reads:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > ready:
-                        ready = rec[0]
-                war_ready = 0.0
-                for token in war:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > war_ready:
-                        war_ready = rec[0]
-                    t = tr_get(token, 0.0)
-                    if t > war_ready:
-                        war_ready = t
-                if unit == "vector":
-                    end = max(vector, ready, war_ready) + duration
-                    vector = end
-                else:
-                    end = max(setup, ready, war_ready) + duration
-                    setup = end
-                for token in writes:
-                    token_write[token] = (end, unit)
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-            elif code == _OP_DIN:
-                _, nbytes, war, reads, writes = op
-                duration = dma.host_to_device(None, nbytes) * clock
-                war_ready = 0.0
-                for token in war:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > war_ready:
-                        war_ready = rec[0]
-                    t = tr_get(token, 0.0)
-                    if t > war_ready:
-                        war_ready = t
-                end = max(dma_in, war_ready) + duration
-                dma_in = end
-                for token in writes:
-                    token_write[token] = (end, "dma_in")
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-            elif code == _OP_DOUT:
-                _, nbytes, reads, writes = op
-                duration = dma.device_to_host(None, nbytes) * clock
-                ready = 0.0
-                for token in reads:
-                    rec = tw_get(token)
-                    if rec is not None and rec[0] > ready:
-                        ready = rec[0]
-                end = max(dma_out, ready) + duration
-                dma_out = end
-                for token in writes:
-                    token_write[token] = (end, "dma_out")
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-            elif code == _OP_SYNC:
-                _, reads, writes = op
-                end = max(matrix, vector, setup, dma_in, dma_out, dram, control)
-                control = end
-                for token in writes:
-                    token_write[token] = (end, "control")
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-            else:  # _OP_CTRL
-                _, reads, writes = op
-                end = control + 1
-                control = end
-                for token in writes:
-                    token_write[token] = (end, "control")
-                for token in reads:
-                    if tr_get(token, 0.0) < end:
-                        token_read[token] = end
-
-        total = max(matrix, vector, setup, dma_in, dma_out, dram, control)
-        total = max(total, 1.0)
-        bank = self.counters
-        for name, value in plan.counter_totals:
-            bank.add(name, value)
-        active = plan.active
-        bank.add("total_cycles", total)
-        bank.add("array_active_cycles", active)
-        bank.add("useful_mac_cycles", plan.useful)
-        bank.add("weight_stall_cycles", weight_stall)
-        bank.add("weight_shift_cycles", weight_shift)
-        non_matrix = max(total - active - weight_stall - weight_shift, 0.0)
-        bank.add("non_matrix_cycles", non_matrix)
-        bank.add("raw_stall_cycles", min(raw_stall, non_matrix))
-        bank.add("input_stall_cycles", min(input_stall, non_matrix))
-        bank.add("batches_completed", 1)
-        breakdown = CycleBreakdown(
-            total=total,
-            active=active,
-            weight_stall=weight_stall,
-            weight_shift=weight_shift,
-            non_matrix=non_matrix,
-            useful_mac_weighted=min(plan.useful, active),
-            raw_stall=min(raw_stall, non_matrix),
-            input_stall=min(input_stall, non_matrix),
-        )
-        return ExecutionResult(
-            program_name=self.program.name,
-            batch_size=self.program.batch_size,
-            cycles=total,
-            seconds=total / self.cycles_per_second,
-            breakdown=breakdown,
-            counters=bank.snapshot(),
-            output=None,
-        )
-
-    # ------------------------------------------------------------------
-    # engines
-    # ------------------------------------------------------------------
-    def _exec_read_weights(self, index: int, instr: ReadWeights) -> None:
-        slot_free = 0.0
-        if self.push_count >= self.fifo_depth:
-            pop_index = self.push_count - self.fifo_depth
-            if pop_index < len(self.pop_times):
-                slot_free = self.pop_times[pop_index]
-            else:
-                # The consuming matmul has not been issued yet (should not
-                # happen with compiler-ordered streams); fall back to the
-                # last known matrix time.
-                slot_free = self.unit_free["matrix"]
-        # Static weight tiles stream the full padded tile; dynamic tiles
-        # (attention K^T/V staged through Weight Memory) move only their
-        # packed bytes, and must wait for the activations they stage.
-        spec = self.program.tiles.get(instr.tile_id)
-        if spec is not None and spec.dynamic:
-            nbytes = spec.rows * spec.cols
-            load_cycles = self.tile_load_cycles * nbytes / self.config.tile_bytes
-        else:
-            nbytes = self.config.tile_bytes
-            load_cycles = self.tile_load_cycles
-        dep_ready = 0.0
-        if self.deps is not None:
-            dep_ready, _unit, _war = self._dep_times(index)
-        start = max(self.unit_free["dram"], slot_free, dep_ready)
-        end = start + load_cycles
-        self.unit_free["dram"] = end
-        self.ready_queue.append((instr.tile_id, end))
-        self.push_count += 1
-        self.counters.add("read_weights_instructions", 1)
-        self.counters.add("weight_tiles_loaded", 1)
-        self.counters.add("weight_bytes_read", nbytes)
-        self._commit(index, end, "dram")
-
-    def _exec_matmul(self, index: int, instr: MatrixMultiply) -> None:
-        cfg = self.config
-        dep_ready, dep_unit, war_ready = self._dep_times(index)
-        matrix_free = self.unit_free["matrix"]
-        shift_done = 0.0
-        tile_ready = 0.0
-        shift_start = 0.0
-        spec = None
-        if instr.load_new_tile:
-            if not self.ready_queue:
-                raise RuntimeError("MatrixMultiply with load_new_tile but empty Weight FIFO")
-            tile_id, tile_ready = self.ready_queue.popleft()
-            spec = self.program.tiles[tile_id]
-            shift_start = max(tile_ready, self.prev_mm_start)
-            self.pop_times.append(shift_start)
-            shift_done = shift_start + cfg.weight_shift_cycles
-            if self.functional:
-                data, _seconds = self.weight_memory.read_tile(tile_id)
-                self.matrix_unit.install_tile(tile_id, data)
-        start = max(matrix_free, shift_done, dep_ready, war_ready)
-        idle = start - matrix_free
-        if idle > 0:
-            stall = 0.0
-            shift = 0.0
-            if instr.load_new_tile:
-                stall = max(0.0, min(start, tile_ready) - matrix_free)
-                shift = max(
-                    0.0,
-                    min(start, shift_done) - max(matrix_free, shift_start, tile_ready),
-                )
-            covered = stall + shift
-            self.weight_stall += stall
-            self.weight_shift += shift
-            rest = idle - covered
-            if rest > 0 and dep_ready >= start - 1e-9:
-                if dep_unit == "dma_in":
-                    self.input_stall += rest
-                else:
-                    self.raw_stall += rest
-        factor = speed_factor(instr.weight_bits, instr.activation_bits)
-        duration = instr.rows * factor
-        end = start + duration
-        self.unit_free["matrix"] = end
-        self.prev_mm_start = start
-        self.active += duration
-        if spec is not None:
-            fill = (spec.rows * spec.cols) / (cfg.matrix_dim * cfg.matrix_dim)
-        else:
-            fill = 1.0
-        self.useful += duration * fill
-        macs = instr.rows * (spec.rows * spec.cols if spec is not None else cfg.macs)
-        self.counters.add("macs_issued", macs)
-        self.counters.add("ops_committed", 2 * macs)
-        self.counters.add("rows_streamed", instr.rows)
-        self.counters.add(
-            "convolve_instructions" if instr.convolve else "matmul_instructions", 1
-        )
-        if self.functional:
-            self._matmul_functional(instr, spec)
-        self._commit(index, end, "matrix")
+    # -- matrix path --------------------------------------------------------
+    def _install_tile(self, tile_id: int) -> None:
+        data, _seconds = self.weight_memory.read_tile(tile_id)
+        self.matrix_unit.install_tile(tile_id, data)
 
     def _matmul_functional(self, instr: MatrixMultiply, spec) -> None:
         x = self._read_matmul_input(instr, spec.rows if spec else self.config.matrix_dim)
@@ -904,54 +749,25 @@ class _Run:
         self.counters.add("ub_bytes_read", data.shape[0] * ROW_BYTES)
         return data
 
-    def _exec_activate(self, index: int, instr: Activate) -> None:
-        dep_ready, _unit, war_ready = self._dep_times(index)
-        duration = self.device.activation_unit.cycles(instr.rows * instr.lanes)
-        start = max(self.unit_free["vector"], dep_ready, war_ready)
-        end = start + duration
-        self.unit_free["vector"] = end
-        self.counters.add("activate_instructions", 1)
-        self.counters.add("activation_cycles", duration)
-        if self.functional:
-            entry = self.program.scales[instr.scale_id]
-            acc_rows = self.acc.read(instr.acc_row, instr.rows)
-            codes = self.device.activation_unit.activate(
-                acc_rows,
-                entry.input_scale,
-                entry.weight_scale,
-                entry.output_scale,
-                instr.function,
-            )
-            tensor, rel = self._find_tensor(instr.ub_row)
-            arr = self._tensor_array(tensor)
-            group = rel // tensor.rows
-            r0 = rel % tensor.rows
-            lo = group * ROW_BYTES
-            arr[r0 : r0 + instr.rows, lo : lo + instr.lanes] = codes[:, : instr.lanes]
-            self.counters.add("ub_bytes_written", instr.rows * ROW_BYTES)
-        self._commit(index, end, "vector")
+    def _activate_functional(self, instr: Activate) -> None:
+        entry = self.program.scales[instr.scale_id]
+        acc_rows = self.acc.read(instr.acc_row, instr.rows)
+        codes = self.device.activation_unit.activate(
+            acc_rows,
+            entry.input_scale,
+            entry.weight_scale,
+            entry.output_scale,
+            instr.function,
+        )
+        tensor, rel = self._find_tensor(instr.ub_row)
+        arr = self._tensor_array(tensor)
+        group = rel // tensor.rows
+        r0 = rel % tensor.rows
+        lo = group * ROW_BYTES
+        arr[r0 : r0 + instr.rows, lo : lo + instr.lanes] = codes[:, : instr.lanes]
+        self.counters.add("ub_bytes_written", instr.rows * ROW_BYTES)
 
     # -- vector path ------------------------------------------------------
-    def _exec_vector(self, index: int, instr: VectorInstruction) -> None:
-        dep_ready, _unit, war_ready = self._dep_times(index)
-        elements = instr.rows * instr.lanes * VectorKind.PASSES[instr.kind]
-        if instr.kind == VectorKind.POOL and self.pool_config:
-            elements *= self.pool_config["window"] ** 2
-        # Patch streaming runs on the dedicated setup block, concurrent
-        # with the activation pipeline.
-        unit = "setup" if instr.kind == VectorKind.IM2COL else "vector"
-        duration = self.device.activation_unit.cycles(elements)
-        start = max(self.unit_free[unit], dep_ready, war_ready)
-        end = start + duration
-        self.unit_free[unit] = end
-        self.counters.add(
-            "pooling_cycles" if instr.kind == VectorKind.POOL else "activation_cycles",
-            duration,
-        )
-        if self.functional:
-            self._vector_functional(instr)
-        self._commit(index, end, unit)
-
     def _vector_functional(self, instr: VectorInstruction) -> None:
         entry = self.program.scales[instr.scale_id]
         if instr.kind == VectorKind.UNARY:
@@ -1065,21 +881,6 @@ class _Run:
         self.setup[bank] = cols[r0 : r0 + instr.rows].copy()
 
     # -- DMA -----------------------------------------------------------------
-    def _exec_dma_in(self, index: int, instr: ReadHostMemory) -> None:
-        nbytes = instr.rows * ROW_BYTES
-        seconds = self.device.dma.host_to_device(None, nbytes)
-        duration = seconds * self.cycles_per_second
-        _ready, _unit, war_ready = self._dep_times(index)
-        start = max(self.unit_free["dma_in"], war_ready)
-        end = start + duration
-        self.unit_free["dma_in"] = end
-        self.counters.add("read_host_instructions", 1)
-        self.counters.add("pcie_bytes_in", nbytes)
-        self.counters.add("dma_in_cycles", duration)
-        if self.functional:
-            self._dma_in_functional(instr)
-        self._commit(index, end, "dma_in")
-
     def _dma_in_functional(self, instr: ReadHostMemory) -> None:
         if self.host_input is None:
             return
@@ -1096,21 +897,6 @@ class _Run:
         tensor, _ = self._find_tensor(instr.ub_row)
         arr = self._tensor_array(tensor)
         arr[: flat.shape[0], : flat.shape[1]] = flat.astype(np.int8)
-
-    def _exec_dma_out(self, index: int, instr: WriteHostMemory) -> None:
-        nbytes = instr.rows * ROW_BYTES
-        seconds = self.device.dma.device_to_host(None, nbytes)
-        duration = seconds * self.cycles_per_second
-        ready, _unit, _war = self._dep_times(index)
-        start = max(self.unit_free["dma_out"], ready)
-        end = start + duration
-        self.unit_free["dma_out"] = end
-        self.counters.add("write_host_instructions", 1)
-        self.counters.add("pcie_bytes_out", nbytes)
-        self.counters.add("dma_out_cycles", duration)
-        if self.functional:
-            self._dma_out_functional(instr)
-        self._commit(index, end, "dma_out")
 
     def _dma_out_functional(self, instr: WriteHostMemory) -> None:
         tensor, _ = self._find_tensor(instr.ub_row)
@@ -1129,11 +915,8 @@ class _Run:
             raise ValueError(f"unsupported output shape {out_shape}")
 
     # -- control ----------------------------------------------------------
-    def _exec_configure(self, index: int, instr: Configure) -> None:
-        start = self.unit_free["control"]
-        self.unit_free["control"] = start + 1
+    def _configure(self, instr: Configure) -> None:
         if instr.key == Configure.KEY_POOLING:
             self.pool_config = unpack_pooling_config(instr.value)
         elif instr.key == Configure.KEY_CONV:
             self.conv_config = unpack_pooling_config(instr.value)
-        self._commit(index, start + 1, "control")

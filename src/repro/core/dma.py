@@ -10,19 +10,6 @@ by the driver, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """A completed DMA transfer, for accounting."""
-
-    direction: str  # "in" (host->UB) or "out" (UB->host)
-    nbytes: int
-    seconds: float
-
 
 class DMAEngine:
     """Models PCIe payload movement between host memory and the UB."""
@@ -34,7 +21,6 @@ class DMAEngine:
         if bandwidth_bytes_per_s <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bytes_per_s}")
         self.bandwidth = bandwidth_bytes_per_s
-        self.transfers: list[Transfer] = []
 
     def transfer_seconds(self, nbytes: int) -> float:
         if nbytes < 0:
@@ -42,21 +28,3 @@ class DMAEngine:
         if nbytes == 0:
             return 0.0
         return self.SETUP_S + nbytes / self.bandwidth
-
-    def host_to_device(self, payload: np.ndarray | None, nbytes: int) -> float:
-        seconds = self.transfer_seconds(nbytes)
-        self.transfers.append(Transfer("in", nbytes, seconds))
-        return seconds
-
-    def device_to_host(self, payload: np.ndarray | None, nbytes: int) -> float:
-        seconds = self.transfer_seconds(nbytes)
-        self.transfers.append(Transfer("out", nbytes, seconds))
-        return seconds
-
-    @property
-    def bytes_in(self) -> int:
-        return sum(t.nbytes for t in self.transfers if t.direction == "in")
-
-    @property
-    def bytes_out(self) -> int:
-        return sum(t.nbytes for t in self.transfers if t.direction == "out")

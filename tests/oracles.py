@@ -9,9 +9,10 @@ compares the production path with a second, live implementation:
   K-step, and lazy per-tile source-token reads;
 * :func:`reference_closed_loop` -- closed-loop load generation with one
   Python step per request slot;
-* :func:`withhold_timing_plan` -- stands in for
-  ``repro.core.device._timing_plan_for``, so timing runs take the
-  device's per-instruction loop (the fallback a malformed stream takes);
+* :class:`PerInstructionRun` -- the device's per-instruction loop: a
+  token scoreboard and engine clocks advanced one instruction at a time,
+  each instruction adding its own counters, with a serial chain for
+  programs without a dependency sidecar;
 * :func:`no_bulk_admission` -- stands in for ``FleetSim._bulk_admit``
   with its "window too small" answer, so every arrival takes the
   per-arrival admission path;
@@ -32,14 +33,33 @@ checks that render paper tables end to end in a fresh interpreter.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
 from repro import obs
 from repro.compiler.lowering import InstrDeps, Lowering, LoweredTensor, ROW_BYTES
 from repro.compiler.tiling import tile_matmul
-from repro.isa.instructions import MatrixMultiply, ReadWeights
+from repro.core.counters import CycleBreakdown
+from repro.core.device import ExecutionResult, _DataPass
+from repro.core.dma import DMAEngine
+from repro.core.matrix_unit import speed_factor
+from repro.isa.instructions import (
+    Activate,
+    Configure,
+    DebugTag,
+    Halt,
+    InterruptHost,
+    MatrixMultiply,
+    Nop,
+    ReadHostMemory,
+    ReadWeights,
+    Sync,
+    SyncHost,
+    VectorInstruction,
+    VectorKind,
+    WriteHostMemory,
+)
 from repro.isa.program import TileSpec
 from repro.serving.continuous import ContinuousBatchingSim, _Chip, _LLMRequest
 from repro.serving.engine import BatchServer, EventLoop, LatencyCurve
@@ -141,9 +161,316 @@ def reference_closed_loop(
     return responses, server
 
 
-def withhold_timing_plan(program, config):
-    """No timing plan: the device falls back to its per-instruction loop."""
-    return None
+class PerInstructionRun(_DataPass):
+    """:meth:`repro.core.device.TPUDevice.run`, one instruction at a time.
+
+    Each instruction resolves its dependency tokens on a scoreboard, runs
+    on its engine's clock and adds its own counters; a functional run
+    moves its data in the same step, through the data pass's helpers.  A
+    program without a dependency sidecar chains each instruction after
+    the last one committed, and weight fetches ignore the chain.
+    ``walked`` counts the instructions issued, so a parity test can tell
+    this path ran.
+    """
+
+    def __init__(self, device, program, host_input=None):
+        self.functional = device.functional
+        super().__init__(device, program, host_input)
+        self.dma = DMAEngine(self.config.pcie_bandwidth)
+        self.cycles_per_second = self.config.clock_hz
+        # -- engines -------------------------------------------------------
+        self.unit_free = {
+            "matrix": 0.0,
+            "vector": 0.0,
+            "setup": 0.0,  # the floorplan's Systolic Data Setup block
+            "dma_in": 0.0,
+            "dma_out": 0.0,
+            "dram": 0.0,
+            "control": 0.0,
+        }
+        # -- scoreboard ------------------------------------------------------
+        self.token_write: dict[int, tuple[float, str]] = {}
+        self.token_read: dict[int, float] = {}
+        self.deps = program.metadata.get("deps")
+        self._last_serial_token = -1  # fallback chaining when deps missing
+        # -- weight path ------------------------------------------------------
+        self.fifo_depth = self.config.weight_fifo_tiles
+        self.tile_load_cycles = self.config.tile_load_cycles()
+        self.ready_queue: deque[tuple[int, float]] = deque()  # (tile_id, ready)
+        self.pop_times: list[float] = []
+        self.push_count = 0
+        self.prev_mm_start = 0.0
+        # -- stall accounting --------------------------------------------------
+        self.active = 0.0
+        self.useful = 0.0
+        self.weight_stall = 0.0
+        self.weight_shift = 0.0
+        self.raw_stall = 0.0
+        self.input_stall = 0.0
+        self.walked = 0
+
+    def _init_memory(self):
+        if self.functional:  # a timing run places no data
+            super()._init_memory()
+
+    # -- scoreboard ----------------------------------------------------------
+    def _dep_times(self, index: int) -> tuple[float, str, float]:
+        """(read-ready time, binding unit, WAR/WAW-ready time)."""
+        if self.deps is None:
+            # Sequential fallback for hand-assembled programs.
+            prev = self.token_write.get(self._last_serial_token, (0.0, "control"))
+            return prev[0], prev[1], prev[0]
+        dep = self.deps[index]
+        ready, unit = 0.0, "control"
+        for token in dep.reads:
+            t, u = self.token_write.get(token, (0.0, "control"))
+            if t > ready:
+                ready, unit = t, u
+        war_ready = 0.0
+        for token in dep.war:
+            t, _u = self.token_write.get(token, (0.0, "control"))
+            war_ready = max(war_ready, t, self.token_read.get(token, 0.0))
+        return ready, unit, war_ready
+
+    def _commit(self, index: int, end: float, unit: str) -> None:
+        if self.deps is None:
+            self._last_serial_token = index
+            self.token_write[index] = (end, unit)
+            return
+        dep = self.deps[index]
+        for token in dep.writes:
+            self.token_write[token] = (end, unit)
+        for token in dep.reads:
+            if self.token_read.get(token, 0.0) < end:
+                self.token_read[token] = end
+
+    # -- main loop -------------------------------------------------------------
+    def execute(self) -> ExecutionResult:
+        bank = self.counters
+        for index, instr in enumerate(self.program.instructions):
+            self.walked += 1
+            bank.add("instructions_issued", 1)
+            if isinstance(instr, ReadWeights):
+                self._exec_read_weights(index, instr)
+            elif isinstance(instr, MatrixMultiply):
+                self._exec_matmul(index, instr)
+            elif isinstance(instr, Activate):
+                self._exec_activate(index, instr)
+            elif isinstance(instr, VectorInstruction):
+                self._exec_vector(index, instr)
+            elif isinstance(instr, ReadHostMemory):
+                self._exec_dma_in(index, instr)
+            elif isinstance(instr, WriteHostMemory):
+                self._exec_dma_out(index, instr)
+            elif isinstance(instr, Configure):
+                self._exec_configure(index, instr)
+            elif isinstance(instr, (Sync, SyncHost)):
+                barrier = max(self.unit_free.values())
+                self.unit_free["control"] = barrier
+                bank.add("sync_instructions", 1)
+                self._commit(index, barrier, "control")
+            elif isinstance(instr, (DebugTag, Nop, InterruptHost)):
+                start = self.unit_free["control"]
+                self.unit_free["control"] = start + 1
+                if isinstance(instr, Nop):
+                    bank.add("nop_instructions", 1)
+                self._commit(index, start + 1, "control")
+            elif isinstance(instr, Halt):
+                break
+            else:
+                raise TypeError(f"device cannot execute {type(instr)!r}")
+
+        total = max(self.unit_free.values())
+        total = max(total, 1.0)
+        bank.add("total_cycles", total)
+        bank.add("array_active_cycles", self.active)
+        bank.add("useful_mac_cycles", self.useful)
+        bank.add("weight_stall_cycles", self.weight_stall)
+        bank.add("weight_shift_cycles", self.weight_shift)
+        non_matrix = max(total - self.active - self.weight_stall - self.weight_shift, 0.0)
+        bank.add("non_matrix_cycles", non_matrix)
+        bank.add("raw_stall_cycles", min(self.raw_stall, non_matrix))
+        bank.add("input_stall_cycles", min(self.input_stall, non_matrix))
+        bank.add("batches_completed", 1)
+        breakdown = CycleBreakdown(
+            total=total,
+            active=self.active,
+            weight_stall=self.weight_stall,
+            weight_shift=self.weight_shift,
+            non_matrix=non_matrix,
+            useful_mac_weighted=min(self.useful, self.active),
+            raw_stall=min(self.raw_stall, non_matrix),
+            input_stall=min(self.input_stall, non_matrix),
+        )
+        return ExecutionResult(
+            program_name=self.program.name,
+            batch_size=self.program.batch_size,
+            cycles=total,
+            seconds=total / self.cycles_per_second,
+            breakdown=breakdown,
+            counters=bank.snapshot(),
+            output=self.output,
+        )
+
+    # -- engines -----------------------------------------------------------------
+    def _exec_read_weights(self, index: int, instr: ReadWeights) -> None:
+        slot_free = 0.0
+        if self.push_count >= self.fifo_depth:
+            pop_index = self.push_count - self.fifo_depth
+            if pop_index < len(self.pop_times):
+                slot_free = self.pop_times[pop_index]
+            else:
+                # The consuming matmul has not been issued yet; fall back
+                # to the last known matrix time.
+                slot_free = self.unit_free["matrix"]
+        # Static weight tiles stream the full padded tile; dynamic tiles
+        # (attention K^T/V staged through Weight Memory) move only their
+        # packed bytes, and must wait for the activations they stage.
+        spec = self.program.tiles.get(instr.tile_id)
+        if spec is not None and spec.dynamic:
+            nbytes = spec.rows * spec.cols
+            load_cycles = self.tile_load_cycles * nbytes / self.config.tile_bytes
+        else:
+            nbytes = self.config.tile_bytes
+            load_cycles = self.tile_load_cycles
+        dep_ready = 0.0
+        if self.deps is not None:
+            dep_ready, _unit, _war = self._dep_times(index)
+        start = max(self.unit_free["dram"], slot_free, dep_ready)
+        end = start + load_cycles
+        self.unit_free["dram"] = end
+        self.ready_queue.append((instr.tile_id, end))
+        self.push_count += 1
+        self.counters.add("read_weights_instructions", 1)
+        self.counters.add("weight_tiles_loaded", 1)
+        self.counters.add("weight_bytes_read", nbytes)
+        self._commit(index, end, "dram")
+
+    def _exec_matmul(self, index: int, instr: MatrixMultiply) -> None:
+        cfg = self.config
+        dep_ready, dep_unit, war_ready = self._dep_times(index)
+        matrix_free = self.unit_free["matrix"]
+        shift_done = 0.0
+        tile_ready = 0.0
+        shift_start = 0.0
+        spec = None
+        if instr.load_new_tile:
+            if not self.ready_queue:
+                raise RuntimeError("MatrixMultiply with load_new_tile but empty Weight FIFO")
+            tile_id, tile_ready = self.ready_queue.popleft()
+            spec = self.program.tiles[tile_id]
+            shift_start = max(tile_ready, self.prev_mm_start)
+            self.pop_times.append(shift_start)
+            shift_done = shift_start + cfg.weight_shift_cycles
+            if self.functional:
+                self._install_tile(tile_id)
+        start = max(matrix_free, shift_done, dep_ready, war_ready)
+        idle = start - matrix_free
+        if idle > 0:
+            stall = 0.0
+            shift = 0.0
+            if instr.load_new_tile:
+                stall = max(0.0, min(start, tile_ready) - matrix_free)
+                shift = max(
+                    0.0,
+                    min(start, shift_done) - max(matrix_free, shift_start, tile_ready),
+                )
+            covered = stall + shift
+            self.weight_stall += stall
+            self.weight_shift += shift
+            rest = idle - covered
+            if rest > 0 and dep_ready >= start - 1e-9:
+                if dep_unit == "dma_in":
+                    self.input_stall += rest
+                else:
+                    self.raw_stall += rest
+        factor = speed_factor(instr.weight_bits, instr.activation_bits)
+        duration = instr.rows * factor
+        end = start + duration
+        self.unit_free["matrix"] = end
+        self.prev_mm_start = start
+        self.active += duration
+        if spec is not None:
+            fill = (spec.rows * spec.cols) / (cfg.matrix_dim * cfg.matrix_dim)
+        else:
+            fill = 1.0
+        self.useful += duration * fill
+        macs = instr.rows * (spec.rows * spec.cols if spec is not None else cfg.macs)
+        self.counters.add("macs_issued", macs)
+        self.counters.add("ops_committed", 2 * macs)
+        self.counters.add("rows_streamed", instr.rows)
+        self.counters.add(
+            "convolve_instructions" if instr.convolve else "matmul_instructions", 1
+        )
+        if self.functional:
+            self._matmul_functional(instr, spec)
+        self._commit(index, end, "matrix")
+
+    def _exec_activate(self, index: int, instr: Activate) -> None:
+        dep_ready, _unit, war_ready = self._dep_times(index)
+        duration = self.device.activation_unit.cycles(instr.rows * instr.lanes)
+        start = max(self.unit_free["vector"], dep_ready, war_ready)
+        end = start + duration
+        self.unit_free["vector"] = end
+        self.counters.add("activate_instructions", 1)
+        self.counters.add("activation_cycles", duration)
+        if self.functional:
+            self._activate_functional(instr)
+        self._commit(index, end, "vector")
+
+    def _exec_vector(self, index: int, instr: VectorInstruction) -> None:
+        dep_ready, _unit, war_ready = self._dep_times(index)
+        elements = instr.rows * instr.lanes * VectorKind.PASSES[instr.kind]
+        if instr.kind == VectorKind.POOL and self.pool_config:
+            elements *= self.pool_config["window"] ** 2
+        # Patch streaming runs on the dedicated setup block, concurrent
+        # with the activation pipeline.
+        unit = "setup" if instr.kind == VectorKind.IM2COL else "vector"
+        duration = self.device.activation_unit.cycles(elements)
+        start = max(self.unit_free[unit], dep_ready, war_ready)
+        end = start + duration
+        self.unit_free[unit] = end
+        self.counters.add(
+            "pooling_cycles" if instr.kind == VectorKind.POOL else "activation_cycles",
+            duration,
+        )
+        if self.functional:
+            self._vector_functional(instr)
+        self._commit(index, end, unit)
+
+    def _exec_dma_in(self, index: int, instr: ReadHostMemory) -> None:
+        nbytes = instr.rows * ROW_BYTES
+        duration = self.dma.transfer_seconds(nbytes) * self.cycles_per_second
+        _ready, _unit, war_ready = self._dep_times(index)
+        start = max(self.unit_free["dma_in"], war_ready)
+        end = start + duration
+        self.unit_free["dma_in"] = end
+        self.counters.add("read_host_instructions", 1)
+        self.counters.add("pcie_bytes_in", nbytes)
+        self.counters.add("dma_in_cycles", duration)
+        if self.functional:
+            self._dma_in_functional(instr)
+        self._commit(index, end, "dma_in")
+
+    def _exec_dma_out(self, index: int, instr: WriteHostMemory) -> None:
+        nbytes = instr.rows * ROW_BYTES
+        duration = self.dma.transfer_seconds(nbytes) * self.cycles_per_second
+        ready, _unit, _war = self._dep_times(index)
+        start = max(self.unit_free["dma_out"], ready)
+        end = start + duration
+        self.unit_free["dma_out"] = end
+        self.counters.add("write_host_instructions", 1)
+        self.counters.add("pcie_bytes_out", nbytes)
+        self.counters.add("dma_out_cycles", duration)
+        if self.functional:
+            self._dma_out_functional(instr)
+        self._commit(index, end, "dma_out")
+
+    def _exec_configure(self, index: int, instr: Configure) -> None:
+        start = self.unit_free["control"]
+        self.unit_free["control"] = start + 1
+        self._configure(instr)
+        self._commit(index, start + 1, "control")
 
 
 def no_bulk_admission(sim, i, top_when):
@@ -342,7 +669,7 @@ def install() -> Counter:
     """Route this process's compiler, device and closed-loop calls through
     the oracles; returns a live count of how often each one fired.
 
-    Patches module attributes in place and never undoes them, so call it
+    Patches module and class attributes in place and never undoes them, so call it
     only in a fresh interpreter.  ``Lowering`` and ``run_closed_loop`` are
     bound by name in ``repro.compiler.driver`` and
     ``repro.latency.queueing`` at import, so those bindings are the ones
@@ -359,15 +686,15 @@ def install() -> Counter:
             fired["lowering"] += 1
             super()._matmul_pass(*args, **kwargs)
 
-    def device_loop(program, config):
+    def device_loop(dev, program, host_input=None):
         fired["device"] += 1
-        return withhold_timing_plan(program, config)
+        return PerInstructionRun(dev, program, host_input).execute()
 
     def closed_loop(*args, **kwargs):
         fired["closed_loop"] += 1
         return reference_closed_loop(*args, **kwargs)
 
     driver.Lowering = CountingLowering
-    device._timing_plan_for = device_loop
+    device.TPUDevice._execute = device_loop
     queueing.run_closed_loop = closed_loop
     return fired

@@ -186,10 +186,28 @@ class TestValidation:
          r"default_rtt_ms must be a finite.*got 10{400}$"),
         (lambda: ScenarioSpec.from_dict({"kind": "serve", "loads": [10**400]}),
          "loads entries must fit in a float"),
+        # Integer fields size and index int64 arrays.
+        (lambda: ServeScenario(requests=10**400),
+         r"requests must fit in a signed 64-bit integer.*got 10{400}$"),
+        (lambda: ServeScenario(requests=2**63),
+         r"requests must fit in a signed 64-bit integer \(at most 2\*\*63 - 1\), "
+         r"got 9223372036854775808$"),
+        (lambda: ServeScenario(replicas=10**30),
+         "replicas must fit in a signed 64-bit integer"),
+        (lambda: ServeScenario(batch=2**63), "batch must fit in a signed 64-bit integer"),
+        (lambda: DatacenterScenario(max_replicas=2**63),
+         "max_replicas must fit in a signed 64-bit integer"),
+        (lambda: ScenarioSpec.from_dict({"kind": "llm", "chips": 2**64}),
+         "chips must fit in a signed 64-bit integer"),
+        (lambda: ClusterSpec(name="c", replicas=2**63),
+         "cluster replicas must fit in a signed 64-bit integer"),
     ])
     def test_actionable_messages(self, build, message):
         with pytest.raises(SpecError, match=message):
             build()
+
+    def test_integer_fields_accept_the_int64_maximum(self):
+        assert ServeScenario(requests=2**63 - 1).requests == 2**63 - 1
 
     def test_from_dict_requires_kind(self):
         with pytest.raises(SpecError, match="needs a string 'kind'"):

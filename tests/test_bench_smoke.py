@@ -89,13 +89,13 @@ def test_device_fast_path_engaged_by_default(monkeypatch):
     plan = device_mod._timing_plan_for(compiled.program, device_mod.TPU_V1)
     assert plan is not None, "paper programs must take the precomputed plan"
     runs = []
-    original = device_mod._Run._execute_plan
+    original = device_mod._execute_plan
 
-    def spy(run, plan):
+    def spy(plan, *args):
         runs.append(plan)
-        return original(run, plan)
+        return original(plan, *args)
 
-    monkeypatch.setattr(device_mod._Run, "_execute_plan", spy)
+    monkeypatch.setattr(device_mod, "_execute_plan", spy)
     device_mod.TPUDevice().run(compiled.program)
     assert runs == [plan]
 

@@ -1,4 +1,4 @@
-"""Tests for the TPU memory system: UB, accumulators, FIFO, DRAM, DMA."""
+"""Tests for the TPU memory system: UB, accumulators, DRAM, DMA."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core.config import TPUConfig, TPU_PRIME, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
 from repro.core.unified_buffer import UnifiedBuffer
-from repro.core.weight_fifo import WeightFIFO
 from repro.core.weight_memory import WeightMemory
 from repro.util.units import GB, MIB
 
@@ -139,26 +138,6 @@ class TestAccumulators:
         assert acc.high_water_rows == 6
 
 
-class TestWeightFIFO:
-    def test_fifo_order_and_depth(self):
-        fifo = WeightFIFO(depth=2)
-        fifo.push(1, None, 10.0)
-        fifo.push(2, None, 20.0)
-        assert fifo.full
-        with pytest.raises(OverflowError):
-            fifo.push(3, None, 30.0)
-        tile_id, _data, ready = fifo.pop()
-        assert (tile_id, ready) == (1, 10.0)
-        assert fifo.head_ready_time() == 20.0
-
-    def test_underflow(self):
-        fifo = WeightFIFO(depth=1)
-        with pytest.raises(IndexError):
-            fifo.pop()
-        with pytest.raises(IndexError):
-            fifo.head_ready_time()
-
-
 class TestWeightMemory:
     def test_store_read_accounting(self):
         mem = WeightMemory(capacity_bytes=1 * MIB, bandwidth_bytes_per_s=1 * GB)
@@ -193,10 +172,3 @@ class TestDMA:
         assert dma.transfer_seconds(10_000_000) == pytest.approx(
             DMAEngine.SETUP_S + 1e-3
         )
-
-    def test_direction_accounting(self):
-        dma = DMAEngine(1e9)
-        dma.host_to_device(None, 100)
-        dma.device_to_host(None, 50)
-        assert dma.bytes_in == 100
-        assert dma.bytes_out == 50

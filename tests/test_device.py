@@ -1,12 +1,39 @@
-"""Device tests: functional equivalence and timing behaviour."""
+"""Device tests: functional equivalence, timing behaviour, and parity
+with the per-instruction oracle."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.compiler.driver import TPUDriver
-from repro.core.config import TPU_V1
+from repro.compiler.lowering import InstrDeps
+from repro.core.config import TPU_PRIME, TPU_V1, TPUConfig
 from repro.core.device import TPUDevice
+from repro.isa import assemble, decode_program, disassemble, encode_program
+from repro.isa.instructions import (
+    Activate,
+    Configure,
+    DebugTag,
+    Halt,
+    InterruptHost,
+    MatrixMultiply,
+    Nop,
+    ReadHostMemory,
+    ReadWeights,
+    Sync,
+    SyncHost,
+    VectorInstruction,
+    VectorKind,
+    WriteHostMemory,
+    pack_pooling_config,
+)
+from repro.isa.program import TileSpec, TPUProgram
 from repro.nn.graph import Model
+from repro.nn.layers import Activation
+from repro.nn.quantization import quantize
+from repro.nn.reference import ReferenceExecutor, initialize_weights, random_input
+from tests import oracles
 from tests.conftest import functional_pair
 
 
@@ -161,3 +188,191 @@ class TestHostModel:
         compiled = driver.compile(workloads["mlp0"])
         ips = driver.ips(compiled, profiles["mlp0"])
         assert 120_000 < ips < 400_000
+
+
+def _assert_identical(result, reference, label):
+    """Cycles, seconds, the breakdown, and every counter's value and type."""
+    assert result.cycles == reference.cycles, label
+    assert result.seconds == reference.seconds, label
+    assert dataclasses.asdict(result.breakdown) == dataclasses.asdict(
+        reference.breakdown
+    ), label
+    assert result.counters == reference.counters, label
+    assert {k: type(v) for k, v in result.counters.items()} == {
+        k: type(v) for k, v in reference.counters.items()
+    }, label
+
+
+def _hand_assembled(seed: int) -> tuple[TPUProgram, TPUConfig]:
+    """A random well-formed program and the config to run it on.
+
+    Most programs carry no dependency sidecar, so the device chains them
+    serially; every fourth carries a random one.  Fetch bursts run deeper
+    than the Weight FIFO, tiles are static or dynamic, and a third of the
+    streams round-trip through the binary encoding or the assembler.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(lo: int, hi: int) -> int:
+        return int(rng.integers(lo, hi))
+
+    tiles = {
+        tile_id: TileSpec(
+            tile_id, rows=draw(1, 257), cols=draw(1, 257), dynamic=bool(rng.random() < 0.3)
+        )
+        for tile_id in range(8)
+    }
+    instructions = []
+    queued = 0  # tiles fetched and not yet shifted in
+    for _ in range(draw(1, 48)):
+        pick = draw(0, 13)
+        if pick == 0:
+            burst = draw(1, 9)
+            instructions += [ReadWeights(tile_id=draw(0, 8)) for _ in range(burst)]
+            queued += burst
+        elif pick in (1, 2):
+            load = queued > 0 and rng.random() < 0.8
+            queued -= load
+            instructions.append(MatrixMultiply(
+                ub_row=draw(0, 4096), acc_row=draw(0, 4096), rows=draw(1, 400),
+                accumulate=bool(rng.random() < 0.5), load_new_tile=load,
+                weight_bits=int(rng.choice((8, 16))),
+                activation_bits=int(rng.choice((8, 16))),
+                convolve=bool(rng.random() < 0.3),
+            ))
+        elif pick == 3:
+            instructions.append(Activate(
+                acc_row=draw(0, 4096), ub_row=draw(0, 4096), rows=draw(1, 300),
+                lanes=draw(1, 257), function=list(Activation)[draw(0, len(Activation))],
+                scale_id=0,
+            ))
+        elif pick == 4:
+            instructions.append(VectorInstruction(
+                kind=int(rng.choice(VectorKind.ALL)), src_row=draw(0, 4096),
+                dst_row=draw(0, 4096), rows=draw(1, 64), lanes=draw(1, 257), scale_id=0,
+            ))
+        elif pick == 5:
+            instructions.append(
+                ReadHostMemory(buffer_id=0, ub_row=draw(0, 4096), rows=draw(0, 200))
+            )
+        elif pick == 6:
+            instructions.append(
+                WriteHostMemory(buffer_id=1, ub_row=draw(0, 4096), rows=draw(0, 200))
+            )
+        elif pick == 7:
+            key = (Configure.KEY_POOLING, Configure.KEY_CONV, Configure.KEY_MODE)[draw(0, 3)]
+            geometry = pack_pooling_config(
+                draw(1, 5), draw(1, 4), draw(1, 64), draw(1, 64), draw(1, 256)
+            )
+            instructions.append(Configure(key=key, value=geometry))
+        else:
+            control = (Sync(), SyncHost(), Nop(), DebugTag(tag=seed), InterruptHost())
+            instructions.append(control[pick - 8])
+    if rng.random() < 0.1:
+        instructions.insert(draw(0, len(instructions) + 1), Halt())  # ends the stream early
+    instructions.append(Halt())
+    if seed % 3 == 1:
+        instructions = decode_program(encode_program(instructions))
+    elif seed % 3 == 2:
+        instructions = assemble(disassemble(instructions))
+    metadata = {}
+    if seed % 4 == 0:
+        metadata["deps"] = tuple(
+            InstrDeps(
+                reads=tuple(draw(0, index) for _ in range(draw(0, 3))) if index else (),
+                writes=(index,) if rng.random() < 0.8 else (),
+                war=tuple(draw(0, index) for _ in range(draw(0, 2))) if index else (),
+            )
+            for index in range(len(instructions))
+        )
+    program = TPUProgram(
+        name=f"hand-{seed}", instructions=tuple(instructions), tiles=tiles, scales=(),
+        host_buffers={}, batch_size=1, metadata=metadata,
+    )
+    config = dataclasses.replace(
+        TPU_PRIME if seed % 2 else TPU_V1, weight_fifo_tiles=draw(1, 7)
+    )
+    return program, config
+
+
+def _deepest_prefetch(instructions) -> int:
+    """The most tiles a stream fetches ahead of the matmuls that shift them in."""
+    depth = deepest = 0
+    for instr in instructions:
+        if isinstance(instr, Halt):
+            break
+        depth += isinstance(instr, ReadWeights)
+        depth -= isinstance(instr, MatrixMultiply) and instr.load_new_tile
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _functional_program(model: Model, seed: int = 3):
+    """A model compiled with quantized parameters, and its input codes."""
+    executor = ReferenceExecutor(model, initialize_weights(model, seed=seed))
+    x = random_input(model, seed=seed + 4)
+    params = executor.calibrate(x)
+    compiled = TPUDriver().compile(model, params=params)
+    return compiled.program, quantize(np.asarray(x, dtype=np.float64), params.input_scale)
+
+
+#: Counters only a functional run can charge: they count moved data.
+DATA_COUNTERS = ("ub_bytes_read", "ub_bytes_written", "acc_rows_written")
+
+
+class TestOracleParity:
+    """The timing plan against ``PerInstructionRun`` in tests/oracles.py."""
+
+    def test_hand_assembled_programs_match_the_oracle(self):
+        kinds, vector_kinds, over_deep, dynamic = set(), set(), 0, 0
+        for seed in range(1200):
+            program, config = _hand_assembled(seed)
+            result = TPUDevice(config).run(program)
+            oracle = oracles.PerInstructionRun(TPUDevice(config), program)
+            _assert_identical(result, oracle.execute(), f"seed {seed}")
+            assert oracle.walked > 0, seed
+            kinds.update(type(instr) for instr in program.instructions)
+            vector_kinds.update(
+                i.kind for i in program.instructions if isinstance(i, VectorInstruction)
+            )
+            over_deep += _deepest_prefetch(program.instructions) > config.weight_fifo_tiles
+            dynamic += any(
+                isinstance(i, ReadWeights) and program.tiles[i.tile_id].dynamic
+                for i in program.instructions
+            )
+        assert kinds == {
+            ReadHostMemory, WriteHostMemory, ReadWeights, MatrixMultiply, Activate,
+            VectorInstruction, Sync, SyncHost, Configure, InterruptHost, DebugTag, Nop, Halt,
+        }
+        assert vector_kinds == set(VectorKind.ALL)
+        assert over_deep > 100 and dynamic > 100, (over_deep, dynamic)
+
+    @pytest.mark.parametrize("name", ["tiny_mlp", "tiny_cnn", "tiny_lstm"])
+    def test_functional_runs_match_the_oracle(self, name, request):
+        program, codes = _functional_program(request.getfixturevalue(name))
+        result = TPUDevice(functional=True).run(program, host_input=codes)
+        oracle = oracles.PerInstructionRun(TPUDevice(functional=True), program, codes)
+        reference = oracle.execute()
+        assert oracle.walked == len(program.instructions)
+        _assert_identical(result, reference, name)
+        assert all(result.counters[key] > 0 for key in DATA_COUNTERS), name
+        assert result.output.dtype == reference.output.dtype
+        assert result.output.shape == reference.output.shape
+        assert result.output.tobytes() == reference.output.tobytes()
+
+    @pytest.mark.parametrize("name", ["tiny_mlp", "tiny_cnn", "tiny_lstm"])
+    def test_functional_run_is_the_timing_run_plus_data(self, name, request):
+        program, codes = _functional_program(request.getfixturevalue(name))
+        functional = TPUDevice(functional=True).run(program, host_input=codes)
+        timing = TPUDevice().run(program)
+        assert timing.output is None and functional.output is not None
+        assert all(timing.counters[key] == 0 for key in DATA_COUNTERS)
+        data_free = dataclasses.replace(
+            functional,
+            output=None,
+            counters={**functional.counters, **{key: 0 for key in DATA_COUNTERS}},
+        )
+        assert data_free == timing
+        assert {k: type(v) for k, v in data_free.counters.items()} == {
+            k: type(v) for k, v in timing.counters.items()
+        }

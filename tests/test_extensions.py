@@ -168,8 +168,9 @@ class TestFailureInjection:
             host_buffers={},
             batch_size=1,
         )
-        with pytest.raises(RuntimeError, match="empty Weight FIFO"):
-            TPUDevice().run(program)
+        for functional in (False, True):
+            with pytest.raises(RuntimeError, match="empty Weight FIFO"):
+                TPUDevice(functional=functional).run(program)
 
     def test_functional_requires_tile_data(self, tiny_mlp):
         driver = TPUDriver()
@@ -187,8 +188,34 @@ class TestFailureInjection:
             host_buffers={},
             batch_size=1,
         )
-        # Timing-only mode tolerates it (no data is touched)...
-        TPUDevice(functional=False).run(program)
+        # A fetched tile is looked up only when a matmul shifts it in, so
+        # both modes run the fetch alone, with the same timing.
+        timing = TPUDevice(functional=False).run(program)
+        functional = TPUDevice(functional=True).run(program)
+        assert timing.counters["weight_tiles_loaded"] == 1
+        assert functional.cycles == timing.cycles
+        assert functional.counters == timing.counters
+        assert functional.output is None
+
+    @pytest.mark.parametrize("functional", [False, True], ids=["timing", "functional"])
+    @pytest.mark.parametrize("instructions, error, message", [
+        (
+            (ReadWeights(tile_id=0),
+             MatrixMultiply(ub_row=0, acc_row=0, rows=1, accumulate=False,
+                            load_new_tile=True), Halt()),
+            KeyError, "^0$",
+        ),
+        ((object(), Halt()), TypeError, r"^device cannot execute <class 'object'>$"),
+    ], ids=["unknown-tile-shifted-in", "unknown-instruction"])
+    def test_malformed_program_raises_in_both_modes(
+        self, instructions, error, message, functional
+    ):
+        program = TPUProgram(
+            name="malformed", instructions=instructions, tiles={}, scales=(),
+            host_buffers={}, batch_size=1,
+        )
+        with pytest.raises(error, match=message):
+            TPUDevice(functional=functional).run(program)
 
     def test_breakdown_survives_trivial_program(self):
         program = TPUProgram(

@@ -97,15 +97,17 @@ WIDTHS = ((8, 8), (16, 16))
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_vectorized_device_path_bit_identical(name, monkeypatch):
-    """The device's timing plan must match its per-instruction loop.
+def test_vectorized_device_path_bit_identical(name):
+    """The device's timing plan must match the per-instruction oracle.
 
+    ``PerInstructionRun`` in tests/oracles.py walks the program one
+    instruction at a time on its own scoreboard and engine clocks.
     Cycle counts, seconds, the cycle breakdown, and every counter --
     including the int-vs-float type of each value, which the Table 3
-    rendering distinguishes -- must be identical instruction for
-    instruction.  (The pinned tables above run through the plan, so this
-    localizes any future divergence to the device layer.)  The
-    transformer programs cover the plan's dynamic K^T/V tile staging.
+    rendering distinguishes -- must be identical.  (The pinned tables
+    above run through the plan, so this localizes any future divergence
+    to the device layer.)  The transformer programs cover the plan's
+    dynamic K^T/V tile staging.
     """
     driver = TPUDriver.shared()
     model = build_workload(name)
@@ -115,10 +117,10 @@ def test_vectorized_device_path_bit_identical(name, monkeypatch):
         ).program
         assert device_mod._timing_plan_for(program, TPU_V1) is not None
         plan = TPUDevice().run(program)
-        with monkeypatch.context() as patch:
-            patch.setattr(device_mod, "_timing_plan_for", oracles.withhold_timing_plan)
-            loop = TPUDevice().run(program)
+        oracle = oracles.PerInstructionRun(TPUDevice(), program)
+        loop = oracle.execute()
         label = f"{name} at {weight_bits}x{activation_bits}"
+        assert oracle.walked == len(program.instructions), label
         assert plan.cycles == loop.cycles, label
         assert plan.seconds == loop.seconds, label
         assert dataclasses.asdict(plan.breakdown) == dataclasses.asdict(loop.breakdown), label
