@@ -50,7 +50,6 @@ from repro.serving.batcher import (
     FixedBatcher,
     SLOAdaptiveBatcher,
     TimeoutBatcher,
-    make_batcher,
 )
 from repro.serving.traffic import poisson_arrivals
 
@@ -329,16 +328,7 @@ def evaluate_hybrid(
     tracing = obs.TRACER.enabled
     metering = obs.REGISTRY.enabled
 
-    batchers = {
-        c.index: make_batcher(
-            c.spec.policy,
-            c.spec.curve,
-            slo_seconds=c.spec.slo_seconds,
-            batch_size=c.spec.batch_size,
-            timeout_seconds=c.spec.timeout_seconds,
-        )
-        for c in topology.clusters
-    }
+    batchers = {c.index: c.spec.batcher for c in topology.clusters}
     event_cache: dict[tuple[int, int], np.ndarray] = {}
     carry = {c.index: 0.0 for c in topology.clusters}
     cells: list[_Cell] = []

@@ -18,6 +18,7 @@ TPU at batch ~200, 80% of peak).
 from __future__ import annotations
 
 import abc
+import math
 from collections.abc import Sequence
 
 from repro.platforms.base import BATCH_CANDIDATES
@@ -61,7 +62,7 @@ class TimeoutBatcher(Batcher):
     def __init__(self, batch_size: int, timeout_seconds: float) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if timeout_seconds < 0:
+        if not timeout_seconds >= 0:  # NaN fails this too
             raise ValueError(f"timeout must be non-negative, got {timeout_seconds}")
         self.max_batch = batch_size
         self.timeout_seconds = timeout_seconds
@@ -99,8 +100,10 @@ class SLOAdaptiveBatcher(Batcher):
         service_share: float = 0.5,
         slo_margin: float = 0.95,
     ) -> None:
-        if slo_seconds <= 0:
-            raise ValueError(f"slo_seconds must be positive, got {slo_seconds}")
+        if not 0 < slo_seconds < math.inf:
+            raise ValueError(f"slo_seconds must be positive and finite, got {slo_seconds}")
+        if not candidates:
+            raise ValueError("candidates must name at least one batch size")
         if not 0 < service_share <= 1:
             raise ValueError(f"service_share must be in (0, 1], got {service_share}")
         if not 0 < slo_margin <= 1:
@@ -122,21 +125,30 @@ class SLOAdaptiveBatcher(Batcher):
         # Even when nothing fits (the paper's CPU LSTM case), the service
         # still has to run: serve singletons and miss.
         self.max_batch = fitting[-1] if fitting else min(candidates)
-        self._budget_cache: dict[int, float] = {}
+        self._budgets: tuple[float, ...] | None = None
 
-    def _wait_budget(self, queue_len: int) -> float:
+    def _budget(self, queue_len: int) -> float:
         # The margin keeps dispatches strictly inside the deadline, so
         # queueing jitter doesn't flip p99 across the SLO boundary.
-        # Memoized per queue length: the curve is fixed for the batcher's
-        # lifetime and the event loop asks for the same handful of queue
-        # depths hundreds of thousands of times per sweep.
-        cached = self._budget_cache.get(queue_len)
-        if cached is not None:
-            return cached
         budget = self.slo_seconds * self.slo_margin
-        wait = max(budget - self.curve.latency(max(queue_len, 1)), 0.0)
-        self._budget_cache[queue_len] = wait
-        return wait
+        return max(budget - self.curve.latency(max(queue_len, 1)), 0.0)
+
+    def wait_budgets(self) -> tuple[float, ...]:
+        """The wait budget at each queue length ``0 .. max_batch - 1``.
+
+        Built on first use and kept: the curve is fixed for the
+        batcher's lifetime, the event loop asks for these queue depths
+        hundreds of thousands of times per sweep, and the fleet's batch
+        scan reads the whole vector.
+        """
+        if self._budgets is None:
+            self._budgets = tuple(self._budget(n) for n in range(self.max_batch))
+        return self._budgets
+
+    def _wait_budget(self, queue_len: int) -> float:
+        if queue_len < self.max_batch:
+            return (self._budgets or self.wait_budgets())[queue_len]
+        return self._budget(queue_len)
 
     def dispatch_size(self, queue_len: int, oldest_age: float) -> int:
         if queue_len >= self.max_batch:

@@ -44,6 +44,7 @@ from repro.platforms.kv import (
     kv_capacity_tokens,
     kv_transfer_seconds,
 )
+from repro.serving.engine import reject_first
 from repro.util.units import MIB
 
 #: Pinned relative tolerance between the continuous scheduler and the
@@ -246,17 +247,11 @@ class LLMRunResult:
     prefill_chip_seconds: float
 
 
-def _reject_first(name: str, values: np.ndarray, bad: np.ndarray, want: str) -> None:
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{name}[{i}] must be {want}, got {values[i].item()!r}")
-
-
 def _integers(name: str, values, low: int) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
-    _reject_first(name, values, values < low, f"an integer >= {low}")
+    reject_first(name, values, values < low, f"an integer >= {low}")
     return values.astype(np.int64)
 
 
@@ -276,7 +271,7 @@ def _validated_trace(
                 "give one per request"
             )
     ok = np.isfinite(arrivals) & (arrivals >= 0)
-    _reject_first("arrivals", arrivals, ~ok, "a finite time >= 0 s")
+    reject_first("arrivals", arrivals, ~ok, "a finite time >= 0 s")
     prompts = _integers("prompts", prompts, low=0)
     decodes = _integers("decodes", decodes, low=1)
     too_big = prompts + decodes + 1 > kv_capacity

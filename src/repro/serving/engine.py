@@ -23,6 +23,14 @@ import numpy as np
 
 from repro import obs
 
+
+def reject_first(name: str, values: np.ndarray, bad: np.ndarray, want: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` and its first ``bad`` index."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name}[{i}] must be {want}, got {values[i].item()!r}")
+
+
 class EventLoop:
     """A minimal heap-based discrete-event scheduler.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
@@ -23,13 +24,19 @@ import numpy as np
 from repro import obs, perfcache
 from repro.nn.graph import Model
 from repro.platforms.base import BATCH_CANDIDATES, Platform
-from repro.serving.batcher import Batcher, FixedBatcher, TimeoutBatcher
+from repro.serving.batcher import (
+    Batcher,
+    FixedBatcher,
+    SLOAdaptiveBatcher,
+    TimeoutBatcher,
+)
 from repro.serving.engine import (
     BatchServer,
     EventLoop,
     LatencyCurve,
     Request,
     ServingStats,
+    reject_first,
     summarize,
 )
 
@@ -249,8 +256,13 @@ class FleetSim:
         drain: bool = True,
     ) -> None:
         arrivals = np.asarray(arrivals, dtype=float)
+        if arrivals.ndim != 1:
+            raise ValueError(
+                f"arrivals must be one-dimensional, got shape {arrivals.shape}"
+            )
         if arrivals.size == 0:
             raise ValueError("arrivals must be non-empty")
+        reject_first("arrivals", arrivals, ~np.isfinite(arrivals), "a finite time")
         self.replicas: list[Replica] = list(replicas)
         self.eligible: list[Replica] = list(replicas)  # routing targets
         self.router = router
@@ -376,12 +388,13 @@ class FleetSim:
         """Drive the event loop over the arrival trace.
 
         Sorted traces whose per-replica arrival streams are known up
-        front (:meth:`_scan_applies`) are stepped per batch by
-        :meth:`_scan_batches` instead.  Other sorted traces (JSQ,
-        SLO-adaptive batching, custom policies, the autoscaler's
-        dynamic replica set) merge the arrival stream directly against
-        the dynamic-event heap instead of pushing a heap event per
-        arrival.  Event order is identical to scheduling every arrival
+        front (:meth:`_scan_applies`: round-robin fixed, timeout and
+        SLO-adaptive fleets) are stepped per batch by
+        :meth:`_scan_batches` instead.  Other sorted traces (JSQ, custom
+        policies, adaptive batchers over a dipping latency curve, the
+        autoscaler's dynamic replica set) merge the arrival stream
+        directly against the dynamic-event heap instead of pushing a
+        heap event per arrival.  Event order is identical to scheduling every arrival
         up front: events already on the loop when the run starts carry
         lower sequence numbers than the arrivals would have received,
         so they win exact time ties; events scheduled during the run
@@ -515,23 +528,49 @@ class FleetSim:
         """Whether each replica's batches follow from its own arrivals.
 
         They do under exactly :class:`RoundRobinRouter` over a static
-        set of exactly :class:`FixedBatcher` and :class:`TimeoutBatcher`
-        replicas that are idle with empty queues at the first arrival,
-        with nothing pre-scheduled on the loop: replica ``q`` then
-        receives the strided slice ``arrivals[(q - base) % R :: R]`` and
-        nothing else touches its queue.  The trace must start at t >= 0,
-        where the age test can beat a deadline by at most one ulp.
-        O(replicas); the caller has checked the trace is sorted.
+        set of replicas that are idle with empty queues at the first
+        arrival, with nothing pre-scheduled on the loop: replica ``q``
+        then receives the strided slice ``arrivals[(q - base) % R :: R]``
+        and nothing else touches its queue.  Every batcher must be
+        exactly a :class:`FixedBatcher`, a :class:`TimeoutBatcher`, or an
+        :class:`SLOAdaptiveBatcher` whose wait budgets are finite and
+        never rise with the queue (:meth:`_scan_budgets`).  The trace
+        must start at t >= 0, where the age test can beat a deadline by
+        at most one ulp.  O(replicas + adaptive batch caps); the caller
+        has checked the trace is sorted.
         """
         if type(self.router) is not RoundRobinRouter or self.loop._heap:
             return False
         first = self._times[0]
         return (
-            all(type(r.batcher) in (FixedBatcher, TimeoutBatcher) for r in self.replicas)
+            all(
+                type(r.batcher) in (FixedBatcher, TimeoutBatcher)
+                or self._scan_budgets(r.batcher) is not None
+                for r in self.replicas
+            )
             and first >= 0.0
             and self.eligible == self.replicas
             and all(not r.queue and r.server.free_at <= first for r in self.replicas)
         )
+
+    @staticmethod
+    def _scan_budgets(batcher: Batcher) -> tuple[float, ...] | None:
+        """The wait budgets :meth:`poll` compares, by queue length
+        (:meth:`SLOAdaptiveBatcher.wait_budgets`), or None unless the
+        batcher is exactly an :class:`SLOAdaptiveBatcher` whose budgets
+        are finite and never rise over ``L = 1 .. max_batch - 1``.
+
+        A latency curve that dips somewhere gives a rising budget; the
+        per-arrival loop steps such a fleet.
+        """
+        if type(batcher) is not SLOAdaptiveBatcher:
+            return None
+        budgets = batcher.wait_budgets()
+        if all(map(math.isfinite, budgets[1:])) and all(
+            map(operator.ge, budgets[1:], budgets[2:])
+        ):
+            return budgets
+        return None
 
     def _scan_batches(self) -> None:
         """Step every replica batch by batch over its round-robin share."""
@@ -565,12 +604,15 @@ class FleetSim:
         * the first poll at or past the head's deadline, the float
           ``wait_deadline`` returns -- or one ulp earlier, where the age
           test ``now - oldest >= timeout`` can already hold, if an
-          arrival or an earlier head's still-pending timer polls there;
+          arrival, an earlier head's still-pending timer or the
+          end-of-trace poll polls there;
         * the drain poll after the global last arrival.
 
-        Python work is per batch; responses go through strided slices,
-        and the queue stays empty apart from what a non-draining fixed
-        batcher leaves behind.
+        An SLO-adaptive head's deadline moves with the queue length, so
+        :meth:`_adaptive_launch` finds its launch past the first poll by
+        one bisection over the queue lengths.  Python work is per batch;
+        responses go through strided slices, and the queue stays empty
+        apart from what a non-draining fixed batcher leaves behind.
         """
         m = len(own)
         cap = replica.batcher.max_batch
@@ -578,6 +620,8 @@ class FleetSim:
             replica.batcher.timeout_seconds
             if type(replica.batcher) is TimeoutBatcher else None
         )
+        budgets = self._scan_budgets(replica.batcher)
+        recent: deque[tuple[float, int, int]] = deque()  # adaptive heads' timers
         server = replica.server
         responses = self.responses[start::stride]
         arrivals = self.arrivals[start::stride]
@@ -594,7 +638,11 @@ class FleetSim:
             else:  # idle with an empty queue until the head arrives
                 now, admitted = own[head], head + 1
             oldest = own[head]
-            if not (
+            if budgets is not None:
+                now, admitted = self._adaptive_launch(
+                    own, head, now, admitted, budgets, self._times[-1], self.drain, recent
+                )
+            elif not (
                 admitted - head >= cap
                 or (drain_at is not None and (now, admitted) >= drain_at)
                 or (timeout is not None
@@ -613,7 +661,9 @@ class FleetSim:
                     j = bisect_left(own, early, admitted)
                     if j < m and own[j] == early:
                         options.append((early, j + 1))
-                    elif early < deadline and early in timers:
+                    elif early < deadline and (
+                        early in timers or (j == m and early == self._times[-1])
+                    ):  # an earlier head's timer or the end-of-trace poll
                         options.append((early, j))
                     elif j < m and own[j] == deadline:
                         options.append((deadline, j + 1))
@@ -635,6 +685,95 @@ class FleetSim:
                 self._post_launch(replica, range(first, first + n * stride, stride), now, done)
             head += n
             free = server.free_at
+
+    @staticmethod
+    def _adaptive_launch(
+        own: list[float],
+        head: int,
+        start: float,
+        first: int,
+        budgets: tuple[float, ...],
+        end: float,
+        drain: bool,
+        recent: deque[tuple[float, int, int]],
+    ) -> tuple[float, int]:
+        """The poll ``(time, own arrivals admitted)`` that launches the
+        SLO-adaptive batch headed by ``own[head]``, given the first poll
+        ``(start, first)`` that finds the server free.
+
+        From there the replica polls at each own arrival, at the timer
+        each non-launching poll sets for ``oldest + budget(L)``, at
+        earlier heads' still-pending timers, and at the end-of-trace
+        poll ``(end, m)``.  The budget never rises with ``L``, so the
+        launch test only turns true along those polls, and "a poll with
+        at most ``a`` own arrivals admitted launches" is monotone in
+        ``a``: one bisection finds the launch.  It lands
+
+        * at an arrival poll where the queue holds ``max_batch``, where
+          the age test ``now - oldest >= budget(L)`` or the deadline
+          test ``oldest + budget(L) <= now`` holds, or at the drain;
+        * otherwise at the last poll's deadline timer, or at the drain
+          poll if that comes first;
+        * or one ulp before that deadline, where the age test can
+          already hold, if an earlier head's still-pending timer or the
+          end-of-trace poll sits exactly there.
+
+        A head's timers are ``oldest + budget(L)`` over the contiguous
+        range of queue lengths its non-launching polls saw, so
+        ``recent`` keeps one ``(oldest, first L, last L)`` per head; this
+        call prunes it and appends the current head's.
+        """
+        m = len(own)
+        cap = len(budgets)
+        oldest = own[head]
+
+        def lands(a: int) -> tuple[float, int] | None:
+            """Where the launch lands if a poll with at most ``a`` own
+            arrivals admitted makes it, else None."""
+            now = start if a == first else own[a - 1]
+            if a - head >= cap or (drain and a == m and now >= end):
+                return now, a
+            budget = budgets[a - head]
+            deadline = oldest + budget
+            if now - oldest >= budget or deadline <= now:
+                return now, a
+            upcoming = own[a] if a < m else math.inf
+            options = []
+            if deadline < upcoming:
+                options.append((deadline, a))
+            if drain and a == m:
+                options.append((end, m))
+            early = math.nextafter(deadline, -math.inf)
+            if now < early < upcoming and early - oldest >= budget and (
+                (a == m and early == end)
+                or any(
+                    then + budgets[n] == early
+                    for then, lo, hi in recent
+                    for n in range(lo, hi + 1)
+                )
+            ):
+                options.append((early, a))
+            return min(options) if options else None
+
+        launch = lands(first)
+        if launch is None:
+            lo, hi = first + 1, min(m, head + cap)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if lands(mid) is None:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            launch = lands(lo)
+        when, admitted = launch
+        # Every poll up to the launch set a timer, unless it launched.
+        polled = own[admitted - 1] if admitted > first else start
+        last = admitted - head - (when == polled)
+        if last >= first - head:
+            while recent and recent[0][0] + budgets[recent[0][1]] <= when:
+                recent.popleft()  # every timer it set has fired
+            recent.append((oldest, first - head, last))
+        return launch
 
     def run(self) -> FleetResult:
         self._run_events()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.nn.graph import Model
 from repro.platforms.base import Platform
-from repro.serving.batcher import make_batcher
+from repro.serving.batcher import Batcher, make_batcher
 from repro.serving.fleet import Fleet, FleetResult, PlatformCurve, Replica
 from repro.serving.traffic import poisson_arrivals
 from repro.util.tables import TextTable
@@ -68,7 +68,10 @@ class FleetSpec:
         # across the whole sweep, not once per operating point.
         return PlatformCurve(self.platform, self.model)
 
-    def _batcher(self):
+    @cached_property
+    def batcher(self) -> Batcher:
+        # Policies decide from the queue alone, so every replica and
+        # build of the spec shares one, with its adaptive wait budgets.
         return make_batcher(
             self.policy,
             self.curve,
@@ -78,8 +81,8 @@ class FleetSpec:
         )
 
     def make_replica(self, index: int) -> Replica:
-        """One replica of this spec (shared memoized latency curve)."""
-        return Replica(self.curve, self._batcher(), name=f"{self.platform.kind}{index}")
+        """One replica of this spec (shared latency curve and batcher)."""
+        return Replica(self.curve, self.batcher, name=f"{self.platform.kind}{index}")
 
     def build(self) -> Fleet:
         return Fleet(
@@ -88,7 +91,7 @@ class FleetSpec:
 
     def max_batch(self) -> int:
         """The policy's largest admissible batch on this platform."""
-        return self._batcher().max_batch
+        return self.batcher.max_batch
 
     def capacity_rps(self) -> float:
         """Aggregate request rate at 100% utilization and full batches."""

@@ -17,8 +17,8 @@ compares the production path with a second, live implementation:
   with its "window too small" answer, so every arrival takes the
   per-arrival admission path;
 * :func:`no_batch_scan` -- stands in for ``FleetSim._scan_applies``, so
-  round-robin fixed/timeout fleets take the per-arrival event loop
-  instead of the per-batch scan;
+  round-robin fixed, timeout and SLO-adaptive fleets take the
+  per-arrival event loop instead of the per-batch scan;
 * :func:`reference_stride_assign` -- the globe exact backend's stride
   scheduler over a numpy credit vector, one ``argmax`` per arrival;
 * :class:`PerTokenLLMSim` -- the LLM decode engine with per-token

@@ -129,17 +129,31 @@ class TestHybridVsExact:
 
 
 class TestExactBackendOracles:
-    """The exact backend's fast paths against the oracles in
-    tests/oracles.py: FleetSim's per-batch scan (each cluster is a
-    round-robin timeout fleet) and the plain-float stride scheduler."""
+    """The globe's fast paths against the oracles in tests/oracles.py:
+    FleetSim's per-batch scan (each cluster, and each hybrid event cell,
+    is a round-robin timeout or SLO-adaptive fleet) and the plain-float
+    stride scheduler."""
 
-    def test_rows_identical_through_the_per_arrival_loop(self, monkeypatch):
-        # Loaded enough that some bins spill across regions, so clusters
-        # replay merged multi-region arrival streams.
-        scenario = small_world(
-            rate=14000.0, duration_s=1.0, period_s=1.0, bins=4, backend="exact",
-        )
-        scanned = repro.run(scenario)
+    @pytest.mark.parametrize("world", ["timeout", "adaptive", "default_hybrid"])
+    def test_rows_identical_through_the_per_arrival_loop(self, monkeypatch, world):
+        # The exact worlds are loaded enough that some bins spill across
+        # regions, so clusters replay merged multi-region arrival streams.
+        if world == "timeout":
+            scenario = small_world(
+                rate=14000.0, duration_s=1.0, period_s=1.0, bins=4, backend="exact",
+            )
+        elif world == "adaptive":
+            scenario = small_world(
+                rate=150000.0, duration_s=0.1, period_s=0.1, bins=4, backend="exact",
+                policy="adaptive", batch=None, timeout_ms=None,
+            )
+        else:
+            scenario = GlobalScenario()
+        polls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "poll", lambda sim, replica: polls.append(replica))
+            scanned = repro.run(scenario)
+        assert polls == [], "the batch scan did not engage"
         answered = []
 
         def no_batch_scan(sim):
@@ -148,9 +162,12 @@ class TestExactBackendOracles:
 
         monkeypatch.setattr(FleetSim, "_scan_applies", no_batch_scan)
         per_arrival = repro.run(scenario)
-        assert len(answered) == 3
         assert scanned.rows == per_arrival.rows
         global_row = next(r for r in scanned.rows if r["section"] == "global")
+        if world == "default_hybrid":
+            assert answered and global_row["backend_cells"]["event"] > 0
+            return
+        assert len(answered) == 3
         assert global_row["spill_fraction"] > 0
 
     def test_stride_assign_matches_the_numpy_oracle(self):

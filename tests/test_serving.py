@@ -14,7 +14,13 @@ from repro.serving.batcher import (
     TimeoutBatcher,
     make_batcher,
 )
-from repro.serving.engine import ConstantCurve, EventLoop, run_closed_loop, summarize
+from repro.serving.engine import (
+    ConstantCurve,
+    EventLoop,
+    LatencyCurve,
+    run_closed_loop,
+    summarize,
+)
 from repro.serving.fleet import Fleet, FleetSim, PlatformCurve, Replica, make_router
 from repro.serving.sweep import (
     FleetSpec,
@@ -39,8 +45,9 @@ def single_replica(batcher, occupancy=SERVICE, latency=None):
 
 
 def withhold_batch_scan(patch):
-    """Route round-robin fixed/timeout fleets through the per-arrival
-    event loop (``oracles.no_batch_scan``); returns the sims it answered."""
+    """Route round-robin fixed, timeout and SLO-adaptive fleets through
+    the per-arrival event loop (``oracles.no_batch_scan``); returns the
+    sims it answered."""
     answered = []
 
     def no_batch_scan(sim):
@@ -164,6 +171,37 @@ class TestBatchers:
         with pytest.raises(ValueError):
             make_batcher("nope", curve, slo_seconds=7e-3)
         assert make_batcher("timeout", curve, 7e-3, batch_size=8).max_batch == 8
+        for timeout in (math.nan, -1e-3):
+            with pytest.raises(ValueError, match="timeout must be non-negative"):
+                TimeoutBatcher(8, timeout)
+        for slo in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="slo_seconds must be positive and finite"):
+                SLOAdaptiveBatcher(slo, curve)
+        with pytest.raises(ValueError, match="candidates must name at least one"):
+            SLOAdaptiveBatcher(7e-3, curve, candidates=())
+
+
+class TestMalformedArrivals:
+    """``FleetSim`` names ``arrivals`` and the first bad index; negative
+    times stay legal."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival(self, bad):
+        arrivals = np.arange(50) * 1e-3
+        arrivals[7] = bad
+        fleet = single_replica(TimeoutBatcher(8, 1e-3))
+        with pytest.raises(ValueError, match=r"arrivals\[7\] must be a finite time"):
+            fleet.run(arrivals)
+
+    def test_two_dimensional_arrivals(self):
+        fleet = single_replica(TimeoutBatcher(8, 1e-3))
+        with pytest.raises(ValueError, match=r"arrivals must be one-dimensional.*\(5, 2\)"):
+            fleet.run(np.zeros((5, 2)))
+
+    def test_negative_arrivals_stay_legal(self):
+        fleet = single_replica(TimeoutBatcher(8, 1e-3))
+        result = fleet.run(np.array([-2e-3, -1e-3, 0.0]))
+        assert sum(result.served_per_replica) == 3
 
 
 class TestJSQTieBreaking:
@@ -391,12 +429,30 @@ class TestVectorizedServingParity:
         assert server.busy_intervals == ref_server.busy_intervals
 
 
+class GrowingCurve(LatencyCurve):
+    """Batch time grows with the batch: 2^-10 s of occupancy at batch 8."""
+
+    def occupancy(self, batch):
+        return (8 + batch) * 2.0**-14
+
+    def latency(self, batch):
+        return (8 + batch) * 2.0**-13
+
+
 class TestBatchScanParity:
-    """Round-robin fixed/timeout fleets step per batch (``FleetSim``'s
-    batch scan).  The per-arrival event loop is the oracle: with
-    ``no_batch_scan`` and ``no_bulk_admission`` from tests/oracles.py
-    installed, the same fleet must give bit-identical responses,
-    per-replica accounting, busy intervals, horizon and busy time."""
+    """Round-robin fixed, timeout and SLO-adaptive fleets step per batch
+    (``FleetSim``'s batch scan).  The per-arrival event loop is the
+    oracle: with ``no_batch_scan`` and ``no_bulk_admission`` from
+    tests/oracles.py installed, the same fleet must give bit-identical
+    responses, per-replica accounting, busy intervals, horizon and busy
+    time.
+
+    ``adaptive`` runs over :class:`GrowingCurve` with a 9 * 2^-12 s SLO,
+    so its wait budgets ``(10 - L) * 2^-13`` fall with each queued
+    request and most batches launch part-full at a deadline;
+    ``adaptive_clamped`` has an SLO below its batch latency, so every
+    budget clamps to 0.0 (and nothing fits, so it serves batch 8 anyway).
+    """
 
     # Powers of two: on the duplicate-timestamp grid, deadlines and free
     # times land exactly on arrivals.
@@ -406,13 +462,30 @@ class TestBatchScanParity:
 
     def _fleet(self, replicas, policy, batch=BATCH, timeout=TIMEOUT):
         curve = ConstantCurve(self.OCCUPANCY, latency_seconds=1.5 * self.OCCUPANCY)
+        if policy == "adaptive":
+            curve = GrowingCurve()
 
         def batcher():
             if policy == "fixed":
                 return FixedBatcher(batch)
-            return TimeoutBatcher(batch, timeout)
+            if policy == "timeout":
+                return TimeoutBatcher(batch, timeout)
+            if policy == "adaptive":
+                return SLOAdaptiveBatcher(
+                    9 * 2.0**-12, curve, candidates=(1, batch),
+                    service_share=1.0, slo_margin=1.0,
+                )
+            return SLOAdaptiveBatcher(self.OCCUPANCY, curve, candidates=(batch,))
 
         return Fleet([Replica(curve, batcher(), name=f"r{i}") for i in range(replicas)])
+
+    def test_adaptive_fixture_budgets(self):
+        grows = self._fleet(1, "adaptive").replicas[0].batcher
+        assert grows.max_batch == self.BATCH
+        assert [grows._wait_budget(n) for n in (1, 7)] == [9 * 2.0**-13, 3 * 2.0**-13]
+        clamped = self._fleet(1, "adaptive_clamped").replicas[0].batcher
+        assert clamped.max_batch == self.BATCH
+        assert {clamped._wait_budget(n) for n in range(1, self.BATCH)} == {0.0}
 
     def _arrivals(self, traffic, replicas, load, n=3000, seed=5):
         rate = load * replicas * self.BATCH / self.OCCUPANCY
@@ -445,14 +518,14 @@ class TestBatchScanParity:
 
     @pytest.mark.parametrize("traffic", ["poisson", "diurnal", "duplicates"])
     @pytest.mark.parametrize("replicas", [1, 3, 4])
-    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive", "adaptive_clamped"])
     def test_matches_the_event_loop(self, monkeypatch, policy, replicas, traffic):
         arrivals = self._arrivals(traffic, replicas, load=0.7)
         if traffic == "duplicates":
             assert np.any(np.diff(arrivals) == 0)
         self.check(monkeypatch, lambda: self._fleet(replicas, policy), arrivals)
 
-    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive", "adaptive_clamped"])
     def test_max_batch_one(self, monkeypatch, policy):
         arrivals = self._arrivals("duplicates", 3, load=0.1)
         self.check(monkeypatch, lambda: self._fleet(3, policy, batch=1), arrivals)
@@ -463,16 +536,16 @@ class TestBatchScanParity:
         self.check(monkeypatch, lambda: self._fleet(3, "timeout", timeout=0.0), arrivals)
 
     @pytest.mark.parametrize("drain", [True, False])
-    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive", "adaptive_clamped"])
     def test_trace_ending_in_a_partial_batch(self, monkeypatch, policy, drain):
         arrivals = self._arrivals("poisson", 3, load=0.6, n=3 * self.BATCH * 40 + 5)
         result = self.check(
             monkeypatch, lambda: self._fleet(3, policy), arrivals, drain=drain
         )
-        assert result.unserved == (0 if drain or policy == "timeout" else 5)
+        assert result.unserved == (0 if drain or policy != "fixed" else 5)
 
     @pytest.mark.parametrize("replicas", [1, 4])
-    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive", "adaptive_clamped"])
     def test_overload(self, monkeypatch, policy, replicas):
         arrivals = self._arrivals("poisson", replicas, load=1.4)
         self.check(monkeypatch, lambda: self._fleet(replicas, policy), arrivals)
@@ -497,9 +570,9 @@ class TestBatchScanParity:
     def test_age_test_one_ulp_before_the_deadline(self, monkeypatch):
         """``now - oldest >= timeout`` can hold one ulp before the float
         deadline ``oldest + timeout``.  A launch happens there if an
-        arrival, the server-free poll, or a still-pending timer set for
-        an earlier head polls at that instant, and at the deadline
-        otherwise.
+        arrival, the server-free poll, a still-pending timer set for an
+        earlier head, or the end-of-trace poll polls at that instant, and
+        at the deadline otherwise.
         """
         timeout, unit = 1.5, 2.0**-56
         oldest = 24 * unit
@@ -525,17 +598,66 @@ class TestBatchScanParity:
             assert result.busy_intervals[0][k][0] == start
         assert result.batches_per_replica == (2,)  # the deadline arrival joined
 
-    def test_observability_matches_the_event_loop(self, monkeypatch):
+        # Without a drain, the end-of-trace poll after another replica's
+        # last arrival still polls, here at `early`.
+        def pair(new_batcher):
+            curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=2.0**-10)
+            return lambda: Fleet([Replica(curve, new_batcher()) for _ in range(2)])
+
+        for new_batcher in (
+            lambda: TimeoutBatcher(4, timeout),
+            lambda: SLOAdaptiveBatcher(
+                timeout + 2.0**-10, ConstantCurve(1e-3, 2.0**-10), candidates=(4,),
+                service_share=1.0, slo_margin=1.0,
+            ),
+        ):
+            result = self.check(
+                monkeypatch, pair(new_batcher), np.array([oldest, early]), drain=False
+            )
+            assert result.busy_intervals[0][0][0] == early
+
+        # SLO-adaptive: the budget at queue length 1 is one 2^-51 step over
+        # the budget at 2.  The first head's three arrivals fill the batch,
+        # leaving its timers from queue lengths 1 and 2 pending.  The next
+        # head waits at queue length 2, and the age test holds one ulp
+        # before its deadline, where the first head's timer from queue
+        # length 1 polls.
+        class Steps(LatencyCurve):
+            def occupancy(self, batch):
+                return 1e-300
+
+            def latency(self, batch):
+                return 0.0 if batch == 1 else 2.0**-51
+
+        def adaptive():
+            batcher = SLOAdaptiveBatcher(
+                timeout + 2.0**-51, Steps(), candidates=(3,),
+                service_share=1.0, slo_margin=1.0,
+            )
+            assert [batcher._wait_budget(n) for n in (1, 2)] == [timeout + 2.0**-51, timeout]
+            return Fleet([Replica(Steps(), batcher)])
+
+        first, second = 9 * unit, 56 * unit
+        second_early = math.nextafter(second + timeout, -math.inf)
+        assert second_early - second >= timeout
+        assert first + timeout + 2.0**-51 == second_early != first + timeout
+        arrivals = np.array([first, 10 * unit, 11 * unit, second, 57 * unit, 10.0])
+        result = self.check(monkeypatch, adaptive, arrivals)
+        assert result.busy_intervals[0][1][0] == second_early
+
+    @pytest.mark.parametrize("policy", ["timeout", "adaptive", "adaptive_clamped"])
+    def test_observability_matches_the_event_loop(self, monkeypatch, policy):
         """Spans equal as a multiset, histograms equal up to the order
         observations arrive in (replica by replica under the scan)."""
         arrivals = self._arrivals("poisson", 3, load=0.9)
+        polls = []
 
         def observed():
             obs.REGISTRY.reset()
             obs.set_metrics(True)
             try:
                 with obs.capture() as tracer:
-                    self._fleet(3, "timeout").run(arrivals)
+                    self._fleet(3, policy).run(arrivals)
                 spans = Counter(
                     (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, tuple(sorted(s.args.items())))
                     for s in tracer.snapshot()
@@ -546,7 +668,10 @@ class TestBatchScanParity:
                 obs.REGISTRY.reset()
                 obs.TRACER.clear()
 
-        spans, metrics = observed()
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "poll", lambda sim, r: polls.append(r))
+            spans, metrics = observed()
+        assert polls == [], "the batch scan did not engage"
         with monkeypatch.context() as patch:
             answered = withhold_batch_scan(patch)
             ref_spans, ref_metrics = observed()
@@ -586,6 +711,21 @@ class TestBatchScanParity:
         busy = sim()
         busy.replicas[1].server.start_batch(0.0995, 4)  # busy past the first arrival
         assert not busy._scan_applies()
+
+        class Dips(GrowingCurve):  # batch 3 runs faster than batch 2
+            def latency(self, batch):
+                return super().latency(1 if batch == 3 else batch)
+
+        def adaptive(curve):
+            return lambda batch, _timeout: SLOAdaptiveBatcher(
+                9 * 2.0**-12, curve, candidates=(batch,), service_share=1.0, slo_margin=1.0
+            )
+
+        assert sim(batcher=adaptive(GrowingCurve()))._scan_applies()
+        dips = sim(batcher=adaptive(Dips()))
+        budgets = [dips.replicas[0].batcher._wait_budget(n) for n in (2, 3)]
+        assert budgets[1] > budgets[0]
+        assert not dips._scan_applies()
 
     @pytest.mark.parametrize("router", ["round_robin", "jsq"])
     def test_a_fleet_runs_twice_identically(self, router):
