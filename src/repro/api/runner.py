@@ -51,10 +51,10 @@ def run(scenario: ScenarioSpec) -> ScenarioResult:
 
 
 def _run_profile(scenario: ProfileScenario) -> ScenarioResult:
-    from repro.analysis.common import tpu_driver, workload
+    from repro.analysis.common import platforms, workload
 
     model = workload(scenario.workload)
-    driver = tpu_driver()
+    driver = platforms()["tpu"].driver
     compiled = driver.compile(
         model,
         weight_bits=scenario.weight_bits,

@@ -115,7 +115,7 @@ def _timed(name: str, fn) -> BenchRecord:
     a metrics snapshot of what the run did (registry enabled per bench)."""
     from repro import perfcache
 
-    cache = perfcache.get_cache()
+    cache = perfcache.GLOBAL
     cache.reset_counters()
     obs.REGISTRY.reset()
     previous = obs.REGISTRY.enabled

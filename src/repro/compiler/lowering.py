@@ -176,7 +176,7 @@ class EmissionRecord:
     config, operand widths).  The allocator contributes nothing but the
     byte placement reported in the program metadata, which
     :meth:`finish` recomputes per consumer.  That split is what lets
-    :class:`repro.perfcache.LoweringCache` replay one emission across
+    :data:`repro.perfcache.GLOBAL_LOWERING` replay one emission across
     fresh drivers and across allocator choices (the Table 8 study).
 
     Records are immutable and their parts are shared, never copied:

@@ -1,39 +1,44 @@
-"""Process-wide memoized latency/occupancy-curve cache.
+"""Process-wide content-keyed memo tables.
 
-The serving sweeps, the SLO-adaptive batcher's candidate probes, the
-provisioning search, and the autoscaler all keep asking the same
-question -- "how long does a batch of ``n`` occupy platform ``P`` running
-workload ``W``, and when do its responses return?" -- and on the TPU each
-fresh answer compiles and profiles a model variant.  This module gives
-the whole process one answer table, keyed by
+Two questions come back again and again, and each has one table:
 
-    (platform spec hash, workload name + structural params, batch)
+* :data:`GLOBAL` -- "how long does a batch of ``n`` occupy platform
+  ``P`` running workload ``W``, and when do its responses return?"
+  Keyed by ``(platform spec hash, workload structure hash, batch)``.
+  The serving sweeps, the SLO-adaptive batcher's budgets (through the
+  shared :class:`~repro.serving.fleet.PlatformCurve`), ``latency.sweep``,
+  ``datacenter.provisioning``, ``datacenter.autoscaler`` and the
+  report's ``--jobs`` fan-out (which warms it *before* forking workers)
+  all ask through :func:`occupancy_latency`.
+* :data:`GLOBAL_LOWERING` -- "what does the compiler emit for this
+  structure at this batch and operand width?"  Keyed by
+  :func:`lowering_key`; the TPU driver replays a hit and re-runs only
+  the allocation pass.
 
-so every consumer (``serving.sweep``, ``serving.batcher`` via the shared
-:class:`~repro.serving.fleet.PlatformCurve`, ``latency.sweep``,
-``datacenter.provisioning``, ``datacenter.autoscaler``, and the report's
-``--jobs`` fan-out, which warms this cache *before* forking workers)
-hits the same entries.
+Keys are content hashes of the platform's published spec, the model's
+structure and the TPU config, not object identities, so two
+independently built ``TPUPlatform()`` instances -- or a workload rebuilt
+from a JSON scenario round-trip -- share entries, and two models that
+share a name but not a structure never do.  Each hash is computed once
+per instance and memoized on it, so a lookup costs a dict probe.
 
-Keys are content hashes of the platform's published spec and the model's
-structure, not object identities, so two independently built
-``TPUPlatform()`` instances -- or a workload rebuilt from a JSON scenario
-round-trip -- share entries.  The cache is explicitly invalidatable (all
-entries, one platform, or one workload) and counts hits and misses so
-benchmarks can prove the cache is engaged.
-
-Bypass it with the :func:`disabled` context manager; cached and
-uncached results are identical by construction (the cache stores exactly
-what the platform computed on the first miss).
+Both tables are :class:`PerfCache` instances with one API: ``get`` and
+``put``, hit/miss counters (``stats``, ``reset_counters``, ``metrics``)
+and ``invalidate`` by workload and/or platform.  Bypass both with the
+:func:`disabled` context manager; cached and uncached results are
+identical by construction (a table stores exactly what was computed on
+the first miss).  Compiled programs and their profiles are memoized by
+the driver (:class:`~repro.compiler.driver.TPUDriver`), not here.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -74,17 +79,32 @@ def _digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _memoized_on_instance(compute: Callable[[object], str]) -> Callable[[object], str]:
+    """Compute a key once per instance and store it on the instance.
+
+    Works on frozen dataclasses too.  A hit costs one dict probe, which
+    is what keeps a curve lookup cheap for a model the size of cnn1.
+    """
+
+    @functools.wraps(compute)
+    def key(obj) -> str:
+        cached = obj.__dict__.get("_perfcache_key")
+        if cached is None:
+            cached = compute(obj)
+            object.__setattr__(obj, "_perfcache_key", cached)
+        return cached
+
+    return key
+
+
+@_memoized_on_instance
 def platform_key(platform: "Platform") -> str:
     """Stable spec hash of a platform: chip + server + model constants.
 
     Derived from the *published spec*, not the instance, so equivalent
     platforms built in different processes (or before/after a scenario
-    round-trip) key the same entries.  Memoized per instance -- hashing
-    is cheap but the probes are hot.
+    round-trip) key the same entries.
     """
-    cached = platform.__dict__.get("_perfcache_key")
-    if cached is not None:
-        return cached
     spec: dict = {
         "class": type(platform).__name__,
         "kind": getattr(platform, "kind", "?"),
@@ -103,14 +123,10 @@ def platform_key(platform: "Platform") -> str:
     ):
         if hasattr(platform, attr):
             spec[attr] = getattr(platform, attr)
-    key = f"{getattr(platform, 'kind', '?')}:{_digest(spec)}"
-    try:
-        platform.__dict__["_perfcache_key"] = key
-    except (AttributeError, TypeError):  # frozen/slotted platforms
-        pass
-    return key
+    return f"{getattr(platform, 'kind', '?')}:{_digest(spec)}"
 
 
+@_memoized_on_instance
 def model_key(model: "Model") -> str:
     """Stable structural hash of a workload, *excluding* its native batch.
 
@@ -127,17 +143,10 @@ def model_key(model: "Model") -> str:
     return f"{model.name}:{_digest(spec)}"
 
 
+@_memoized_on_instance
 def config_key(config) -> str:
     """Stable content hash of a :class:`~repro.core.config.TPUConfig`."""
-    cached = getattr(config, "_perfcache_key", None)
-    if cached is not None:
-        return cached
-    key = _digest(config)
-    try:
-        object.__setattr__(config, "_perfcache_key", key)
-    except (AttributeError, TypeError):  # slotted configs
-        pass
-    return key
+    return _digest(config)
 
 
 def lowering_key(
@@ -182,44 +191,61 @@ class CacheStats:
 
 
 class PerfCache:
-    """A memo table of (occupancy, latency) seconds per curve point.
+    """A thread-safe memo table over content keys.
 
-    Thread-safe; one process-wide instance lives at
-    :data:`repro.perfcache.GLOBAL`.  Entries are exact platform
-    evaluations -- interpolation between batch sizes stays the curve's
-    business (:class:`~repro.serving.fleet.PlatformCurve`).
+    Keys are tuples whose first component names the platform (a
+    :func:`platform_key`, or a :func:`config_key` for emission records)
+    and whose second names the workload (a :func:`model_key`); that
+    layout is what :meth:`invalidate` filters on.  Values are opaque
+    and immutable once stored.  A disabled cache stores and counts
+    nothing: every :meth:`get` misses silently.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._entries: dict[tuple[str, str, int], tuple[float, float]] = {}
+        self._entries: dict[tuple, object] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
     # -- core lookup ----------------------------------------------------
+    def get(self, key: tuple):
+        """The cached value, or None on a miss (or when disabled)."""
+        if not self.enabled:
+            return None
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+        return value
+
+    def put(self, key: tuple, value) -> None:
+        """Store ``value`` unless the key is already filled (or disabled)."""
+        if not self.enabled:
+            return
+        with self._lock:
+            self._entries.setdefault(key, value)
+
+    # -- curve points ---------------------------------------------------
     def occupancy_latency(
         self, platform: "Platform", model: "Model", batch: int
     ) -> tuple[float, float]:
-        """(occupancy, response latency) per batch, memoized process-wide."""
-        if not self.enabled:
-            return (
+        """(occupancy, response latency) per batch, memoized process-wide.
+
+        Entries are exact platform evaluations -- interpolation between
+        batch sizes stays the curve's business
+        (:class:`~repro.serving.fleet.PlatformCurve`).
+        """
+        key = (platform_key(platform), model_key(model), batch)
+        value = self.get(key)
+        if value is None:
+            value = (
                 platform.occupancy_seconds(model, batch),
                 platform.service_seconds(model, batch),
             )
-        key = (platform_key(platform), model_key(model), batch)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._hits += 1
-                return cached
-        value = (
-            platform.occupancy_seconds(model, batch),
-            platform.service_seconds(model, batch),
-        )
-        with self._lock:
-            self._misses += 1
-            self._entries.setdefault(key, value)
+            self.put(key, value)
         return value
 
     def warm(
@@ -232,31 +258,27 @@ class PerfCache:
     # -- management -----------------------------------------------------
     def invalidate(
         self,
-        platform: "Platform | str | None" = None,
         workload: "Model | str | None" = None,
+        platform: "Platform | str | None" = None,
     ) -> int:
         """Drop entries; returns how many were removed.
 
-        ``platform`` / ``workload`` restrict the drop to one platform
-        (instance or ``kind``/key prefix string) or one workload
-        (instance or name).  With neither, the whole table is cleared.
+        ``workload`` (an instance, or a name/key string) and ``platform``
+        (an instance, or a ``kind``/key-prefix string) restrict the drop
+        to matching entries.  With neither, the whole table is cleared.
         """
-        pkey = None
-        if platform is not None:
-            pkey = platform if isinstance(platform, str) else platform_key(platform)
-        wkey = None
-        if workload is not None:
-            wkey = workload if isinstance(workload, str) else model_key(workload)
+        if workload is not None and not isinstance(workload, str):
+            workload = model_key(workload)
+        if platform is not None and not isinstance(platform, str):
+            platform = platform_key(platform)
+
+        def matches(component: str, want: str | None) -> bool:
+            return want is None or component == want or component.startswith(f"{want}:")
+
         with self._lock:
-            if pkey is None and wkey is None:
-                removed = len(self._entries)
-                self._entries.clear()
-                return removed
             doomed = [
-                key
-                for key in self._entries
-                if (pkey is None or key[0] == pkey or key[0].startswith(f"{pkey}:"))
-                and (wkey is None or key[1] == wkey or key[1].startswith(f"{wkey}:"))
+                key for key in self._entries
+                if matches(key[0], platform) and matches(key[1], workload)
             ]
             for key in doomed:
                 del self._entries[key]
@@ -273,141 +295,50 @@ class PerfCache:
                 hits=self._hits, misses=self._misses, entries=len(self._entries)
             )
 
+    def metrics(self) -> dict:
+        """The counters as a flat dict (a :func:`repro.obs` collector).
 
-class LoweringCache:
-    """Process-wide memo of compiled-program *emission records*.
-
-    The compiler's pass structure splits a timing-mode lowering into an
-    allocator-independent emission (instructions, dependency tokens,
-    tiles, scales -- the expensive part) and a cheap allocation pass.
-    This cache stores the emission keyed by :func:`lowering_key`, so
-    sweep points that recompile the same workload structure -- curve
-    anchors, fresh drivers, the Table 8 static-allocator study -- replay
-    the cached emission and pay only for allocation.
-
-    Values are opaque to the cache (the compiler stores its own record
-    type); entries are immutable once stored, so cached and uncached
-    compiles share the very same instruction objects and stay
-    byte-identical by construction.  Bypass it with :func:`disabled`.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._entries: dict[tuple, object] = {}
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key: tuple):
-        """The cached record, or None on a miss (or when disabled)."""
-        if not self.enabled:
-            return None
-        with self._lock:
-            record = self._entries.get(key)
-            if record is not None:
-                self._hits += 1
-            else:
-                self._misses += 1
-        return record
-
-    def put(self, key: tuple, record) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            self._entries.setdefault(key, record)
-
-    def invalidate(self, workload: "Model | str | None" = None) -> int:
-        """Drop entries (all, or one workload by instance or name)."""
-        with self._lock:
-            if workload is None:
-                removed = len(self._entries)
-                self._entries.clear()
-                return removed
-            wkey = workload if isinstance(workload, str) else model_key(workload)
-            doomed = [
-                key
-                for key in self._entries
-                if key[1] == wkey or key[1].startswith(f"{wkey}:")
-            ]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits, misses=self._misses, entries=len(self._entries)
-            )
+        Pull-based, so the lookup path stays untouched: snapshots read
+        the same counters :meth:`stats` reports.
+        """
+        stats = self.stats()
+        return {
+            "enabled": self.enabled,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "entries": stats.entries,
+            "hit_rate": stats.hit_rate,
+        }
 
 
-#: The process-wide cache every consumer routes through.
+#: Curve points: (occupancy, latency) per (platform, workload, batch).
 GLOBAL = PerfCache()
 
-#: The process-wide emission memo the compiler driver routes through.
-GLOBAL_LOWERING = LoweringCache()
+#: Compiler emission records per :func:`lowering_key`.
+GLOBAL_LOWERING = PerfCache()
 
-
-def _collect_metrics() -> dict:
-    """Publish the bespoke hit/miss counters through the metrics registry.
-
-    Pull-based (:func:`repro.obs.register_collector`), so the cache's hot
-    lookup path stays untouched: snapshots read the same counters the
-    benchmarks already report, and ``repro.obs.metrics_snapshot()`` shows
-    them as ``perfcache.hits`` / ``perfcache.misses`` / ``perfcache.
-    entries`` / ``perfcache.hit_rate`` alongside every other metric.
-    """
-    stats = GLOBAL.stats()
-    return {
-        "enabled": GLOBAL.enabled,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "entries": stats.entries,
-        "hit_rate": stats.hit_rate,
-    }
-
-
-obs.register_collector("perfcache", _collect_metrics)
-
-
-def _collect_lowering_metrics() -> dict:
-    stats = GLOBAL_LOWERING.stats()
-    return {
-        "enabled": GLOBAL_LOWERING.enabled,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "entries": stats.entries,
-        "hit_rate": stats.hit_rate,
-    }
-
-
-obs.register_collector("lowering_cache", _collect_lowering_metrics)
-
-
-def get_cache() -> PerfCache:
-    return GLOBAL
+obs.register_collector("perfcache", GLOBAL.metrics)
+obs.register_collector("lowering_cache", GLOBAL_LOWERING.metrics)
 
 
 def occupancy_latency(
     platform: "Platform", model: "Model", batch: int
 ) -> tuple[float, float]:
-    """Module-level convenience over :data:`GLOBAL` (the hot entrypoint)."""
+    """(occupancy, response latency) per batch on a platform, via :data:`GLOBAL`.
+
+    Occupancy is how long the device is unavailable; latency is when the
+    responses come back.  They differ on the TPU, where the host share
+    pipelines with device execution.
+    """
     return GLOBAL.occupancy_latency(platform, model, batch)
 
 
 @contextmanager
 def disabled():
-    """Temporarily bypass both caches (used by the parity-pin tests)."""
-    previous = GLOBAL.enabled
-    previous_lowering = GLOBAL_LOWERING.enabled
-    GLOBAL.enabled = False
-    GLOBAL_LOWERING.enabled = False
+    """Temporarily bypass both tables (used by the parity-pin tests)."""
+    previous = GLOBAL.enabled, GLOBAL_LOWERING.enabled
+    GLOBAL.enabled = GLOBAL_LOWERING.enabled = False
     try:
         yield
     finally:
-        GLOBAL.enabled = previous
-        GLOBAL_LOWERING.enabled = previous_lowering
+        GLOBAL.enabled, GLOBAL_LOWERING.enabled = previous

@@ -40,8 +40,6 @@ class TPUPlatform(Platform):
         self.config = config
         self.driver = TPUDriver.shared(config)
         self.chip = self._chip_for(config)
-        self._profile_cache: dict[tuple[str, int], float] = {}
-        self._variant_cache: dict[tuple[str, int], CompiledModel | None] = {}
 
     @staticmethod
     def _chip_for(config: TPUConfig) -> ChipSpec:
@@ -61,36 +59,22 @@ class TPUPlatform(Platform):
         Section 7); callers see it as infinite service time so batching
         policies and provisioning searches step around it.
 
-        Variants are memoized per (model, batch): the driver's own cache
-        keys on object identity, so without this memo every curve probe
-        recompiled its ``replace(model, batch_size=...)`` copy from
-        scratch.  Timing-mode programs carry no weight data, so holding
-        the full batch grid is cheap.
+        The driver memoizes the compile: its timing entries match by
+        value, so the ``replace(model, batch_size=...)`` copy of a curve
+        probe reuses the program compiled for an equal copy, and a model
+        that only shares the name gets its own.
         """
-        key = (model.name, batch)
-        if key in self._variant_cache:
-            return self._variant_cache[key]
         variant = model if batch == model.batch_size else replace(model, batch_size=batch)
         try:
-            compiled = self.driver.compile(variant)
+            return self.driver.compile(variant)
         except UBOverflowError:
-            compiled = None
-        self._variant_cache[key] = compiled
-        return compiled
+            return None
 
     def device_seconds(self, model: Model, batch: int | None = None) -> float:
         """Simulated TPU time for one batch (no host share)."""
         batch = model.batch_size if batch is None else batch
-        key = (model.name, batch)
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            return cached
         compiled = self._compile_variant(model, batch)
-        seconds = (
-            math.inf if compiled is None else self.driver.profile(compiled).seconds
-        )
-        self._profile_cache[key] = seconds
-        return seconds
+        return math.inf if compiled is None else self.driver.profile(compiled).seconds
 
     def host_seconds(self, model: Model, batch: int) -> float:
         """Host share per batch: interaction (Table 5) + app-side work."""

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs, perfcache
+from repro import obs
 from repro.nn.graph import Model
+from repro.perfcache import occupancy_latency
 from repro.platforms.base import BATCH_CANDIDATES, Platform
 from repro.serving.batcher import (
     Batcher,
@@ -41,31 +42,18 @@ from repro.serving.engine import (
 )
 
 
-def occupancy_latency(platform: Platform, model: Model, batch: int) -> tuple[float, float]:
-    """(occupancy, response latency) per batch on a platform.
-
-    Occupancy is how long the device is unavailable; latency is when the
-    responses come back.  They differ on the TPU, where the host share
-    pipelines with device execution.
-
-    Every curve probe in the repo funnels through here, and from here
-    through the process-wide :mod:`repro.perfcache` memo table, so the
-    serving sweeps, batcher probes, provisioning search, and autoscaler
-    all share one set of platform evaluations.
-    """
-    return perfcache.occupancy_latency(platform, model, batch)
-
-
 class PlatformCurve(LatencyCurve):
     """Batch latency curve measured from a platform model.
 
     Exact platform evaluations are expensive on the TPU (each new batch
     size compiles and profiles a model variant), but a running simulation
     asks about arbitrary partial-batch sizes.  So the curve is exact at a
-    grid of anchor batch sizes (evaluated lazily, memoized) and
-    piecewise-linear in between -- a good fit, since batch time is close
-    to ``fixed overhead + per-example cost`` on every platform.  Batches
-    beyond the largest anchor extrapolate from the last segment.
+    grid of anchor batch sizes (evaluated lazily through the process-wide
+    :data:`repro.perfcache.GLOBAL`) and piecewise-linear in between -- a
+    good fit, since batch time is close to ``fixed overhead + per-example
+    cost`` on every platform.  Batches beyond the largest anchor
+    extrapolate from the last segment.  Each point the simulation asks
+    for is memoized on the curve.
     """
 
     def __init__(
@@ -79,15 +67,10 @@ class PlatformCurve(LatencyCurve):
         self.anchors = sorted(set(anchors) | {1})
         if len(self.anchors) < 2:
             raise ValueError("PlatformCurve needs at least two distinct anchors")
-        self._cache: dict[int, tuple[float, float]] = {}
         self._points: dict[int, tuple[float, float]] = {}
 
     def _exact(self, batch: int) -> tuple[float, float]:
-        cached = self._cache.get(batch)
-        if cached is None:
-            cached = occupancy_latency(self.platform, self.model, batch)
-            self._cache[batch] = cached
-        return cached
+        return occupancy_latency(self.platform, self.model, batch)
 
     def _point(self, batch: int) -> tuple[float, float]:
         point = self._points.get(batch)

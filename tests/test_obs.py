@@ -212,7 +212,7 @@ def test_perfcache_counters_surface_in_snapshot():
 
     obs.set_metrics(True)
     snapshot = obs.metrics_snapshot()
-    stats = perfcache.get_cache().stats()
+    stats = perfcache.GLOBAL.stats()
     assert snapshot["perfcache.hits"] == stats.hits
     assert snapshot["perfcache.misses"] == stats.misses
     assert snapshot["perfcache.entries"] == stats.entries

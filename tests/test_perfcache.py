@@ -138,6 +138,13 @@ class TestInvalidation:
         assert filled.invalidate(workload="lstm0") == 4
         assert filled.stats().entries == 0
 
+    def test_invalidate_workload_positionally(self, filled, mlp0):
+        """A bare first argument names the workload, as on the lowering table."""
+        assert filled.invalidate("mlp0") == 4
+        assert filled.invalidate(mlp0) == 0
+        assert filled.invalidate("lstm0", platform="cpu") == 2
+        assert filled.stats().entries == 2
+
     def test_invalidated_entry_recomputes(self, mlp0):
         cache = perfcache.PerfCache(enabled=True)
         platform = HaswellPlatform()
@@ -147,6 +154,49 @@ class TestInvalidation:
         after = cache.occupancy_latency(platform, mlp0, 16)
         assert cache.stats().misses == 1
         assert after == before
+
+
+def test_lookups_hash_each_instance_once(monkeypatch):
+    """Keys are memoized on the platform and model instances, so five
+    lookups -- misses and hits -- hash once per instance, not per lookup."""
+    calls = []
+    digest = perfcache._digest
+    monkeypatch.setattr(
+        perfcache, "_digest", lambda payload: calls.append(payload) or digest(payload)
+    )
+    cache = perfcache.PerfCache(enabled=True)
+    platform, model = HaswellPlatform(), build_workload("mlp0")
+    for batch in (8, 16, 16, 8, 32):
+        cache.occupancy_latency(platform, model, batch)
+    assert len(calls) == 2
+
+
+class TestSameNamedModels:
+    """A model that shares mlp0's name but not its layers gets its own
+    answers, even from a platform that has already evaluated mlp0."""
+
+    BATCHES = (16, 200)
+
+    @staticmethod
+    def _answers(platform, model, batch):
+        return (
+            platform.device_seconds(model, batch),
+            platform.occupancy_seconds(model, batch),
+            platform.service_seconds(model, batch),
+            perfcache.occupancy_latency(platform, model, batch),
+        )
+
+    def test_platform_answers_by_content_not_name(self, mlp0):
+        short = replace(mlp0, layers=mlp0.layers[:2])
+        fresh = TPUPlatform()
+        fresh.driver = TPUDriver()  # shares no compile memo with `warmed`
+        with perfcache.disabled():
+            expected = {b: self._answers(fresh, short, b) for b in self.BATCHES}
+        warmed = TPUPlatform()
+        for batch in self.BATCHES:
+            assert self._answers(warmed, mlp0, batch) != expected[batch]
+        for batch in self.BATCHES:
+            assert self._answers(warmed, short, batch) == expected[batch]
 
 
 class TestCachedEqualsUncached:
@@ -234,7 +284,7 @@ class TestSweepConvergence:
         from repro.latency.sweep import _occupancy_latency
 
         platform = TPUPlatform()
-        cache = perfcache.get_cache()
+        cache = perfcache.GLOBAL
         _occupancy_latency(platform, mlp0, 48)  # ensure the entry exists
         cache.reset_counters()
         curve = _spec(platform, mlp0).curve
@@ -292,7 +342,7 @@ class TestLoweringCache:
         assert out == repr(perfcache.lowering_key(TPU_V1, mlp0))
 
     def test_hit_miss_accounting(self, mlp0):
-        cache = perfcache.LoweringCache(enabled=True)
+        cache = perfcache.PerfCache(enabled=True)
         key = perfcache.lowering_key(TPU_V1, mlp0)
         assert cache.get(key) is None
         lowering = Lowering(mlp0, TPU_V1)
@@ -306,7 +356,7 @@ class TestLoweringCache:
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 1)
 
     def test_disabled_cache_stores_and_counts_nothing(self, mlp0):
-        cache = perfcache.LoweringCache(enabled=False)
+        cache = perfcache.PerfCache(enabled=False)
         key = perfcache.lowering_key(TPU_V1, mlp0)
         cache.put(key, object())
         assert cache.get(key) is None
@@ -314,7 +364,7 @@ class TestLoweringCache:
         assert (stats.lookups, stats.entries) == (0, 0)
 
     def test_invalidate_by_workload(self, mlp0):
-        cache = perfcache.LoweringCache(enabled=True)
+        cache = perfcache.PerfCache(enabled=True)
         cache.put(perfcache.lowering_key(TPU_V1, mlp0), object())
         cache.put(perfcache.lowering_key(TPU_V1, build_workload("lstm0")), object())
         assert cache.invalidate("mlp0") == 1
