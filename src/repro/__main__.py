@@ -36,9 +36,6 @@ Commands:
   continuous vs fixed batching under the KV-cache capacity budget,
   optionally disaggregated into prefill/decode pools with per-pool
   autoscaling, emitting tokens/sec-per-chip vs p99 time-per-token;
-* ``bench``             -- time the hot analysis paths (report fan-out,
-  provisioning search, serving sweep) and write a ``BENCH_*.json``
-  trajectory point (``--quick`` for CI-sized scenarios);
 * ``trace <command>``   -- run any subcommand with span tracing on and
   write a Chrome trace-event JSON (open it in Perfetto), defaulting to
   ``trace.json`` when the inner command sets no ``--trace-out``;
@@ -188,19 +185,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return report_cli(args.output, only=args.only, jobs=args.jobs)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.benchmark import main as bench_main
-
-    if args.latest_name:
-        return bench_main(["--latest-name"])
-    argv = ["--jobs", str(args.jobs)]
-    if args.out is not None:
-        argv += ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    return bench_main(argv)
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Re-parse the wrapped command with tracing forced on.
 
@@ -344,26 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "traced spans stay in-process, so trace with 1)")
     _add_obs_flags(report)
     report.set_defaults(fn=_cmd_report)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the hot paths and write a BENCH_*.json trajectory point",
-        description="Tracked benchmark harness: times the report fan-out, "
-        "a datacenter provisioning search (plus its cache-hot re-search), "
-        "and a serving load sweep (plus an identical repeat), recording "
-        "wall seconds and the perfcache hit rate per scenario.",
-    )
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default: the newest "
-                            "committed BENCH_*.json name)")
-    bench.add_argument("--quick", action="store_true",
-                       help="small scenarios for CI smoke runs")
-    bench.add_argument("--jobs", type=int, default=4,
-                       help="worker processes for the report bench (default 4)")
-    bench.add_argument("--latest-name", action="store_true",
-                       help="print the newest committed BENCH_*.json "
-                            "name and exit (for CI scripting)")
-    bench.set_defaults(fn=_cmd_bench)
 
     _add_scenario_command(
         sub, ServeScenario,

@@ -30,15 +30,13 @@ simulator, not Google's fleet); the *shapes* -- who wins, by what factor,
 where crossovers fall -- are.  Each section prints measured values with
 the paper's numbers alongside.
 
-Known, deliberate deviations are documented in DESIGN.md ("Modeling
-decisions worth recording"), chiefly: per-app CPU/GPU attainment
+Known, deliberate deviations, chiefly: per-app CPU/GPU attainment
 constants stand in for the unmeasurable production stacks; Table 3's
 TOPS row inherits the paper's own counter-vs-production inconsistency;
 and our synthetic LSTM1 is heavier per step than Google's, so its
 TPU-vs-CPU ratio overshoots.
 
 Regenerate with: `python -m repro.analysis.report EXPERIMENTS.md`
-(or `pytest benchmarks/ --benchmark-only` for the per-experiment harness).
 """
 
 

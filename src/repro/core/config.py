@@ -32,7 +32,7 @@ class TPUConfig:
     pcie_bandwidth: float = 12.5 * GB
     #: Fixed per-batch host/driver cost (instruction stream, descriptors,
     #: doorbells, interrupts).  Calibrated so Table 5's host-interaction
-    #: fractions land in the published range; see DESIGN.md.
+    #: fractions land in the published range.
     host_overhead_s: float = 90e-6
     #: Elements per cycle through the activation/pooling pipeline (the
     #: 256-byte-wide internal paths of Section 2).

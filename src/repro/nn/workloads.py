@@ -18,7 +18,7 @@ The registry is split in two tiers (see docs/WORKLOADS.md):
   serving, datacenter planning, sweeps, and the ``transformer_roofline``
   experiment.
 
-Notable calibration points (see DESIGN.md):
+Notable calibration points (see docs/WORKLOADS.md):
 
 * LSTM1 embeds 600x600 matrices -- the exact example Section 7 uses to
   explain why a 512x512 matrix unit would hurt.
@@ -48,8 +48,8 @@ from repro.nn.layers import (
 
 #: Deployment mix (Table 1, July 2016): MLPs 61%, LSTMs 29%, CNNs 5%.
 #: The paper's weighted means are reproduced when the pair weight rides on
-#: the lead application of each pair (see DESIGN.md "Deployment mix"); the
-#: remaining 5% of datacenter load is not NN work and is dropped.
+#: the lead application of each pair (see docs/WORKLOADS.md, "The Table 1
+#: six"); the remaining 5% of datacenter load is not NN work and is dropped.
 DEPLOYMENT_MIX: dict[str, float] = {
     "mlp0": 0.61 / 0.95,
     "mlp1": 0.0,

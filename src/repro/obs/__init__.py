@@ -10,8 +10,8 @@ module-level logging setup (:mod:`repro.obs.log`).
 Everything is **off by default and near-free when off**: disabled spans
 return a shared no-op context manager, disabled instruments drop writes
 at one branch, and the hot simulators check one flag per run before
-emitting anything -- the paper-parity byte-identity pins and the
-``BENCH_*`` trajectory hold with the subsystem disabled *and* enabled.
+emitting anything -- the paper-parity byte-identity pins hold with the
+subsystem disabled *and* enabled.
 
 Quick tour::
 
@@ -27,8 +27,7 @@ Quick tour::
 
 CLI surfaces: ``python -m repro trace <subcommand> --trace-out trace.json``
 wraps any subcommand; ``serve``/``datacenter``/``report`` take
-``--trace-out``/``--trace-jsonl``/``--profile`` directly; ``repro bench``
-embeds a metrics snapshot per bench in the ``BENCH_*.json`` trajectory.
+``--trace-out``/``--trace-jsonl``/``--profile`` directly.
 """
 
 from repro.obs.log import get_logger, setup as setup_logging

@@ -14,8 +14,8 @@ instruments the instrumented subsystems record into:
 Recording is gated on the registry's ``enabled`` flag *inside* every
 instrument, so a disabled registry mutates nothing; hot simulator paths
 additionally check ``REGISTRY.enabled`` once per run and skip the calls
-entirely.  ``REPRO_METRICS=1`` enables recording from the environment;
-``repro bench`` and the ``--profile`` CLI surfaces enable it per run.
+entirely.  ``REPRO_METRICS=1`` enables recording from the environment; the
+``--profile`` CLI flag enables it per run.
 
 Pull-based **collectors** cover subsystems that already keep their own
 counters (e.g. :mod:`repro.perfcache`): a collector is a zero-argument

@@ -3,7 +3,7 @@
 An analytical roofline model (peak 1.3 TFLOPS fp32, 51 GB/s, ridge ~13
 MACs/weight-byte) with per-application attainment constants.
 
-Calibration notes (see DESIGN.md):
+Calibration notes:
 
 * ``mlp0`` anchors to Table 4's published absolutes: 5,482 IPS at batch
   16 (memory-bound, 0.60 of bandwidth) and 13,194 IPS at batch 64

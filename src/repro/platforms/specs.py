@@ -52,7 +52,7 @@ class ChipSpec:
 
     @property
     def ridge_ops_per_byte(self) -> float:
-        """Roofline knee in MACs per weight byte (see DESIGN.md)."""
+        """Roofline knee in MACs per weight byte."""
         return self.peak_ops / (2.0 * self.bandwidth)
 
     @property

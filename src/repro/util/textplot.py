@@ -2,8 +2,8 @@
 
 The paper's figures are log-log rooflines (Figs. 5-8), power curves
 (Fig. 10), and scaling sweeps (Fig. 11).  These renderers draw them on a
-character grid so the benchmark harness can regenerate every figure in a
-terminal with no plotting dependency.
+character grid so ``python -m repro report`` can regenerate every figure
+in a terminal with no plotting dependency.
 """
 
 from __future__ import annotations

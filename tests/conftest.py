@@ -19,15 +19,6 @@ from repro.nn.reference import ReferenceExecutor, initialize_weights, random_inp
 from repro.nn.workloads import paper_workloads
 
 
-def pytest_configure(config):
-    # No pytest.ini/pyproject in this repo, so markers register here.
-    config.addinivalue_line(
-        "markers",
-        "bench: benchmark-harness smoke tests (select with -m bench, "
-        "skip with -m 'not bench')",
-    )
-
-
 @pytest.fixture(scope="session")
 def workloads():
     return paper_workloads()

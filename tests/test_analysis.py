@@ -92,6 +92,21 @@ class TestRooflineFigures:
         assert results["figure6"].measured["ridge"] == pytest.approx(13, rel=0.05)
         assert results["figure7"].measured["ridge"] == pytest.approx(9, rel=0.05)
 
+    def test_tpu_apps_split_by_bound(self, results):
+        # MLPs and LSTMs hug the slanted ceiling; CNN0 nears the flat top.
+        points = results["figure5"].measured["points"]
+        assert points["cnn0"]["tops"] > 40
+        assert points["lstm0"]["tops"] < 10
+
+    @pytest.mark.parametrize("exp_id, fp32_peak_tops", [("figure6", 1.4), ("figure7", 3.0)])
+    def test_apps_stay_under_fp32_peak(self, results, exp_id, fp32_peak_tops):
+        # Response-time limits keep every app under the fp32 peak except
+        # cnn0, whose 8-bit AVX2 (CPU) and cuDNN (GPU) code beats the
+        # direct-convolution op count.
+        for app, point in results[exp_id].measured["points"].items():
+            if app != "cnn0":
+                assert point["tops"] < fp32_peak_tops, app
+
     def test_all_tpu_stars_above_other_rooflines(self, results):
         assert results["figure8"].measured["tpu_stars_at_or_above_other_rooflines"]
 

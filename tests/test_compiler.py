@@ -212,6 +212,16 @@ class TestLowering:
         )
         assert compiled.weight_traffic_bytes == reads * 256 * 256
 
+    def test_fewer_accumulators_reread_conv_weights(self, workloads):
+        # Convolution rows are chunked to half the accumulator file, and
+        # each chunk re-reads the layer's weight tiles.
+        traffic = {
+            scale: TPUDriver(TPUConfig().scaled(accumulators=scale))
+            .compile(workloads["cnn0"]).weight_traffic_bytes
+            for scale in (0.25, 1.0, 4.0)
+        }
+        assert traffic[0.25] > traffic[1.0] >= traffic[4.0]
+
     def test_scaled_matrix_dim_rejected_by_lowering(self, tiny_mlp):
         config = TPUConfig().scaled(matrix=2)
         with pytest.raises(NotImplementedError):

@@ -126,6 +126,16 @@ class TestTimingBehaviour:
         fast_s = fast.profile(fast.compile(model)).seconds
         assert base_s / fast_s < 1.3
 
+    def test_four_deep_weight_fifo_is_ample(self, workloads):
+        # The DRAM stream bounds memory-bound MLP0, so the 4-tile Weight
+        # FIFO already decouples it: no slower than 1 deep, near 8 deep.
+        seconds = {}
+        for depth in (1, 4, 8):
+            driver = TPUDriver(dataclasses.replace(TPU_V1, weight_fifo_tiles=depth))
+            seconds[depth] = driver.profile(driver.compile(workloads["mlp0"])).seconds
+        assert seconds[4] <= seconds[1] * 1.01
+        assert abs(seconds[4] - seconds[8]) / seconds[4] < 0.05
+
     def test_instruction_counters(self, profiles, workloads, driver):
         compiled = driver.compile(workloads["mlp1"])
         result = profiles["mlp1"]
@@ -188,6 +198,19 @@ class TestHostModel:
         compiled = driver.compile(workloads["mlp0"])
         ips = driver.ips(compiled, profiles["mlp0"])
         assert 120_000 < ips < 400_000
+
+    def test_host_overhead_limits_mlp1_ips(self, workloads):
+        # Table 4's note: max TPU throughput is host-limited, so MLP1's
+        # IPS falls as the per-batch host cost grows.
+        ips = {}
+        for factor in (0.5, 1.0, 2.0):
+            config = dataclasses.replace(
+                TPU_V1, host_overhead_s=TPU_V1.host_overhead_s * factor
+            )
+            driver = TPUDriver(config)
+            compiled = driver.compile(workloads["mlp1"])
+            ips[factor] = driver.ips(compiled, driver.profile(compiled))
+        assert ips[0.5] > ips[1.0] > ips[2.0]
 
 
 def _assert_identical(result, reference, label):
@@ -376,3 +399,23 @@ class TestOracleParity:
         assert {k: type(v) for k, v in data_free.counters.items()} == {
             k: type(v) for k, v in timing.counters.items()
         }
+
+
+class TestTimingPlanMemo:
+    """A program keeps its timing plan, keyed by the device config."""
+
+    def test_plan_is_reused_per_config_and_rebuilt_across(self, workloads):
+        program = TPUDriver().compile(workloads["mlp0"]).program
+        first = TPUDevice(TPU_V1).run(program)
+        plan = program._timing_plan[1]
+        TPUDevice(TPU_V1).run(program)
+        assert program._timing_plan[1] is plan
+
+        prime = TPUDevice(TPU_PRIME).run(program)
+        assert program._timing_plan[1] is not plan
+        assert (round(prime.cycles), round(first.cycles)) == (158_289, 546_726)
+
+        again = TPUDevice(TPU_V1).run(program)
+        fresh = TPUDriver().compile(workloads["mlp0"]).program
+        assert fresh is not program
+        _assert_identical(again, TPUDevice(TPU_V1).run(fresh), "TPU_V1 after TPU'")

@@ -29,8 +29,10 @@ class TestPrecisionModes:
         quarter = driver.profile(
             driver.compile(model, weight_bits=16, activation_bits=16)
         )
+        half = driver.profile(driver.compile(model, activation_bits=16))
         # CNN0 is compute-bound, so 4x slower compute shows up directly.
         assert quarter.seconds / full.seconds > 2.5
+        assert quarter.seconds > half.seconds
 
     def test_half_speed_mixed(self, workloads):
         driver = TPUDriver()

@@ -19,6 +19,7 @@ from repro.power.proportionality import (
 class TestQueueSim:
     def test_p99_at_least_service(self):
         stats = simulate_batch_queue(1000.0, 16, 2e-3, n_requests=5000)
+        assert stats.completed == 5000
         assert stats.p99_seconds >= 2e-3
 
     def test_p99_grows_with_load_in_high_regime(self):

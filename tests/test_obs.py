@@ -317,29 +317,6 @@ def test_env_trace_out_enables_tracing(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["traceEvents"]
 
 
-# ----------------------------------------------------------------------
-# bench schema
-# ----------------------------------------------------------------------
-def test_bench_validate_accepts_and_checks_metrics():
-    from repro.benchmark import SCHEMA, validate
-
-    base = {
-        "schema": SCHEMA,
-        "git_rev": "abc1234",
-        "quick": True,
-        "benches": [{
-            "name": "x", "wall_seconds": 0.5, "cache_hit_rate": 0.9,
-            "metrics": {"serving.batches": 3.0},
-        }],
-    }
-    validate(base)  # metrics dict is fine
-    del base["benches"][0]["metrics"]
-    validate(base)  # and optional
-    base["benches"][0]["metrics"] = ["not", "a", "dict"]
-    with pytest.raises(ValueError, match="metrics must be a dict"):
-        validate(base)
-
-
 def test_environment_switches_are_observability_only():
     """The only ``REPRO_*`` variables the library reads are the
     observability ones.  Each layer has one implementation, so no switch

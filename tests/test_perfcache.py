@@ -214,6 +214,10 @@ class TestCachedEqualsUncached:
         platform = TPUPlatform()
         kwargs = dict(load_fractions=(0.4, 0.8), n_requests=1500, seed=3)
         warm = serving_sweep(_spec(platform, mlp0), **kwargs)
+        perfcache.GLOBAL.reset_counters()
+        assert serving_sweep(_spec(platform, mlp0), **kwargs) == warm
+        stats = perfcache.GLOBAL.stats()
+        assert stats.hits > 0 and stats.misses == 0  # a repeat is all hits
         with perfcache.disabled():
             cold = serving_sweep(_spec(platform, mlp0), **kwargs)
         assert warm == cold
@@ -223,6 +227,11 @@ class TestCachedEqualsUncached:
         arrivals = poisson_arrivals(30000.0, 1500, seed=5)
         warm = plan_capacity(_spec(platform, mlp0, router="jsq"), arrivals,
                              max_replicas=8)
+        perfcache.GLOBAL.reset_counters()
+        assert plan_capacity(_spec(platform, mlp0, router="jsq"), arrivals,
+                             max_replicas=8) == warm
+        stats = perfcache.GLOBAL.stats()
+        assert stats.hits > 0 and stats.misses == 0  # a repeat is all hits
         with perfcache.disabled():
             cold = plan_capacity(_spec(platform, mlp0, router="jsq"), arrivals,
                                  max_replicas=8)
