@@ -220,6 +220,11 @@ class FleetResult:
         )
 
 
+#: Batchers whose polls a JSQ admission window replays (exact types: a
+#: subclass may override either call or keep state across polls).
+_REPLAYED_BATCHERS = (FixedBatcher, TimeoutBatcher, SLOAdaptiveBatcher)
+
+
 class FleetSim:
     """One in-flight discrete-event fleet simulation.
 
@@ -381,7 +386,9 @@ class FleetSim:
         up front: events already on the loop when the run starts carry
         lower sequence numbers than the arrivals would have received,
         so they win exact time ties; events scheduled during the run
-        would have received higher ones, so they lose them.
+        would have received higher ones, so they lose them.  Between
+        heap events, :meth:`_bulk_admit` admits arrival windows at once;
+        arrivals it cannot replay take :meth:`_on_arrival`.
         """
         loop = self.loop
         arrivals = self.arrivals
@@ -431,37 +438,57 @@ class FleetSim:
             else:
                 break
 
-    #: Minimum run length before bulk admission beats the scalar path.
+    #: Shortest all-busy window admitted by strided slices (round-robin)
+    #: or the numpy water-fill (JSQ); shorter JSQ windows take the loop.
     _BULK_MIN = 8
 
     def _bulk_admit(self, i: int, top_when: float) -> int:
-        """Admit a run of queued-behind-busy arrivals in one step.
+        """Admit a window of arrivals from ``i`` on in one step.
 
-        While every routing-eligible replica is busy, ``poll`` returns
-        immediately, so admitting an arrival is a pure queue append plus
-        router bookkeeping -- no event can fire and no batch can launch
-        before ``min(free_at)`` or the next heap event.  Arrivals
-        strictly before both bounds are therefore assigned *en masse*,
-        replaying the router's sequential decisions exactly (see the
-        per-router blocks).  Returns the first unconsumed index
-        (``== i`` when the window is too small to bother).
+        No event fires before the next heap event ``top_when`` or a busy
+        eligible replica's ``free_at``, and a window ends before any
+        arrival that would launch a batch, so inside it busy replicas
+        stay busy and idle ones idle.  While every eligible replica is
+        busy, ``poll`` returns at once, so admitting is a queue append
+        plus router bookkeeping: round-robin assigns strided slices and
+        JSQ a water-fill (:meth:`_bulk_admit_jsq`) to windows of at
+        least ``_BULK_MIN`` arrivals.  Under exactly
+        :class:`ShortestQueueRouter`, shorter windows and windows with
+        idle replicas of in-tree batchers go through :meth:`_jsq_window`.
+
+        The final arrival always takes the per-arrival path: its
+        ``_on_arrival`` triggers the end-of-trace drain polls.  Returns
+        the first unconsumed index (``== i`` when nothing was admitted).
         """
         eligible = self.eligible
         if not eligible:
             return i
-        bound = min(r.server.free_at for r in eligible)
-        if top_when < bound:
-            bound = top_when
         times = self._times
-        if times[i] >= bound:
+        now = times[i]
+        bound = top_when
+        idle = custom = False
+        for replica in eligible:
+            free = replica.server.free_at
+            if free > now:
+                if free < bound:
+                    bound = free
+            else:
+                idle = True
+                if type(replica.batcher) not in _REPLAYED_BATCHERS:
+                    custom = True
+        jsq = type(self.router) is ShortestQueueRouter
+        if now >= bound or (idle and (custom or not jsq)):
             return i
-        # The final arrival always takes the per-arrival path: its
-        # ``_on_arrival`` triggers the end-of-trace drain polls.
         j = min(bisect_left(times, bound, i, len(times)), len(times) - 1)
         m = j - i
-        if m < self._BULK_MIN:
-            return i
-        if type(self.router) is RoundRobinRouter:
+        if idle or m < self._BULK_MIN:
+            if not jsq or m == 0:
+                return i
+            j = self._jsq_window(i, j, eligible)
+            m = j - i
+            if m == 0:
+                return i
+        elif type(self.router) is RoundRobinRouter:
             # Sequential round-robin == strided slices of the window.
             base = self.router._next
             count = len(eligible)
@@ -475,6 +502,52 @@ class FleetSim:
             self._bulk_admit_jsq(i, j, eligible)
         self.pending -= m
         self.loop.now = times[j - 1]
+        return j
+
+    def _jsq_window(self, i: int, j: int, eligible: list[Replica]) -> int:
+        """Replay join-shortest-queue arrival by arrival over ``i:j``.
+
+        Each replica's busy flag is fixed inside the window, so the pick
+        is the minimum of (queue length, busy, list index), kept in a
+        heap.  An arrival sent to a busy replica is a queue append; one
+        sent to an idle replica replays :meth:`poll`, ending the window
+        before an arrival that would launch and otherwise pushing its
+        timer with the sequence number ``EventLoop.schedule`` would
+        give.  The window also ends before the earliest such timer.
+        Returns the first unconsumed index.
+        """
+        times = self._times
+        now = times[i]
+        keys = [(len(r.queue), r.server.free_at > now, q) for q, r in enumerate(eligible)]
+        heapq.heapify(keys)
+        loop = self.loop
+        timers = loop._heap
+        push, replace = heapq.heappush, heapq.heapreplace
+        bound = math.inf  # the earliest timer this window pushed
+        for k in range(i, j):
+            when = times[k]
+            if when >= bound:
+                return k
+            depth, busy, q = keys[0]
+            replica = eligible[q]
+            queue = replica.queue
+            if not busy:
+                batcher = replica.batcher
+                oldest = times[queue[0]] if queue else when
+                if batcher.dispatch_size(depth + 1, when - oldest):
+                    return k
+                deadline = batcher.wait_deadline(depth + 1, oldest)
+                if deadline is not None:
+                    if deadline <= when:
+                        return k
+                    seq = loop._seq
+                    loop._seq = seq + 1
+                    push(timers, (deadline, seq, lambda _t, r=replica: self.poll(r)))
+                    if deadline < bound:
+                        bound = deadline
+            queue.append(k)
+            replica.admitted += 1
+            replace(keys, (depth + 1, busy, q))
         return j
 
     @staticmethod

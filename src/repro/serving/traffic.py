@@ -9,27 +9,30 @@ the load swings real datacenters see.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
 
+def _check_positive(**values: float) -> None:
+    """Raise a ``ValueError`` naming the first argument that is not
+    finite and positive; generators validate before drawing anything."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def poisson_arrivals(rate: float, n_requests: int, seed: int = 0) -> np.ndarray:
     """Memoryless arrivals at ``rate`` requests/second."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if n_requests <= 0:
-        raise ValueError(f"n_requests must be positive, got {n_requests}")
+    _check_positive(rate=rate, n_requests=n_requests)
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.exponential(1.0 / rate, size=n_requests))
 
 
 def uniform_arrivals(rate: float, n_requests: int) -> np.ndarray:
     """Deterministic, evenly spaced arrivals (useful for closed-form tests)."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if n_requests <= 0:
-        raise ValueError(f"n_requests must be positive, got {n_requests}")
+    _check_positive(rate=rate, n_requests=n_requests)
     return (np.arange(n_requests) + 1.0) / rate
 
 
@@ -49,10 +52,11 @@ def diurnal_arrivals(
     the multi-region topology in :mod:`repro.globe` staggers regional
     peaks for follow-the-sun load.
     """
+    _check_positive(
+        mean_rate=mean_rate, period_seconds=period_seconds, n_requests=n_requests
+    )
     if not 0 <= swing < 1:
         raise ValueError(f"swing must be in [0, 1), got {swing}")
-    if period_seconds <= 0:
-        raise ValueError(f"period must be positive, got {period_seconds}")
     peak = mean_rate * (1.0 + swing)
     rng = np.random.default_rng(seed)
     times: list[float] = []

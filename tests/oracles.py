@@ -14,8 +14,9 @@ compares the production path with a second, live implementation:
   each instruction adding its own counters, with a serial chain for
   programs without a dependency sidecar;
 * :func:`no_bulk_admission` -- stands in for ``FleetSim._bulk_admit``
-  with its "window too small" answer, so every arrival takes the
-  per-arrival admission path;
+  with its "nothing admitted" answer, so every arrival takes the
+  per-arrival admission path: no round-robin or JSQ window, whether
+  every replica is busy or idle ones are still filling a batch;
 * :func:`no_batch_scan` -- stands in for ``FleetSim._scan_applies``, so
   round-robin fixed, timeout and SLO-adaptive fleets take the
   per-arrival event loop instead of the per-batch scan;

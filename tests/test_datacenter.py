@@ -1,5 +1,9 @@
 """Datacenter layer tests: energy accounting, autoscaling, TCO, planning."""
 
+import gc
+import types
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,8 +24,8 @@ from repro.datacenter.energy import (
 from repro.datacenter.tco import CostModel, fleet_cost, servers_for
 from repro.platforms.specs import SERVERS
 from repro.power.proportionality import PowerCurve
-from repro.serving.batcher import TimeoutBatcher
-from repro.serving.engine import ConstantCurve
+from repro.serving.batcher import SLOAdaptiveBatcher, TimeoutBatcher
+from repro.serving.engine import ConstantCurve, LatencyCurve
 from repro.serving.fleet import Fleet, Replica
 from repro.serving.traffic import diurnal_arrivals, poisson_arrivals, uniform_arrivals
 from tests import oracles
@@ -169,6 +173,24 @@ def make_replica(i):
     return Replica(ConstantCurve(SERVICE), TimeoutBatcher(16, 1e-3), name=f"r{i}")
 
 
+class LinearCurve(LatencyCurve):
+    """Batch time grows with the batch: SERVICE at batch 16."""
+
+    def occupancy(self, batch):
+        return SERVICE * (0.5 + batch / 32)
+
+    def latency(self, batch):
+        return self.occupancy(batch)
+
+
+def make_adaptive_replica(i):
+    """An SLO-adaptive replica capped at batch 16, whose wait budget
+    shrinks as its queue grows."""
+    curve = LinearCurve()
+    batcher = SLOAdaptiveBatcher(4e-3, curve, candidates=(1, 4, 8, 16, 32))
+    return Replica(curve, batcher, name=f"r{i}")
+
+
 class TestAutoscaler:
     REPLICA_RPS = 16 / SERVICE  # 8000/s at full batches
 
@@ -269,9 +291,9 @@ class TestAutoscalerFastPath:
 
     REPLICA_RPS = 16 / SERVICE
 
-    def _run(self, policy, arrivals, **cfg):
+    def _run(self, policy, arrivals, replica=make_replica, **cfg):
         return AutoscaledFleet(
-            make_replica, policy, quick_config(**cfg),
+            replica, policy, quick_config(**cfg),
             replica_rps=self.REPLICA_RPS,
         ).run(arrivals)
 
@@ -302,14 +324,64 @@ class TestAutoscalerFastPath:
         from repro.serving import fleet as fleet_mod
 
         arrivals = diurnal_arrivals(6000.0, 0.8, 2.0, 12000, seed=5)
-        bulk = self._run(policy_factory(), arrivals)
-        monkeypatch.setattr(fleet_mod.FleetSim, "_bulk_admit", oracles.no_bulk_admission)
-        per_arrival = self._run(policy_factory(), arrivals)
-        assert np.array_equal(bulk.fleet.responses, per_arrival.fleet.responses)
-        assert bulk.timeline == per_arrival.timeline
-        assert bulk.powered == per_arrival.powered
-        assert bulk.peak_replicas == per_arrival.peak_replicas
-        assert bulk.mean_powered == per_arrival.mean_powered
+        for replica in (make_replica, make_adaptive_replica):
+            with monkeypatch.context() as patch:
+                bulk = self._run(policy_factory(), arrivals, replica)
+                patch.setattr(
+                    fleet_mod.FleetSim, "_bulk_admit", oracles.no_bulk_admission
+                )
+                per_arrival = self._run(policy_factory(), arrivals, replica)
+            assert np.array_equal(bulk.fleet.responses, per_arrival.fleet.responses)
+            assert bulk.fleet.busy_intervals == per_arrival.fleet.busy_intervals
+            assert bulk.timeline == per_arrival.timeline
+            assert bulk.powered == per_arrival.powered
+            assert bulk.peak_replicas == per_arrival.peak_replicas
+            assert bulk.mean_powered == per_arrival.mean_powered
+
+
+class TestAutoscaledSimLifetime:
+    def test_finished_sim_is_held_only_by_the_control_loop(self, monkeypatch):
+        """``AutoscaledFleet.run``'s control tick reschedules itself, so
+        its closures form a cycle that holds the finished sim until a
+        collection.  Nothing else may hold it: a cycle through the sim
+        itself (per-replica poll closures cached on it, say) would keep
+        each finished run's arrays alive the same way."""
+        from repro.serving import fleet as fleet_mod
+
+        sims = []
+        original = fleet_mod.FleetSim.run
+
+        def run(sim):
+            sims.append(weakref.ref(sim))
+            return original(sim)
+
+        monkeypatch.setattr(fleet_mod.FleetSim, "run", run)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            AutoscaledFleet(
+                make_replica, ReactivePolicy(), quick_config(spinup_seconds=0.05),
+                replica_rps=16 / SERVICE,
+            ).run(poisson_arrivals(20000.0, 4000, seed=2))
+            (ref,) = sims
+            cells = gc.get_referrers(ref())
+            assert {type(c) for c in cells} == {types.CellType}
+            holders = {
+                fn.__qualname__
+                for cell in cells
+                for closure in gc.get_referrers(cell)
+                for fn in gc.get_referrers(closure)
+                if isinstance(fn, types.FunctionType)
+            }
+            assert holders and all(
+                name.startswith("AutoscaledFleet.run.<locals>.") for name in holders
+            ), holders
+            del cells
+            gc.collect()
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTCO:

@@ -1,6 +1,8 @@
 """Fleet serving simulator tests: batchers, routers, traffic, sweeps."""
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -366,6 +368,32 @@ class TestTraffic:
         times = trace_arrivals([1.7e9, 1.7e9 + 0.5, 1.7e9 + 1.0])
         assert times.tolist() == [0.0, 0.5, 1.0]
 
+    GENERATORS = {
+        "poisson": lambda rate, n: poisson_arrivals(rate, n),
+        "uniform": uniform_arrivals,
+        "diurnal": lambda rate, n: diurnal_arrivals(rate, 0.5, 1.0, n),
+    }
+
+    # Generators validate before drawing: diurnal_arrivals' thinning loop
+    # never ends on a NaN or infinite rate or a NaN period.
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    @pytest.mark.parametrize("kind", ["poisson", "uniform", "diurnal"])
+    def test_rejects_bad_rates(self, kind, rate):
+        name = "mean_rate" if kind == "diurnal" else "rate"
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            self.GENERATORS[kind](rate, 100)
+
+    @pytest.mark.parametrize("n_requests", [0, -3])
+    @pytest.mark.parametrize("kind", ["poisson", "uniform", "diurnal"])
+    def test_rejects_non_positive_request_counts(self, kind, n_requests):
+        with pytest.raises(ValueError, match="^n_requests must be finite and positive"):
+            self.GENERATORS[kind](100.0, n_requests)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
+    def test_diurnal_rejects_bad_periods(self, period):
+        with pytest.raises(ValueError, match="^period_seconds must be finite and positive"):
+            diurnal_arrivals(100.0, 0.5, period, 100)
+
     def test_diurnal_mean_rate(self):
         times = diurnal_arrivals(1000.0, 0.5, period_seconds=1.0,
                                  n_requests=4000, seed=10)
@@ -413,7 +441,8 @@ class TestVectorizedServingParity:
         assert bulk.busy_intervals == per_arrival.busy_intervals
 
     def test_fleet_fast_matches_reference_under_light_load(self, monkeypatch):
-        """Below saturation bulk admission must stand down, not misfire."""
+        """Below saturation JSQ windows cover idle replicas still filling
+        a batch; they must not misfire."""
         arrivals = poisson_arrivals(rate=500.0, n_requests=1000, seed=9)
         bulk = FleetSim(self._replicas(), make_router("jsq"), arrivals).run()
         monkeypatch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
@@ -439,13 +468,9 @@ class GrowingCurve(LatencyCurve):
         return (8 + batch) * 2.0**-13
 
 
-class TestBatchScanParity:
-    """Round-robin fixed, timeout and SLO-adaptive fleets step per batch
-    (``FleetSim``'s batch scan).  The per-arrival event loop is the
-    oracle: with ``no_batch_scan`` and ``no_bulk_admission`` from
-    tests/oracles.py installed, the same fleet must give bit-identical
-    responses, per-replica accounting, busy intervals, horizon and busy
-    time.
+class ParityFleets:
+    """Fleets and traffic for the parity tests against the per-arrival
+    event loop.
 
     ``adaptive`` runs over :class:`GrowingCurve` with a 9 * 2^-12 s SLO,
     so its wait budgets ``(10 - L) * 2^-13`` fall with each queued
@@ -454,13 +479,14 @@ class TestBatchScanParity:
     budget clamps to 0.0 (and nothing fits, so it serves batch 8 anyway).
     """
 
+    POLICIES = ("fixed", "timeout", "adaptive", "adaptive_clamped")
     # Powers of two: on the duplicate-timestamp grid, deadlines and free
     # times land exactly on arrivals.
     OCCUPANCY = 2.0**-10
     BATCH = 8
     TIMEOUT = 2.0**-11
 
-    def _fleet(self, replicas, policy, batch=BATCH, timeout=TIMEOUT):
+    def _fleet(self, replicas, policy, batch=BATCH, timeout=TIMEOUT, router="round_robin"):
         curve = ConstantCurve(self.OCCUPANCY, latency_seconds=1.5 * self.OCCUPANCY)
         if policy == "adaptive":
             curve = GrowingCurve()
@@ -477,15 +503,10 @@ class TestBatchScanParity:
                 )
             return SLOAdaptiveBatcher(self.OCCUPANCY, curve, candidates=(batch,))
 
-        return Fleet([Replica(curve, batcher(), name=f"r{i}") for i in range(replicas)])
-
-    def test_adaptive_fixture_budgets(self):
-        grows = self._fleet(1, "adaptive").replicas[0].batcher
-        assert grows.max_batch == self.BATCH
-        assert [grows._wait_budget(n) for n in (1, 7)] == [9 * 2.0**-13, 3 * 2.0**-13]
-        clamped = self._fleet(1, "adaptive_clamped").replicas[0].batcher
-        assert clamped.max_batch == self.BATCH
-        assert {clamped._wait_budget(n) for n in range(1, self.BATCH)} == {0.0}
+        return Fleet(
+            [Replica(curve, batcher(), name=f"r{i}") for i in range(replicas)],
+            router=router,
+        )
 
     def _arrivals(self, traffic, replicas, load, n=3000, seed=5):
         rate = load * replicas * self.BATCH / self.OCCUPANCY
@@ -498,6 +519,43 @@ class TestBatchScanParity:
         rng = np.random.default_rng(seed)
         step = self.TIMEOUT / 2
         return np.sort(rng.integers(0, int(n / (rate * step)) + 1, n)) * step
+
+
+def observe_run(run):
+    """Run ``run()`` with tracing and metrics on; returns its spans as a
+    multiset and the metrics snapshot."""
+    obs.REGISTRY.reset()
+    obs.set_metrics(True)
+    try:
+        with obs.capture() as tracer:
+            run()
+        spans = Counter(
+            (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, tuple(sorted(s.args.items())))
+            for s in tracer.snapshot()
+        )
+        return spans, obs.metrics_snapshot()
+    finally:
+        obs.set_metrics(False)
+        obs.REGISTRY.reset()
+        obs.TRACER.clear()
+
+
+class TestBatchScanParity(ParityFleets):
+    """Round-robin fixed, timeout and SLO-adaptive fleets step per batch
+    (``FleetSim``'s batch scan).  The per-arrival event loop is the
+    oracle: with ``no_batch_scan`` and ``no_bulk_admission`` from
+    tests/oracles.py installed, the same fleet must give bit-identical
+    responses, per-replica accounting, busy intervals, horizon and busy
+    time.
+    """
+
+    def test_adaptive_fixture_budgets(self):
+        grows = self._fleet(1, "adaptive").replicas[0].batcher
+        assert grows.max_batch == self.BATCH
+        assert [grows._wait_budget(n) for n in (1, 7)] == [9 * 2.0**-13, 3 * 2.0**-13]
+        clamped = self._fleet(1, "adaptive_clamped").replicas[0].batcher
+        assert clamped.max_batch == self.BATCH
+        assert {clamped._wait_budget(n) for n in range(1, self.BATCH)} == {0.0}
 
     def check(self, monkeypatch, make_fleet, arrivals, drain=True):
         """Run the scan and the oracle; returns the scan's result."""
@@ -653,20 +711,7 @@ class TestBatchScanParity:
         polls = []
 
         def observed():
-            obs.REGISTRY.reset()
-            obs.set_metrics(True)
-            try:
-                with obs.capture() as tracer:
-                    self._fleet(3, policy).run(arrivals)
-                spans = Counter(
-                    (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, tuple(sorted(s.args.items())))
-                    for s in tracer.snapshot()
-                )
-                return spans, obs.metrics_snapshot()
-            finally:
-                obs.set_metrics(False)
-                obs.REGISTRY.reset()
-                obs.TRACER.clear()
+            return observe_run(lambda: self._fleet(3, policy).run(arrivals))
 
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "poll", lambda sim, r: polls.append(r))
@@ -739,6 +784,182 @@ class TestBatchScanParity:
         second = fleet.run(arrivals)
         assert_same_run(first, second)
         assert sum(r.admitted for r in fleet.replicas) == 1000
+
+
+class TestJSQWindowParity(ParityFleets):
+    """JSQ fleets admit whole arrival windows at once, also while idle
+    replicas are still filling a batch (``FleetSim._bulk_admit``).  The
+    per-arrival path is the oracle: with ``no_bulk_admission`` from
+    tests/oracles.py installed, the same fleet must give bit-identical
+    responses, per-replica accounting, busy intervals, horizon and busy
+    time.
+    """
+
+    def check(self, monkeypatch, make_fleet, arrivals, drain=True):
+        """Run with windows and with the oracle; returns how many
+        arrivals windows admitted while some eligible replica was idle,
+        and in all."""
+        admitted = Counter()
+        original = FleetSim._bulk_admit
+
+        def spy(sim, i, top_when):
+            now = sim._times[i]
+            idle = any(r.server.free_at <= now for r in sim.eligible)
+            j = original(sim, i, top_when)
+            admitted[idle] += j - i
+            return j
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_bulk_admit", spy)
+            windowed = make_fleet().run(arrivals, drain=drain)
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
+            per_arrival = make_fleet().run(arrivals, drain=drain)
+        assert_same_run(windowed, per_arrival)
+        return admitted[True], admitted[True] + admitted[False]
+
+    @pytest.mark.parametrize("traffic", ["poisson", "diurnal", "duplicates"])
+    @pytest.mark.parametrize("replicas", [1, 3, 4, 7])
+    @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
+    def test_matches_the_per_arrival_path(self, monkeypatch, policy, replicas, traffic):
+        admitted = np.zeros(2, dtype=int)
+        for load in (0.3, 0.7, 1.0, 1.4):
+            arrivals = self._arrivals(traffic, replicas, load, n=1500)
+            for drain in (True, False):
+                admitted += self.check(
+                    monkeypatch, lambda: self._fleet(replicas, policy, router="jsq"),
+                    arrivals, drain=drain,
+                )
+        idle, total = admitted
+        if policy == "adaptive_clamped":
+            # A zero budget launches on every poll of an idle replica,
+            # so no replica is ever idle while holding a queue.
+            assert idle == 0 < total
+        else:
+            assert idle > 0, "no window opened while a replica was idle"
+
+    def test_seeded_fuzz(self, monkeypatch):
+        """Random JSQ fleets: replica count, policy, batch cap, timeout,
+        traffic shape, load and length all drawn from one seed."""
+        rng = np.random.default_rng(20)
+        idle_admitted = 0
+        for _ in range(300):
+            replicas = int(rng.choice([1, 2, 3, 4, 7]))
+            policy = str(rng.choice(self.POLICIES))
+            batch = int(rng.choice([1, 2, 4, 8, 16]))
+            timeout = float(rng.choice([0.0, self.TIMEOUT / 2, self.TIMEOUT, 4 * self.TIMEOUT]))
+            traffic = str(rng.choice(["poisson", "diurnal", "duplicates"]))
+            arrivals = self._arrivals(
+                traffic, replicas, load=float(rng.uniform(0.2, 1.6)),
+                n=int(rng.integers(2, 800)), seed=int(rng.integers(2**31)),
+            )
+            idle_admitted += self.check(
+                monkeypatch,
+                lambda: self._fleet(replicas, policy, batch, timeout, router="jsq"),
+                arrivals, drain=bool(rng.integers(2)),
+            )[0]
+        assert idle_admitted > 0
+
+    def test_deadline_reached_before_the_age(self, monkeypatch):
+        """``0.7 + 0.1`` rounds down, so at an arrival there the deadline
+        test ``oldest + budget <= now`` launches while the age test
+        ``now - oldest >= budget`` does not.  A second arrival at the
+        same instant must then find the replica busy.
+
+        A timeout head's timer already sits at that deadline, so the
+        window stops short of it; an adaptive head's budget shrinks from
+        0.2 to 0.1 as its queue grows, so the window reaches the
+        launching arrival itself."""
+        now = 0.7 + 0.1
+        assert now - 0.7 < 0.1
+
+        class Step(LatencyCurve):
+            def occupancy(self, batch):
+                return 1e-3
+
+            def latency(self, batch):
+                return 0.0 if batch == 1 else 0.1
+
+        for new_batcher in (
+            lambda: TimeoutBatcher(4, 0.1),
+            lambda: SLOAdaptiveBatcher(
+                0.2, Step(), candidates=(4,), service_share=1.0, slo_margin=1.0
+            ),
+        ):
+            idle, _ = self.check(
+                monkeypatch,
+                lambda: Fleet([Replica(Step(), new_batcher())], router="jsq"),
+                np.array([0.0, 0.7, now, now, 5.0]),
+            )
+            assert idle > 0
+
+    def test_custom_batchers_keep_the_per_arrival_path(self, monkeypatch):
+        """A batcher subclass may override either call or keep state
+        across polls, so no window opens while one is idle; all-busy
+        windows still do."""
+
+        class EveryThirdPoll(TimeoutBatcher):
+            polls = 0
+
+            def dispatch_size(self, queue_len, oldest_age):
+                self.polls += 1
+                if self.polls % 3 == 0:
+                    return min(queue_len, self.max_batch)
+                return super().dispatch_size(queue_len, oldest_age)
+
+        curve = ConstantCurve(self.OCCUPANCY)
+        idle, total = self.check(
+            monkeypatch,
+            lambda: Fleet(
+                [Replica(curve, EveryThirdPoll(self.BATCH, self.TIMEOUT)) for _ in range(3)],
+                router="jsq",
+            ),
+            self._arrivals("poisson", 3, load=1.2),
+        )
+        assert idle == 0 < total
+
+    @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
+    def test_observability_matches_the_per_arrival_path(self, monkeypatch, policy):
+        """Spans equal as a multiset, and every histogram field equal:
+        the window launches nothing, so observations come in the same
+        order."""
+        arrivals = self._arrivals("poisson", 3, load=0.6)
+
+        def observed():
+            return observe_run(lambda: self._fleet(3, policy, router="jsq").run(arrivals))
+
+        spans, metrics = observed()
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
+            ref_spans, ref_metrics = observed()
+        assert spans == ref_spans
+        assert metrics == ref_metrics
+        assert metrics["serving.queue_depth_at_launch"]["max"] > 1
+
+
+class TestSimLifetime(ParityFleets):
+    """A finished ``FleetSim`` is freed by reference counting alone.  A
+    reference cycle through the sim (per-replica poll closures cached on
+    it, say) would keep each finished run's arrays alive until a full
+    collection."""
+
+    @pytest.mark.parametrize("drain", [True, False])
+    @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive"])
+    @pytest.mark.parametrize("router", ["round_robin", "jsq"])
+    def test_finished_sim_is_freed_by_reference_counting(self, router, policy, drain):
+        fleet = self._fleet(3, policy, router=router)
+        arrivals = self._arrivals("poisson", 3, load=0.7, n=1000)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = FleetSim(fleet.replicas, fleet.router, arrivals, drain=drain)
+            ref = weakref.ref(sim)
+            sim.run()
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def test_batch_scan_engaged_by_default(monkeypatch):
