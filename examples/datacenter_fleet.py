@@ -13,14 +13,8 @@ platform under diurnal traffic, integrate its busy/idle timeline
 through the Figure 10 power curves, and race autoscaling policies.
 """
 
+import repro
 from repro.analysis.common import platforms, workloads
-from repro.analysis.datacenter import (
-    StudyConfig,
-    autoscaler_table,
-    provisioning_table,
-    run_study,
-    study_summary,
-)
 from repro.power.perfwatt import figure9_bars, server_scale_study
 from repro.power.proportionality import figure10_series
 from repro.serving import FleetSpec, max_throughput_under_slo, serving_sweep, sweep_table
@@ -84,12 +78,7 @@ def main() -> None:
 def planning_section() -> None:
     """Close the loop: provision, autoscale, and price the same fleet."""
     print("\nEnergy-aware capacity planning (repro.datacenter):")
-    result = run_study(StudyConfig(n_requests=6000, max_replicas=12))
-    print(provisioning_table(result).render())
-    print()
-    print(autoscaler_table(result).render())
-    print()
-    print(study_summary(result))
+    print(repro.run(repro.DatacenterScenario(requests=6000, max_replicas=12)).render())
 
 
 if __name__ == "__main__":

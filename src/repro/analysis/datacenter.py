@@ -8,13 +8,16 @@ through the calibrated energy-proportionality curves, and a CapEx+energy
 model ranks the fleets in cost per million requests.  A second table
 pits autoscaling policies (static / reactive / diurnal-predictive, with
 replica spin-up latency) against each other on the platform that needs
-the largest fleet.
+the largest fleet.  ``repro.run(DatacenterScenario)`` executes
+:func:`run_study` and renders the tables below; the experiment reads
+that result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import repro
 from repro.analysis.common import ExperimentResult, platforms, workload
 from repro.api.spec import DatacenterScenario
 from repro.datacenter.autoscaler import (
@@ -39,41 +42,10 @@ from repro.util.tables import TextTable
 
 
 @dataclass(frozen=True)
-class StudyConfig:
-    """One provisioning study: workload, traffic, SLO, economics."""
-
-    workload: str = "mlp0"
-    slo_seconds: float = 7e-3
-    mean_rate: float = 20000.0
-    swing: float = 0.6
-    n_requests: int = 20000
-    seed: int = 0
-    max_replicas: int = 32
-    platforms: tuple[str, ...] = ("cpu", "gpu", "tpu")
-    router: str = "jsq"
-    cost_model: CostModel = field(default_factory=CostModel)
-
-    @property
-    def period_seconds(self) -> float:
-        """One day/night cycle spans the whole trace (compressed time)."""
-        return self.n_requests / self.mean_rate
-
-    @property
-    def control_interval_seconds(self) -> float:
-        """Autoscaler tick: "a few minutes" of the compressed day."""
-        return self.period_seconds / 100.0
-
-    @property
-    def spinup_seconds(self) -> float:
-        """Replica spin-up: two control ticks of the compressed day."""
-        return self.period_seconds / 50.0
-
-
-@dataclass(frozen=True)
 class StudyResult:
     """Everything the CLI prints and the report renders."""
 
-    config: StudyConfig
+    scenario: DatacenterScenario
     plans: dict[str, PlatformPlan]
     autoscaled_kind: str
     outcomes: list[PolicyOutcome]
@@ -89,74 +61,68 @@ DEFAULT_SCENARIO = DatacenterScenario(
 )
 
 
-def study_config(scenario: DatacenterScenario) -> StudyConfig:
-    """A declarative scenario -> the study's internal configuration."""
-    return StudyConfig(
-        workload=scenario.workload,
-        slo_seconds=scenario.slo_seconds,
-        mean_rate=scenario.rate,
-        swing=scenario.swing,
-        n_requests=scenario.requests,
-        seed=scenario.seed,
-        max_replicas=scenario.max_replicas,
-        platforms=tuple(scenario.platforms),
-        router=scenario.router,
-        cost_model=CostModel(
-            usd_per_kwh=scenario.usd_per_kwh,
-            pue=scenario.pue,
-            capex_usd_per_tdp_watt=scenario.capex_per_watt,
-        ),
-    )
+def study_timings(scenario: DatacenterScenario) -> tuple[float, float, float]:
+    """(period, control interval, spin-up) of the compressed day, in seconds.
+
+    One day/night cycle spans the whole trace; the autoscaler ticks
+    every "few minutes" of it (a hundredth) and a replica spins up in
+    two ticks.
+    """
+    period = scenario.requests / scenario.rate
+    return period, period / 100.0, period / 50.0
 
 
-def _spec(config: StudyConfig, kind: str) -> FleetSpec:
+def _spec(scenario: DatacenterScenario, kind: str) -> FleetSpec:
     return FleetSpec(
         platform=platforms()[kind],
-        model=workload(config.workload),
+        model=workload(scenario.workload),
         replicas=1,
         policy="adaptive",
-        slo_seconds=config.slo_seconds,
-        router=config.router,
+        slo_seconds=scenario.slo_seconds,
+        router=scenario.router,
     )
 
 
-def run_study(config: StudyConfig) -> StudyResult:
+def run_study(scenario: DatacenterScenario) -> StudyResult:
     """Provision every platform, then race autoscalers on the biggest fleet."""
-    arrivals = make_traffic("diurnal", swing=config.swing)(
-        config.mean_rate, config.n_requests, seed=config.seed
+    cost_model = CostModel(
+        usd_per_kwh=scenario.usd_per_kwh,
+        pue=scenario.pue,
+        capex_usd_per_tdp_watt=scenario.capex_per_watt,
+    )
+    arrivals = make_traffic("diurnal", swing=scenario.swing)(
+        scenario.rate, scenario.requests, seed=scenario.seed
     )
     plans = {
         kind: plan_capacity(
-            _spec(config, kind), arrivals,
-            max_replicas=config.max_replicas, cost_model=config.cost_model,
+            _spec(scenario, kind), arrivals,
+            max_replicas=scenario.max_replicas, cost_model=cost_model,
         )
-        for kind in config.platforms
+        for kind in scenario.platforms
     }
     # Autoscaling is most interesting where the fleet is biggest.
     autoscaled_kind = max(plans, key=lambda k: plans[k].replicas)
-    spec = _spec(config, autoscaled_kind)
-    period = config.period_seconds
-    interval = config.control_interval_seconds
-    spinup = config.spinup_seconds
+    spec = _spec(scenario, autoscaled_kind)
+    period, interval, spinup = study_timings(scenario)
     scaler_config = AutoscaleConfig(
         control_interval_seconds=interval,
         spinup_seconds=spinup,
         min_replicas=1,
-        max_replicas=config.max_replicas,
+        max_replicas=scenario.max_replicas,
     )
     policies: list[ScalingPolicy] = [
         StaticPolicy(plans[autoscaled_kind].replicas),
         ReactivePolicy(cooldown_seconds=2 * interval),
         PredictivePolicy(
-            config.mean_rate, config.swing, period,
+            scenario.rate, scenario.swing, period,
             lead_seconds=spinup + interval, target_utilization=0.7,
         ),
     ]
     outcomes = compare_policies(
-        spec, arrivals, policies, scaler_config, cost_model=config.cost_model
+        spec, arrivals, policies, scaler_config, cost_model=cost_model
     )
     return StudyResult(
-        config=config, plans=plans,
+        scenario=scenario, plans=plans,
         autoscaled_kind=autoscaled_kind, outcomes=outcomes,
     )
 
@@ -173,19 +139,19 @@ def fig10_die_ratio(kind: str, workload: str, utilization: float) -> float:
 
 
 def provisioning_table(result: StudyResult) -> TextTable:
-    config = result.config
+    scenario = result.scenario
     table = TextTable(
         ["Platform", "Replicas", "Servers", "p99", "SLO?", "Util",
          "Avg W", "Peak W", "W ratio", "Fig10 die", "mJ/req", "$/Mreq"],
         title=(
-            f"Cheapest SLO-feasible fleet -- {config.workload}, diurnal "
-            f"{config.mean_rate:,.0f} req/s mean (swing {config.swing:+.0%}), "
-            f"p99 <= {config.slo_seconds * 1e3:g} ms"
+            f"Cheapest SLO-feasible fleet -- {scenario.workload}, diurnal "
+            f"{scenario.rate:,.0f} req/s mean (swing {scenario.swing:+.0%}), "
+            f"p99 <= {scenario.slo_seconds * 1e3:g} ms"
         ),
     )
     for kind, plan in result.plans.items():
         e, s = plan.energy, plan.stats
-        die_ratio = fig10_die_ratio(kind, config.workload, e.utilization)
+        die_ratio = fig10_die_ratio(kind, scenario.workload, e.utilization)
         table.add_row([
             kind.upper(),
             plan.replicas,
@@ -204,14 +170,13 @@ def provisioning_table(result: StudyResult) -> TextTable:
 
 
 def autoscaler_table(result: StudyResult) -> TextTable:
-    config = result.config
+    _, interval, spinup = study_timings(result.scenario)
     table = TextTable(
         ["Policy", "Peak", "Mean on", "p99", "SLO miss", "Avg W",
          "mJ/req", "$/Mreq"],
         title=(
             f"Autoscaling the {result.autoscaled_kind.upper()} fleet -- "
-            f"spin-up {config.spinup_seconds:.3g} s, "
-            f"control every {config.control_interval_seconds:.3g} s"
+            f"spin-up {spinup:.3g} s, control every {interval:.3g} s"
         ),
     )
     for o in result.outcomes:
@@ -257,40 +222,34 @@ def study_summary(result: StudyResult) -> str:
 
 def run(scenario: DatacenterScenario | None = None) -> ExperimentResult:
     scenario = scenario or DEFAULT_SCENARIO
-    slo = scenario.slo_seconds
-    config = study_config(scenario)
-    result = run_study(config)
+    result = repro.run(scenario)
     measured: dict = {}
-    for kind, plan in result.plans.items():
-        measured[kind] = {
-            "replicas": plan.replicas,
-            "p99_ms": plan.stats.p99_seconds * 1e3,
-            "utilization": plan.energy.utilization,
-            "avg_watts": plan.energy.avg_watts,
-            "peak_watts": plan.energy.peak_watts,
-            "power_ratio": plan.energy.power_ratio,
-            "mj_per_request": plan.energy.energy_per_request_j * 1e3,
-            "usd_per_mreq": plan.cost.usd_per_million_requests,
-        }
-    for o in result.outcomes:
-        measured[f"autoscale_{o.policy}"] = {
-            "mean_powered": o.mean_powered,
-            "avg_watts": o.energy.avg_watts,
-            "slo_miss_fraction": o.stats.slo_miss_fraction,
-        }
-    text = "\n\n".join([
-        provisioning_table(result).render(),
-        autoscaler_table(result).render(),
-        study_summary(result),
-    ])
+    for row in result.rows:
+        if row["section"] == "provisioning":
+            measured[row["platform"]] = {
+                "replicas": row["replicas"],
+                "p99_ms": row["p99_seconds"] * 1e3,
+                "utilization": row["utilization"],
+                "avg_watts": row["avg_watts"],
+                "peak_watts": row["peak_watts"],
+                "power_ratio": row["power_ratio"],
+                "mj_per_request": row["energy_per_request_j"] * 1e3,
+                "usd_per_mreq": row["usd_per_million_requests"],
+            }
+        else:
+            measured[f"autoscale_{row['policy']}"] = {
+                "mean_powered": row["mean_powered"],
+                "avg_watts": row["avg_watts"],
+                "slo_miss_fraction": row["slo_miss_fraction"],
+            }
     return ExperimentResult(
         exp_id="datacenter_provisioning",
         title="Energy-aware capacity planning, autoscaling, and TCO",
-        text=text,
+        text=result.render(),
         measured=measured,
         paper={
             # Section 6's published 10%-load power ratios (Figure 10).
             "ratio_at_10pct": {"tpu": 0.88, "gpu": 0.66, "cpu": 0.56},
-            "slo_seconds": slo,
+            "slo_seconds": scenario.slo_seconds,
         },
     )

@@ -7,8 +7,9 @@ weight stream is paid once per iteration regardless of batch.  This
 experiment sweeps offered load over the same gpt_s fleet under three
 regimes -- iteration-level (continuous) batching, the fixed-gang
 baseline, and disaggregated prefill/decode pools -- and emits the
-tokens/sec-per-chip vs p99 time-per-token operating curve.  A final
-section validates the iteration engine against the per-request
+tokens/sec-per-chip vs p99 time-per-token operating curve; each curve
+is one ``repro.run`` of the spec with scheduler or mode replaced.  A
+final section validates the iteration engine against the per-request
 reference simulation, mirroring the hybrid-vs-exact check in
 :mod:`repro.analysis.globe`.
 """
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro
 from repro.analysis.common import ExperimentResult
 from repro.api.spec import LLMServeScenario
 from repro.serving.continuous import (
     LLM_VALIDATION_RTOL,
     build_llm_config,
     fleet_capacity_tokens_per_s,
-    llm_row,
-    run_llm_point,
     sample_llm_requests,
 )
 from repro.serving.llm_reference import simulate_reference
@@ -48,32 +48,6 @@ _VALIDATION_SCENARIO = LLMServeScenario(
     chips=1, max_batch=16, prompt_tokens=64, decode_tokens=32,
     requests=400, loads=(0.9,),
 )
-
-
-def _sweep(scenario: LLMServeScenario) -> list[dict]:
-    cfg = build_llm_config(scenario)
-    capacity = fleet_capacity_tokens_per_s(
-        cfg, scenario.prompt_tokens, scenario.decode_tokens
-    )
-    rows = []
-    for load in scenario.loads:
-        rate = load * capacity / scenario.decode_tokens
-        result = run_llm_point(
-            cfg,
-            rate_rps=rate,
-            requests=scenario.requests,
-            prompt_mean=scenario.prompt_tokens,
-            decode_mean=scenario.decode_tokens,
-            seed=scenario.seed,
-        )
-        rows.append(llm_row(
-            result,
-            load=load,
-            rate_rps=rate,
-            slo_tpot_s=scenario.slo_tpot_seconds,
-            slo_ttft_s=scenario.slo_ttft_seconds,
-        ))
-    return rows
 
 
 def _reference_error(scenario: LLMServeScenario) -> float:
@@ -112,7 +86,7 @@ def run(scenario: LLMServeScenario | None = None) -> ExperimentResult:
         ),
     )
     for scheduler in ("continuous", "fixed"):
-        rows = _sweep(scenario.replace(scheduler=scheduler))
+        rows = repro.run(scenario.replace(scheduler=scheduler)).rows
         curves[scheduler] = rows
         for row in rows:
             table.add_row([
@@ -171,7 +145,7 @@ def run(scenario: LLMServeScenario | None = None) -> ExperimentResult:
             "load; widen the load grid or the decode-length spread."
         )
 
-    disagg = _sweep(scenario.replace(mode="disaggregated"))
+    disagg = repro.run(scenario.replace(mode="disaggregated")).rows
     dtable = TextTable(
         ["load", "tok/s/chip", "goodput/chip", "TTFT p99 ms", "TPOT p99 ms",
          "transfers", "decode chips", "prefill chips"],

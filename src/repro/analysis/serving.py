@@ -4,26 +4,29 @@ Generalizes Table 4 with the event-driven serving simulator
 (:mod:`repro.serving`): each platform serves MLP0 under the 7 ms p99
 limit with SLO-adaptive batching, swept from light load to
 near-capacity; then the TPU fleet is scaled out to show how max
-sustainable throughput under the SLO grows with replicas.
+sustainable throughput under the SLO grows with replicas.  Every curve
+is one ``repro.run`` of the spec with platform, replicas and router
+replaced.
 """
 
 from __future__ import annotations
 
-from repro.analysis.common import ExperimentResult, platforms, workload
+import dataclasses
+
+import repro
+from repro.analysis.common import ExperimentResult
 from repro.api.spec import ServeScenario
 from repro.platforms.base import SLA_SECONDS
-from repro.serving.sweep import (
-    FleetSpec,
-    max_throughput_under_slo,
-    serving_sweep,
-    sweep_table,
-)
 from repro.util.tables import TextTable
 
-#: The spec fields ``run`` reads; platform/replicas/router are swept
-#: internally (all platforms x1, then TPU x1/2/4 on jsq), so overriding
-#: them is rejected by ``Experiment.with_scenario`` rather than ignored.
-HONORED_FIELDS = ("workload", "slo_ms", "policy", "loads", "requests", "seed")
+#: The spec fields ``run`` reads: all but platform/replicas/router,
+#: which it sweeps (all platforms x1, then TPU x1/2/4 on jsq), and
+#: trace, which has no operating curve.  ``Experiment.with_scenario``
+#: rejects overrides of those rather than ignoring them.
+HONORED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ServeScenario)
+    if f.name not in ("platform", "replicas", "router", "trace")
+)
 
 #: The experiment's default spec: load points and trace length trade
 #: report runtime for curve detail.
@@ -38,25 +41,18 @@ DEFAULT_SCENARIO = ServeScenario(
 
 def run(scenario: ServeScenario | None = None) -> ExperimentResult:
     scenario = scenario or DEFAULT_SCENARIO
-    model = workload(scenario.workload)
-    slo = scenario.slo_seconds
-    loads = scenario.loads
     sections: list[str] = []
     measured: dict = {}
 
     # One replica per platform: the Table 4 trade-off as a full curve.
     for kind in ("cpu", "gpu", "tpu"):
-        spec = FleetSpec(
-            platform=platforms()[kind], model=model, replicas=1,
-            policy=scenario.policy, slo_seconds=slo,
+        result = repro.run(
+            scenario.replace(platform=kind, replicas=1, router="round_robin")
         )
-        points = serving_sweep(
-            spec, loads, n_requests=scenario.requests, seed=scenario.seed
-        )
-        sections.append(sweep_table(spec, points).render())
-        best = max_throughput_under_slo(points)
-        measured[f"{kind}_max_ips_under_slo"] = best.throughput_rps if best else 0.0
-        measured[f"{kind}_adaptive_batch"] = spec.max_batch()
+        sections.append(result.text)
+        best = result.metadata["best"]
+        measured[f"{kind}_max_ips_under_slo"] = best["throughput_rps"] if best else 0.0
+        measured[f"{kind}_adaptive_batch"] = result.metadata["max_batch"]
 
     # Scale the TPU fleet: sustainable IPS under the SLO vs replicas.
     slo_ms = scenario.slo_ms
@@ -68,19 +64,14 @@ def run(scenario: ServeScenario | None = None) -> ExperimentResult:
     )
     base = None
     for replicas in (1, 2, 4):
-        spec = FleetSpec(
-            platform=platforms()["tpu"], model=model, replicas=replicas,
-            policy=scenario.policy, slo_seconds=slo, router="jsq",
-        )
-        points = serving_sweep(
-            spec, loads, n_requests=scenario.requests, seed=scenario.seed
-        )
-        best = max_throughput_under_slo(points)
-        ips = best.throughput_rps if best else 0.0
+        best = repro.run(
+            scenario.replace(platform="tpu", replicas=replicas, router="jsq")
+        ).metadata["best"]
+        ips = best["throughput_rps"] if best else 0.0
         base = ips if base is None else base
         scale.add_row([
             replicas, "jsq", f"{ips:,.0f}",
-            f"{best.p99_seconds * 1e3:.2f} ms" if best else "--",
+            f"{best['p99_seconds'] * 1e3:.2f} ms" if best else "--",
             f"x{ips / base:.2f}" if base else "--",
         ])
         measured[f"tpu_x{replicas}_max_ips"] = ips
@@ -95,5 +86,5 @@ def run(scenario: ServeScenario | None = None) -> ExperimentResult:
         title="Datacenter serving: p99 vs throughput at fleet scale",
         text="\n\n".join(sections),
         measured=measured,
-        paper={"tpu_pct_of_max_at_7ms": 0.80, "slo_seconds": slo},
+        paper={"tpu_pct_of_max_at_7ms": 0.80, "slo_seconds": scenario.slo_seconds},
     )

@@ -2,9 +2,10 @@
 
 Every entry point used to print free text; :class:`ScenarioResult` keeps
 the human-readable rendering *and* the machine-readable rows, so the CLI
-``--json`` flag, the experiment registry, and sweep aggregation all read
-the same structure.  ``jsonable`` scrubs numpy scalars and tuple keys so
-``to_dict`` output always survives ``json.dumps`` unchanged.
+``--json`` flag, the parameterized experiments, and sweep aggregation
+all read the same structure.  ``jsonable`` scrubs numpy scalars and
+tuple keys so ``to_dict`` output always survives ``json.dumps``
+unchanged.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class ScenarioResult:
     * ``metadata`` -- the echoed scenario plus derived context
       (resolved batch size, capacity, best operating point, ...);
     * ``text``/``summary`` -- the preformatted human rendering the CLI
-      prints (``render`` joins them), byte-compatible with the legacy
-      subcommand output;
+      prints (``render`` joins them); experiments embed ``text`` or
+      ``render()`` as their sections, so a report table and a
+      subcommand's output are the same bytes;
     * ``notes`` -- advisory lines the CLI routes to stderr.
     """
 

@@ -1,10 +1,15 @@
 """``repro.run(scenario)``: one facade executing any declarative spec.
 
 Dispatches on scenario kind and returns a :class:`ScenarioResult` whose
-``render()`` matches the legacy CLI text for that subcommand and whose
-``rows``/``metadata`` carry the same measurements structurally.  Heavy
-simulator imports happen inside the per-kind runners so that importing
-:mod:`repro.api` (e.g. just to build or validate a spec) stays cheap.
+``render()`` is the CLI text for that subcommand and whose
+``rows``/``metadata`` carry the same measurements structurally.  It is
+the one execution path per kind: the CLI, the examples, ``SweepSpec``
+and the parameterized experiments (``serving_sweep``,
+``datacenter_provisioning``, ``llm_operating_curve``) all run their
+specs here and only read the result, so a change to how a scenario
+runs belongs in this module.  Heavy simulator imports happen inside the
+per-kind runners so that importing :mod:`repro.api` (e.g. just to build
+or validate a spec) stays cheap.
 """
 
 from __future__ import annotations
@@ -131,7 +136,7 @@ def _serve_fleet_spec(scenario: ServeScenario) -> tuple[Any, int | None, tuple[s
 
 def _run_serve(scenario: ServeScenario) -> ScenarioResult:
     from repro.serving import load_trace, make_traffic
-    from repro.serving.sweep import max_throughput_under_slo, run_point, sweep_table
+    from repro.serving.sweep import max_throughput_under_slo, serving_sweep, sweep_table
 
     spec, batch, notes = _serve_fleet_spec(scenario)
     title = (
@@ -181,13 +186,10 @@ def _run_serve(scenario: ServeScenario) -> ScenarioResult:
         swing=scenario.diurnal_swing,
         period_seconds=scenario.diurnal_period_s,
     )
-    points = [
-        run_point(
-            spec, fraction, n_requests=scenario.requests, seed=scenario.seed,
-            traffic=traffic,
-        )[0]
-        for fraction in scenario.loads
-    ]
+    points = serving_sweep(
+        spec, scenario.loads, n_requests=scenario.requests, seed=scenario.seed,
+        traffic=traffic,
+    )
     sections = []
     if scenario.traffic == "diurnal":
         period = (
@@ -231,17 +233,16 @@ def _run_datacenter(scenario: DatacenterScenario) -> ScenarioResult:
         fig10_die_ratio,
         provisioning_table,
         run_study,
-        study_config,
         study_summary,
+        study_timings,
     )
     from repro.datacenter.tco import servers_for
 
-    config = study_config(scenario)
-    result = run_study(config)
+    result = run_study(scenario)
     rows: list[dict[str, Any]] = []
     for kind, plan in result.plans.items():
         e, s = plan.energy, plan.stats
-        die_ratio = fig10_die_ratio(kind, config.workload, e.utilization)
+        die_ratio = fig10_die_ratio(kind, scenario.workload, e.utilization)
         rows.append({
             "section": "provisioning",
             "platform": kind,
@@ -282,7 +283,7 @@ def _run_datacenter(scenario: DatacenterScenario) -> ScenarioResult:
         metadata={
             "scenario": scenario.to_dict(),
             "autoscaled_kind": result.autoscaled_kind,
-            "period_seconds": config.period_seconds,
+            "period_seconds": study_timings(scenario)[0],
         },
         text=text,
         summary=study_summary(result),

@@ -354,7 +354,13 @@ class AutoscaledFleet:
                 sim.loop.schedule(now + interval, tick)
 
         sim.loop.schedule(interval, tick)
-        result = sim.run()
+        try:
+            result = sim.run()
+        finally:
+            # ``tick`` reschedules itself through its own closure cell;
+            # clearing the cell breaks that cycle, so the finished sim is
+            # freed by reference counting, not at the next collection.
+            del tick
 
         horizon = result.horizon
         powered: list[tuple[float, float]] = []

@@ -44,7 +44,7 @@ import numpy as np
 from repro import obs
 from repro.globe.routing import RoutingPlan
 from repro.globe.topology import Cluster, Topology, region_arrivals
-from repro.latency.queueing import mmc_mean_wait
+from repro.latency.queueing import fluid_backlog, mdc_mean_wait
 from repro.serving.batcher import (
     Batcher,
     FixedBatcher,
@@ -251,12 +251,13 @@ def _analytic_cell(
         # keeps a Poisson remnant at very light load.
         ca2 = 1.0 / mean_batch
     # Queueing on top of collection: batches contend for the replicas.
-    # Allen-Cunneen with deterministic service (Cs^2 = 0): the regular
-    # dispatch clock suppresses almost all of the M/M/c wait -- pricing
-    # with raw M/D/c here would invent delay the engine never sees.
+    # Allen-Cunneen with deterministic service (Cs^2 = 0) scales the M/D/c
+    # wait by the dispatch gaps' Ca^2: the regular dispatch clock
+    # suppresses almost all of it -- pricing with raw M/D/c here would
+    # invent delay the engine never sees.
     n = max(1, int(round(mean_batch)))
     occupancy = cluster.spec.curve.occupancy(n)
-    wq = mmc_mean_wait(rate / mean_batch, replicas, occupancy) * 0.5 * ca2
+    wq = mdc_mean_wait(rate / mean_batch, replicas, occupancy) * ca2
     if math.isfinite(wq) and wq > 0:
         values = values + wq
     return values, weights
@@ -292,7 +293,7 @@ def _fluid_cell(
     """Flow-conservation response atoms plus the backlog carried out."""
     cap = cluster.capacity_rps
     base = cluster.spec.curve.latency(max_batch)
-    carry_out = max(0.0, carry_in + (rate - cap) * bin_seconds)
+    carry_out = float(fluid_backlog((rate,), cap, bin_seconds, initial=carry_in)[0])
     if rate <= 0:
         return np.empty(0), np.empty(0), carry_out
     t = (np.arange(samples) + 0.5) / samples * bin_seconds

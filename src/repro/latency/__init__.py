@@ -1,8 +1,11 @@
 """Response-time analysis: the batching queue behind Table 4.
 
 The simulators here are single-server wrappers over the fleet-scale
-event engine in :mod:`repro.serving`; use that package directly for
-multi-replica, policy-driven serving studies.
+event engine in :mod:`repro.serving`; :mod:`repro.latency.queueing`
+also holds the closed forms the globe's hybrid backend prices cells
+with.  For multi-replica, policy-driven serving studies -- including
+the most a fleet sustains under an SLO -- run a ``ServeScenario``
+through ``repro.run``.
 """
 
 from repro.latency.queueing import (
@@ -10,12 +13,11 @@ from repro.latency.queueing import (
     simulate_batch_queue,
     simulate_closed_loop,
 )
-from repro.latency.sweep import Table4Row, max_ips_under_sla, table4_rows
+from repro.latency.sweep import Table4Row, table4_rows
 
 __all__ = [
     "BatchQueueStats",
     "Table4Row",
-    "max_ips_under_sla",
     "simulate_batch_queue",
     "simulate_closed_loop",
     "table4_rows",

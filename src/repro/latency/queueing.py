@@ -15,11 +15,13 @@ for the load test).  The general multi-replica/multi-policy simulator
 lives in :mod:`repro.serving.fleet`.
 
 Alongside them sit the *closed-form* pieces -- Erlang-C, M/M/c and
-M/D/c mean waits, and a fluid backlog recurrence.  These are what the
-planet-scale hybrid backend (:mod:`repro.globe.backend`) uses to price
-clusters far from the SLO knee without paying event-loop time: analytic
-below the knee, fluid above it, and the exact event engine only in
-between.
+M/D/c mean waits, and a fluid backlog recurrence.  The planet-scale
+hybrid backend (:mod:`repro.globe.backend`) calls these to price
+clusters far from the SLO knee without paying event-loop time:
+:func:`mdc_mean_wait` below the knee, :func:`fluid_backlog`'s step for
+the backlog it carries above it, and the exact event engine only in
+between.  They have no second copy there, so their property tests
+cover the code the backend runs.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """Table 4: p99 response time and throughput for MLP0 as batch varies.
 
-For each (platform, batch) pair the harness searches for the highest
-offered load whose simulated p99 still fits the 7 ms limit; where no load
-fits (the large-batch rows), it reports the near-capacity operating point
-and its (over-limit) p99, exactly as the paper's 100%-max-IPS rows do.
+For each (platform, batch) pair a closed-loop load generator drives the
+batching server to capacity, the way the paper measured: IPS is batch
+over service time, and p99 reflects the serving pipeline's depth.  The
+open-loop question -- the most a fleet sustains under the SLO -- is
+``repro.run(ServeScenario(...)).metadata["best"]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.latency.queueing import simulate_batch_queue, simulate_closed_loop
+from repro.latency.queueing import simulate_closed_loop
 from repro.nn.graph import Model
 from repro.platforms.base import Platform
 from repro.serving.fleet import occupancy_latency
@@ -34,40 +35,6 @@ class Table4Row:
 
 # Shared with the fleet simulator: (occupancy, latency) per batch.
 _occupancy_latency = occupancy_latency
-
-
-def max_ips_under_sla(
-    platform: Platform,
-    model: Model,
-    batch: int,
-    sla_seconds: float = MLP0_SLA_SECONDS,
-    n_requests: int = 20000,
-    seed: int = 0,
-) -> tuple[float, float, bool]:
-    """Open-loop view: (throughput, p99, met) at the best Poisson load.
-
-    Scans offered load downward from capacity; returns the first point
-    whose p99 fits, or the near-capacity point if none does.  Used by the
-    queueing analyses; Table 4 itself reports the closed-loop points
-    (see :func:`table4_rows`).
-    """
-    occupancy, latency = _occupancy_latency(platform, model, batch)
-    capacity = batch / occupancy
-    fallback = None
-    for fraction in (0.98, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2):
-        stats = simulate_batch_queue(
-            arrival_rate=capacity * fraction,
-            batch_size=batch,
-            occupancy_seconds=occupancy,
-            latency_seconds=latency,
-            n_requests=n_requests,
-            seed=seed,
-        )
-        if fallback is None:
-            fallback = stats
-        if stats.p99_seconds <= sla_seconds:
-            return stats.throughput_ips, stats.p99_seconds, True
-    return fallback.throughput_ips, fallback.p99_seconds, False
 
 
 def table4_rows(

@@ -326,9 +326,69 @@ class TestExperimentRegistry:
         default = exp.scenario
         with pytest.raises(SpecError, match="does not honor platform"):
             exp.with_scenario(default.replace(platform="cpu"))
+        # A trace replay has no operating curve to sweep.
+        with pytest.raises(SpecError, match="does not honor trace"):
+            exp.with_scenario(default.replace(trace="trace.txt"))
         # Honored fields pass the gate (small run keeps the test fast).
         result = exp.with_scenario(default.replace(requests=500, loads=(0.5,)))
         assert result.measured["cpu_max_ips_under_slo"] >= 0
+
+
+class TestExperimentsThroughRun:
+    """The parameterized experiments execute their specs through
+    ``repro.run`` and measure from its result, so an experiment and a
+    direct run of the same spec agree exactly."""
+
+    @pytest.mark.parametrize("policy, batch", [
+        ("fixed", None), ("timeout", None), ("fixed", 64),
+    ])
+    def test_serving_sweep_runs_every_batch_policy(self, policy, batch):
+        # ``policy`` and ``batch`` are honored: a fixed or timeout sweep
+        # serves at the given batch, or without one at the
+        # latency-bounded batch, as ``repro.run`` does.
+        from repro.analysis import EXPERIMENTS
+
+        exp = EXPERIMENTS["serving_sweep"]
+        small = exp.scenario.replace(
+            policy=policy, batch=batch, requests=500, loads=(0.5,)
+        )
+        measured = exp.with_scenario(small).measured
+        tpu = repro.run(small.replace(platform="tpu", router="round_robin"))
+        assert measured["tpu_adaptive_batch"] == tpu.metadata["resolved_batch"]
+        if batch is not None:
+            assert measured["tpu_adaptive_batch"] == batch
+        assert measured["tpu_x4_max_ips"] > 0
+
+    def test_serving_sweep_matches_run(self):
+        from repro.analysis import EXPERIMENTS
+
+        exp = EXPERIMENTS["serving_sweep"]
+        small = exp.scenario.replace(requests=500, loads=(0.5,))
+        measured = exp.with_scenario(small).measured
+        for kind in ("cpu", "gpu", "tpu"):
+            best = repro.run(
+                small.replace(platform=kind, replicas=1, router="round_robin")
+            ).metadata["best"]
+            assert best is not None
+            assert measured[f"{kind}_max_ips_under_slo"] == best["throughput_rps"]
+
+    def test_datacenter_provisioning_matches_run(self):
+        from repro.analysis import EXPERIMENTS
+
+        exp = EXPERIMENTS["datacenter_provisioning"]
+        small = exp.scenario.replace(requests=2000, max_replicas=8)
+        assert exp.with_scenario(small).text == repro.run(small).render()
+
+    def test_llm_operating_curve_matches_run(self):
+        from repro.analysis import EXPERIMENTS
+
+        exp = EXPERIMENTS["llm_operating_curve"]
+        small = exp.scenario.replace(requests=200, loads=(0.5, 0.9))
+        measured = exp.with_scenario(small).measured
+        rows = repro.run(small.replace(scheduler="continuous")).rows
+        assert measured["continuous_goodput_per_chip"] == [
+            row["goodput_tokens_per_second_per_chip"] for row in rows
+        ]
 
 
 class TestReportIsolation:
