@@ -58,12 +58,6 @@ class Allocation:
     allocator: str
     alignment: int = 256
 
-    def offset_of(self, name: str) -> int:
-        try:
-            return self.offsets[name]
-        except KeyError:
-            raise KeyError(f"tensor {name!r} was not allocated") from None
-
 
 def _align(value: int, alignment: int) -> int:
     return -(-value // alignment) * alignment

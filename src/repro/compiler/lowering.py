@@ -42,8 +42,11 @@ from repro.isa.instructions import (
     Instruction,
     InterruptHost,
     MatrixMultiply,
+    ROW_BYTES,
     ReadHostMemory,
     ReadWeights,
+    SETUP_BANK_STRIDE,
+    SETUP_BASE,
     SyncHost,
     VectorInstruction,
     VectorKind,
@@ -65,12 +68,6 @@ from repro.nn.layers import (
 )
 from repro.nn.quantization import TensorScale
 from repro.nn.reference import QuantizedParams, unsupported_functional_kinds
-
-ROW_BYTES = 256
-#: UB row index at which the systolic-data-setup address space begins.
-SETUP_BASE = 0x800000
-#: Row stride between the two setup banks.
-SETUP_BANK_STRIDE = 1 << 22
 
 #: The paper: the Unified Buffer was sized so MLPs could run at batch
 #: sizes up to 2048; the driver stages that many examples for all-FC apps.
@@ -264,6 +261,14 @@ class Lowering:
                     "only; the functional int8 contract covers the Table 1 "
                     "layer kinds"
                 )
+        for layer in model.layers:
+            if isinstance(layer, MultiHeadAttention) and ROW_BYTES % layer.head_dim:
+                raise NotImplementedError(
+                    f"{model.name}: attention layer {layer.name} has head_dim "
+                    f"{layer.head_dim}; each head's Q and context are addressed "
+                    f"through one {ROW_BYTES}-lane group, so head_dim must "
+                    f"divide {ROW_BYTES}"
+                )
         self.model = model
         self.config = config
         self.params = params
@@ -333,28 +338,12 @@ class Lowering:
         except KeyError:
             raise KeyError(f"tensor {name!r} was never declared") from None
 
-    def _tensor_shape_for_layer_output(self, index: int) -> tuple[int, int]:
-        """(rows, width) of layer ``index``'s output tensor."""
-        shape = self.model.shapes()[index]
-        batch = self.model.batch_size
-        if len(shape) == 1:
-            return batch, shape[0]
-        if len(shape) == 2:
-            return batch * shape[0], shape[1]
-        if len(shape) == 3:
-            return batch * shape[0] * shape[1], shape[2]
-        raise ValueError(f"unsupported output shape {shape}")
-
-    def _input_tensor_shape(self) -> tuple[int, int]:
-        shape = self.model.input_shape
-        batch = self.model.batch_size
-        if len(shape) == 1:
-            return batch, shape[0]
-        if len(shape) == 2:
-            return batch * shape[0], shape[1]
-        if len(shape) == 3:
-            return batch * shape[0] * shape[1], shape[2]
-        raise ValueError(f"unsupported input shape {shape}")
+    def _matrix_shape(self, shape: tuple[int, ...]) -> tuple[int, int]:
+        """(rows, width) of a batch of per-example ``shape`` tensors:
+        rows, sequences and images flatten to (B, F), (B*T, F), (B*H*W, C)."""
+        if not 1 <= len(shape) <= 3:
+            raise ValueError(f"unsupported tensor shape {shape}")
+        return self.model.batch_size * math.prod(shape[:-1]), shape[-1]
 
     def _input_layout(self) -> str:
         return {1: "rows", 2: "sequence", 3: "image"}[len(self.model.input_shape)]
@@ -382,26 +371,24 @@ class Lowering:
     # dependency-token helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _tensor_key(tensor: LoweredTensor, group: int) -> object:
-        return (tensor.name, group)
+    def _lane_groups(tensor: LoweredTensor, col0: int, lanes: int | None) -> range:
+        """The lane groups that lanes ``[col0, col0 + lanes)`` of ``tensor``
+        touch (all of its lanes when ``lanes`` is None).  Group ``g`` is the
+        tracker key ``(tensor.name, g)``."""
+        lanes = tensor.width if lanes is None else lanes
+        return range(col0 // ROW_BYTES, min((col0 + lanes - 1) // ROW_BYTES, tensor.groups - 1) + 1)
 
     def _read_tensor_range(self, tensor: LoweredTensor, r0: int, rows: int, col0: int = 0, lanes: int | None = None) -> tuple[int, ...]:
-        lanes = tensor.width if lanes is None else lanes
-        g0 = col0 // ROW_BYTES
-        g1 = (col0 + lanes - 1) // ROW_BYTES
         tokens: list[int] = []
-        for g in range(g0, min(g1, tensor.groups - 1) + 1):
-            tokens.extend(self._tracker.read(self._tensor_key(tensor, g), r0, r0 + rows))
+        for g in self._lane_groups(tensor, col0, lanes):
+            tokens.extend(self._tracker.read((tensor.name, g), r0, r0 + rows))
         return tuple(tokens)
 
     def _write_tensor_range(self, tensor: LoweredTensor, r0: int, rows: int, col0: int = 0, lanes: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        lanes = tensor.width if lanes is None else lanes
-        g0 = col0 // ROW_BYTES
-        g1 = (col0 + lanes - 1) // ROW_BYTES
         writes: list[int] = []
         war: list[int] = []
-        for g in range(g0, min(g1, tensor.groups - 1) + 1):
-            token, displaced = self._tracker.write(self._tensor_key(tensor, g), r0, r0 + rows)
+        for g in self._lane_groups(tensor, col0, lanes):
+            token, displaced = self._tracker.write((tensor.name, g), r0, r0 + rows)
             writes.append(token)
             war.extend(displaced)
         return tuple(writes), tuple(war)
@@ -559,6 +546,76 @@ class Lowering:
     def _acc_read(self, acc_base: int, rows: int) -> tuple[int, ...]:
         return self._tracker.read("acc", acc_base, acc_base + rows)
 
+    def _row_chunk(self, total_rows: int, rows_per_example: int) -> int:
+        """Rows per accumulator pass: at most one bank, cut to whole
+        examples when one fits, so each chunk depends only on the
+        examples it covers."""
+        chunk = min(total_rows, self.acc_bank_rows, 65535)
+        if rows_per_example <= chunk:
+            chunk -= chunk % rows_per_example
+        return chunk
+
+    def _activate_stripes(
+        self,
+        stripes: dict[int, list[tuple[int, int, int, int, int]]],
+        src_tokens_of_group,
+        src_row_of_group,
+        rows: int,
+        out_t: LoweredTensor,
+        out_row: int,
+        scale_id: int,
+        function: Activation,
+        out_col: int = 0,
+        convolve: bool = False,
+        rw_reads: tuple[int, ...] = (),
+    ) -> None:
+        """The one matmul-stripe emitter: each N-stripe's K-loop runs
+        through :meth:`_matmul_pass` into the next accumulator bank, and
+        one Activate drains its ``n_ext`` lanes into ``out_t`` at row
+        ``out_row``, lane ``out_col + n0``."""
+        for n0, stripe in stripes.items():
+            n_ext = stripe[0][4]
+            acc_base = self._next_acc_bank()
+            self._matmul_pass(
+                stripe, src_tokens_of_group, src_row_of_group, rows, acc_base, convolve, rw_reads
+            )
+            acc_reads = self._acc_read(acc_base, rows)
+            col = out_col + n0
+            writes, war = self._write_tensor_range(out_t, out_row, rows, col, n_ext)
+            self._emit(
+                Activate(
+                    acc_row=acc_base,
+                    ub_row=out_t.group_row(col // self.dim, out_row),
+                    rows=rows,
+                    lanes=n_ext,
+                    function=function,
+                    scale_id=scale_id,
+                ),
+                InstrDeps(reads=acc_reads, writes=writes, war=war),
+            )
+
+    def _vector_op(
+        self,
+        src_t: LoweredTensor,
+        dst_t: LoweredTensor,
+        rows: int,
+        lanes: int,
+        reads: tuple[int, ...] | None = None,
+        **fields,
+    ) -> None:
+        """The one whole-tensor vector emitter: a VectorInstruction that
+        reads all of ``src_t`` (or the given ``reads`` tokens) and writes
+        all of ``dst_t``; ``fields`` are its remaining operands."""
+        if reads is None:
+            reads = self._read_tensor_range(src_t, 0, src_t.rows)
+        writes, war = self._write_tensor_range(dst_t, 0, dst_t.rows)
+        self._emit(
+            VectorInstruction(
+                src_row=src_t.base_row, dst_row=dst_t.base_row, rows=rows, lanes=lanes, **fields
+            ),
+            InstrDeps(reads=reads, writes=writes, war=war),
+        )
+
     # ------------------------------------------------------------------
     # per-layer lowering
     # ------------------------------------------------------------------
@@ -577,19 +634,9 @@ class Lowering:
                 )
             stage = self._get_tensor(f"{layer.name}.flat")
             copy_scale = self._add_scale(ScaleEntry(in_scale, in_scale))
-            reads = self._read_tensor_range(in_t, 0, in_t.rows)
-            writes, war = self._write_tensor_range(stage, 0, batch)
-            self._emit(
-                VectorInstruction(
-                    kind=VectorKind.UNARY,
-                    src_row=in_t.base_row,
-                    dst_row=stage.base_row,
-                    rows=batch,
-                    lanes=min(k, 65535),
-                    scale_id=copy_scale,
-                    function=Activation.NONE,
-                ),
-                InstrDeps(reads=reads, writes=writes, war=war),
+            self._vector_op(
+                in_t, stage, batch, min(k, 65535),
+                kind=VectorKind.UNARY, scale_id=copy_scale, function=Activation.NONE,
             )
             src_t = stage
 
@@ -611,24 +658,10 @@ class Lowering:
             return
         for t in range(layer.steps):
             row0 = t * batch if layer.steps > 1 else 0
-            src_tokens, src_rows = self._pass_inputs(src_t, row0, batch)
-            for n0, stripe in stripes.items():
-                n_ext = stripe[0][4]
-                acc_base = self._next_acc_bank()
-                self._matmul_pass(stripe, src_tokens, src_rows, batch, acc_base)
-                acc_reads = self._acc_read(acc_base, batch)
-                writes, war = self._write_tensor_range(out_t, row0, batch, n0, n_ext)
-                self._emit(
-                    Activate(
-                        acc_row=acc_base,
-                        ub_row=out_t.group_row(n0 // self.dim, row0),
-                        rows=batch,
-                        lanes=n_ext,
-                        function=layer.activation,
-                        scale_id=scale_id,
-                    ),
-                    InstrDeps(reads=acc_reads, writes=writes, war=war),
-                )
+            self._activate_stripes(
+                stripes, *self._pass_inputs(src_t, row0, batch), batch,
+                out_t, row0, scale_id, layer.activation,
+            )
 
     def _emit_rows_matmul(
         self,
@@ -643,30 +676,13 @@ class Lowering:
         """Stream ``total_rows`` of ``src_t`` through resident weight
         stripes into ``out_t``, chunked to the accumulator banks (the
         shared engine behind per-token FCs and attention projections)."""
-        chunk = min(total_rows, self.acc_bank_rows, 65535)
-        if rows_per_example <= chunk:
-            chunk = (chunk // rows_per_example) * rows_per_example
-        chunk = max(chunk, 1)
+        chunk = self._row_chunk(total_rows, rows_per_example)
         for r0 in range(0, total_rows, chunk):
             rows = min(chunk, total_rows - r0)
-            src_tokens, src_rows = self._pass_inputs(src_t, r0, rows)
-            for n0, stripe in stripes.items():
-                n_ext = stripe[0][4]
-                acc_base = self._next_acc_bank()
-                self._matmul_pass(stripe, src_tokens, src_rows, rows, acc_base)
-                acc_reads = self._acc_read(acc_base, rows)
-                writes, war = self._write_tensor_range(out_t, r0, rows, n0, n_ext)
-                self._emit(
-                    Activate(
-                        acc_row=acc_base,
-                        ub_row=out_t.group_row(n0 // self.dim, r0),
-                        rows=rows,
-                        lanes=n_ext,
-                        function=function,
-                        scale_id=scale_id,
-                    ),
-                    InstrDeps(reads=acc_reads, writes=writes, war=war),
-                )
+            self._activate_stripes(
+                stripes, *self._pass_inputs(src_t, r0, rows), rows,
+                out_t, r0, scale_id, function,
+            )
 
     def _lower_attention(
         self, index: int, layer: MultiHeadAttention, in_t: LoweredTensor, out_t: LoweredTensor
@@ -721,120 +737,55 @@ class Lowering:
         score_stripes = self._weight_tiles(f"{layer.name}.k", dh, t, dynamic=True)
         ctx_stripes = self._weight_tiles(f"{layer.name}.v", t, dh, dynamic=True)
         chunk = min(t, self.acc_bank_rows)
-        q_col = lambda h: h * dh  # noqa: E731
-        k_col = lambda h: d + h * dh  # noqa: E731
-        v_col = lambda h: 2 * d + h * dh  # noqa: E731
         for h in range(heads):
-            # The QKV tensor is complete before these loops and never
-            # rewritten, so its read tokens are loop-invariant per head.
-            q_tokens = self._read_tensor_range(qkv_t, 0, qkv_t.rows, q_col(h), dh)
-            k_tokens = self._read_tensor_range(qkv_t, 0, qkv_t.rows, k_col(h), dh)
-            v_tokens = self._read_tensor_range(qkv_t, 0, qkv_t.rows, v_col(h), dh)
+            # Head h's lanes: Q at q0, K at d + q0, V at 2d + q0.  The QKV
+            # tensor is complete before these loops and never rewritten,
+            # so its read tokens are loop-invariant per head.
+            q0 = h * dh
+            q_tokens = self._read_tensor_range(qkv_t, 0, qkv_t.rows, q0, dh)
+            k_tokens = self._read_tensor_range(qkv_t, 0, qkv_t.rows, d + q0, dh)
+            v_tokens = self._read_tensor_range(qkv_t, 0, qkv_t.rows, 2 * d + q0, dh)
+            q_group = q0 // self.dim
             for b in range(batch):
                 score_t = score_ts[(h * batch + b) % 2]
                 # Score matmul: Q_h(example) @ staged K_h^T.
                 for r0 in range(0, t, chunk):
                     rows = min(chunk, t - r0)
-                    for n0, stripe in score_stripes.items():
-                        n_ext = stripe[0][4]
-                        acc_base = self._next_acc_bank()
-                        self._matmul_pass(
-                            stripe,
-                            lambda g, toks=q_tokens: toks,
-                            lambda g, r=r0: qkv_t.group_row(q_col(h) // self.dim, r),
-                            rows,
-                            acc_base,
-                            rw_reads=k_tokens,
-                        )
-                        acc_reads = self._acc_read(acc_base, rows)
-                        writes, war = self._write_tensor_range(score_t, r0, rows, n0, n_ext)
-                        self._emit(
-                            Activate(
-                                acc_row=acc_base,
-                                ub_row=score_t.group_row(n0 // self.dim, r0),
-                                rows=rows,
-                                lanes=n_ext,
-                                function=Activation.NONE,
-                                scale_id=score_scale,
-                            ),
-                            InstrDeps(reads=acc_reads, writes=writes, war=war),
-                        )
+                    self._activate_stripes(
+                        score_stripes,
+                        lambda g: q_tokens,
+                        lambda g: qkv_t.group_row(q_group, r0),
+                        rows, score_t, r0, score_scale, Activation.NONE,
+                        rw_reads=k_tokens,
+                    )
                 if layer.causal:
                     # Mask-add before softmax (no sparsity: full cost).
-                    reads = self._read_tensor_range(score_t, 0, t)
-                    writes, war = self._write_tensor_range(score_t, 0, t)
-                    self._emit(
-                        VectorInstruction(
-                            kind=VectorKind.UNARY,
-                            src_row=score_t.base_row,
-                            dst_row=score_t.base_row,
-                            rows=t,
-                            lanes=min(t, 65535),
-                            scale_id=score_scale,
-                            function=Activation.NONE,
-                        ),
-                        InstrDeps(reads=reads, writes=writes, war=war),
+                    self._vector_op(
+                        score_t, score_t, t, min(t, 65535),
+                        kind=VectorKind.UNARY, scale_id=score_scale, function=Activation.NONE,
                     )
                 # Softmax over each query row's scores.
-                reads = self._read_tensor_range(score_t, 0, t)
-                writes, war = self._write_tensor_range(score_t, 0, t)
-                self._emit(
-                    VectorInstruction(
-                        kind=VectorKind.SOFTMAX,
-                        src_row=score_t.base_row,
-                        dst_row=score_t.base_row,
-                        rows=t,
-                        lanes=min(t, 65535),
-                        scale_id=score_scale,
-                    ),
-                    InstrDeps(reads=reads, writes=writes, war=war),
+                self._vector_op(
+                    score_t, score_t, t, min(t, 65535),
+                    kind=VectorKind.SOFTMAX, scale_id=score_scale,
                 )
                 # Context matmul: softmax(scores) @ staged V_h, written
-                # example-major into the ctx scratch.
+                # example-major into head h's lanes of the ctx scratch.
                 prob_tokens = self._read_tensor_range(score_t, 0, t)
                 for r0 in range(0, t, chunk):
                     rows = min(chunk, t - r0)
-                    for n0, stripe in ctx_stripes.items():
-                        n_ext = stripe[0][4]
-                        acc_base = self._next_acc_bank()
-                        self._matmul_pass(
-                            stripe,
-                            lambda g, toks=prob_tokens: toks,
-                            lambda g, r=r0: score_t.group_row(g, r),
-                            rows,
-                            acc_base,
-                            rw_reads=v_tokens,
-                        )
-                        acc_reads = self._acc_read(acc_base, rows)
-                        writes, war = self._write_tensor_range(
-                            ctx_t, b * t + r0, rows, q_col(h), dh
-                        )
-                        self._emit(
-                            Activate(
-                                acc_row=acc_base,
-                                ub_row=ctx_t.group_row(q_col(h) // self.dim, b * t + r0),
-                                rows=rows,
-                                lanes=n_ext,
-                                function=Activation.NONE,
-                                scale_id=score_scale,
-                            ),
-                            InstrDeps(reads=acc_reads, writes=writes, war=war),
-                        )
+                    self._activate_stripes(
+                        ctx_stripes,
+                        lambda g: prob_tokens,
+                        lambda g: score_t.group_row(g, r0),
+                        rows, ctx_t, b * t + r0, score_scale, Activation.NONE,
+                        out_col=q0, rw_reads=v_tokens,
+                    )
 
         # 4. Head-concat gather: restore step-major token order.
-        reads = self._read_tensor_range(ctx_t, 0, ctx_t.rows)
-        writes, war = self._write_tensor_range(cat_t, 0, cat_t.rows)
-        self._emit(
-            VectorInstruction(
-                kind=VectorKind.UNARY,
-                src_row=ctx_t.base_row,
-                dst_row=cat_t.base_row,
-                rows=min(ctx_t.rows, 65535),
-                lanes=min(d, 65535),
-                scale_id=score_scale,
-                function=Activation.NONE,
-            ),
-            InstrDeps(reads=reads, writes=writes, war=war),
+        self._vector_op(
+            ctx_t, cat_t, min(ctx_t.rows, 65535), min(d, 65535),
+            kind=VectorKind.UNARY, scale_id=score_scale, function=Activation.NONE,
         )
 
         # 5. Output projection: (d, d) static tiles.
@@ -850,18 +801,9 @@ class Lowering:
     ) -> None:
         in_scale, _w, out_scale = self._layer_scales(index)
         scale_id = self._add_scale(ScaleEntry(in_scale, out_scale))
-        reads = self._read_tensor_range(in_t, 0, in_t.rows)
-        writes, war = self._write_tensor_range(out_t, 0, out_t.rows)
-        self._emit(
-            VectorInstruction(
-                kind=VectorKind.LAYER_NORM,
-                src_row=in_t.base_row,
-                dst_row=out_t.base_row,
-                rows=min(in_t.rows, 65535),
-                lanes=min(in_t.width, 65535),
-                scale_id=scale_id,
-            ),
-            InstrDeps(reads=reads, writes=writes, war=war),
+        self._vector_op(
+            in_t, out_t, min(in_t.rows, 65535), min(in_t.width, 65535),
+            kind=VectorKind.LAYER_NORM, scale_id=scale_id,
         )
 
     def _lower_conv(self, index: int, layer: Conv2D, in_t: LoweredTensor, out_t: LoweredTensor) -> None:
@@ -885,9 +827,7 @@ class Lowering:
         # chunk c -- and layer L's first chunk starts as soon as layer
         # L-1's first chunk has been activated.
         per_example = oh * ow
-        chunk = min(out_rows, self.acc_bank_rows, 65535)
-        if per_example <= chunk:
-            chunk = (chunk // per_example) * per_example
+        chunk = self._row_chunk(out_rows, per_example)
         setup_scale = self._add_scale(ScaleEntry(in_scale, in_scale))
         in_rows_per_example = h * w
         for r0 in range(0, out_rows, chunk):
@@ -911,30 +851,13 @@ class Lowering:
                 ),
                 InstrDeps(reads=src_reads, writes=(setup_token,), war=setup_war),
             )
-            for n0, stripe in stripes.items():
-                n_ext = stripe[0][4]
-                acc_base = self._next_acc_bank()
-                self._matmul_pass(
-                    stripe,
-                    lambda g, tok=setup_token: (tok,),
-                    lambda g, base=setup_base, r=rows: base + g * r,
-                    rows,
-                    acc_base,
-                    convolve=True,
-                )
-                acc_reads = self._acc_read(acc_base, rows)
-                writes, war = self._write_tensor_range(out_t, r0, rows, n0, n_ext)
-                self._emit(
-                    Activate(
-                        acc_row=acc_base,
-                        ub_row=out_t.group_row(n0 // self.dim, r0),
-                        rows=rows,
-                        lanes=n_ext,
-                        function=layer.activation,
-                        scale_id=scale_id,
-                    ),
-                    InstrDeps(reads=acc_reads, writes=writes, war=war),
-                )
+            self._activate_stripes(
+                stripes,
+                lambda g: (setup_token,),
+                lambda g: setup_base + g * rows,
+                rows, out_t, r0, scale_id, layer.activation,
+                convolve=True,
+            )
 
     def _lower_lstm(self, index: int, layer: LSTMCell, in_t: LoweredTensor, out_t: LoweredTensor) -> None:
         batch = self.model.batch_size
@@ -1022,19 +945,9 @@ class Lowering:
     def _lower_vector(self, index: int, layer: VectorOp, in_t: LoweredTensor, out_t: LoweredTensor) -> None:
         in_scale, _w, out_scale = self._layer_scales(index)
         scale_id = self._add_scale(ScaleEntry(in_scale, out_scale))
-        reads = self._read_tensor_range(in_t, 0, in_t.rows)
-        writes, war = self._write_tensor_range(out_t, 0, out_t.rows)
-        self._emit(
-            VectorInstruction(
-                kind=VectorKind.UNARY,
-                src_row=in_t.base_row,
-                dst_row=out_t.base_row,
-                rows=min(in_t.rows, 65535),
-                lanes=min(in_t.width, 65535),
-                scale_id=scale_id,
-                function=layer.op,
-            ),
-            InstrDeps(reads=reads, writes=writes, war=war),
+        self._vector_op(
+            in_t, out_t, min(in_t.rows, 65535), min(in_t.width, 65535),
+            kind=VectorKind.UNARY, scale_id=scale_id, function=layer.op,
         )
 
     def _lower_pool(self, index: int, layer: Pooling, in_t: LoweredTensor, out_t: LoweredTensor, in_shape: tuple[int, ...]) -> None:
@@ -1047,37 +960,18 @@ class Lowering:
                 value=pack_pooling_config(layer.window, layer.stride, h, w, c),
             )
         )
-        reads = self._read_tensor_range(in_t, 0, in_t.rows)
-        writes, war = self._write_tensor_range(out_t, 0, out_t.rows)
-        self._emit(
-            VectorInstruction(
-                kind=VectorKind.POOL,
-                src_row=in_t.base_row,
-                dst_row=out_t.base_row,
-                rows=min(out_t.rows, 65535),
-                lanes=min(out_t.width, 65535),
-                scale_id=scale_id,
-                function=Activation.NONE,
-            ),
-            InstrDeps(reads=reads, writes=writes, war=war),
+        self._vector_op(
+            in_t, out_t, min(out_t.rows, 65535), min(out_t.width, 65535),
+            kind=VectorKind.POOL, scale_id=scale_id, function=Activation.NONE,
         )
 
     def _lower_residual(self, dst_index: int, out_t: LoweredTensor, skip_t: LoweredTensor, skip_scale: TensorScale) -> None:
         _in, _w, out_scale = self._layer_scales(dst_index)
         scale_id = self._add_scale(ScaleEntry(out_scale, out_scale, aux_scale=skip_scale))
         reads = self._read_tensor_range(out_t, 0, out_t.rows) + self._read_tensor_range(skip_t, 0, skip_t.rows)
-        writes, war = self._write_tensor_range(out_t, 0, out_t.rows)
-        self._emit(
-            VectorInstruction(
-                kind=VectorKind.RESIDUAL_ADD,
-                src_row=out_t.base_row,
-                dst_row=out_t.base_row,
-                rows=min(out_t.rows, 65535),
-                lanes=min(out_t.width, 65535),
-                scale_id=scale_id,
-                aux_id=skip_t.base_row,
-            ),
-            InstrDeps(reads=reads, writes=writes, war=war),
+        self._vector_op(
+            out_t, out_t, min(out_t.rows, 65535), min(out_t.width, 65535), reads=reads,
+            kind=VectorKind.RESIDUAL_ADD, scale_id=scale_id, aux_id=skip_t.base_row,
         )
 
     # ------------------------------------------------------------------
@@ -1105,14 +999,11 @@ class Lowering:
         model = self.model
         n_layers = len(model.layers)
         input_last, last_use = self._last_use_steps()
-        in_rows, in_width = self._input_tensor_shape()
-        input_t = self._declare("input", in_rows, in_width, 0, input_last)
-        layer_tensors: list[LoweredTensor] = []
-        for i, layer in enumerate(model.layers):
-            rows, width = self._tensor_shape_for_layer_output(i)
-            layer_tensors.append(
-                self._declare(f"L{i}.{layer.name}", rows, width, i + 1, last_use[i])
-            )
+        input_t = self._declare("input", *self._matrix_shape(model.input_shape), 0, input_last)
+        layer_tensors = [
+            self._declare(f"L{i}.{layer.name}", *self._matrix_shape(shape), i + 1, last_use[i])
+            for i, (layer, shape) in enumerate(zip(model.layers, model.shapes()))
+        ]
         self._declare_staging(input_t, layer_tensors[-1], n_layers)
         self._predeclare_scratch()
         return input_t, layer_tensors

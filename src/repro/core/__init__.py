@@ -8,9 +8,9 @@ The package mirrors Figure 1's block diagram, one module per block:
   cycle granularity (Figure 4);
 * :mod:`repro.core.matrix_unit` -- the 256x256 MXU tile engine with
   double-buffered weights and 8/16-bit speed modes;
-* :mod:`repro.core.unified_buffer`, :mod:`repro.core.accumulators`,
-  :mod:`repro.core.weight_memory` -- the memory system (the device's
-  timing plan models the Weight FIFO);
+* :mod:`repro.core.accumulators`, :mod:`repro.core.weight_memory` -- the
+  memory system (the device's timing plan models the Weight FIFO, and its
+  data pass keeps Unified Buffer tensors as per-tensor arrays);
 * :mod:`repro.core.activation_unit` -- nonlinearities and pooling;
 * :mod:`repro.core.dma` -- the PCIe host interface;
 * :mod:`repro.core.counters` -- the performance-counter bank (Table 3);
@@ -24,7 +24,6 @@ from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.device import ExecutionResult, TPUDevice
 from repro.core.matrix_unit import MatrixUnit
 from repro.core.systolic import SystolicArray
-from repro.core.unified_buffer import UnifiedBuffer
 
 __all__ = [
     "AccumulatorFile",
@@ -38,5 +37,4 @@ __all__ = [
     "TPUDevice",
     "TPU_PRIME",
     "TPU_V1",
-    "UnifiedBuffer",
 ]

@@ -123,19 +123,6 @@ class CycleBreakdown:
         if self.useful_mac_weighted > self.active * (1 + 1e-9):
             raise ValueError("useful MAC-weighted cycles cannot exceed active cycles")
 
-    @classmethod
-    def from_counters(cls, bank: CounterBank) -> "CycleBreakdown":
-        return cls(
-            total=bank.get("total_cycles"),
-            active=bank.get("array_active_cycles"),
-            weight_stall=bank.get("weight_stall_cycles"),
-            weight_shift=bank.get("weight_shift_cycles"),
-            non_matrix=bank.get("non_matrix_cycles"),
-            useful_mac_weighted=bank.get("useful_mac_cycles"),
-            raw_stall=bank.get("raw_stall_cycles"),
-            input_stall=bank.get("input_stall_cycles"),
-        )
-
     # -- Table 3 rows, as fractions of total cycles --------------------------
     @property
     def active_fraction(self) -> float:

@@ -47,8 +47,11 @@ from repro.isa.instructions import (
     InterruptHost,
     MatrixMultiply,
     Nop,
+    ROW_BYTES,
     ReadHostMemory,
     ReadWeights,
+    SETUP_BANK_STRIDE,
+    SETUP_BASE,
     Sync,
     SyncHost,
     VectorInstruction,
@@ -61,9 +64,6 @@ from repro.nn.layers import Activation
 from repro.nn.quantization import apply_activation, quantize
 from repro.nn.reference import im2col, max_pool
 
-ROW_BYTES = 256
-SETUP_BASE = 0x800000
-SETUP_BANK_STRIDE = 1 << 22
 
 @dataclass(frozen=True)
 class ExecutionResult:

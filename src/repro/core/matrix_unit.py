@@ -53,13 +53,8 @@ class MatrixUnit:
         self.config = config
         self.dim = config.matrix_dim
         self._resident: np.ndarray | None = None
-        self._resident_id: int | None = None
 
     # -- weights ---------------------------------------------------------------
-    @property
-    def resident_tile_id(self) -> int | None:
-        return self._resident_id
-
     def install_tile(self, tile_id: int, tile: np.ndarray | None) -> int:
         """Make a tile the active weight plane; returns shift-in cycles.
 
@@ -78,7 +73,6 @@ class MatrixUnit:
             self._resident = padded
         else:
             self._resident = None
-        self._resident_id = tile_id
         return self.config.weight_shift_cycles
 
     # -- compute -----------------------------------------------------------------

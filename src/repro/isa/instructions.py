@@ -20,6 +20,14 @@ MAX_LEN = (1 << 32) - 1  # 4-byte length
 MAX_HALF = (1 << 16) - 1  # 2-byte subfields
 MAX_SCALE_ID = (1 << 10) - 1  # 10 flag bits for the scale-table index
 
+#: Bytes per Unified Buffer row: one 256-lane group of int8 operands.
+ROW_BYTES = 256
+#: UB row index at which the systolic-data-setup address space begins;
+#: the compiler emits im2col streams there and the device decodes them.
+SETUP_BASE = 0x800000
+#: Row stride between the two setup banks.
+SETUP_BANK_STRIDE = 1 << 22
+
 
 def _check_field(name: str, value: int, maximum: int) -> None:
     if not 0 <= value <= maximum:

@@ -82,11 +82,6 @@ def dequantize(codes: np.ndarray, scale: TensorScale) -> np.ndarray:
     return np.asarray(codes, dtype=np.float64) * scale.scale
 
 
-def quantize_tensor(values: np.ndarray, bits: int = 8) -> QuantizedTensor:
-    scale = choose_scale(values, bits)
-    return QuantizedTensor(quantize(values, scale), scale)
-
-
 def quantized_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Integer matmul with 32-bit accumulation, as the MXU performs it.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compiler.driver import TPUDriver
-from repro.core.config import TPUConfig, TPU_V1, TPU_PRIME
+from repro.core.config import TPUConfig, TPU_V1
 from repro.nn.graph import Model
 from repro.nn.workloads import DEPLOYMENT_MIX
 from repro.perfmodel.model import tpu_seconds
@@ -91,8 +91,3 @@ def tpu_prime_study(
         host_adjusted_gm=host_gm,
         host_adjusted_wm=host_wm,
     )
-
-
-def tpu_prime_config() -> TPUConfig:
-    """The chosen TPU': GDDR5 memory, clock left at 700 MHz."""
-    return TPU_PRIME

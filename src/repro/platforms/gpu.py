@@ -64,7 +64,3 @@ class K80Platform(AnalyticalPlatform):
                 peak_tflops=K80_CHIP.peak_tflops * BOOST_PERF_FACTOR,
                 bandwidth_gbs=K80_CHIP.bandwidth_gbs * BOOST_PERF_FACTOR,
             )
-
-    @property
-    def busy_power_w(self) -> float:
-        return self.chip.busy_w

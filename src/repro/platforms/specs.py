@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.units import GB, MIB
+from repro.util.units import GB
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class ChipSpec:
     def ridge_ops_per_byte(self) -> float:
         """Roofline knee in MACs per weight byte."""
         return self.peak_ops / (2.0 * self.bandwidth)
-
-    @property
-    def onchip_bytes(self) -> float:
-        return self.onchip_mib * MIB
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tests for the TPU memory system: UB, accumulators, DRAM, DMA."""
+"""Tests for the TPU memory system: accumulators, weight memory, DRAM, DMA."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core.accumulators import AccumulatorFile
 from repro.core.config import TPUConfig, TPU_PRIME, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
-from repro.core.unified_buffer import UnifiedBuffer
 from repro.core.weight_memory import WeightMemory
 from repro.util.units import GB, MIB
 
@@ -84,32 +83,6 @@ class TestCycleBreakdown:
         with pytest.raises(ValueError):
             CycleBreakdown(total=10, active=2, weight_stall=4, weight_shift=2,
                            non_matrix=2, useful_mac_weighted=3)
-
-
-class TestUnifiedBuffer:
-    def test_roundtrip_and_high_water(self):
-        ub = UnifiedBuffer(1024)
-        ub.write(256, np.arange(10, dtype=np.int8))
-        assert ub.read(256, 10).tolist() == list(range(10))
-        assert ub.high_water_bytes == 266
-
-    def test_capacity_enforced(self):
-        ub = UnifiedBuffer(512)
-        with pytest.raises(MemoryError):
-            ub.write(500, np.zeros(20, dtype=np.int8))
-        with pytest.raises(MemoryError):
-            ub.read(0, 513)
-
-    def test_reset(self):
-        ub = UnifiedBuffer(512)
-        ub.write(0, np.ones(4, dtype=np.int8))
-        ub.reset()
-        assert ub.high_water_bytes == 0
-        assert ub.read(0, 4).tolist() == [0, 0, 0, 0]
-
-    def test_row_multiple_required(self):
-        with pytest.raises(ValueError):
-            UnifiedBuffer(1000, row_bytes=256)
 
 
 class TestAccumulators:

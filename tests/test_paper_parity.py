@@ -1,15 +1,24 @@
 """Paper-parity pins: registering the transformer family must not move
-a single byte of the Table 1 six's compiled programs or table outputs.
+a single byte of the Table 1 six's compiled programs or table outputs,
+and refactoring the compiler must not move a byte of any program.
 
-The hashes below were recorded from the repo *before* the transformer
-layer kinds, the per-token FC path, and the dynamic-tile weight charging
-existed.  They pin:
+``PROGRAM_SHA256`` and ``TABLE_TEXT_SHA256`` were recorded from the repo
+*before* the transformer layer kinds, the per-token FC path, and the
+dynamic-tile weight charging existed.  They pin:
 
-* the compiled instruction stream of each paper workload (so compiler
-  refactors shared with the transformer path provably leave the six's
-  emission untouched), and
+* the compiled instruction stream of each paper workload at 8x8 (so
+  compiler refactors shared with the transformer path provably leave
+  the six's emission untouched), and
 * the rendered text of Tables 1-8 (so analysis surfaces keep iterating
   exactly the paper registry).
+
+``PROGRAM_DEPS_SHA256`` was recorded later, from the commit just before
+the emission pass was folded into one emitter per instruction shape
+(``Lowering._activate_stripes`` and ``Lowering._vector_op``).  It pins
+the instruction stream and the dependency sidecar of all nine
+registered workloads at both operand widths, so the transformer
+emitters (attention, layer norm, per-token FC) and every 16-bit
+program are pinned too.
 
 If one of these legitimately needs to change (e.g. a deliberate
 compiler improvement), re-record the constants in the same commit and
@@ -46,6 +55,86 @@ PROGRAM_SHA256 = {
     "cnn1": "3a4d97042205579c36e272b5ec2df4f8f0bf230fa47c838a70bb5c67286a8b6f",
 }
 
+#: (sha256 of TPUProgram.binary(), sha256 of repr(metadata["deps"])) for
+#: every registered workload at (8, 8) and (16, 16) operand widths,
+#: keyed by (name, bits).  Only the transformer programs run the
+#: attention, layer-norm and per-token FC emitters, and the 16-bit
+#: programs differ from the 8-bit ones in every MatrixMultiply.
+PROGRAM_DEPS_SHA256 = {
+    ("mlp0", 8): (
+        "99116d2ab8c7d2fc9e5cdf22423dfc3a24b1679f97e09815ca81cd2792b802f4",
+        "e431e0fb23476800423d73aa1442f4f0658a1403b5cddf7aa7d25c63b5c62aff",
+    ),
+    ("mlp0", 16): (
+        "143a44de4b8e5fc9a8dc3c0e852b09f7388486456e0178fd85f1b2aac016d33a",
+        "e431e0fb23476800423d73aa1442f4f0658a1403b5cddf7aa7d25c63b5c62aff",
+    ),
+    ("mlp1", 8): (
+        "d0a8a777b849c8006dd5baa832daaf4a30057e70f5257a127de8675e25720334",
+        "64d739a6f15ba4b36fa2c60fc3462b45f4b71482b1e2153869dda96acca6c6c2",
+    ),
+    ("mlp1", 16): (
+        "faa75fa4522121f954d8f70eb13c4c0a036ab756e776e61876eb2cf45b2ddc8e",
+        "64d739a6f15ba4b36fa2c60fc3462b45f4b71482b1e2153869dda96acca6c6c2",
+    ),
+    ("lstm0", 8): (
+        "f365b4742fb0465e8677fe258b6414cbf65d0668d7f3486763c4b89db9d2a918",
+        "35e8509597c08ec710d5d47878a1a6a1c6cd298df2f10e761c5faf9578c5e6a9",
+    ),
+    ("lstm0", 16): (
+        "dc5ea35891fd05d2f282ed0fc9c8109c45d75e5775b12a456cfe0bc06eec56d8",
+        "35e8509597c08ec710d5d47878a1a6a1c6cd298df2f10e761c5faf9578c5e6a9",
+    ),
+    ("lstm1", 8): (
+        "ebe083c501e10389d8ca3abbacca91ffe7a42c19ddf7ca9d36725337a6d6505a",
+        "76d442f5d87192b70b74fb87f527d71290c525774f3b10b013748e776a925833",
+    ),
+    ("lstm1", 16): (
+        "a8379548b29f992df6619e26786cfa1134258c12c2f577498a5586751b07e3a3",
+        "76d442f5d87192b70b74fb87f527d71290c525774f3b10b013748e776a925833",
+    ),
+    ("cnn0", 8): (
+        "b2565ac7b08f8a1eab216b82dd5a7dc32bb7b804abcd162a66b70402e8a87705",
+        "91681f31920879474d297fbc3b263a711ea6913ae4da551ebd56d297ecc96d38",
+    ),
+    ("cnn0", 16): (
+        "0de35f21c79b43fd97b17653636e54efb8169a0a7c112c03d9e94faa28126b4f",
+        "91681f31920879474d297fbc3b263a711ea6913ae4da551ebd56d297ecc96d38",
+    ),
+    ("cnn1", 8): (
+        "3a4d97042205579c36e272b5ec2df4f8f0bf230fa47c838a70bb5c67286a8b6f",
+        "2fbd0ae9c51f540c502495824bee985aba87387661ad5bd4b65bd1f28c6602e0",
+    ),
+    ("cnn1", 16): (
+        "5c283aa152ce7c1b2e9a423917b8d77ccd667ba003a365b86bb43fed549bf11e",
+        "2fbd0ae9c51f540c502495824bee985aba87387661ad5bd4b65bd1f28c6602e0",
+    ),
+    ("bert_s", 8): (
+        "63e4e004d2577bb4b444e6dbc0368c641e382efdab50417260c382d26f44d333",
+        "971c8532952312044fbb9e93d56b49191e77fdf631e73444f2db090d61866d12",
+    ),
+    ("bert_s", 16): (
+        "c22be53fa48f529ee3d528424f65a06e8cf0c6e79043f4575c512a60842899b9",
+        "971c8532952312044fbb9e93d56b49191e77fdf631e73444f2db090d61866d12",
+    ),
+    ("bert_l", 8): (
+        "1c3b411cd3fdf76f5035ee5d0f1d67df9ef6686db812bf7f4dfd1d85b486fd45",
+        "fe638ac1c647065b20341d08207a5417608114b9a5c445ecd9ee8a713963e889",
+    ),
+    ("bert_l", 16): (
+        "54919eb51eb3e67dc053c702fe5724d2f687cca2e96d5ed3846bf3647ed9705f",
+        "fe638ac1c647065b20341d08207a5417608114b9a5c445ecd9ee8a713963e889",
+    ),
+    ("gpt_s", 8): (
+        "7ffa2bd8ced3212469321c291347d9ccd6608afd82973086c194375f40d27413",
+        "ab0e9f7e03f6ca0107bbc2827bfb05bca25dfe36bc2b9af5899b4bae562b9da3",
+    ),
+    ("gpt_s", 16): (
+        "9308900498723e38507e3d97cf063064d927b3d666d18e577e5a7c504f2f874d",
+        "ab0e9f7e03f6ca0107bbc2827bfb05bca25dfe36bc2b9af5899b4bae562b9da3",
+    ),
+}
+
 #: sha256 of ExperimentResult.text for the paper tables.
 TABLE_TEXT_SHA256 = {
     "table1": "1cc516851e2945159a3b6bcbb0672f3597f39b94cc0b9f96ee72f7e1969306fd",
@@ -67,6 +156,22 @@ def test_paper_program_byte_identical(name):
         f"{name}: compiled instruction stream changed vs the pre-transformer "
         "seed; paper-parity surfaces must stay pinned"
     )
+
+
+@pytest.mark.parametrize(
+    "name,bits",
+    [pytest.param(name, bits, id=f"{name}-{bits}x{bits}") for name, bits in PROGRAM_DEPS_SHA256],
+)
+def test_program_and_deps_byte_identical(name, bits):
+    """Every program's instruction stream and dependency sidecar, from a
+    fresh emission pass (no lowering cache), at both operand widths."""
+    program = Lowering(
+        build_workload(name), TPU_V1, weight_bits=bits, activation_bits=bits
+    ).lower().program
+    binary_sha, deps_sha = PROGRAM_DEPS_SHA256[name, bits]
+    label = f"{name} at {bits}x{bits}"
+    assert hashlib.sha256(program.binary()).hexdigest() == binary_sha, label
+    assert hashlib.sha256(repr(program.metadata["deps"]).encode()).hexdigest() == deps_sha, label
 
 
 @pytest.mark.parametrize("exp_id", list(TABLE_TEXT_SHA256))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.transformer import decode_intensity, decode_macs_per_token
 from repro.compiler.driver import TPUDriver
+from repro.compiler.lowering import Lowering
 from repro.core.config import TPU_V1
 from repro.nn.graph import Model
 from repro.nn.layers import (
@@ -25,6 +26,15 @@ from repro.nn.workloads import (
     paper_workloads,
 )
 from repro.perfmodel.model import app_cost
+
+
+def _attention_only(embed_dim: int, num_heads: int) -> Model:
+    return Model(
+        name="attn_only",
+        layers=(MultiHeadAttention("attn", embed_dim, num_heads, seq_len=8),),
+        input_shape=(8, embed_dim),
+        batch_size=2,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +237,35 @@ class TestCompileAndRun:
         """OI 526 < ridge 1349: the analytic model must agree."""
         bounds = app_cost(transformers["bert_l"], TPU_V1).bound_fractions()
         assert max(bounds, key=bounds.get) == "weight"
+
+    @pytest.mark.parametrize("embed_dim,num_heads", [(384, 2), (1024, 2)])
+    def test_head_straddling_lane_groups_rejected(self, embed_dim, num_heads):
+        """Each head's Q and context are addressed through one 256-lane
+        group, so a head_dim that does not divide 256 (192 spans groups
+        0-1 for head 1; 512 spans two groups per head) must refuse to
+        compile instead of emitting addresses its dependency tokens
+        contradict."""
+        head_dim = embed_dim // num_heads
+        model = _attention_only(embed_dim, num_heads)
+        with pytest.raises(NotImplementedError, match=f"attn has head_dim {head_dim};"):
+            Lowering(model, TPU_V1)
+
+    @pytest.mark.parametrize("embed_dim,num_heads", [(512, 8), (512, 2)])
+    def test_head_inside_one_lane_group_compiles(self, embed_dim, num_heads):
+        """head_dim 64 (the registered workloads) and 256 (a full group):
+        each (head, example) context Activate lands in its head's lanes."""
+        head_dim = embed_dim // num_heads
+        model = _attention_only(embed_dim, num_heads)
+        program = Lowering(model, TPU_V1).lower().program
+        base, rows, _width = program.metadata["tensors"]["attn.ctx"]
+        ctx = [
+            i for i in program.instructions
+            if type(i).__name__ == "Activate" and base <= i.ub_row < base + rows * embed_dim // 256
+        ]
+        assert [(i.ub_row - base) // rows for i in ctx] == [
+            h * head_dim // 256 for h in range(num_heads) for _b in range(model.batch_size)
+        ]
+        assert {i.lanes for i in ctx} == {head_dim}
 
 
 class TestFunctionalGate:
