@@ -18,15 +18,22 @@ Conventions established here and honoured by the device:
   dedicated two-bank setup region (Figure 1's "Systolic Data Setup"),
   addressed above :data:`SETUP_BASE`, outside the UB allocator.
 * **Dependency sidecar.**  The compiler performs the interval analysis
-  and attaches (reads, writes, WAR) token tuples per instruction; the
+  and attaches one ``(reads, writes, war)`` entry per instruction
+  (``metadata["deps"]``, aligned with the instruction stream); the
   device's scoreboard consumes tokens in O(1), which keeps the timing
-  simulation linear in program size.
+  simulation linear in program size.  Each entry is an exact tuple of
+  three exact tuples of ints, in ascending token order.  The lowering
+  cache keeps every sidecar for the life of the process, and CPython's
+  collector untracks a tuple that holds only untracked objects, so
+  cached entries cost nothing in later collections; a dataclass or
+  ``NamedTuple`` entry is never untracked, and every full collection
+  would walk all of them again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,13 +126,12 @@ class LoweredTensor:
         return self.base_row + group * self.rows + row_offset
 
 
-@dataclass(frozen=True)
-class InstrDeps:
-    """Token dependencies of one instruction (device scoreboard input)."""
+#: One instruction's sidecar entry: ``(reads, writes, war)`` token tuples
+#: (device scoreboard input).
+InstrDeps = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    reads: tuple[int, ...] = ()
-    writes: tuple[int, ...] = ()
-    war: tuple[int, ...] = ()
+#: The entry of an instruction with no token dependencies.
+NO_DEPS: InstrDeps = ((), (), ())
 
 
 class _DepTracker:
@@ -133,6 +139,12 @@ class _DepTracker:
 
     Keys identify an address space (a tensor's lane group, an accumulator
     bank, a setup bank); ranges are row intervals within that space.
+    Each key's live blocks ``(r0, r1, token)`` stay in allocation order,
+    so every token tuple returned is ascending.  Callers pack the tuples
+    into ``(reads, writes, war)`` sidecar entries: exact tuples of three
+    exact int tuples, which the garbage collector untracks once the
+    lowering cache holds them.  A dataclass or ``NamedTuple`` entry is
+    never untracked, so every full collection would walk it again.
     """
 
     def __init__(self) -> None:
@@ -140,27 +152,37 @@ class _DepTracker:
         self._blocks: dict[object, list[tuple[int, int, int]]] = {}
 
     def write(self, key: object, r0: int, r1: int) -> tuple[int, tuple[int, ...]]:
-        """Register a write; returns (new token, WAR tokens displaced)."""
+        """Register a write; returns (new token, WAR tokens displaced).
+
+        One scan collects the token of every block the range overlaps
+        and drops the blocks it covers whole; a partly overwritten block
+        stays live, with its own rows, so later reads still see it.
+        """
         if r1 <= r0:
             raise ValueError(f"empty write range [{r0}, {r1}) on {key!r}")
-        blocks = self._blocks.setdefault(key, [])
-        war = tuple(tok for (b0, b1, tok) in blocks if b0 < r1 and r0 < b1)
-        blocks[:] = [(b0, b1, tok) for (b0, b1, tok) in blocks if not (b0 >= r0 and b1 <= r1)]
+        war = []
+        kept = []
+        for block in self._blocks.get(key, ()):
+            b0, b1, tok = block
+            if b0 < r1 and r0 < b1:
+                war.append(tok)
+                if r0 <= b0 and b1 <= r1:
+                    continue
+            kept.append(block)
         token = self._next
         self._next += 1
-        blocks.append((r0, r1, token))
-        return token, war
+        kept.append((r0, r1, token))
+        self._blocks[key] = kept
+        return token, tuple(war)
 
     def read(self, key: object, r0: int, r1: int) -> tuple[int, ...]:
-        blocks = self._blocks.get(key, ())
-        return tuple(tok for (b0, b1, tok) in blocks if b0 < r1 and r0 < b1)
+        return tuple([tok for (b0, b1, tok) in self._blocks.get(key, ()) if b0 < r1 and r0 < b1])
 
 
 @dataclass
 class LoweringResult:
     program: TPUProgram
     allocation: Allocation
-    tensors: dict[str, LoweredTensor] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -189,7 +211,6 @@ class EmissionRecord:
     scales: tuple[ScaleEntry, ...]
     host_buffers: dict[int, HostBufferSpec]
     requests: tuple[Request, ...]
-    tensors: dict[str, LoweredTensor]
     #: Metadata entries minus the allocation-dependent pair
     #: (``ub_peak_bytes`` / ``allocator``), in canonical order.
     metadata_rest: dict
@@ -212,9 +233,7 @@ class EmissionRecord:
             batch_size=self.batch_size,
             metadata=metadata,
         )
-        return LoweringResult(
-            program=program, allocation=allocation, tensors=self.tensors
-        )
+        return LoweringResult(program=program, allocation=allocation)
 
     def materialize(self, allocator, config: TPUConfig) -> LoweringResult:
         """Re-run only the allocation pass (the lowering-cache hit path)."""
@@ -396,9 +415,16 @@ class Lowering:
     # ------------------------------------------------------------------
     # emission helpers
     # ------------------------------------------------------------------
-    def _emit(self, instr: Instruction, deps: InstrDeps | None = None) -> None:
+    def _emit(self, instr: Instruction, deps: InstrDeps = NO_DEPS) -> None:
+        """Append ``instr`` and its sidecar entry ``deps``.
+
+        ``deps`` is ``(reads, writes, war)``: an exact tuple of three exact
+        int tuples, never a dataclass or ``NamedTuple``.  The garbage
+        collector untracks only exact tuples of untracked objects, and the
+        lowering cache keeps every entry for the life of the process.
+        """
         self._instructions.append(instr)
-        self._deps.append(deps if deps is not None else InstrDeps())
+        self._deps.append(deps)
 
     def _next_acc_bank(self) -> int:
         bank = self._pass_toggle % 2
@@ -478,7 +504,7 @@ class Lowering:
         """
         instructions = self._instructions
         deps = self._deps
-        rw_deps = InstrDeps(reads=rw_reads)
+        rw_deps = (rw_reads, (), ())
         rw_memo = self._rw_memo
         mm_memo = self._mm_memo
         accumulate_reads: tuple[int, ...] | None = None
@@ -516,11 +542,7 @@ class Lowering:
                 )
             instructions.append(mm)
             deps.append(
-                InstrDeps(
-                    reads=tuple(src_tokens_of_group(group)) + acc_reads,
-                    writes=acc_writes,
-                    war=acc_war,
-                )
+                (tuple(src_tokens_of_group(group)) + acc_reads, acc_writes, acc_war)
             )
 
     def _pass_inputs(self, src_t: LoweredTensor, r0: int, rows: int):
@@ -591,7 +613,7 @@ class Lowering:
                     function=function,
                     scale_id=scale_id,
                 ),
-                InstrDeps(reads=acc_reads, writes=writes, war=war),
+                (acc_reads, writes, war),
             )
 
     def _vector_op(
@@ -613,7 +635,7 @@ class Lowering:
             VectorInstruction(
                 src_row=src_t.base_row, dst_row=dst_t.base_row, rows=rows, lanes=lanes, **fields
             ),
-            InstrDeps(reads=reads, writes=writes, war=war),
+            (reads, writes, war),
         )
 
     # ------------------------------------------------------------------
@@ -849,7 +871,7 @@ class Lowering:
                     scale_id=setup_scale,
                     aux_id=r0,
                 ),
-                InstrDeps(reads=src_reads, writes=(setup_token,), war=setup_war),
+                (src_reads, (setup_token,), setup_war),
             )
             self._activate_stripes(
                 stripes,
@@ -893,7 +915,7 @@ class Lowering:
                     scale_id=copy_scale,
                     aux_id=0,
                 ),
-                InstrDeps(reads=reads, writes=writes, war=war),
+                (reads, writes, war),
             )
             # Gather h_{t-1} beside it.
             reads = self._read_tensor_range(h_state, 0, batch)
@@ -908,7 +930,7 @@ class Lowering:
                     scale_id=copy_scale,
                     aux_id=x_width,
                 ),
-                InstrDeps(reads=reads, writes=writes, war=war),
+                (reads, writes, war),
             )
             src_tokens, src_rows = self._pass_inputs(concat, 0, batch)
             acc_base = self._next_acc_bank()
@@ -935,10 +957,10 @@ class Lowering:
                     scale_id=gate_scale,
                     aux_id=h_state.base_row,
                 ),
-                InstrDeps(
-                    reads=acc_reads + c_reads,
-                    writes=out_writes + h_writes + (c_token,),
-                    war=out_war + h_war + c_war,
+                (
+                    acc_reads + c_reads,
+                    out_writes + h_writes + (c_token,),
+                    out_war + h_war + c_war,
                 ),
             )
 
@@ -1035,7 +1057,7 @@ class Lowering:
         in_writes, in_war = self._write_tensor_range(input_t, 0, input_t.rows)
         self._emit(
             ReadHostMemory(buffer_id=0, ub_row=input_t.base_row, rows=input_t.nbytes // ROW_BYTES),
-            InstrDeps(writes=in_writes, war=in_war),
+            ((), in_writes, in_war),
         )
         shapes = model.shapes()
         current = input_t
@@ -1076,7 +1098,7 @@ class Lowering:
         out_reads = self._read_tensor_range(current, 0, current.rows)
         self._emit(
             WriteHostMemory(buffer_id=1, ub_row=current.base_row, rows=current.nbytes // ROW_BYTES),
-            InstrDeps(reads=out_reads),
+            (out_reads, (), ()),
         )
         self._emit(SyncHost())
         self._emit(InterruptHost())
@@ -1102,7 +1124,6 @@ class Lowering:
             scales=tuple(self._scales),
             host_buffers=host_buffers,
             requests=tuple(self._requests),
-            tensors=self._tensors,
             metadata_rest=metadata_rest,
         )
 

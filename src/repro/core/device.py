@@ -233,11 +233,18 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
     :func:`repro.isa.decode_program` -- runs as a serial chain: each
     instruction waits for the one before it, except a weight fetch,
     which waits only for the DRAM port and a free FIFO slot.  A
-    malformed stream raises: an instruction the device does not know, a
+    malformed stream raises: a sidecar whose length is not the
+    instruction count, an instruction the device does not know, a
     ``load_new_tile`` matmul with the Weight FIFO empty, or a tile
-    missing from ``program.tiles``.
+    missing from ``program.tiles``.  A sidecar entry is the compiler's
+    ``(reads, writes, war)`` token-tuple triple.
     """
     deps = program.metadata.get("deps")
+    if deps is not None and len(deps) != len(program.instructions):
+        raise ValueError(
+            f"program {program.name!r}: dependency sidecar has {len(deps)} "
+            f"entries for {len(program.instructions)} instructions"
+        )
     tile_load_cycles = config.tile_load_cycles()
     tile_bytes = config.tile_bytes
     lanes = config.activation_lanes
@@ -270,8 +277,7 @@ def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
     for index, instr in enumerate(program.instructions):
         n_issued += 1
         if deps is not None:
-            dep = deps[index]
-            reads, war, writes = dep.reads, dep.war, dep.writes
+            reads, writes, war = deps[index]
         else:
             reads = war = () if isinstance(instr, ReadWeights) else (index - 1,)
             writes = (index,)

@@ -6,7 +6,11 @@ compares the production path with a second, live implementation:
 
 * :class:`ReferenceLowering` -- per-tile emission: one ``TileCoord`` per
   weight tile, a freshly built instruction and accumulator read per
-  K-step, and lazy per-tile source-token reads;
+  K-step, and lazy per-tile source-token reads, over a
+  :class:`ReferenceDepTracker`;
+* :class:`ReferenceDepTracker` -- the compiler's interval -> token
+  tracker with two passes per write: one collects the WAR tokens, a
+  second rebuilds the surviving blocks;
 * :func:`reference_closed_loop` -- closed-loop load generation with one
   Python step per request slot;
 * :class:`PerInstructionRun` -- the device's per-instruction loop: a
@@ -39,7 +43,7 @@ from collections import Counter, deque
 import numpy as np
 
 from repro import obs
-from repro.compiler.lowering import InstrDeps, Lowering, LoweredTensor, ROW_BYTES
+from repro.compiler.lowering import Lowering, LoweredTensor, ROW_BYTES
 from repro.compiler.tiling import tile_matmul
 from repro.core.counters import CycleBreakdown
 from repro.core.device import ExecutionResult, _DataPass
@@ -66,8 +70,36 @@ from repro.serving.continuous import ContinuousBatchingSim, _Chip, _LLMRequest
 from repro.serving.engine import BatchServer, EventLoop, LatencyCurve
 
 
+class ReferenceDepTracker:
+    """:class:`repro.compiler.lowering._DepTracker`, two passes per write."""
+
+    def __init__(self) -> None:
+        self._next = 0
+        self._blocks: dict[object, list[tuple[int, int, int]]] = {}
+
+    def write(self, key, r0, r1):
+        if r1 <= r0:
+            raise ValueError(f"empty write range [{r0}, {r1}) on {key!r}")
+        blocks = self._blocks.setdefault(key, [])
+        war = tuple(tok for (b0, b1, tok) in blocks if b0 < r1 and r0 < b1)
+        blocks[:] = [(b0, b1, tok) for (b0, b1, tok) in blocks if not (b0 >= r0 and b1 <= r1)]
+        token = self._next
+        self._next += 1
+        blocks.append((r0, r1, token))
+        return token, war
+
+    def read(self, key, r0, r1):
+        blocks = self._blocks.get(key, ())
+        return tuple(tok for (b0, b1, tok) in blocks if b0 < r1 and r0 < b1)
+
+
 class ReferenceLowering(Lowering):
-    """:class:`Lowering` with the per-tile emission loop."""
+    """:class:`Lowering` with the per-tile emission loop and the two-pass
+    dependency tracker."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tracker = ReferenceDepTracker()
 
     def _weight_tiles(self, layer_name, k, n, dynamic=False):
         weight = None
@@ -101,7 +133,7 @@ class ReferenceLowering(Lowering):
     ):
         for seq, (tile_id, k0, _k_ext, _n0, _n_ext) in enumerate(stripe):
             group = k0 // self.dim
-            self._emit(ReadWeights(tile_id=tile_id), InstrDeps(reads=rw_reads))
+            self._emit(ReadWeights(tile_id=tile_id), (rw_reads, (), ()))
             acc_writes, acc_war = (
                 self._acc_write(acc_base, rows) if seq == 0 else ((), ())
             )
@@ -121,11 +153,7 @@ class ReferenceLowering(Lowering):
                     weight_bits=self.weight_bits,
                     activation_bits=self.activation_bits,
                 ),
-                InstrDeps(
-                    reads=tuple(src_tokens_of_group(group)) + acc_reads,
-                    writes=acc_writes,
-                    war=acc_war,
-                ),
+                (tuple(src_tokens_of_group(group)) + acc_reads, acc_writes, acc_war),
             )
 
     def _pass_inputs(self, src_t: LoweredTensor, r0: int, rows: int):
@@ -221,14 +249,14 @@ class PerInstructionRun(_DataPass):
             # Sequential fallback for hand-assembled programs.
             prev = self.token_write.get(self._last_serial_token, (0.0, "control"))
             return prev[0], prev[1], prev[0]
-        dep = self.deps[index]
+        reads, _writes, war = self.deps[index]
         ready, unit = 0.0, "control"
-        for token in dep.reads:
+        for token in reads:
             t, u = self.token_write.get(token, (0.0, "control"))
             if t > ready:
                 ready, unit = t, u
         war_ready = 0.0
-        for token in dep.war:
+        for token in war:
             t, _u = self.token_write.get(token, (0.0, "control"))
             war_ready = max(war_ready, t, self.token_read.get(token, 0.0))
         return ready, unit, war_ready
@@ -238,10 +266,10 @@ class PerInstructionRun(_DataPass):
             self._last_serial_token = index
             self.token_write[index] = (end, unit)
             return
-        dep = self.deps[index]
-        for token in dep.writes:
+        reads, writes, _war = self.deps[index]
+        for token in writes:
             self.token_write[token] = (end, unit)
-        for token in dep.reads:
+        for token in reads:
             if self.token_read.get(token, 0.0) < end:
                 self.token_read[token] = end
 

@@ -1,5 +1,7 @@
 """Tests for tiling, allocation, and lowering."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,13 +14,14 @@ from repro.compiler.allocator import (
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering, groups_of
 from repro.compiler.tiling import TileCoord, padded_tile_bytes, tile_grid, tile_matmul, utilization
-from repro.core.config import TPUConfig
+from repro.core.config import TPU_V1, TPUConfig
 from repro.isa.instructions import (
     MatrixMultiply,
     ReadWeights,
     VectorInstruction,
     VectorKind,
 )
+from repro.nn.workloads import build_workload
 from repro.util.units import MIB
 
 
@@ -172,6 +175,20 @@ class TestLowering:
         compiled = TPUDriver().compile(tiny_cnn)
         deps = compiled.program.metadata["deps"]
         assert len(deps) == len(compiled.program.instructions)
+
+    def test_deps_sidecar_leaves_the_garbage_collector(self):
+        """Sidecar entries are exact tuples of exact int tuples, so the
+        collector untracks the whole sidecar: one collection per nesting
+        level (sidecar, entry, token tuple)."""
+        program = Lowering(build_workload("lstm0"), TPU_V1).lower().program
+        deps = program.metadata["deps"]
+        for _level in range(3):
+            gc.collect()
+        assert not gc.is_tracked(deps)
+        assert type(deps) is tuple
+        for entry in deps:
+            assert type(entry) is tuple and len(entry) == 3
+            assert all(type(tokens) is tuple for tokens in entry)
 
     def test_lstm_emits_gate_ops(self, tiny_lstm):
         compiled = TPUDriver().compile(tiny_lstm)

@@ -2,12 +2,13 @@
 with the per-instruction oracle."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro.compiler.driver import TPUDriver
-from repro.compiler.lowering import InstrDeps
+from repro.compiler.lowering import NO_DEPS
 from repro.core.config import TPU_PRIME, TPU_V1, TPUConfig
 from repro.core.device import TPUDevice
 from repro.isa import assemble, decode_program, disassemble, encode_program
@@ -170,6 +171,21 @@ class TestTimingBehaviour:
         result = TPUDevice().run(program)
         assert result.counters["nop_instructions"] == 2
 
+    def test_sidecar_must_match_the_instruction_stream(self, workloads, driver):
+        """A sidecar one entry short or one entry long is refused by name."""
+        program = driver.compile(workloads["mlp1"]).program
+        deps = program.metadata["deps"]
+        count = len(program.instructions)
+        assert len(deps) == count
+        for wrong in (deps[:-1], deps + (NO_DEPS,)):
+            bad = dataclasses.replace(program, metadata={**program.metadata, "deps": wrong})
+            message = (
+                f"program 'mlp1': dependency sidecar has {len(wrong)} entries "
+                f"for {count} instructions"
+            )
+            with pytest.raises(ValueError, match=re.escape(message)):
+                TPUDevice().run(bad)
+
     def test_ips_and_tops_properties(self, profiles):
         r = profiles["mlp0"]
         assert r.ips == pytest.approx(200 / r.seconds)
@@ -301,10 +317,10 @@ def _hand_assembled(seed: int) -> tuple[TPUProgram, TPUConfig]:
     metadata = {}
     if seed % 4 == 0:
         metadata["deps"] = tuple(
-            InstrDeps(
-                reads=tuple(draw(0, index) for _ in range(draw(0, 3))) if index else (),
-                writes=(index,) if rng.random() < 0.8 else (),
-                war=tuple(draw(0, index) for _ in range(draw(0, 2))) if index else (),
+            (
+                tuple(draw(0, index) for _ in range(draw(0, 3))) if index else (),
+                (index,) if rng.random() < 0.8 else (),
+                tuple(draw(0, index) for _ in range(draw(0, 2))) if index else (),
             )
             for index in range(len(instructions))
         )

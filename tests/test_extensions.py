@@ -7,6 +7,7 @@ injection on malformed programs.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering, _DepTracker
@@ -17,6 +18,18 @@ from repro.isa.instructions import Halt, MatrixMultiply, ReadWeights
 from repro.isa.program import TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import TensorScale, apply_activation, requantize
+from tests.oracles import ReferenceDepTracker
+
+#: Random tracker traffic: (is_write, key, first row, row count) steps
+#: over two or three keys.  Rows 0-15 and counts 0-8 make partial
+#: overlaps common; a count of 0 is an empty range.
+TRACKER_STEPS = st.integers(2, 3).flatmap(
+    lambda keys: st.lists(
+        st.tuples(st.booleans(), st.integers(0, keys - 1), st.integers(0, 15), st.integers(0, 8)),
+        min_size=1,
+        max_size=60,
+    )
+)
 
 
 class TestPrecisionModes:
@@ -154,6 +167,31 @@ class TestDepTracker:
     def test_empty_write_rejected(self):
         with pytest.raises(ValueError):
             _DepTracker().write("x", 5, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TRACKER_STEPS)
+    # A partly overwritten block stays live beside its overwriter, and
+    # an empty write raises in both trackers without changing either.
+    @example([(True, 0, 0, 10), (True, 0, 5, 10), (False, 0, 0, 20), (False, 0, 0, 5),
+              (True, 0, 4, 0), (True, 1, 0, 3), (False, 0, 2, 6)])
+    def test_matches_the_two_pass_oracle(self, steps):
+        tracker, reference = _DepTracker(), ReferenceDepTracker()
+        for is_write, key, r0, rows in steps:
+            r1 = r0 + rows
+            if is_write and rows == 0:
+                for each in (tracker, reference):
+                    with pytest.raises(ValueError, match="empty write range"):
+                        each.write(key, r0, r1)
+                continue
+            if is_write:
+                got, want = tracker.write(key, r0, r1), reference.write(key, r0, r1)
+                tokens = got[1]
+            else:
+                got = tokens = tracker.read(key, r0, r1)
+                want = reference.read(key, r0, r1)
+            assert got == want, (is_write, key, r0, r1)
+            assert type(tokens) is tuple and list(tokens) == sorted(tokens)
+            assert tracker._blocks == reference._blocks
 
 
 class TestFailureInjection:
