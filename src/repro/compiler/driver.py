@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs, perfcache
 from repro.compiler.allocator import Allocation
-from repro.compiler.lowering import Lowering
+from repro.compiler.lowering import Lowering, check_operand_widths
 from repro.core.config import TPUConfig, TPU_V1
 from repro.core.device import ExecutionResult, TPUDevice
 from repro.isa.program import TPUProgram
@@ -101,7 +101,16 @@ class TPUDriver:
         ``weight_bits``/``activation_bits`` select the Section 2 precision
         modes: 8b x 8b runs at full speed, mixed at half, 16b x 16b at a
         quarter (timing-only; the functional path is 8-bit).
+
+        Two memos answer before the compiler runs: this driver's, per
+        model and widths (a functional entry only for the very ``model``
+        and ``params`` it was built from), and the process-wide
+        :data:`repro.perfcache.GLOBAL_LOWERING`, keyed by config, model
+        structure and batch alone, whose record replays at any operand
+        width.  The widths are checked before either lookup, so a bad
+        width raises the same ``ValueError`` on a hit as on a miss.
         """
+        check_operand_widths(weight_bits, activation_bits)
         key = (
             model.name,
             model.batch_size,
@@ -112,23 +121,23 @@ class TPUDriver:
         cached = self._cache.get(key)
         # Timing-mode entries match by value, so `replace(model,
         # batch_size=...)` curve probes reuse the cache; functional
-        # entries keep the identity check (their params vary).
-        if cached is not None and (
+        # entries match the model and its params (the weights) by
+        # identity.
+        if cached is not None and cached.params is params and (
             cached.model is model or (params is None and cached.model == model)
         ):
             obs.counter("compiler.cache_hits").inc()
             return cached
         # Timing-mode compiles consult the process-wide emission memo:
-        # hits replay the cached instruction stream and re-run only the
-        # allocation pass (the allocator is not part of the key, so the
-        # Table 8 static-allocator study hits entries the default driver
-        # populated).  Functional compiles carry weight data and bypass.
+        # hits replay the cached instruction stream at the requested
+        # widths and re-run only the allocation pass (the allocator is
+        # not part of the key either, so the Table 8 static-allocator
+        # study hits entries the default driver populated).  Functional
+        # compiles carry weight data and bypass.
         record = None
         lowering_state = "off"
         if params is None and perfcache.GLOBAL_LOWERING.enabled:
-            lkey = perfcache.lowering_key(
-                self.config, model, weight_bits, activation_bits
-            )
+            lkey = perfcache.lowering_key(self.config, model)
             record = perfcache.GLOBAL_LOWERING.get(lkey)
             lowering_state = "hit" if record is not None else "miss"
         with obs.span(
@@ -136,7 +145,9 @@ class TPUDriver:
             batch=model.batch_size, mode=key[2], lowering_cache=lowering_state,
         ):
             if record is not None:
-                result = record.materialize(self.allocator, self.config)
+                result = record.materialize(
+                    self.allocator, self.config, weight_bits, activation_bits
+                )
                 obs.counter("compiler.lowering_cache_hits").inc()
             else:
                 lowering = Lowering(

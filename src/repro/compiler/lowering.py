@@ -33,7 +33,7 @@ Conventions established here and honoured by the device:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,6 +82,12 @@ MLP_STAGING_EXAMPLES = 2048
 
 def groups_of(width: int) -> int:
     return math.ceil(width / ROW_BYTES)
+
+
+def check_operand_widths(weight_bits: int, activation_bits: int) -> None:
+    """Raise unless both operand widths are a Section 2 mode (8 or 16)."""
+    if weight_bits not in (8, 16) or activation_bits not in (8, 16):
+        raise ValueError("operand widths must be 8 or 16 bits (Section 2)")
 
 
 @dataclass
@@ -187,21 +193,29 @@ class LoweringResult:
 
 @dataclass(frozen=True)
 class EmissionRecord:
-    """The allocator-independent half of one timing-mode lowering.
+    """The allocator- and width-independent half of one timing-mode lowering.
 
     Instruction addressing comes from a virtual bump cursor in tensor
     declaration order, so everything here -- instructions, dependency
     tokens, tiles, scales -- depends only on (model structure, batch,
-    config, operand widths).  The allocator contributes nothing but the
-    byte placement reported in the program metadata, which
+    config).  The operand widths reach only the two width flags of each
+    ``MatrixMultiply``; the record keeps the widths its instructions
+    carry, and :meth:`finish` rebuilds just those instructions when a
+    consumer asks for other widths.  The allocator contributes nothing
+    but the byte placement reported in the program metadata, which
     :meth:`finish` recomputes per consumer.  That split is what lets
     :data:`repro.perfcache.GLOBAL_LOWERING` replay one emission across
-    fresh drivers and across allocator choices (the Table 8 study).
+    fresh drivers, across allocator choices (the Table 8 study) and
+    across the four Section 2 precision modes.
 
-    Records are immutable and their parts are shared, never copied:
-    a cache hit returns a program built from the very same instruction
-    objects the first compile produced, so byte-identity of
-    ``program.binary()`` is structural, not asserted.
+    Records are immutable and their parts are shared, never copied: a
+    cache hit at the record's own widths returns a program built from
+    the very same instruction objects the first compile produced, so
+    byte-identity of ``program.binary()`` is structural, not asserted.
+    A hit at other widths shares everything but the rebuilt
+    ``MatrixMultiply`` objects; the pinned programs of
+    ``tests/test_paper_parity.py`` check those width siblings byte for
+    byte.
     """
 
     name: str
@@ -214,9 +228,14 @@ class EmissionRecord:
     #: Metadata entries minus the allocation-dependent pair
     #: (``ub_peak_bytes`` / ``allocator``), in canonical order.
     metadata_rest: dict
+    #: The operand widths every ``MatrixMultiply`` in ``instructions`` carries.
+    weight_bits: int
+    activation_bits: int
 
-    def finish(self, allocation: Allocation) -> LoweringResult:
-        """Assemble the program around one concrete allocation."""
+    def finish(
+        self, allocation: Allocation, weight_bits: int, activation_bits: int
+    ) -> LoweringResult:
+        """Assemble the program around one allocation at the given widths."""
         metadata = {
             "model": self.name,
             "batch_size": self.batch_size,
@@ -226,7 +245,7 @@ class EmissionRecord:
         metadata.update(self.metadata_rest)
         program = TPUProgram(
             name=self.name,
-            instructions=self.instructions,
+            instructions=self._instructions_at(weight_bits, activation_bits),
             tiles=self.tiles,
             scales=self.scales,
             host_buffers=self.host_buffers,
@@ -235,7 +254,9 @@ class EmissionRecord:
         )
         return LoweringResult(program=program, allocation=allocation)
 
-    def materialize(self, allocator, config: TPUConfig) -> LoweringResult:
+    def materialize(
+        self, allocator, config: TPUConfig, weight_bits: int, activation_bits: int
+    ) -> LoweringResult:
         """Re-run only the allocation pass (the lowering-cache hit path)."""
         allocator = allocator if allocator is not None else LivenessAllocator()
         with obs.span(f"allocate:{self.name}", cat="compiler",
@@ -243,7 +264,33 @@ class EmissionRecord:
             allocation = allocator.allocate(
                 list(self.requests), config.unified_buffer_bytes
             )
-        return self.finish(allocation)
+        return self.finish(allocation, weight_bits, activation_bits)
+
+    def _instructions_at(
+        self, weight_bits: int, activation_bits: int
+    ) -> tuple[Instruction, ...]:
+        """The stream with every ``MatrixMultiply`` at the given widths.
+
+        One pass; the emitter reuses equal instruction objects, so each
+        distinct ``MatrixMultiply`` is rebuilt once, matched by identity,
+        and every other instruction is shared with the record.
+        """
+        if (weight_bits, activation_bits) == (self.weight_bits, self.activation_bits):
+            return self.instructions
+        rebuilt: dict[int, MatrixMultiply] = {}
+
+        def at_widths(mm: MatrixMultiply) -> MatrixMultiply:
+            new = rebuilt.get(id(mm))
+            if new is None:
+                new = rebuilt[id(mm)] = replace(
+                    mm, weight_bits=weight_bits, activation_bits=activation_bits
+                )
+            return new
+
+        return tuple([
+            at_widths(instr) if type(instr) is MatrixMultiply else instr
+            for instr in self.instructions
+        ])
 
 
 class Lowering:
@@ -264,8 +311,7 @@ class Lowering:
                 "use repro.perfmodel for scaled matrix dimensions (as the "
                 "paper's Section 7 study did)"
             )
-        if weight_bits not in (8, 16) or activation_bits not in (8, 16):
-            raise ValueError("operand widths must be 8 or 16 bits (Section 2)")
+        check_operand_widths(weight_bits, activation_bits)
         if params is not None and (weight_bits, activation_bits) != (8, 8):
             raise NotImplementedError(
                 "functional execution is 8-bit; 16-bit modes are for timing "
@@ -1014,7 +1060,7 @@ class Lowering:
                 self._requests, self.config.unified_buffer_bytes
             )
         self.record = self._emit_record(input_t, layer_tensors)
-        return self.record.finish(allocation)
+        return self.record.finish(allocation, self.weight_bits, self.activation_bits)
 
     def _declare_tensors(self) -> tuple[LoweredTensor, list[LoweredTensor]]:
         """Pass 1: declare tensors and collect allocation requests."""
@@ -1125,6 +1171,8 @@ class Lowering:
             host_buffers=host_buffers,
             requests=tuple(self._requests),
             metadata_rest=metadata_rest,
+            weight_bits=self.weight_bits,
+            activation_bits=self.activation_bits,
         )
 
     def _weight_traffic_bytes(self) -> int:

@@ -11,16 +11,19 @@ Two questions come back again and again, and each has one table:
   report's ``--jobs`` fan-out (which warms it *before* forking workers)
   all ask through :func:`occupancy_latency`.
 * :data:`GLOBAL_LOWERING` -- "what does the compiler emit for this
-  structure at this batch and operand width?"  Keyed by
-  :func:`lowering_key`; the TPU driver replays a hit and re-runs only
-  the allocation pass.
+  structure at this batch?"  Keyed by :func:`lowering_key`, which
+  leaves out the operand widths: the widths change only the two width
+  flags of each ``MatrixMultiply``, so the TPU driver replays a hit at
+  any of the four Section 2 widths, rebuilding just those instructions,
+  and re-runs only the allocation pass.
 
 Keys are content hashes of the platform's published spec, the model's
 structure and the TPU config, not object identities, so two
 independently built ``TPUPlatform()`` instances -- or a workload rebuilt
 from a JSON scenario round-trip -- share entries, and two models that
 share a name but not a structure never do.  Each hash is computed once
-per instance and memoized on it, so a lookup costs a dict probe.
+per instance and memoized on it, under an attribute of its own key
+function, so a lookup costs a dict probe.
 
 Both tables are :class:`PerfCache` instances with one API: ``get`` and
 ``put``, hit/miss counters (``stats``, ``reset_counters``, ``metrics``)
@@ -47,6 +50,7 @@ from typing import TYPE_CHECKING
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.core.config import TPUConfig
     from repro.nn.graph import Model
     from repro.platforms.base import Platform
 
@@ -84,14 +88,17 @@ def _memoized_on_instance(compute: Callable[[object], str]) -> Callable[[object]
 
     Works on frozen dataclasses too.  A hit costs one dict probe, which
     is what keeps a curve lookup cheap for a model the size of cnn1.
+    Each key function stores under its own attribute, so asking one
+    function about an object never answers for another.
     """
+    attr = f"_perfcache_{compute.__name__}"
 
     @functools.wraps(compute)
     def key(obj) -> str:
-        cached = obj.__dict__.get("_perfcache_key")
+        cached = obj.__dict__.get(attr)
         if cached is None:
             cached = compute(obj)
-            object.__setattr__(obj, "_perfcache_key", cached)
+            object.__setattr__(obj, attr, cached)
         return cached
 
     return key
@@ -149,24 +156,17 @@ def config_key(config) -> str:
     return _digest(config)
 
 
-def lowering_key(
-    config, model: "Model", weight_bits: int = 8, activation_bits: int = 8
-) -> tuple[str, str, int, int, int]:
+def lowering_key(config, model: "Model") -> tuple[str, str, int]:
     """Key of one timing-mode lowering's emission output.
 
-    (platform config, layer structure sans batch, batch, operand widths).
-    The allocator is deliberately *not* part of the key: instruction
+    (platform config, layer structure sans batch, batch).  Neither the
+    allocator nor the operand widths are part of the key: instruction
     emission addresses tensors through a virtual bump cursor in
     declaration order, so only the allocation metadata -- recomputed on
-    every cache hit -- depends on the allocator choice.
+    every cache hit -- depends on the allocator choice, and the widths
+    reach only the ``MatrixMultiply`` flags the hit path rewrites.
     """
-    return (
-        config_key(config),
-        model_key(model),
-        model.batch_size,
-        weight_bits,
-        activation_bits,
-    )
+    return (config_key(config), model_key(model), model.batch_size)
 
 
 # ----------------------------------------------------------------------
@@ -259,17 +259,27 @@ class PerfCache:
     def invalidate(
         self,
         workload: "Model | str | None" = None,
-        platform: "Platform | str | None" = None,
+        platform: "Platform | TPUConfig | str | None" = None,
     ) -> int:
         """Drop entries; returns how many were removed.
 
         ``workload`` (an instance, or a name/key string) and ``platform``
         (an instance, or a ``kind``/key-prefix string) restrict the drop
-        to matching entries.  With neither, the whole table is cleared.
+        to matching entries.  A :class:`~repro.core.config.TPUConfig`
+        passed as ``platform`` is keyed by :func:`config_key`, the first
+        component of every emission record's key.  With neither, the
+        whole table is cleared.
         """
+        # Imported on use, so importing perfcache does not load the core
+        # package (which reorders the package's imports and raises every
+        # process's peak RSS by about 0.7 MiB).
+        from repro.core.config import TPUConfig
+
         if workload is not None and not isinstance(workload, str):
             workload = model_key(workload)
-        if platform is not None and not isinstance(platform, str):
+        if isinstance(platform, TPUConfig):
+            platform = config_key(platform)
+        elif platform is not None and not isinstance(platform, str):
             platform = platform_key(platform)
 
         def matches(component: str, want: str | None) -> bool:

@@ -18,6 +18,7 @@ from repro.isa.instructions import Halt, MatrixMultiply, ReadWeights
 from repro.isa.program import TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import TensorScale, apply_activation, requantize
+from repro.nn.reference import random_input
 from tests.oracles import ReferenceDepTracker
 
 #: Random tracker traffic: (is_write, key, first row, row count) steps
@@ -72,8 +73,13 @@ class TestPrecisionModes:
             Lowering(tiny_mlp, TPU_V1, params=object(), weight_bits=16)  # type: ignore[arg-type]
 
     def test_bad_widths_rejected(self, tiny_mlp):
-        with pytest.raises(ValueError):
+        message = r"8 or 16 bits \(Section 2\)"
+        with pytest.raises(ValueError, match=message):
             Lowering(tiny_mlp, TPU_V1, weight_bits=12)
+        # A lowering-cache hit rejects the width as a miss does.
+        TPUDriver().compile(tiny_mlp)
+        with pytest.raises(ValueError, match=message):
+            TPUDriver().compile(tiny_mlp, weight_bits=12)
 
 
 class TestActivationLUT:
@@ -141,6 +147,20 @@ class TestDriverCaching:
         a = driver.compile(tiny_mlp)
         b = driver.compile(tiny_mlp, weight_bits=16, activation_bits=16)
         assert a is not b
+
+    def test_functional_compiles_keep_their_own_weights(self, tiny_mlp):
+        """Two seeds on one driver run as they do on two fresh drivers."""
+        x = random_input(tiny_mlp, seed=7)
+
+        def outputs(driver, seed):
+            return driver.run(driver.compile_functional(tiny_mlp, seed=seed), x)[0]
+
+        shared = TPUDriver()
+        got = [outputs(shared, seed) for seed in (1, 2)]
+        want = [outputs(TPUDriver(), seed) for seed in (1, 2)]
+        assert not np.array_equal(want[0], want[1])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestDepTracker:

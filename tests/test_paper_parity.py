@@ -179,6 +179,32 @@ def test_program_and_deps_byte_identical(name, bits):
     assert hashlib.sha256(deps_text.encode()).hexdigest() == deps_sha, label
 
 
+@pytest.mark.parametrize(
+    "name,first,other",
+    [
+        pytest.param(name, first, other, id=f"{name}-{first}to{other}")
+        for name in WORKLOAD_NAMES
+        for first, other in ((8, 16), (16, 8))
+    ],
+)
+def test_width_sibling_replays_the_pinned_program(name, first, other):
+    """The lowering cache keys a record without its operand widths, so
+    a compile at one width replays the record another width left; the
+    replay must be the pinned program of the width it was asked for."""
+    perfcache.GLOBAL_LOWERING.invalidate(name)
+    TPUDriver().compile(build_workload(name), weight_bits=first, activation_bits=first)
+    perfcache.GLOBAL_LOWERING.reset_counters()
+    program = TPUDriver().compile(
+        build_workload(name), weight_bits=other, activation_bits=other
+    ).program
+    assert perfcache.GLOBAL_LOWERING.stats().hits == 1
+    binary_sha, deps_sha = PROGRAM_DEPS_SHA256[name, other]
+    label = f"{name} at {other}x{other} after {first}x{first}"
+    assert hashlib.sha256(program.binary()).hexdigest() == binary_sha, label
+    deps_text = _deps_text(program.metadata["deps"])
+    assert hashlib.sha256(deps_text.encode()).hexdigest() == deps_sha, label
+
+
 def _deps_text(deps) -> str:
     """The sidecar as the ``repr`` of the tuple of frozen ``InstrDeps``
     dataclasses it was when ``PROGRAM_DEPS_SHA256`` was recorded (every

@@ -325,10 +325,18 @@ class TestLoweringCache:
             TPUConfig(), build_workload("mlp0")
         )
 
-    def test_key_distinguishes_batch_and_precision(self, mlp0):
+    def test_key_distinguishes_batch_not_precision(self, mlp0):
+        """Batch changes the key; the four operand widths share one
+        record (test_width_sibling_replays_the_pinned_program in
+        tests/test_paper_parity.py pins its replays byte for byte)."""
         base = perfcache.lowering_key(TPU_V1, mlp0)
         assert perfcache.lowering_key(TPU_V1, replace(mlp0, batch_size=7)) != base
-        assert perfcache.lowering_key(TPU_V1, mlp0, weight_bits=16) != base
+        perfcache.GLOBAL_LOWERING.invalidate("mlp0")
+        perfcache.GLOBAL_LOWERING.reset_counters()
+        for wbits, abits in ((8, 8), (8, 16), (16, 8), (16, 16)):
+            TPUDriver().compile(mlp0, weight_bits=wbits, activation_bits=abits)
+        stats = perfcache.GLOBAL_LOWERING.stats()
+        assert (stats.hits, stats.misses) == (3, 1)
 
     def test_key_stable_across_processes(self, mlp0):
         """Keys are sha256-based, so fresh interpreters (report --jobs
@@ -381,6 +389,22 @@ class TestLoweringCache:
         assert cache.invalidate() == 1
         assert cache.stats().entries == 0
 
+    def test_invalidate_by_config_drops_exactly_its_records(self):
+        """A TPUConfig passed as ``platform=`` keys as the records do,
+        and asking about it leaves the key its compiles use intact."""
+        a, b = TPUConfig(), replace(TPUConfig(), accumulator_rows=2048)
+        cache = perfcache.GLOBAL_LOWERING
+        cache.invalidate(platform=a)
+        cache.invalidate(platform=b)
+        TPUDriver(a).compile(build_workload("mlp1"))
+        compiled = TPUDriver(b).compile(build_workload("mlp1"))
+        with perfcache.disabled():
+            uncached = TPUDriver(b).compile(build_workload("mlp1"))
+        assert compiled.program.binary() == uncached.program.binary()
+        assert cache.invalidate(platform=a) == 1
+        assert cache.invalidate(platform=a) == 0
+        assert cache.invalidate(platform=b) == 1
+
     def test_fresh_drivers_share_the_global_cache(self, mlp0):
         """Two fresh drivers compile once between them -- and the hit
         replays the exact bytes (program and metadata) of the miss."""
@@ -414,11 +438,17 @@ class TestLoweringCache:
 )
 def test_lowering_cache_replay_byte_identical(name):
     """A cache-hit materialize() must reproduce the uncached compile
-    byte for byte: program binary and metadata, including key order."""
+    byte for byte at every operand width: program binary and metadata,
+    including key order."""
     model = build_workload(name)
     first = Lowering(model, TPU_V1)
-    uncached = first.lower()
-    replay = first.record.materialize(None, TPU_V1)
-    assert replay.program.binary() == uncached.program.binary()
-    assert replay.program.metadata == uncached.program.metadata
-    assert list(replay.program.metadata) == list(uncached.program.metadata)
+    first.lower()
+    for wbits, abits in ((8, 8), (8, 16), (16, 8), (16, 16)):
+        uncached = Lowering(
+            model, TPU_V1, weight_bits=wbits, activation_bits=abits
+        ).lower()
+        replay = first.record.materialize(None, TPU_V1, wbits, abits)
+        label = f"{name} at {wbits}x{abits}"
+        assert replay.program.binary() == uncached.program.binary(), label
+        assert replay.program.metadata == uncached.program.metadata, label
+        assert list(replay.program.metadata) == list(uncached.program.metadata), label
