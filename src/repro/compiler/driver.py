@@ -15,9 +15,10 @@ import numpy as np
 
 from repro import obs, perfcache
 from repro.compiler.allocator import Allocation
-from repro.compiler.lowering import Lowering, check_operand_widths
+from repro.compiler.lowering import Lowering
 from repro.core.config import TPUConfig, TPU_V1
 from repro.core.device import ExecutionResult, TPUDevice
+from repro.isa.instructions import check_operand_widths
 from repro.isa.program import TPUProgram
 from repro.nn.graph import Model
 from repro.nn.quantization import quantize

@@ -58,6 +58,7 @@ from repro.isa.instructions import (
     VectorInstruction,
     VectorKind,
     WriteHostMemory,
+    check_operand_widths,
     pack_pooling_config,
 )
 from repro.isa.program import HostBufferSpec, ScaleEntry, TileSpec, TPUProgram
@@ -82,12 +83,6 @@ MLP_STAGING_EXAMPLES = 2048
 
 def groups_of(width: int) -> int:
     return math.ceil(width / ROW_BYTES)
-
-
-def check_operand_widths(weight_bits: int, activation_bits: int) -> None:
-    """Raise unless both operand widths are a Section 2 mode (8 or 16)."""
-    if weight_bits not in (8, 16) or activation_bits not in (8, 16):
-        raise ValueError("operand widths must be 8 or 16 bits (Section 2)")
 
 
 @dataclass

@@ -9,7 +9,7 @@ The package mirrors Figure 1's block diagram, one module per block:
 * :mod:`repro.core.matrix_unit` -- the 256x256 MXU tile engine with
   double-buffered weights and 8/16-bit speed modes;
 * :mod:`repro.core.accumulators`, :mod:`repro.core.weight_memory` -- the
-  memory system (the device's timing plan models the Weight FIFO, and its
+  memory system (the device's timing walk models the Weight FIFO, and its
   data pass keeps Unified Buffer tensors as per-tensor arrays);
 * :mod:`repro.core.activation_unit` -- nonlinearities and pooling;
 * :mod:`repro.core.dma` -- the PCIe host interface;

@@ -7,7 +7,8 @@ the two DMA directions.  Engines run concurrently; the compiler's
 dependency sidecar (read/write/WAR tokens) is the scoreboard that
 serializes true hazards, which is exactly the "delay slot" behaviour the
 paper describes between a layer's activations and the next layer's
-matmuls.
+matmuls.  Every run takes one timing walk over the program, and a
+functional run adds one untimed pass that moves the data.
 
 Every cycle of the run is attributed to exactly one Table 3 category:
 
@@ -27,7 +28,9 @@ import math
 import time
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from repro.isa.instructions import (
     WriteHostMemory,
     unpack_pooling_config,
 )
-from repro.isa.program import TileSpec, TPUProgram
+from repro.isa.program import TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import apply_activation, quantize
 from repro.nn.reference import im2col, max_pool
@@ -122,8 +125,8 @@ class TPUDevice:
     def run(self, program: TPUProgram, host_input: np.ndarray | None = None) -> ExecutionResult:
         """Execute one batch of ``program``.
 
-        Every run takes its cycles, breakdown and counters from the
-        program's timing plan.  In functional mode ``host_input`` must
+        Every run takes its cycles, breakdown and counters from one
+        timing walk over the program.  In functional mode ``host_input`` must
         hold the quantized input codes shaped (batch, *input_shape); an
         untimed pass moves the data, and the result carries the output
         codes.  In timing mode data is ignored entirely.
@@ -143,8 +146,7 @@ class TPUDevice:
             data = _DataPass(self, program, host_input)
             data.execute()
             counters, output = data.counters, data.output
-        plan = _timing_plan_for(program, self.config)
-        return _execute_plan(plan, program, self.config, counters, output)
+        return _walk(program, self.config, counters, output)
 
 
 def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> None:
@@ -191,414 +193,335 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
 
 
 # ----------------------------------------------------------------------
-# timing plan
+# timing walk
 # ----------------------------------------------------------------------
-# Everything about an instruction that does not depend on the schedule --
-# its engine, duration, weight-tile pairing, and counter increments -- is
-# fixed at compile time.  The plan hoists all of it out of the run loop in
-# one pass per program: per-instruction accounting is batched onto numpy
-# arrays and reduced once (integer sums are exact, so the totals equal
-# one-at-a-time adds), and the run loop that remains touches only the
-# scoreboard and engine clocks.  The plan is the device's only timing
-# model: every run takes it, and a functional run adds an untimed
-# :class:`_DataPass`.  The per-instruction loop it replaced lives on as
-# the test oracle ``PerInstructionRun`` in ``tests/oracles.py``.
-
-_OP_RW, _OP_MM, _OP_ACT, _OP_VEC, _OP_DIN, _OP_DOUT, _OP_SYNC, _OP_CTRL = range(8)
+# The device's only timing model: every run takes one walk over its
+# program, and a functional run adds an untimed :class:`_DataPass`.  Each
+# instruction's engine, duration, weight-tile pairing and counter
+# increments come straight off the instruction; the walk then waits for
+# its dependency tokens and its engine, and occupies the engine.  The
+# scoreboard is three flat lists indexed by token, which the compiler
+# numbers densely from 0.  Integer counters add as Python ints and float
+# totals add in program order, so every total equals the
+# one-instruction-at-a-time adds of the test oracle ``PerInstructionRun``
+# in ``tests/oracles.py``.
 
 
-@dataclass
-class _TimingPlan:
-    """Schedule-independent precomputation for one program."""
-
-    ops: list[tuple]
-    counter_totals: list[tuple[str, float]]
-    active: float
-    useful: float
+_EMPTY_FIFO = "MatrixMultiply with load_new_tile but empty Weight FIFO"
 
 
-def _pop_tile(program: TPUProgram, fifo: deque[int]) -> tuple[int, TileSpec]:
-    """The Weight FIFO's head tile, which a ``load_new_tile`` matmul shifts in."""
-    if not fifo:
-        raise RuntimeError("MatrixMultiply with load_new_tile but empty Weight FIFO")
-    tile_id = fifo.popleft()
-    return tile_id, program.tiles[tile_id]
+def _sidecar(program: TPUProgram) -> tuple[Sequence[tuple], int]:
+    """The program's ``(reads, writes, war)`` token triples, and the
+    number of scoreboard slots they need.
 
-
-def _build_timing_plan(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
-    """One static pass over the instruction stream.
-
-    Dependencies come from the compiler's sidecar.  A program without
-    one -- hand-assembled, or built with :func:`repro.isa.assemble` or
-    :func:`repro.isa.decode_program` -- runs as a serial chain: each
-    instruction waits for the one before it, except a weight fetch,
-    which waits only for the DRAM port and a free FIFO slot.  A
-    malformed stream raises: a sidecar whose length is not the
-    instruction count, an instruction the device does not know, a
-    ``load_new_tile`` matmul with the Weight FIFO empty, or a tile
-    missing from ``program.tiles``.  A sidecar entry is the compiler's
-    ``(reads, writes, war)`` token-tuple triple.
+    A program without a sidecar -- hand-assembled, or built with
+    :func:`repro.isa.assemble` or :func:`repro.isa.decode_program` --
+    runs as a serial chain: each instruction waits for the one before
+    it, except a weight fetch, which waits only for the DRAM port and a
+    free FIFO slot.  A sidecar whose length is not the instruction count
+    is refused, and so is a negative token, which would index another
+    token's slot.
     """
+    instructions = program.instructions
     deps = program.metadata.get("deps")
-    if deps is not None and len(deps) != len(program.instructions):
+    if deps is None:
+        serial = []
+        for index, instr in enumerate(instructions):
+            prev = () if index == 0 or isinstance(instr, ReadWeights) else (index - 1,)
+            serial.append((prev, (index,), prev))
+        return serial, len(instructions)
+    if len(deps) != len(instructions):
         raise ValueError(
             f"program {program.name!r}: dependency sidecar has {len(deps)} "
-            f"entries for {len(program.instructions)} instructions"
+            f"entries for {len(instructions)} instructions"
         )
+    tokens = list(chain.from_iterable(chain.from_iterable(deps)))
+    lowest = min(tokens, default=0)
+    if lowest < 0:
+        raise ValueError(
+            f"program {program.name!r}: dependency sidecar holds the "
+            f"negative token {lowest}"
+        )
+    return deps, max(tokens, default=-1) + 1
+
+
+def _walk(
+    program: TPUProgram,
+    config: TPUConfig,
+    bank: CounterBank,
+    output: np.ndarray | None,
+) -> ExecutionResult:
+    """Run ``program``'s scoreboard and engine clocks; assemble the result.
+
+    A matmul that loads a new tile also waits for the tile's fetch and
+    shift, and the breakdown splits its idle time into weight stall,
+    weight shift and the RAW/PCIe-input sub-counters.  The counters are
+    added to ``bank``, which a functional run has already charged with
+    its data counters; ``output`` is that run's output codes.  A
+    malformed stream raises: an instruction the device does not know, a
+    ``load_new_tile`` matmul with the Weight FIFO empty, or a tile
+    missing from ``program.tiles``.
+    """
+    deps, slots = _sidecar(program)
+    write_end = [0.0] * slots
+    write_unit = ["control"] * slots
+    read_end = [0.0] * slots
+
+    tiles = program.tiles
     tile_load_cycles = config.tile_load_cycles()
     tile_bytes = config.tile_bytes
+    dim2 = config.matrix_dim * config.matrix_dim
     lanes = config.activation_lanes
     clock = config.clock_hz
     dma_seconds = DMAEngine(config.pcie_bandwidth).transfer_seconds
-    dim2 = config.matrix_dim * config.matrix_dim
+    fifo_depth = config.weight_fifo_tiles
+    shift_cycles = config.weight_shift_cycles
+    passes = VectorKind.PASSES
 
-    ops: list[tuple] = []
-    # Batched integer accounting: one row per instruction of that type,
-    # reduced with exact int64 sums after the walk.
-    mm_rows: list[int] = []
-    mm_macs: list[int] = []
-    mm_convolve = 0
-    rw_bytes: list[int] = []
-    act_cycles: list[int] = []
-    pool_cycles: list[int] = []
-    din_bytes: list[int] = []
-    dout_bytes: list[int] = []
-    n_issued = n_sync = n_nop = n_activate = 0
-    # Ordered float accumulation: fill-weighted active time and DMA cycle
-    # conversions are not integers, so they add in program order.  The
-    # DMA totals start as int 0, like a counter, so they turn float with
-    # the first transfer, even an empty one.
-    active = 0.0
-    useful = 0.0
-    din_cycles = dout_cycles = 0
+    matrix = vector = setup = dma_in = dma_out = dram = control = 0.0
+    fifo: deque[tuple[float, int]] = deque()  # (ready time, tile id)
+    pop_times: list[float] = []  # when each popped tile's shift began
+    prev_mm_start = 0.0
+    weight_stall = weight_shift = raw_stall = input_stall = 0.0
+    wbits = abits = factor = 0
     pool_config: dict[str, int] | None = None
-    fifo_ids: deque[int] = deque()
+    # Ordered float totals: fill-weighted active time and DMA cycle
+    # conversions are not integers.  The DMA totals start as int 0, like
+    # a counter, so they turn float with the first transfer, even an
+    # empty one.
+    active = useful = 0.0
+    dma_in_cycles = dma_out_cycles = 0
+    n_fetch = weight_bytes = 0
+    n_matmul = n_convolve = macs = rows_streamed = 0
+    n_activate = activation_cycles = pooling_cycles = 0
+    n_read_host = pcie_in = n_write_host = pcie_out = 0
+    n_sync = n_nop = issued = 0
 
-    for index, instr in enumerate(program.instructions):
-        n_issued += 1
-        if deps is not None:
-            reads, writes, war = deps[index]
-        else:
-            reads = war = () if isinstance(instr, ReadWeights) else (index - 1,)
-            writes = (index,)
-        if isinstance(instr, ReadWeights):
+    for issued, (instr, (reads, writes, war)) in enumerate(
+        zip(program.instructions, deps), 1
+    ):
+        cls = type(instr)
+        if cls is MatrixMultiply:
+            rows = instr.rows
+            # The speed factor changes only with the operand widths.
+            if instr.weight_bits != wbits or instr.activation_bits != abits:
+                wbits, abits = instr.weight_bits, instr.activation_bits
+                factor = speed_factor(wbits, abits)
+            duration = rows * factor
+            ready = 0.0
+            binding = "control"
+            for token in reads:
+                t = write_end[token]
+                if t > ready:
+                    ready = t
+                    binding = write_unit[token]
+            matrix_free = start = matrix
+            if ready > start:
+                start = ready
+            for token in war:
+                t = write_end[token]
+                if t > start:
+                    start = t
+                t = read_end[token]
+                if t > start:
+                    start = t
+            if instr.load_new_tile:
+                if not fifo:
+                    raise RuntimeError(_EMPTY_FIFO)
+                tile_ready, tile_id = fifo.popleft()
+                spec = tiles[tile_id]
+                area = spec.rows * spec.cols
+                shift_start = tile_ready if tile_ready > prev_mm_start else prev_mm_start
+                pop_times.append(shift_start)
+                shift_done = shift_start + shift_cycles
+                if shift_done > start:
+                    start = shift_done
+                idle = start - matrix_free
+                if idle > 0:
+                    # Idle time splits into waiting for the tile's fetch,
+                    # then for its shift; what is left waits on a token.
+                    stall = (start if start < tile_ready else tile_ready) - matrix_free
+                    if stall < 0.0:
+                        stall = 0.0
+                    shift = (start if start < shift_done else shift_done) - (
+                        shift_start if shift_start > matrix_free else matrix_free
+                    )
+                    if shift < 0.0:
+                        shift = 0.0
+                    weight_stall += stall
+                    weight_shift += shift
+                    rest = idle - (stall + shift)
+                    if rest > 0 and ready >= start - 1e-9:
+                        if binding == "dma_in":
+                            input_stall += rest
+                        else:
+                            raw_stall += rest
+            else:
+                area = dim2
+                idle = start - matrix_free
+                if idle > 0 and ready >= start - 1e-9:
+                    if binding == "dma_in":
+                        input_stall += idle
+                    else:
+                        raw_stall += idle
+            end = matrix = start + duration
+            prev_mm_start = start
+            active += duration
+            useful += duration * (area / dim2)
+            macs += rows * area
+            rows_streamed += rows
+            if instr.convolve:
+                n_convolve += 1
+            else:
+                n_matmul += 1
+            unit = "matrix"
+        elif cls is ReadWeights:
             # Static tiles stream the full padded tile; dynamic tiles
             # (attention K^T/V staged through Weight Memory) move only
             # their packed bytes, and wait for the activations they stage.
-            spec = program.tiles.get(instr.tile_id)
+            spec = tiles.get(instr.tile_id)
             if spec is not None and spec.dynamic:
                 nbytes = spec.rows * spec.cols
                 load_cycles = tile_load_cycles * nbytes / tile_bytes
             else:
                 nbytes = tile_bytes
                 load_cycles = tile_load_cycles
-            rw_bytes.append(nbytes)
-            fifo_ids.append(instr.tile_id)
-            ops.append((_OP_RW, load_cycles, reads, writes))
-        elif isinstance(instr, MatrixMultiply):
-            spec = _pop_tile(program, fifo_ids)[1] if instr.load_new_tile else None
-            duration = instr.rows * speed_factor(
-                instr.weight_bits, instr.activation_bits
-            )
-            active += duration
-            fill = (spec.rows * spec.cols) / dim2 if spec is not None else 1.0
-            useful += duration * fill
-            mm_rows.append(instr.rows)
-            mm_macs.append(
-                instr.rows * (spec.rows * spec.cols if spec is not None else config.macs)
-            )
-            mm_convolve += 1 if instr.convolve else 0
-            ops.append(
-                (_OP_MM, duration, reads, war, writes, instr.load_new_tile)
-            )
-        elif isinstance(instr, Activate):
-            duration = -(-(instr.rows * instr.lanes) // lanes)
-            n_activate += 1
-            act_cycles.append(duration)
-            ops.append((_OP_ACT, duration, reads, war, writes))
-        elif isinstance(instr, VectorInstruction):
-            elements = instr.rows * instr.lanes * VectorKind.PASSES[instr.kind]
-            pooling = instr.kind == VectorKind.POOL
-            if pooling and pool_config:
-                elements *= pool_config["window"] ** 2
-            duration = -(-elements // lanes)
-            (pool_cycles if pooling else act_cycles).append(duration)
-            # Patch streaming runs on the floorplan's Systolic Data Setup
-            # block, concurrent with the activation pipeline.
-            unit = "setup" if instr.kind == VectorKind.IM2COL else "vector"
-            ops.append((_OP_VEC, duration, unit, reads, war, writes))
-        elif isinstance(instr, ReadHostMemory):
-            nbytes = instr.rows * ROW_BYTES
-            duration = dma_seconds(nbytes) * clock
-            din_bytes.append(nbytes)
-            din_cycles += duration
-            ops.append((_OP_DIN, duration, war, reads, writes))
-        elif isinstance(instr, WriteHostMemory):
-            nbytes = instr.rows * ROW_BYTES
-            duration = dma_seconds(nbytes) * clock
-            dout_bytes.append(nbytes)
-            dout_cycles += duration
-            ops.append((_OP_DOUT, duration, reads, writes))
-        elif isinstance(instr, Configure):
-            if instr.key == Configure.KEY_POOLING:
-                pool_config = unpack_pooling_config(instr.value)
-            ops.append((_OP_CTRL, reads, writes))
-        elif isinstance(instr, (Sync, SyncHost)):
-            n_sync += 1
-            ops.append((_OP_SYNC, reads, writes))
-        elif isinstance(instr, (DebugTag, Nop, InterruptHost)):
-            if isinstance(instr, Nop):
-                n_nop += 1
-            ops.append((_OP_CTRL, reads, writes))
-        elif isinstance(instr, Halt):
-            break
-        else:
-            raise TypeError(f"device cannot execute {type(instr)!r}")
-
-    def isum(values: list[int]) -> int:
-        return int(np.asarray(values, dtype=np.int64).sum()) if values else 0
-
-    macs_total = isum(mm_macs)
-    totals = [
-        ("instructions_issued", n_issued),
-        ("read_weights_instructions", len(rw_bytes)),
-        ("weight_tiles_loaded", len(rw_bytes)),
-        ("weight_bytes_read", isum(rw_bytes)),
-        ("macs_issued", macs_total),
-        ("ops_committed", 2 * macs_total),
-        ("rows_streamed", isum(mm_rows)),
-        ("matmul_instructions", len(mm_rows) - mm_convolve),
-        ("convolve_instructions", mm_convolve),
-        ("activate_instructions", n_activate),
-        ("activation_cycles", isum(act_cycles)),
-        ("pooling_cycles", isum(pool_cycles)),
-        ("read_host_instructions", len(din_bytes)),
-        ("pcie_bytes_in", isum(din_bytes)),
-        ("dma_in_cycles", din_cycles),
-        ("write_host_instructions", len(dout_bytes)),
-        ("pcie_bytes_out", isum(dout_bytes)),
-        ("dma_out_cycles", dout_cycles),
-        ("sync_instructions", n_sync),
-        ("nop_instructions", n_nop),
-    ]
-    return _TimingPlan(
-        ops=ops,
-        counter_totals=totals,
-        active=active,
-        useful=useful,
-    )
-
-
-def _timing_plan_for(program: TPUProgram, config: TPUConfig) -> _TimingPlan:
-    """The program's cached plan (keyed by config, since durations derive
-    from it).  Stored as a plain attribute: it must never leak into the
-    program's dataclass fields, equality, or serialized binary."""
-    cached = getattr(program, "_timing_plan", None)
-    if cached is not None and cached[0] == config:
-        return cached[1]
-    plan = _build_timing_plan(program, config)
-    program._timing_plan = (config, plan)
-    return plan
-
-
-def _execute_plan(
-    plan: _TimingPlan,
-    program: TPUProgram,
-    config: TPUConfig,
-    bank: CounterBank,
-    output: np.ndarray | None,
-) -> ExecutionResult:
-    """Run the plan's scoreboard and engine clocks; assemble the result.
-
-    Each op waits for its dependency tokens and its engine, then occupies
-    the engine.  A matmul that loads a new tile also waits for the tile's
-    fetch and shift, and the breakdown splits its idle time into weight
-    stall, weight shift and the RAW/PCIe-input sub-counters.  The plan's
-    counter totals are added to ``bank``, which a functional run has
-    already charged with its data counters; ``output`` is that run's
-    output codes.
-    """
-    token_write: dict[int, tuple[float, str]] = {}
-    token_read: dict[int, float] = {}
-    tw_get = token_write.get
-    tr_get = token_read.get
-    matrix = vector = setup = dma_in = dma_out = dram = control = 0.0
-    ready_queue: deque[float] = deque()
-    pop_times: list[float] = []
-    push_count = 0
-    prev_mm_start = 0.0
-    weight_stall = weight_shift = raw_stall = input_stall = 0.0
-    fifo_depth = config.weight_fifo_tiles
-    shift_cycles = config.weight_shift_cycles
-
-    for op in plan.ops:
-        code = op[0]
-        if code == _OP_MM:
-            _, duration, reads, war, writes, load_new = op
-            ready = 0.0
-            unit = "control"
-            for token in reads:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > ready:
-                    ready, unit = rec
-            war_ready = 0.0
-            for token in war:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > war_ready:
-                    war_ready = rec[0]
-                t = tr_get(token, 0.0)
-                if t > war_ready:
-                    war_ready = t
-            matrix_free = matrix
-            shift_done = tile_ready = shift_start = 0.0
-            if load_new:
-                tile_ready = ready_queue.popleft()
-                shift_start = max(tile_ready, prev_mm_start)
-                pop_times.append(shift_start)
-                shift_done = shift_start + shift_cycles
-            start = max(matrix_free, shift_done, ready, war_ready)
-            idle = start - matrix_free
-            if idle > 0:
-                stall = 0.0
-                shift = 0.0
-                if load_new:
-                    stall = max(0.0, min(start, tile_ready) - matrix_free)
-                    shift = max(
-                        0.0,
-                        min(start, shift_done)
-                        - max(matrix_free, shift_start, tile_ready),
-                    )
-                weight_stall += stall
-                weight_shift += shift
-                rest = idle - (stall + shift)
-                if rest > 0 and ready >= start - 1e-9:
-                    if unit == "dma_in":
-                        input_stall += rest
-                    else:
-                        raw_stall += rest
-            end = start + duration
-            matrix = end
-            prev_mm_start = start
-            for token in writes:
-                token_write[token] = (end, "matrix")
-            for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
-        elif code == _OP_RW:
-            _, load_cycles, reads, writes = op
+            start = dram
             # A full FIFO frees a slot when the matmul that pops its
             # oldest tile starts the shift; a fetch issued ahead of that
             # matmul takes the matrix unit's clock instead.
-            slot_free = 0.0
-            if push_count >= fifo_depth:
-                pop_index = push_count - fifo_depth
-                slot_free = (
-                    pop_times[pop_index] if pop_index < len(pop_times) else matrix
-                )
-            dep_ready = 0.0
+            if n_fetch >= fifo_depth:
+                pop_index = n_fetch - fifo_depth
+                slot_free = pop_times[pop_index] if pop_index < len(pop_times) else matrix
+                if slot_free > start:
+                    start = slot_free
             for token in reads:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > dep_ready:
-                    dep_ready = rec[0]
-            end = max(dram, slot_free, dep_ready) + load_cycles
-            dram = end
-            ready_queue.append(end)
-            push_count += 1
-            for token in writes:
-                token_write[token] = (end, "dram")
-            for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
-        elif code == _OP_ACT or code == _OP_VEC:
-            if code == _OP_ACT:
-                _, duration, reads, war, writes = op
+                t = write_end[token]
+                if t > start:
+                    start = t
+            end = dram = start + load_cycles
+            fifo.append((end, instr.tile_id))
+            n_fetch += 1
+            weight_bytes += nbytes
+            unit = "dram"
+        elif cls is Activate or cls is VectorInstruction:
+            if cls is Activate:
+                duration = -(-(instr.rows * instr.lanes) // lanes)
+                n_activate += 1
+                activation_cycles += duration
                 unit = "vector"
             else:
-                _, duration, unit, reads, war, writes = op
-            ready = 0.0
+                kind = instr.kind
+                elements = instr.rows * instr.lanes * passes[kind]
+                pooling = kind == VectorKind.POOL
+                if pooling and pool_config:
+                    elements *= pool_config["window"] ** 2
+                duration = -(-elements // lanes)
+                if pooling:
+                    pooling_cycles += duration
+                else:
+                    activation_cycles += duration
+                # Patch streaming runs on the floorplan's Systolic Data
+                # Setup block, concurrent with the activation pipeline.
+                unit = "setup" if kind == VectorKind.IM2COL else "vector"
+            start = vector if unit == "vector" else setup
             for token in reads:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > ready:
-                    ready = rec[0]
-            war_ready = 0.0
+                t = write_end[token]
+                if t > start:
+                    start = t
             for token in war:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > war_ready:
-                    war_ready = rec[0]
-                t = tr_get(token, 0.0)
-                if t > war_ready:
-                    war_ready = t
+                t = write_end[token]
+                if t > start:
+                    start = t
+                t = read_end[token]
+                if t > start:
+                    start = t
+            end = start + duration
             if unit == "vector":
-                end = max(vector, ready, war_ready) + duration
                 vector = end
             else:
-                end = max(setup, ready, war_ready) + duration
                 setup = end
-            for token in writes:
-                token_write[token] = (end, unit)
-            for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
-        elif code == _OP_DIN:
-            _, duration, war, reads, writes = op
-            war_ready = 0.0
+        elif cls is ReadHostMemory:
+            nbytes = instr.rows * ROW_BYTES
+            duration = dma_seconds(nbytes) * clock
+            n_read_host += 1
+            pcie_in += nbytes
+            dma_in_cycles += duration
+            start = dma_in
             for token in war:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > war_ready:
-                    war_ready = rec[0]
-                t = tr_get(token, 0.0)
-                if t > war_ready:
-                    war_ready = t
-            end = max(dma_in, war_ready) + duration
-            dma_in = end
-            for token in writes:
-                token_write[token] = (end, "dma_in")
+                t = write_end[token]
+                if t > start:
+                    start = t
+                t = read_end[token]
+                if t > start:
+                    start = t
+            end = dma_in = start + duration
+            unit = "dma_in"
+        elif cls is WriteHostMemory:
+            nbytes = instr.rows * ROW_BYTES
+            duration = dma_seconds(nbytes) * clock
+            n_write_host += 1
+            pcie_out += nbytes
+            dma_out_cycles += duration
+            start = dma_out
             for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
-        elif code == _OP_DOUT:
-            _, duration, reads, writes = op
-            ready = 0.0
-            for token in reads:
-                rec = tw_get(token)
-                if rec is not None and rec[0] > ready:
-                    ready = rec[0]
-            end = max(dma_out, ready) + duration
-            dma_out = end
-            for token in writes:
-                token_write[token] = (end, "dma_out")
-            for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
-        elif code == _OP_SYNC:
-            _, reads, writes = op
-            end = max(matrix, vector, setup, dma_in, dma_out, dram, control)
-            control = end
-            for token in writes:
-                token_write[token] = (end, "control")
-            for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
-        else:  # _OP_CTRL
-            _, reads, writes = op
-            end = control + 1
-            control = end
-            for token in writes:
-                token_write[token] = (end, "control")
-            for token in reads:
-                if tr_get(token, 0.0) < end:
-                    token_read[token] = end
+                t = write_end[token]
+                if t > start:
+                    start = t
+            end = dma_out = start + duration
+            unit = "dma_out"
+        elif cls is Sync or cls is SyncHost:
+            n_sync += 1
+            end = control = max(matrix, vector, setup, dma_in, dma_out, dram, control)
+            unit = "control"
+        elif cls is Configure or cls is DebugTag or cls is Nop or cls is InterruptHost:
+            if cls is Nop:
+                n_nop += 1
+            elif cls is Configure and instr.key == Configure.KEY_POOLING:
+                pool_config = unpack_pooling_config(instr.value)
+            end = control = control + 1
+            unit = "control"
+        elif cls is Halt:
+            break
+        else:
+            raise TypeError(f"device cannot execute {cls!r}")
+        for token in writes:
+            write_end[token] = end
+            write_unit[token] = unit
+        for token in reads:
+            if read_end[token] < end:
+                read_end[token] = end
 
     total = max(matrix, vector, setup, dma_in, dma_out, dram, control)
     total = max(total, 1.0)
-    for name, value in plan.counter_totals:
+    for name, value in (
+        ("instructions_issued", issued),
+        ("read_weights_instructions", n_fetch),
+        ("weight_tiles_loaded", n_fetch),
+        ("weight_bytes_read", weight_bytes),
+        ("macs_issued", macs),
+        ("ops_committed", 2 * macs),
+        ("rows_streamed", rows_streamed),
+        ("matmul_instructions", n_matmul),
+        ("convolve_instructions", n_convolve),
+        ("activate_instructions", n_activate),
+        ("activation_cycles", activation_cycles),
+        ("pooling_cycles", pooling_cycles),
+        ("read_host_instructions", n_read_host),
+        ("pcie_bytes_in", pcie_in),
+        ("dma_in_cycles", dma_in_cycles),
+        ("write_host_instructions", n_write_host),
+        ("pcie_bytes_out", pcie_out),
+        ("dma_out_cycles", dma_out_cycles),
+        ("sync_instructions", n_sync),
+        ("nop_instructions", n_nop),
+        ("total_cycles", total),
+        ("array_active_cycles", active),
+        ("useful_mac_cycles", useful),
+        ("weight_stall_cycles", weight_stall),
+        ("weight_shift_cycles", weight_shift),
+    ):
         bank.add(name, value)
-    active = plan.active
-    bank.add("total_cycles", total)
-    bank.add("array_active_cycles", active)
-    bank.add("useful_mac_cycles", plan.useful)
-    bank.add("weight_stall_cycles", weight_stall)
-    bank.add("weight_shift_cycles", weight_shift)
     non_matrix = max(total - active - weight_stall - weight_shift, 0.0)
     bank.add("non_matrix_cycles", non_matrix)
     bank.add("raw_stall_cycles", min(raw_stall, non_matrix))
@@ -610,7 +533,7 @@ def _execute_plan(
         weight_stall=weight_stall,
         weight_shift=weight_shift,
         non_matrix=non_matrix,
-        useful_mac_weighted=min(plan.useful, active),
+        useful_mac_weighted=min(useful, active),
         raw_stall=min(raw_stall, non_matrix),
         input_stall=min(input_stall, non_matrix),
     )
@@ -632,7 +555,7 @@ class _DataPass:
     """A functional run's data, moved by one untimed pass over the program.
 
     Holds the Unified Buffer tensors, Weight Memory, the matrix unit and
-    the accumulators.  Timing comes from the plan; this pass charges only
+    the accumulators.  Timing comes from the walk; this pass charges only
     the counters that need the data: ``ub_bytes_read``,
     ``ub_bytes_written`` and ``acc_rows_written``.
     """
@@ -694,7 +617,7 @@ class _DataPass:
         """Walk the program in order, moving data only.
 
         Raises at the first bad instruction: a fault in its data, or one
-        the timing plan would raise for it.
+        the timing walk would raise for it.
         """
         fifo_ids: deque[int] = deque()
         for instr in self.program.instructions:
@@ -703,7 +626,10 @@ class _DataPass:
             elif isinstance(instr, MatrixMultiply):
                 spec = None
                 if instr.load_new_tile:
-                    tile_id, spec = _pop_tile(self.program, fifo_ids)
+                    if not fifo_ids:
+                        raise RuntimeError(_EMPTY_FIFO)
+                    tile_id = fifo_ids.popleft()
+                    spec = self.program.tiles[tile_id]
                     self._install_tile(tile_id)
                 self._matmul_functional(instr, spec)
             elif isinstance(instr, Activate):

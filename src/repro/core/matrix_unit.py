@@ -22,15 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import TPUConfig
+from repro.isa.instructions import check_operand_widths
 
 
 def speed_factor(weight_bits: int, activation_bits: int) -> int:
     """Throughput divisor for mixed-precision operands (Section 2)."""
-    if weight_bits not in (8, 16) or activation_bits not in (8, 16):
-        raise ValueError(
-            f"operand widths must be 8 or 16 bits, got "
-            f"{weight_bits}w/{activation_bits}a"
-        )
+    check_operand_widths(weight_bits, activation_bits)
     if weight_bits == 8 and activation_bits == 8:
         return 1
     if weight_bits == 16 and activation_bits == 16:

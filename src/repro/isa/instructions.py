@@ -34,6 +34,15 @@ def _check_field(name: str, value: int, maximum: int) -> None:
         raise ValueError(f"{name}={value} outside encodable range [0, {maximum}]")
 
 
+def check_operand_widths(weight_bits: int, activation_bits: int) -> None:
+    """Raise unless both operand widths are a Section 2 mode (8 or 16)."""
+    if weight_bits not in (8, 16) or activation_bits not in (8, 16):
+        raise ValueError(
+            f"operand widths must be 8 or 16 bits (Section 2), got "
+            f"{weight_bits}w/{activation_bits}a"
+        )
+
+
 @dataclass(frozen=True)
 class ReadHostMemory:
     """DMA ``rows`` 256-byte rows from a host buffer into the UB."""
@@ -110,8 +119,7 @@ class MatrixMultiply:
         _check_field("rows", self.rows, MAX_LEN)
         if self.rows == 0:
             raise ValueError("MatrixMultiply must stream at least one row")
-        if self.weight_bits not in (8, 16) or self.activation_bits not in (8, 16):
-            raise ValueError("operand widths must be 8 or 16 bits")
+        check_operand_widths(self.weight_bits, self.activation_bits)
 
 
 @dataclass(frozen=True)

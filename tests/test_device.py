@@ -186,6 +186,19 @@ class TestTimingBehaviour:
             with pytest.raises(ValueError, match=re.escape(message)):
                 TPUDevice().run(bad)
 
+    def test_sidecar_tokens_must_be_non_negative(self, workloads, driver):
+        """A negative token would index another token's scoreboard slot."""
+        program = driver.compile(workloads["mlp1"]).program
+        deps = list(program.metadata["deps"])
+        index = next(i for i, (reads, _, _) in enumerate(deps) if reads)
+        reads, writes, war = deps[index]
+        deps[index] = ((-1,) + reads[1:], writes, war)
+        bad = dataclasses.replace(
+            program, metadata={**program.metadata, "deps": tuple(deps)}
+        )
+        with pytest.raises(ValueError, match="program 'mlp1'.*negative token -1"):
+            TPUDevice().run(bad)
+
     def test_ips_and_tops_properties(self, profiles):
         r = profiles["mlp0"]
         assert r.ips == pytest.approx(200 / r.seconds)
@@ -360,7 +373,7 @@ DATA_COUNTERS = ("ub_bytes_read", "ub_bytes_written", "acc_rows_written")
 
 
 class TestOracleParity:
-    """The timing plan against ``PerInstructionRun`` in tests/oracles.py."""
+    """The timing walk against ``PerInstructionRun`` in tests/oracles.py."""
 
     def test_hand_assembled_programs_match_the_oracle(self):
         kinds, vector_kinds, over_deep, dynamic = set(), set(), 0, 0
@@ -417,21 +430,20 @@ class TestOracleParity:
         }
 
 
-class TestTimingPlanMemo:
-    """A program keeps its timing plan, keyed by the device config."""
+class TestRunState:
+    """A run reads its program and stores nothing on it."""
 
-    def test_plan_is_reused_per_config_and_rebuilt_across(self, workloads):
+    def test_runs_leave_the_program_untouched(self, workloads):
         program = TPUDriver().compile(workloads["mlp0"]).program
+        state, metadata = dict(vars(program)), dict(program.metadata)
         first = TPUDevice(TPU_V1).run(program)
-        plan = program._timing_plan[1]
-        TPUDevice(TPU_V1).run(program)
-        assert program._timing_plan[1] is plan
-
         prime = TPUDevice(TPU_PRIME).run(program)
-        assert program._timing_plan[1] is not plan
+        again = TPUDevice(TPU_V1).run(program)
+        assert vars(program) == state and program.metadata == metadata
         assert (round(prime.cycles), round(first.cycles)) == (158_289, 546_726)
 
-        again = TPUDevice(TPU_V1).run(program)
         fresh = TPUDriver().compile(workloads["mlp0"]).program
         assert fresh is not program
-        _assert_identical(again, TPUDevice(TPU_V1).run(fresh), "TPU_V1 after TPU'")
+        reference = TPUDevice(TPU_V1).run(fresh)
+        _assert_identical(first, reference, "TPU_V1")
+        _assert_identical(again, reference, "TPU_V1 after TPU'")

@@ -42,7 +42,6 @@ from repro import perfcache
 from repro.analysis import EXPERIMENTS
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering
-from repro.core import device as device_mod
 from repro.core.config import TPU_V1
 from repro.core.device import TPUDevice
 from repro.nn.workloads import WORKLOAD_NAMES, build_workload, paper_workloads
@@ -242,15 +241,15 @@ WIDTHS = ((8, 8), (16, 16))
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_vectorized_device_path_bit_identical(name):
-    """The device's timing plan must match the per-instruction oracle.
+    """The device's timing walk must match the per-instruction oracle.
 
     ``PerInstructionRun`` in tests/oracles.py walks the program one
     instruction at a time on its own scoreboard and engine clocks.
     Cycle counts, seconds, the cycle breakdown, and every counter --
     including the int-vs-float type of each value, which the Table 3
     rendering distinguishes -- must be identical.  (The pinned tables
-    above run through the plan, so this localizes any future divergence
-    to the device layer.)  The transformer programs cover the plan's
+    above run through the walk, so this localizes any future divergence
+    to the device layer.)  The transformer programs cover the walk's
     dynamic K^T/V tile staging.
     """
     driver = TPUDriver.shared()
@@ -259,7 +258,6 @@ def test_vectorized_device_path_bit_identical(name):
         program = driver.compile(
             model, weight_bits=weight_bits, activation_bits=activation_bits
         ).program
-        assert device_mod._timing_plan_for(program, TPU_V1) is not None
         plan = TPUDevice().run(program)
         oracle = oracles.PerInstructionRun(TPUDevice(), program)
         loop = oracle.execute()
