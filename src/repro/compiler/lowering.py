@@ -27,13 +27,19 @@ Conventions established here and honoured by the device:
   collector untracks a tuple that holds only untracked objects, so
   cached entries cost nothing in later collections; a dataclass or
   ``NamedTuple`` entry is never untracked, and every full collection
-  would walk all of them again.
+  would walk all of them again.  The sidecar is sealed with the
+  instruction columns, together with its token count (the tracker's
+  next token), so the device sizes its scoreboard without flattening it.
+* **Sealed columns.**  The emitters build instruction objects; when the
+  record is created they are sealed once into the numpy columns of
+  :class:`repro.isa.encoding.InstructionColumns` and dropped, so a
+  cached record holds no instruction objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from repro import obs
 from repro.compiler.allocator import Allocation, LivenessAllocator, Request
 from repro.compiler.tiling import tile_grid
 from repro.core.config import TPUConfig
+from repro.isa.encoding import InstructionColumns, seal
 from repro.isa.instructions import (
     Activate,
     Configure,
@@ -61,6 +68,7 @@ from repro.isa.instructions import (
     check_operand_widths,
     pack_pooling_config,
 )
+from repro.isa.opcodes import Opcode
 from repro.isa.program import HostBufferSpec, ScaleEntry, TileSpec, TPUProgram
 from repro.nn.graph import Model
 from repro.nn.layers import (
@@ -193,29 +201,28 @@ class EmissionRecord:
     Instruction addressing comes from a virtual bump cursor in tensor
     declaration order, so everything here -- instructions, dependency
     tokens, tiles, scales -- depends only on (model structure, batch,
-    config).  The operand widths reach only the two width flags of each
-    ``MatrixMultiply``; the record keeps the widths its instructions
-    carry, and :meth:`finish` rebuilds just those instructions when a
-    consumer asks for other widths.  The allocator contributes nothing
-    but the byte placement reported in the program metadata, which
-    :meth:`finish` recomputes per consumer.  That split is what lets
+    config).  The operand widths reach only the two width bits of each
+    ``MatrixMultiply``'s flags, which :meth:`finish` sets when a consumer
+    asks for other widths than the record's.  The allocator contributes
+    nothing but the byte placement reported in the program metadata,
+    which :meth:`finish` recomputes per consumer.  That split is what lets
     :data:`repro.perfcache.GLOBAL_LOWERING` replay one emission across
     fresh drivers, across allocator choices (the Table 8 study) and
     across the four Section 2 precision modes.
 
-    Records are immutable and their parts are shared, never copied: a
-    cache hit at the record's own widths returns a program built from
-    the very same instruction objects the first compile produced, so
-    byte-identity of ``program.binary()`` is structural, not asserted.
-    A hit at other widths shares everything but the rebuilt
-    ``MatrixMultiply`` objects; the pinned programs of
-    ``tests/test_paper_parity.py`` check those width siblings byte for
-    byte.
+    Records are immutable and their parts are shared, never copied.  The
+    stream is sealed columns (:class:`InstructionColumns`), not objects:
+    a cache hit at the record's own widths returns a program on the very
+    same columns the first compile sealed, so byte-identity of
+    ``program.binary()`` is structural, not asserted.  A hit at other
+    widths shares every column but the flags column, and the sidecar;
+    the pinned programs of ``tests/test_paper_parity.py`` check those
+    width siblings byte for byte.
     """
 
     name: str
     batch_size: int
-    instructions: tuple[Instruction, ...]
+    instructions: InstructionColumns
     tiles: dict[int, TileSpec]
     scales: tuple[ScaleEntry, ...]
     host_buffers: dict[int, HostBufferSpec]
@@ -223,9 +230,6 @@ class EmissionRecord:
     #: Metadata entries minus the allocation-dependent pair
     #: (``ub_peak_bytes`` / ``allocator``), in canonical order.
     metadata_rest: dict
-    #: The operand widths every ``MatrixMultiply`` in ``instructions`` carries.
-    weight_bits: int
-    activation_bits: int
 
     def finish(
         self, allocation: Allocation, weight_bits: int, activation_bits: int
@@ -240,7 +244,7 @@ class EmissionRecord:
         metadata.update(self.metadata_rest)
         program = TPUProgram(
             name=self.name,
-            instructions=self._instructions_at(weight_bits, activation_bits),
+            instructions=self.instructions.at_widths(weight_bits, activation_bits),
             tiles=self.tiles,
             scales=self.scales,
             host_buffers=self.host_buffers,
@@ -260,32 +264,6 @@ class EmissionRecord:
                 list(self.requests), config.unified_buffer_bytes
             )
         return self.finish(allocation, weight_bits, activation_bits)
-
-    def _instructions_at(
-        self, weight_bits: int, activation_bits: int
-    ) -> tuple[Instruction, ...]:
-        """The stream with every ``MatrixMultiply`` at the given widths.
-
-        One pass; the emitter reuses equal instruction objects, so each
-        distinct ``MatrixMultiply`` is rebuilt once, matched by identity,
-        and every other instruction is shared with the record.
-        """
-        if (weight_bits, activation_bits) == (self.weight_bits, self.activation_bits):
-            return self.instructions
-        rebuilt: dict[int, MatrixMultiply] = {}
-
-        def at_widths(mm: MatrixMultiply) -> MatrixMultiply:
-            new = rebuilt.get(id(mm))
-            if new is None:
-                new = rebuilt[id(mm)] = replace(
-                    mm, weight_bits=weight_bits, activation_bits=activation_bits
-                )
-            return new
-
-        return tuple([
-            at_widths(instr) if type(instr) is MatrixMultiply else instr
-            for instr in self.instructions
-        ])
 
 
 class Lowering:
@@ -352,7 +330,8 @@ class Lowering:
         self.record: EmissionRecord | None = None
         # Instruction memos: frozen dataclasses compare by value, so an
         # equal instruction object is interchangeable in the stream (and
-        # in ``binary()``) with a freshly built one.
+        # in ``binary()``) with a freshly built one, and ``seal`` computes
+        # the fields of each distinct object once.
         self._rw_memo: dict[int, ReadWeights] = {}
         self._mm_memo: dict[tuple, MatrixMultiply] = {}
 
@@ -1148,29 +1127,29 @@ class Lowering:
         tensor_table = {
             t.name: (t.base_row, t.rows, t.width) for t in self._tensors.values()
         }
+        deps = tuple(self._deps)
+        instructions = seal(self._instructions, deps, self._tracker._next)
         metadata_rest = {
-            "weight_traffic_bytes": self._weight_traffic_bytes(),
+            "weight_traffic_bytes": self._weight_traffic_bytes(instructions),
             "macs_per_batch": model.macs_per_batch,
             "input_layout": self._input_layout(),
             "input_shape": model.input_shape,
             "output_shape": model.output_shape,
             "tensors": tensor_table,
-            "deps": tuple(self._deps),
+            "deps": deps,
         }
         return EmissionRecord(
             name=model.name,
             batch_size=batch,
-            instructions=tuple(self._instructions),
+            instructions=instructions,
             tiles=self._tiles,
             scales=tuple(self._scales),
             host_buffers=host_buffers,
             requests=tuple(self._requests),
             metadata_rest=metadata_rest,
-            weight_bits=self.weight_bits,
-            activation_bits=self.activation_bits,
         )
 
-    def _weight_traffic_bytes(self) -> int:
+    def _weight_traffic_bytes(self, instructions: InstructionColumns) -> int:
         """DRAM bytes moved by the emitted Read_Weights stream.
 
         Static trained tiles stream padded (the full 64 KiB plane);
@@ -1178,8 +1157,8 @@ class Lowering:
         their packed bytes only.  Computed as arrays: per-tile byte
         charges times per-tile fetch counts.
         """
-        ids = [i.tile_id for i in self._instructions if type(i) is ReadWeights]
-        if not ids:
+        ids = instructions.operand[instructions.opcode == Opcode.READ_WEIGHTS]
+        if not len(ids):
             return 0
         tiles = self._tiles  # keyed 0..N-1 in insertion order
         charges = np.fromiter(
@@ -1190,7 +1169,7 @@ class Lowering:
             dtype=np.int64,
             count=len(tiles),
         )
-        counts = np.bincount(np.asarray(ids, dtype=np.intp), minlength=len(tiles))
+        counts = np.bincount(ids.astype(np.intp), minlength=len(tiles))
         return int(counts @ charges)
 
     def _declare_staging(self, input_t: LoweredTensor, output_t: LoweredTensor, n_layers: int) -> None:

@@ -7,8 +7,10 @@ the two DMA directions.  Engines run concurrently; the compiler's
 dependency sidecar (read/write/WAR tokens) is the scoreboard that
 serializes true hazards, which is exactly the "delay slot" behaviour the
 paper describes between a layer's activations and the next layer's
-matmuls.  Every run takes one timing walk over the program, and a
-functional run adds one untimed pass that moves the data.
+matmuls.  Every run takes one timing walk over the program's sealed
+instruction columns (:class:`repro.isa.encoding.InstructionColumns`),
+and a functional run adds one untimed pass over the decoded
+instructions that moves the data.
 
 Every cycle of the run is attributed to exactly one Table 3 category:
 
@@ -42,6 +44,14 @@ from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
 from repro.core.matrix_unit import MatrixUnit, speed_factor
 from repro.core.weight_memory import WeightMemory
+from repro.isa.encoding import (
+    MM_ACTIVATION_16,
+    MM_CONVOLVE,
+    MM_LOAD_NEW_TILE,
+    MM_WEIGHT_16,
+    MM_WIDTH_BITS,
+    VECTOR_KIND_BITS,
+)
 from repro.isa.instructions import (
     Activate,
     Configure,
@@ -62,6 +72,7 @@ from repro.isa.instructions import (
     WriteHostMemory,
     unpack_pooling_config,
 )
+from repro.isa.opcodes import Opcode
 from repro.isa.program import TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import apply_activation, quantize
@@ -196,44 +207,63 @@ def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> 
 # timing walk
 # ----------------------------------------------------------------------
 # The device's only timing model: every run takes one walk over its
-# program, and a functional run adds an untimed :class:`_DataPass`.  Each
-# instruction's engine, duration, weight-tile pairing and counter
-# increments come straight off the instruction; the walk then waits for
-# its dependency tokens and its engine, and occupies the engine.  The
-# scoreboard is three flat lists indexed by token, which the compiler
-# numbers densely from 0.  Integer counters add as Python ints and float
-# totals add in program order, so every total equals the
+# program's sealed columns (:class:`repro.isa.encoding.InstructionColumns`),
+# and a functional run adds an untimed :class:`_DataPass` over the decoded
+# view.  Each instruction's engine, duration, weight-tile pairing and
+# counter increments come from its opcode, operand and flags; the walk
+# then waits for its dependency tokens and its engine, and occupies the
+# engine.  The scoreboard is three flat lists indexed by token, which the
+# compiler numbers densely from 0.  Integer counters add as Python ints
+# and float totals add in program order, so every total equals the
 # one-instruction-at-a-time adds of the test oracle ``PerInstructionRun``
-# in ``tests/oracles.py``.
+# in ``tests/oracles.py``, which walks decoded instruction objects.
 
 
 _EMPTY_FIFO = "MatrixMultiply with load_new_tile but empty Weight FIFO"
+
+_READ_HOST = Opcode.READ_HOST_MEMORY.value
+_WRITE_HOST = Opcode.WRITE_HOST_MEMORY.value
+_READ_WEIGHTS = Opcode.READ_WEIGHTS.value
+_MATMUL = Opcode.MATRIX_MULTIPLY.value
+_ACTIVATE = Opcode.ACTIVATE.value
+_VECTOR = Opcode.VECTOR.value
+_SYNC = Opcode.SYNC.value
+_SYNC_HOST = Opcode.SYNC_HOST.value
+_CONFIGURE = Opcode.CONFIGURE.value
+_INTERRUPT_HOST = Opcode.INTERRUPT_HOST.value
+_DEBUG_TAG = Opcode.DEBUG_TAG.value
+_NOP = Opcode.NOP.value
+_HALT = Opcode.HALT.value
 
 
 def _sidecar(program: TPUProgram) -> tuple[Sequence[tuple], int]:
     """The program's ``(reads, writes, war)`` token triples, and the
     number of scoreboard slots they need.
 
-    A program without a sidecar -- hand-assembled, or built with
-    :func:`repro.isa.assemble` or :func:`repro.isa.decode_program` --
-    runs as a serial chain: each instruction waits for the one before
-    it, except a weight fetch, which waits only for the DRAM port and a
-    free FIFO slot.  A sidecar whose length is not the instruction count
-    is refused, and so is a negative token, which would index another
-    token's slot.
+    A sidecar the compiler sealed with the instruction columns comes
+    with its token count.  A program without a sidecar -- hand-assembled,
+    or built with :func:`repro.isa.assemble` or
+    :func:`repro.isa.decode_program` -- runs as a serial chain: each
+    instruction waits for the one before it, except a weight fetch,
+    which waits only for the DRAM port and a free FIFO slot.  Any other
+    sidecar (hand-built, sliced or edited) is checked here: one whose
+    length is not the instruction count is refused, and so is a negative
+    token, which would index another token's slot.
     """
-    instructions = program.instructions
+    columns = program.instructions
     deps = program.metadata.get("deps")
     if deps is None:
         serial = []
-        for index, instr in enumerate(instructions):
-            prev = () if index == 0 or isinstance(instr, ReadWeights) else (index - 1,)
+        for index, op in enumerate(columns.opcode.tolist()):
+            prev = () if index == 0 or op == _READ_WEIGHTS else (index - 1,)
             serial.append((prev, (index,), prev))
-        return serial, len(instructions)
-    if len(deps) != len(instructions):
+        return serial, len(columns)
+    if deps is columns.deps:
+        return deps, columns.deps_tokens
+    if len(deps) != len(columns):
         raise ValueError(
             f"program {program.name!r}: dependency sidecar has {len(deps)} "
-            f"entries for {len(instructions)} instructions"
+            f"entries for {len(columns)} instructions"
         )
     tokens = list(chain.from_iterable(chain.from_iterable(deps)))
     lowest = min(tokens, default=0)
@@ -258,10 +288,11 @@ def _walk(
     weight shift and the RAW/PCIe-input sub-counters.  The counters are
     added to ``bank``, which a functional run has already charged with
     its data counters; ``output`` is that run's output codes.  A
-    malformed stream raises: an instruction the device does not know, a
+    malformed stream raises: an object that is no instruction, a
     ``load_new_tile`` matmul with the Weight FIFO empty, or a tile
     missing from ``program.tiles``.
     """
+    columns = program.instructions
     deps, slots = _sidecar(program)
     write_end = [0.0] * slots
     write_unit = ["control"] * slots
@@ -283,7 +314,8 @@ def _walk(
     pop_times: list[float] = []  # when each popped tile's shift began
     prev_mm_start = 0.0
     weight_stall = weight_shift = raw_stall = input_stall = 0.0
-    wbits = abits = factor = 0
+    widths = -1
+    factor = 0
     pool_config: dict[str, int] | None = None
     # Ordered float totals: fill-weighted active time and DMA cycle
     # conversions are not integers.  The DMA totals start as int 0, like
@@ -297,16 +329,23 @@ def _walk(
     n_read_host = pcie_in = n_write_host = pcie_out = 0
     n_sync = n_nop = issued = 0
 
-    for issued, (instr, (reads, writes, war)) in enumerate(
-        zip(program.instructions, deps), 1
-    ):
-        cls = type(instr)
-        if cls is MatrixMultiply:
-            rows = instr.rows
+    # The constants the two hottest branches test, as fast locals.
+    matmul, read_weights, width_bits, load_new_tile, convolve = (
+        _MATMUL, _READ_WEIGHTS, MM_WIDTH_BITS, MM_LOAD_NEW_TILE, MM_CONVOLVE
+    )
+    # One ``tolist()`` per column: the loop then reads plain ints.
+    stream = zip(
+        columns.opcode.tolist(), columns.operand.tolist(), columns.flags.tolist(), deps
+    )
+    for issued, (op, operand, flags, (reads, writes, war)) in enumerate(stream, 1):
+        if op == matmul:
+            rows = operand
             # The speed factor changes only with the operand widths.
-            if instr.weight_bits != wbits or instr.activation_bits != abits:
-                wbits, abits = instr.weight_bits, instr.activation_bits
-                factor = speed_factor(wbits, abits)
+            if flags & width_bits != widths:
+                widths = flags & width_bits
+                factor = speed_factor(
+                    16 if flags & MM_WEIGHT_16 else 8, 16 if flags & MM_ACTIVATION_16 else 8
+                )
             duration = rows * factor
             ready = 0.0
             binding = "control"
@@ -325,7 +364,7 @@ def _walk(
                 t = read_end[token]
                 if t > start:
                     start = t
-            if instr.load_new_tile:
+            if flags & load_new_tile:
                 if not fifo:
                     raise RuntimeError(_EMPTY_FIFO)
                 tile_ready, tile_id = fifo.popleft()
@@ -370,16 +409,17 @@ def _walk(
             useful += duration * (area / dim2)
             macs += rows * area
             rows_streamed += rows
-            if instr.convolve:
+            if flags & convolve:
                 n_convolve += 1
             else:
                 n_matmul += 1
             unit = "matrix"
-        elif cls is ReadWeights:
+        elif op == read_weights:
             # Static tiles stream the full padded tile; dynamic tiles
             # (attention K^T/V staged through Weight Memory) move only
             # their packed bytes, and wait for the activations they stage.
-            spec = tiles.get(instr.tile_id)
+            tile_id = operand
+            spec = tiles.get(tile_id)
             if spec is not None and spec.dynamic:
                 nbytes = spec.rows * spec.cols
                 load_cycles = tile_load_cycles * nbytes / tile_bytes
@@ -400,19 +440,20 @@ def _walk(
                 if t > start:
                     start = t
             end = dram = start + load_cycles
-            fifo.append((end, instr.tile_id))
+            fifo.append((end, tile_id))
             n_fetch += 1
             weight_bytes += nbytes
             unit = "dram"
-        elif cls is Activate or cls is VectorInstruction:
-            if cls is Activate:
-                duration = -(-(instr.rows * instr.lanes) // lanes)
+        elif op == _ACTIVATE or op == _VECTOR:
+            # The operand is the op's rows * lanes elements.
+            if op == _ACTIVATE:
+                duration = -(-operand // lanes)
                 n_activate += 1
                 activation_cycles += duration
                 unit = "vector"
             else:
-                kind = instr.kind
-                elements = instr.rows * instr.lanes * passes[kind]
+                kind = flags & VECTOR_KIND_BITS
+                elements = operand * passes[kind]
                 pooling = kind == VectorKind.POOL
                 if pooling and pool_config:
                     elements *= pool_config["window"] ** 2
@@ -441,8 +482,8 @@ def _walk(
                 vector = end
             else:
                 setup = end
-        elif cls is ReadHostMemory:
-            nbytes = instr.rows * ROW_BYTES
+        elif op == _READ_HOST:
+            nbytes = operand * ROW_BYTES
             duration = dma_seconds(nbytes) * clock
             n_read_host += 1
             pcie_in += nbytes
@@ -457,8 +498,8 @@ def _walk(
                     start = t
             end = dma_in = start + duration
             unit = "dma_in"
-        elif cls is WriteHostMemory:
-            nbytes = instr.rows * ROW_BYTES
+        elif op == _WRITE_HOST:
+            nbytes = operand * ROW_BYTES
             duration = dma_seconds(nbytes) * clock
             n_write_host += 1
             pcie_out += nbytes
@@ -470,21 +511,23 @@ def _walk(
                     start = t
             end = dma_out = start + duration
             unit = "dma_out"
-        elif cls is Sync or cls is SyncHost:
+        elif op == _SYNC or op == _SYNC_HOST:
             n_sync += 1
             end = control = max(matrix, vector, setup, dma_in, dma_out, dram, control)
             unit = "control"
-        elif cls is Configure or cls is DebugTag or cls is Nop or cls is InterruptHost:
-            if cls is Nop:
+        elif op == _CONFIGURE or op == _DEBUG_TAG or op == _NOP or op == _INTERRUPT_HOST:
+            if op == _NOP:
                 n_nop += 1
-            elif cls is Configure and instr.key == Configure.KEY_POOLING:
-                pool_config = unpack_pooling_config(instr.value)
+            elif op == _CONFIGURE:
+                instr = columns[issued - 1]  # rare: decode the one instruction
+                if instr.key == Configure.KEY_POOLING:
+                    pool_config = unpack_pooling_config(instr.value)
             end = control = control + 1
             unit = "control"
-        elif cls is Halt:
+        elif op == _HALT:
             break
         else:
-            raise TypeError(f"device cannot execute {cls!r}")
+            raise TypeError(f"device cannot execute {type(columns[issued - 1])!r}")
         for token in writes:
             write_end[token] = end
             write_unit[token] = unit

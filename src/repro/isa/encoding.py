@@ -1,4 +1,4 @@
-"""Binary encoding of TPU instructions.
+"""Binary encoding of TPU instructions, and the sealed column form.
 
 The base format is the paper's 12-byte CISC layout:
 
@@ -13,11 +13,29 @@ bytes  field    notes
 ====== ======== ==============================================
 
 The fused VECTOR op is 16 bytes because it carries a second source
-address.  ``encode -> decode`` is the identity on every instruction,
-which the property tests exercise exhaustively.
+address: destination row (bytes 3-5), source row (6-8), aux id (9-11),
+rows (12-13) and lanes (14-15).  ``encode -> decode`` is the identity
+on every instruction, which the property tests exercise exhaustively.
+
+Every instruction maps to six integer fields -- ``opcode``, ``flags``,
+``ub`` (bytes 3-5), ``acc`` (the accumulator address; VECTOR's source
+row), ``length`` (VECTOR's aux id) and ``extent`` (VECTOR's
+``rows | lanes << 16``, zero elsewhere) -- and the bytes are those
+fields packed.  :func:`seal` stores a whole stream as one numpy column
+per field, plus an ``operand`` column: the one number an instruction's
+cost depends on (rows moved or streamed, the fetched tile id, or the
+``rows * lanes`` elements of an ACTIVATE or VECTOR op).  That is the
+form a compiled program keeps: numpy arrays hold no Python objects, so
+the garbage collector never visits them.
 """
 
 from __future__ import annotations
+
+import copy
+from collections.abc import Iterable, Sequence
+from itertools import starmap
+
+import numpy as np
 
 from repro.isa.instructions import (
     Activate,
@@ -46,136 +64,196 @@ _ACT_CODES = {
 }
 _ACT_FROM_CODE = {v: k for k, v in _ACT_CODES.items()}
 
+#: MatrixMultiply flag bits.  The two width bits are the only part of a
+#: compiled stream that depends on the operand widths.
+MM_ACCUMULATE = 1
+MM_LOAD_NEW_TILE = 2
+MM_WEIGHT_16 = 4
+MM_ACTIVATION_16 = 8
+MM_CONVOLVE = 16
+MM_WIDTH_BITS = MM_WEIGHT_16 | MM_ACTIVATION_16
+#: VECTOR flag bits 0-2 hold the vector kind.
+VECTOR_KIND_BITS = 0x7
 
+
+def width_flags(weight_bits: int, activation_bits: int) -> int:
+    """The MatrixMultiply width bits of one (weight, activation) mode."""
+    return (MM_WEIGHT_16 if weight_bits == 16 else 0) | (
+        MM_ACTIVATION_16 if activation_bits == 16 else 0
+    )
+
+
+# -- instruction <-> fields ---------------------------------------------------
+_Fields = tuple[int, int, int, int, int, int]
+
+
+def _host_fields(instr: ReadHostMemory | WriteHostMemory) -> _Fields:
+    return (instr.opcode, int(instr.alt), instr.ub_row, instr.buffer_id, instr.rows, 0)
+
+
+def _matmul_fields(instr: MatrixMultiply) -> _Fields:
+    flags = (
+        (MM_ACCUMULATE if instr.accumulate else 0)
+        | (MM_LOAD_NEW_TILE if instr.load_new_tile else 0)
+        | width_flags(instr.weight_bits, instr.activation_bits)
+        | (MM_CONVOLVE if instr.convolve else 0)
+    )
+    return (instr.opcode, flags, instr.ub_row, instr.acc_row, instr.rows, 0)
+
+
+def _activate_fields(instr: Activate) -> _Fields:
+    flags = _ACT_CODES[instr.function] | (int(instr.pool) << 3) | (instr.scale_id << 4)
+    length = instr.rows | (instr.lanes << 16)
+    return (instr.opcode, flags, instr.ub_row, instr.acc_row, length, 0)
+
+
+def _vector_fields(instr: VectorInstruction) -> _Fields:
+    flags = instr.kind | (_ACT_CODES[instr.function] << 3) | (instr.scale_id << 6)
+    extent = instr.rows | (instr.lanes << 16)
+    return (instr.opcode, flags, instr.dst_row, instr.src_row, instr.aux_id, extent)
+
+
+def _configure_fields(instr: Configure) -> _Fields:
+    value = instr.value
+    return (
+        instr.opcode,
+        (value >> 56) & 0xFFFF,
+        value & 0xFFFFFF,
+        instr.key,
+        (value >> 24) & 0xFFFFFFFF,
+        0,
+    )
+
+
+def _bare_fields(instr: Instruction) -> _Fields:
+    return (instr.opcode, 0, 0, 0, 0, 0)
+
+
+_FIELDS = {
+    ReadHostMemory: _host_fields,
+    WriteHostMemory: _host_fields,
+    ReadWeights: lambda instr: (instr.opcode, 0, 0, 0, instr.tile_id, 0),
+    MatrixMultiply: _matmul_fields,
+    Activate: _activate_fields,
+    VectorInstruction: _vector_fields,
+    Configure: _configure_fields,
+    DebugTag: lambda instr: (instr.opcode, 0, 0, 0, instr.tag, 0),
+    Sync: _bare_fields,
+    SyncHost: _bare_fields,
+    InterruptHost: _bare_fields,
+    Nop: _bare_fields,
+    Halt: _bare_fields,
+}
+
+
+_BARE = {
+    Opcode.SYNC: Sync,
+    Opcode.SYNC_HOST: SyncHost,
+    Opcode.INTERRUPT_HOST: InterruptHost,
+    Opcode.NOP: Nop,
+    Opcode.HALT: Halt,
+}
+
+
+def _activation(opcode: Opcode, code: int) -> Activation:
+    try:
+        return _ACT_FROM_CODE[code]
+    except KeyError:
+        raise ValueError(f"{opcode.name}: unknown activation code {code}") from None
+
+
+def _instruction(
+    opcode: int, flags: int, ub: int, acc: int, length: int, extent: int
+) -> Instruction:
+    """The instruction whose fields these are (the inverse of ``_FIELDS``)."""
+    if opcode == Opcode.MATRIX_MULTIPLY:
+        return MatrixMultiply(
+            ub_row=ub,
+            acc_row=acc,
+            rows=length,
+            accumulate=bool(flags & MM_ACCUMULATE),
+            load_new_tile=bool(flags & MM_LOAD_NEW_TILE),
+            weight_bits=16 if flags & MM_WEIGHT_16 else 8,
+            activation_bits=16 if flags & MM_ACTIVATION_16 else 8,
+            convolve=bool(flags & MM_CONVOLVE),
+        )
+    if opcode == Opcode.READ_WEIGHTS:
+        return ReadWeights(tile_id=length)
+    if opcode == Opcode.VECTOR:
+        return VectorInstruction(
+            kind=flags & VECTOR_KIND_BITS,
+            function=_activation(Opcode.VECTOR, (flags >> 3) & 0x7),
+            scale_id=flags >> 6,
+            dst_row=ub,
+            src_row=acc,
+            aux_id=length,
+            rows=extent & 0xFFFF,
+            lanes=extent >> 16,
+        )
+    if opcode == Opcode.ACTIVATE:
+        return Activate(
+            acc_row=acc,
+            ub_row=ub,
+            rows=length & 0xFFFF,
+            lanes=length >> 16,
+            function=_activation(Opcode.ACTIVATE, flags & 0x7),
+            pool=bool(flags & 0x8),
+            scale_id=flags >> 4,
+        )
+    if opcode == Opcode.READ_HOST_MEMORY:
+        return ReadHostMemory(buffer_id=acc, ub_row=ub, rows=length, alt=bool(flags & 1))
+    if opcode == Opcode.WRITE_HOST_MEMORY:
+        return WriteHostMemory(buffer_id=acc, ub_row=ub, rows=length, alt=bool(flags & 1))
+    if opcode == Opcode.CONFIGURE:
+        return Configure(key=acc, value=ub | (length << 24) | (flags << 56))
+    if opcode == Opcode.DEBUG_TAG:
+        return DebugTag(tag=length)
+    return _BARE[opcode]()
+
+
+# -- bytes --------------------------------------------------------------------
 def _u(value: int, nbytes: int) -> bytes:
     return int(value).to_bytes(nbytes, "little")
 
 
-def _base(opcode: Opcode, flags: int, ub: int, acc: int, length: int) -> bytes:
-    return bytes([opcode]) + _u(flags, 2) + _u(ub, 3) + _u(acc, 2) + _u(length, 4)
-
-
 def encode_instruction(instr: Instruction) -> bytes:
     """Serialize one instruction to its binary form."""
-    if isinstance(instr, (ReadHostMemory, WriteHostMemory)):
-        return _base(instr.opcode, int(instr.alt), instr.ub_row, instr.buffer_id, instr.rows)
-    if isinstance(instr, ReadWeights):
-        return _base(instr.opcode, 0, 0, 0, instr.tile_id)
-    if isinstance(instr, MatrixMultiply):
-        flags = (
-            int(instr.accumulate)
-            | (int(instr.load_new_tile) << 1)
-            | (int(instr.weight_bits == 16) << 2)
-            | (int(instr.activation_bits == 16) << 3)
-            | (int(instr.convolve) << 4)
-        )
-        return _base(instr.opcode, flags, instr.ub_row, instr.acc_row, instr.rows)
-    if isinstance(instr, Activate):
-        flags = (
-            _ACT_CODES[instr.function]
-            | (int(instr.pool) << 3)
-            | (instr.scale_id << 4)
-        )
-        length = instr.rows | (instr.lanes << 16)
-        return _base(instr.opcode, flags, instr.ub_row, instr.acc_row, length)
-    if isinstance(instr, VectorInstruction):
-        flags = instr.kind | (_ACT_CODES[instr.function] << 3) | (instr.scale_id << 6)
-        return (
-            bytes([instr.opcode])
-            + _u(flags, 2)
-            + _u(instr.dst_row, 3)
-            + _u(instr.src_row, 3)
-            + _u(instr.aux_id, 3)
-            + _u(instr.rows, 2)
-            + _u(instr.lanes, 2)
-        )
-    if isinstance(instr, Configure):
-        value = instr.value
-        return _base(
-            instr.opcode,
-            (value >> 56) & 0xFFFF,
-            value & 0xFFFFFF,
-            instr.key,
-            (value >> 24) & 0xFFFFFFFF,
-        )
-    if isinstance(instr, DebugTag):
-        return _base(instr.opcode, 0, 0, 0, instr.tag)
-    if isinstance(instr, (Sync, SyncHost, InterruptHost, Nop, Halt)):
-        return _base(instr.opcode, 0, 0, 0, 0)
-    raise TypeError(f"cannot encode {type(instr)!r}")
+    fields = _FIELDS.get(type(instr))
+    if fields is None:
+        raise TypeError(f"cannot encode {type(instr)!r}")
+    opcode, flags, ub, acc, length, extent = fields(instr)
+    head = bytes([opcode]) + _u(flags, 2) + _u(ub, 3)
+    if opcode == Opcode.VECTOR:
+        return head + _u(acc, 3) + _u(length, 3) + _u(extent, 4)
+    return head + _u(acc, 2) + _u(length, 4)
+
+
+def _decode_at(blob: bytes, offset: int) -> tuple[Instruction, int]:
+    """Decode the instruction at ``offset``, reading only its own bytes."""
+    if offset >= len(blob):
+        raise ValueError("cannot decode an empty blob")
+    opcode = Opcode(blob[offset])
+    size = INSTRUCTION_BYTES[opcode]
+    if len(blob) - offset < size:
+        raise ValueError(f"truncated {opcode.name}: {len(blob) - offset} < {size} bytes")
+    head = int.from_bytes(blob[offset + 1 : offset + 6], "little")  # flags, ub
+    if opcode is Opcode.VECTOR:
+        tail = int.from_bytes(blob[offset + 6 : offset + 16], "little")
+        acc, length, extent = tail & 0xFFFFFF, (tail >> 24) & 0xFFFFFF, tail >> 48
+    else:
+        tail = int.from_bytes(blob[offset + 6 : offset + 12], "little")
+        acc, length, extent = tail & 0xFFFF, tail >> 16, 0
+    return _instruction(opcode, head & 0xFFFF, head >> 16, acc, length, extent), size
 
 
 def decode_instruction(blob: bytes) -> tuple[Instruction, int]:
     """Decode one instruction from the head of ``blob``.
 
-    Returns (instruction, bytes consumed).
+    Returns (instruction, bytes consumed).  A blob too short for its
+    opcode, or an ACTIVATE/VECTOR activation code outside the four
+    known functions, raises ``ValueError``.
     """
-    if not blob:
-        raise ValueError("cannot decode an empty blob")
-    opcode = Opcode(blob[0])
-    size = INSTRUCTION_BYTES[opcode]
-    if len(blob) < size:
-        raise ValueError(f"truncated {opcode.name}: {len(blob)} < {size} bytes")
-    flags = int.from_bytes(blob[1:3], "little")
-    if opcode is Opcode.VECTOR:
-        instr: Instruction = VectorInstruction(
-            kind=flags & 0x7,
-            function=_ACT_FROM_CODE[(flags >> 3) & 0x7],
-            scale_id=flags >> 6,
-            dst_row=int.from_bytes(blob[3:6], "little"),
-            src_row=int.from_bytes(blob[6:9], "little"),
-            aux_id=int.from_bytes(blob[9:12], "little"),
-            rows=int.from_bytes(blob[12:14], "little"),
-            lanes=int.from_bytes(blob[14:16], "little"),
-        )
-        return instr, size
-    ub = int.from_bytes(blob[3:6], "little")
-    acc = int.from_bytes(blob[6:8], "little")
-    length = int.from_bytes(blob[8:12], "little")
-    if opcode is Opcode.READ_HOST_MEMORY:
-        instr = ReadHostMemory(buffer_id=acc, ub_row=ub, rows=length, alt=bool(flags & 1))
-    elif opcode is Opcode.WRITE_HOST_MEMORY:
-        instr = WriteHostMemory(buffer_id=acc, ub_row=ub, rows=length, alt=bool(flags & 1))
-    elif opcode is Opcode.READ_WEIGHTS:
-        instr = ReadWeights(tile_id=length)
-    elif opcode is Opcode.MATRIX_MULTIPLY:
-        instr = MatrixMultiply(
-            ub_row=ub,
-            acc_row=acc,
-            rows=length,
-            accumulate=bool(flags & 1),
-            load_new_tile=bool(flags & 2),
-            weight_bits=16 if flags & 4 else 8,
-            activation_bits=16 if flags & 8 else 8,
-            convolve=bool(flags & 16),
-        )
-    elif opcode is Opcode.ACTIVATE:
-        instr = Activate(
-            acc_row=acc,
-            ub_row=ub,
-            rows=length & 0xFFFF,
-            lanes=length >> 16,
-            function=_ACT_FROM_CODE[flags & 0x7],
-            pool=bool(flags & 0x8),
-            scale_id=flags >> 4,
-        )
-    elif opcode is Opcode.CONFIGURE:
-        instr = Configure(key=acc, value=ub | (length << 24) | (flags << 56))
-    elif opcode is Opcode.DEBUG_TAG:
-        instr = DebugTag(tag=length)
-    elif opcode is Opcode.SYNC:
-        instr = Sync()
-    elif opcode is Opcode.SYNC_HOST:
-        instr = SyncHost()
-    elif opcode is Opcode.INTERRUPT_HOST:
-        instr = InterruptHost()
-    elif opcode is Opcode.NOP:
-        instr = Nop()
-    elif opcode is Opcode.HALT:
-        instr = Halt()
-    else:  # pragma: no cover -- Opcode() above would already have raised
-        raise ValueError(f"unhandled opcode {opcode}")
-    return instr, size
+    return _decode_at(blob, 0)
 
 
 def encode_program(instructions: list[Instruction]) -> bytes:
@@ -184,10 +262,174 @@ def encode_program(instructions: list[Instruction]) -> bytes:
 
 
 def decode_program(blob: bytes) -> list[Instruction]:
+    """Decode a whole binary, one instruction at a time at its offset."""
     instructions = []
     offset = 0
     while offset < len(blob):
-        instr, size = decode_instruction(blob[offset:])
+        instr, size = _decode_at(blob, offset)
         instructions.append(instr)
         offset += size
     return instructions
+
+
+# -- columns ------------------------------------------------------------------
+#: The field columns in encoding order, and their storage types.
+FIELD_COLUMNS = ("opcode", "flags", "ub", "acc", "length", "extent")
+_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint32, np.uint32, np.uint32)
+#: The opcode a stray -- an object that is no instruction -- is sealed as.
+STRAY = 0
+
+
+def _frozen(values: np.ndarray, dtype) -> np.ndarray:
+    column = np.ascontiguousarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+class InstructionColumns(Sequence):
+    """A sealed instruction stream: one read-only numpy column per field.
+
+    Read as a sequence, it is the decoded view of the stream: ``len()``
+    decodes nothing, while indexing and iteration build each instruction
+    object on demand and keep none.  The device walk, :func:`encode_columns`
+    and :meth:`at_widths` read the columns themselves.
+
+    An object that is no instruction (a hand-built malformed stream) is
+    sealed as opcode :data:`STRAY` and kept in ``strays`` by index, so
+    building a program never raises: the device refuses the stray when
+    its walk reaches it, and the decoded view hands the object back.
+
+    A stream the compiler sealed also holds its dependency sidecar
+    (``deps``) and the sidecar's token count (``deps_tokens``), fixed at
+    sealing time.  The count describes that very tuple, so the device
+    uses it only while ``program.metadata["deps"] is columns.deps``; any
+    other sidecar is checked when the program runs.
+    """
+
+    __slots__ = (*FIELD_COLUMNS, "operand", "strays", "deps", "deps_tokens")
+
+    def __init__(
+        self,
+        columns: Sequence[np.ndarray],
+        strays: dict[int, object] | None = None,
+        deps: tuple | None = None,
+        deps_tokens: int = 0,
+    ) -> None:
+        for name, dtype, column in zip(FIELD_COLUMNS, _DTYPES, columns):
+            setattr(self, name, _frozen(column, dtype))
+        self.operand = _operands(self.opcode, self.length, self.extent)
+        self.strays = strays or None
+        if deps is not None and len(deps) != len(self.opcode):
+            raise ValueError(
+                f"a sidecar of {len(deps)} entries cannot seal {len(self.opcode)} instructions"
+            )
+        self.deps = deps
+        self.deps_tokens = deps_tokens
+
+    @property
+    def fields(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in FIELD_COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.opcode)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("instruction index out of range")
+        if self.opcode[index] == STRAY:
+            return self.strays[index]
+        return _instruction(*(column.item(index) for column in self.fields))
+
+    def __iter__(self):
+        decoded = zip(*(column.tolist() for column in self.fields))
+        if not self.strays:
+            return starmap(_instruction, decoded)
+        strays = self.strays
+        return (
+            strays[index] if fields[0] == STRAY else _instruction(*fields)
+            for index, fields in enumerate(decoded)
+        )
+
+    def at_widths(self, weight_bits: int, activation_bits: int) -> "InstructionColumns":
+        """The stream with every MatrixMultiply at the given operand widths.
+
+        Returns ``self`` when nothing changes; otherwise a stream that
+        shares every column but ``flags`` (and the sealed sidecar), whose
+        MatrixMultiply width bits are set in one vectorized pass.
+        """
+        widths = np.uint16(width_flags(weight_bits, activation_bits))
+        flags = np.where(
+            self.opcode == Opcode.MATRIX_MULTIPLY,
+            (self.flags & ~np.uint16(MM_WIDTH_BITS)) | widths,
+            self.flags,
+        )
+        if np.array_equal(flags, self.flags):
+            return self
+        sibling = copy.copy(self)
+        sibling.flags = _frozen(flags, np.uint16)
+        return sibling
+
+
+def _operands(opcode: np.ndarray, length: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """The ``length`` field, except ``rows * lanes`` for ACTIVATE (packed
+    in ``length``) and VECTOR (packed in ``extent``)."""
+    operand = length.copy()
+    for op, packed in ((Opcode.ACTIVATE, length), (Opcode.VECTOR, extent)):
+        rows = opcode == op
+        operand[rows] = (packed[rows] & 0xFFFF) * (packed[rows] >> 16)
+    operand.flags.writeable = False
+    return operand
+
+
+def seal(
+    instructions: Iterable[Instruction],
+    deps: tuple | None = None,
+    deps_tokens: int = 0,
+) -> InstructionColumns:
+    """Seal an instruction stream into columns (see :class:`InstructionColumns`).
+
+    The compiler passes its dependency sidecar and token count too.
+    Compiled streams repeat the same instruction objects heavily, so the
+    fields are computed once per distinct object and gathered by index.
+    """
+    instructions = list(instructions)  # keeps every object, so each id() is unique
+    ids = np.fromiter(map(id, instructions), dtype=np.uint64, count=len(instructions))
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    rows = []
+    strays: dict[int, object] = {}
+    for distinct, index in enumerate(first.tolist()):
+        instr = instructions[index]
+        fields = _FIELDS.get(type(instr))
+        if fields is None:
+            strays.update(dict.fromkeys(np.flatnonzero(which == distinct).tolist(), instr))
+            rows.append((STRAY, 0, 0, 0, 0, 0))
+        else:
+            rows.append(fields(instr))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(FIELD_COLUMNS))
+    return InstructionColumns([column[which] for column in table.T], strays, deps, deps_tokens)
+
+
+def encode_columns(columns: InstructionColumns) -> bytes:
+    """The binary of a sealed stream, packed from its columns in one pass:
+    byte for byte :func:`encode_program` of its decoded view."""
+    if columns.strays:
+        raise TypeError(f"cannot encode {type(columns.strays[min(columns.strays)])!r}")
+    count = len(columns)
+    vector = columns.opcode == Opcode.VECTOR
+    acc = columns.acc.astype(np.uint64)
+    length = columns.length.astype(np.uint64)
+    # Bytes 6-11: the accumulator address and length, or VECTOR's source
+    # row and aux id.
+    middle = acc | (length << np.where(vector, np.uint64(24), np.uint64(16)))
+    out = np.zeros((count, 16), dtype=np.uint8)
+    out[:, 0] = columns.opcode
+    out[:, 1:3] = columns.flags.astype("<u2").view(np.uint8).reshape(count, 2)
+    out[:, 3:6] = columns.ub.astype("<u4").view(np.uint8).reshape(count, 4)[:, :3]
+    out[:, 6:12] = middle.astype("<u8").view(np.uint8).reshape(count, 8)[:, :6]
+    out[:, 12:16] = columns.extent.astype("<u4").view(np.uint8).reshape(count, 4)
+    size = np.where(vector, 16, 12)
+    return out[np.arange(16) < size[:, None]].tobytes()

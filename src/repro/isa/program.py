@@ -4,17 +4,22 @@ A :class:`TPUProgram` is what the User Space driver produces when it first
 evaluates a model (Section 2): the application binary (instructions), the
 weight image (tiles destined for Weight Memory), the requantization scale
 table, and descriptors for the host-side input/output buffers.
+
+The instruction stream is held in one form only: the sealed columns of
+:class:`repro.isa.encoding.InstructionColumns`.  A program built from
+instruction objects (the assembler, :func:`repro.isa.decode_program`,
+hand-assembled tests) is sealed on construction, so ``instructions`` is
+always a read-only view that decodes on demand, and ``binary()``,
+``instruction_counts()`` and the device walk read the columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.isa.encoding import encode_program
-from repro.isa.instructions import Instruction
+from repro.isa.encoding import InstructionColumns, encode_columns, seal
 from repro.isa.opcodes import Opcode
 from repro.nn.quantization import TensorScale
 
@@ -73,10 +78,16 @@ class HostBufferSpec:
 
 @dataclass
 class TPUProgram:
-    """A compiled model, ready for :class:`repro.core.device.TPUDevice`."""
+    """A compiled model, ready for :class:`repro.core.device.TPUDevice`.
+
+    ``instructions`` may be given as any sequence of instruction objects;
+    it is sealed into :class:`InstructionColumns` unless it already is
+    (as when the compiler builds the program, or ``dataclasses.replace``
+    copies one).
+    """
 
     name: str
-    instructions: tuple[Instruction, ...]
+    instructions: InstructionColumns
     tiles: dict[int, TileSpec]
     scales: tuple[ScaleEntry, ...]
     host_buffers: dict[int, HostBufferSpec]
@@ -84,13 +95,20 @@ class TPUProgram:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.instructions, InstructionColumns):
+            self.instructions = seal(self.instructions)
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
     # -- inspection -----------------------------------------------------------
     def instruction_counts(self) -> dict[str, int]:
-        counts = Counter(Opcode(i.opcode).name for i in self.instructions)
-        return dict(counts)
+        """Instructions per opcode name, in order of first appearance."""
+        opcodes = self.instructions.opcode
+        present, first = np.unique(opcodes, return_index=True)
+        counts = np.bincount(opcodes)
+        return {
+            Opcode(int(op)).name: int(counts[op]) for op in present[np.argsort(first)]
+        }
 
     @property
     def weight_image_bytes(self) -> int:
@@ -117,7 +135,7 @@ class TPUProgram:
 
     def binary(self) -> bytes:
         """The encoded instruction stream (the 'application binary')."""
-        return encode_program(list(self.instructions))
+        return encode_columns(self.instructions)
 
     def summary(self) -> str:
         counts = self.instruction_counts()

@@ -14,8 +14,8 @@ Two questions come back again and again, and each has one table:
   structure at this batch?"  Keyed by :func:`lowering_key`, which
   leaves out the operand widths: the widths change only the two width
   flags of each ``MatrixMultiply``, so the TPU driver replays a hit at
-  any of the four Section 2 widths, rebuilding just those instructions,
-  and re-runs only the allocation pass.
+  any of the four Section 2 widths, rewriting just the record's flags
+  column, and re-runs only the allocation pass.
 
 Keys are content hashes of the platform's published spec, the model's
 structure and the TPU config, not object identities, so two

@@ -5,6 +5,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import perfcache
 from repro.compiler.allocator import (
     LivenessAllocator,
     Request,
@@ -15,6 +16,7 @@ from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering, groups_of
 from repro.compiler.tiling import TileCoord, padded_tile_bytes, tile_grid, tile_matmul, utilization
 from repro.core.config import TPU_V1, TPUConfig
+from repro.isa.encoding import FIELD_COLUMNS
 from repro.isa.instructions import (
     MatrixMultiply,
     ReadWeights,
@@ -189,6 +191,18 @@ class TestLowering:
         for entry in deps:
             assert type(entry) is tuple and len(entry) == 3
             assert all(type(tokens) is tuple for tokens in entry)
+
+    def test_cached_record_columns_leave_the_garbage_collector(self):
+        """A cached record holds its stream as numpy columns, which the
+        collector never tracks, not as instruction objects."""
+        model = build_workload("lstm0")
+        TPUDriver().compile(model)
+        record = perfcache.GLOBAL_LOWERING.get(perfcache.lowering_key(TPU_V1, model))
+        columns = record.instructions
+        assert len(columns) == 51_553
+        for name in (*FIELD_COLUMNS, "operand"):
+            assert not gc.is_tracked(getattr(columns, name)), name
+        assert columns.strays is None
 
     def test_lstm_emits_gate_ops(self, tiny_lstm):
         compiled = TPUDriver().compile(tiny_lstm)

@@ -1,15 +1,21 @@
 """Tests for the TPU ISA: instructions, encoding, assembler, programs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler.driver import TPUDriver
+from repro.isa import encoding
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.encoding import (
+    FIELD_COLUMNS,
     decode_instruction,
     decode_program,
     encode_instruction,
     encode_program,
+    seal,
 )
 from repro.isa.instructions import (
     Activate,
@@ -33,6 +39,7 @@ from repro.isa.opcodes import INSTRUCTION_BYTES, Opcode
 from repro.isa.program import HostBufferSpec, ScaleEntry, TileSpec, TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import TensorScale
+from repro.nn.workloads import WORKLOAD_NAMES, build_workload
 
 SAMPLE_INSTRUCTIONS = [
     ReadHostMemory(buffer_id=3, ub_row=1000, rows=64),
@@ -113,6 +120,30 @@ class TestEncoding:
     def test_empty_blob_rejected(self):
         with pytest.raises(ValueError):
             decode_instruction(b"")
+
+    @pytest.mark.parametrize("instr, shift", [
+        (Activate(acc_row=1, ub_row=2, rows=3, lanes=4, function=Activation.RELU,
+                  scale_id=5), 0),
+        (VectorInstruction(kind=VectorKind.UNARY, src_row=1, dst_row=2, rows=3,
+                           lanes=4, scale_id=5, function=Activation.TANH), 3),
+    ], ids=["ACTIVATE", "VECTOR"])
+    @pytest.mark.parametrize("code", [4, 5, 6, 7])
+    def test_unknown_activation_code_rejected(self, instr, shift, code):
+        """Flag byte 1 holds the activation code at bits 0-2 (ACTIVATE) or
+        3-5 (VECTOR); only codes 0-3 name a function."""
+        blob = bytearray(encode_instruction(instr))
+        blob[1] = (blob[1] & ~(0x7 << shift)) | (code << shift)
+        name = Opcode(instr.opcode).name
+        with pytest.raises(ValueError, match=f"^{name}: unknown activation code {code}$"):
+            decode_instruction(bytes(blob))
+        with pytest.raises(ValueError, match=f"^{name}: unknown activation code {code}$"):
+            decode_program(encode_program(SAMPLE_INSTRUCTIONS) + bytes(blob))
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_workload_binary_decodes_to_the_program(self, name):
+        """Each compiled binary decodes back to the program's stream."""
+        program = TPUDriver.shared().compile(build_workload(name)).program
+        assert decode_program(program.binary()) == list(program.instructions)
 
     @given(
         ub=st.integers(0, (1 << 24) - 1),
@@ -195,3 +226,59 @@ class TestProgram:
 
     def test_weight_image_bytes(self):
         assert self._program().weight_image_bytes == 256
+
+
+class TestSealedColumns:
+    """The sealed column form behind ``TPUProgram.instructions``."""
+
+    def test_view_decodes_the_sealed_stream(self):
+        columns = seal(SAMPLE_INSTRUCTIONS)
+        assert len(columns) == len(SAMPLE_INSTRUCTIONS)
+        assert list(columns) == SAMPLE_INSTRUCTIONS
+        assert [columns[i] for i in range(len(columns))] == SAMPLE_INSTRUCTIONS
+        assert columns[-1] == Halt() and columns[2:4] == tuple(SAMPLE_INSTRUCTIONS[2:4])
+        with pytest.raises(IndexError):
+            columns[len(columns)]
+        assert encoding.encode_columns(columns) == encode_program(SAMPLE_INSTRUCTIONS)
+
+    def test_columns_are_read_only(self):
+        columns = seal(SAMPLE_INSTRUCTIONS)
+        for name in (*FIELD_COLUMNS, "operand"):
+            with pytest.raises(ValueError):
+                getattr(columns, name)[0] = 1
+
+    def test_length_counts_and_binary_decode_nothing(self, monkeypatch):
+        program = TestProgram()._program()
+        monkeypatch.setattr(encoding, "_instruction", None)  # any decode would fail
+        assert len(program.instructions) == len(SAMPLE_INSTRUCTIONS)
+        assert program.binary() == encode_program(SAMPLE_INSTRUCTIONS)
+        assert program.instruction_counts()["MATRIX_MULTIPLY"] == 2
+        assert "16 instructions" in program.summary()
+
+    def test_a_stray_object_is_kept_and_refused_only_on_use(self):
+        """Sealing never raises: an object that is no instruction comes
+        back from the view, and encoding it raises as it always did."""
+        stray = object()
+        program = TPUProgram(
+            name="stray", instructions=(Nop(), stray, Halt()), tiles={}, scales=(),
+            host_buffers={}, batch_size=1,
+        )
+        assert list(program.instructions) == [Nop(), stray, Halt()]
+        assert program.instructions[1] is stray
+        with pytest.raises(TypeError, match="^cannot encode <class 'object'>$"):
+            program.binary()
+        with pytest.raises(TypeError, match="^cannot encode <class 'object'>$"):
+            encode_program(list(program.instructions))
+
+    def test_at_widths_rewrites_only_the_matmul_width_bits(self):
+        columns = seal(SAMPLE_INSTRUCTIONS)
+        assert columns.at_widths(8, 8) is not columns  # the sample mixes widths
+        for wbits, abits in ((8, 8), (8, 16), (16, 8), (16, 16)):
+            sibling = columns.at_widths(wbits, abits)
+            want = [
+                dataclasses.replace(i, weight_bits=wbits, activation_bits=abits)
+                if isinstance(i, MatrixMultiply) else i
+                for i in SAMPLE_INSTRUCTIONS
+            ]
+            assert list(sibling) == want
+            assert sibling.at_widths(wbits, abits) is sibling

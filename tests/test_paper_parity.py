@@ -34,6 +34,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,9 @@ from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering
 from repro.core.config import TPU_V1
 from repro.core.device import TPUDevice
+from repro.isa import encoding
+from repro.isa.encoding import FIELD_COLUMNS, encode_program
+from repro.isa.opcodes import Opcode
 from repro.nn.workloads import WORKLOAD_NAMES, build_workload, paper_workloads
 from tests import oracles
 
@@ -202,6 +206,57 @@ def test_width_sibling_replays_the_pinned_program(name, first, other):
     assert hashlib.sha256(program.binary()).hexdigest() == binary_sha, label
     deps_text = _deps_text(program.metadata["deps"])
     assert hashlib.sha256(deps_text.encode()).hexdigest() == deps_sha, label
+
+
+def _program_and_sibling(name: str, bits: int):
+    """The pinned program at ``bits``, fresh, and the same program replayed
+    from the lowering record the other width left."""
+    model = build_workload(name)
+    fresh = Lowering(model, TPU_V1, weight_bits=bits, activation_bits=bits).lower().program
+    other = 16 if bits == 8 else 8
+    lowering = Lowering(model, TPU_V1, weight_bits=other, activation_bits=other)
+    lowering.lower()
+    sibling = lowering.record.materialize(None, TPU_V1, bits, bits).program
+    return fresh, sibling
+
+
+@pytest.mark.parametrize(
+    "name,bits",
+    [pytest.param(name, bits, id=f"{name}-{bits}x{bits}") for name, bits in PROGRAM_DEPS_SHA256],
+)
+def test_sealed_program_matches_its_decoded_view(name, bits, monkeypatch):
+    """Each pinned program and its width sibling: ``binary()`` and
+    ``instruction_counts()`` read the columns, and agree with the
+    instruction objects the view decodes; ``len()`` decodes nothing."""
+    for label, program in zip(("fresh", "sibling"), _program_and_sibling(name, bits)):
+        label = f"{name} at {bits}x{bits}, {label}"
+        decoded = list(program.instructions)
+        assert encode_program(decoded) == program.binary(), label
+        counts = Counter(Opcode(instr.opcode).name for instr in decoded)
+        assert list(program.instruction_counts().items()) == list(counts.items()), label
+        with monkeypatch.context() as patch:
+            patch.setattr(encoding, "_instruction", None)  # any decode would fail
+            assert len(program.instructions) == len(decoded), label
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_width_sibling_shares_the_record_columns(name):
+    """A record replayed at other widths shares every column but the
+    flags column, and the sealed sidecar, by identity; at its own widths
+    it shares the whole stream.  The sealed token count is the one a
+    flatten of the sidecar would find: tokens are dense from 0."""
+    lowering = Lowering(build_workload(name), TPU_V1)
+    own = lowering.lower().program.instructions
+    record = lowering.record.instructions
+    assert own is record
+    sibling = lowering.record.materialize(None, TPU_V1, 16, 16).program
+    columns = sibling.instructions
+    for column in (*FIELD_COLUMNS, "operand"):
+        shared = getattr(columns, column) is getattr(record, column)
+        assert shared == (column != "flags"), (name, column)
+    assert columns.deps is record.deps is sibling.metadata["deps"]
+    tokens = [token for entry in record.deps for part in entry for token in part]
+    assert columns.deps_tokens == record.deps_tokens == max(tokens) + 1
 
 
 def _deps_text(deps) -> str:
