@@ -83,6 +83,24 @@ def _spec(scenario: DatacenterScenario, kind: str) -> FleetSpec:
     )
 
 
+def _static_outcome(plan: PlatformPlan) -> PolicyOutcome:
+    """The static policy's showing at the planned fleet size.
+
+    ``compare_policies`` would run the fleet ``plan_capacity`` has just
+    run -- same spec, replica count and trace -- and pass its result
+    through the same ``stats``, ``fleet_energy`` and ``fleet_cost``
+    calls, so the plan already holds the outcome.
+    """
+    return PolicyOutcome(
+        policy=StaticPolicy(plan.replicas).name,
+        peak_replicas=plan.replicas,
+        mean_powered=float(plan.replicas),
+        stats=plan.stats,
+        energy=plan.energy,
+        cost=plan.cost,
+    )
+
+
 def run_study(scenario: DatacenterScenario) -> StudyResult:
     """Provision every platform, then race autoscalers on the biggest fleet."""
     cost_model = CostModel(
@@ -111,14 +129,13 @@ def run_study(scenario: DatacenterScenario) -> StudyResult:
         max_replicas=scenario.max_replicas,
     )
     policies: list[ScalingPolicy] = [
-        StaticPolicy(plans[autoscaled_kind].replicas),
         ReactivePolicy(cooldown_seconds=2 * interval),
         PredictivePolicy(
             scenario.rate, scenario.swing, period,
             lead_seconds=spinup + interval, target_utilization=0.7,
         ),
     ]
-    outcomes = compare_policies(
+    outcomes = [_static_outcome(plans[autoscaled_kind])] + compare_policies(
         spec, arrivals, policies, scaler_config, cost_model=cost_model
     )
     return StudyResult(

@@ -225,6 +225,25 @@ class FleetResult:
 _REPLAYED_BATCHERS = (FixedBatcher, TimeoutBatcher, SLOAdaptiveBatcher)
 
 
+class _PollTimer:
+    """A timer event that polls one replica when it fires.
+
+    :meth:`FleetSim.poll` returns at once while the replica's server is
+    busy, and a server's ``free_at`` never falls, so a poll timer due
+    before its replica frees is a no-op: :meth:`FleetSim._run_events`
+    drops it off the heap top unfired.
+    """
+
+    __slots__ = ("sim", "replica")
+
+    def __init__(self, sim: FleetSim, replica: Replica) -> None:
+        self.sim = sim
+        self.replica = replica
+
+    def __call__(self, _now: float) -> None:
+        self.sim.poll(self.replica)
+
+
 class FleetSim:
     """One in-flight discrete-event fleet simulation.
 
@@ -288,10 +307,10 @@ class FleetSim:
                 # End of trace: serve the leftover partial batch.
                 n = min(len(replica.queue), replica.batcher.max_batch)
             elif deadline is not None:
-                self.loop.schedule(deadline, lambda _t: self.poll(replica))
+                self.loop.schedule(deadline, _PollTimer(self, replica))
         if n > 0:
             self._launch(replica, n, now)
-            self.loop.schedule(replica.server.free_at, lambda _t: self.poll(replica))
+            self.loop.schedule(replica.server.free_at, _PollTimer(self, replica))
 
     def _launch(self, replica: Replica, n: int, now: float) -> None:
         if self._observe:
@@ -389,6 +408,11 @@ class FleetSim:
         would have received higher ones, so they lose them.  Between
         heap events, :meth:`_bulk_admit` admits arrival windows at once;
         arrivals it cannot replay take :meth:`_on_arrival`.
+
+        A :class:`_PollTimer` on the heap top whose replica is busy at
+        the timer's time is dropped unfired, so it never ends a window.
+        It is never the run's last event: the free-time poll its
+        replica's launch scheduled comes after it.
         """
         loop = self.loop
         arrivals = self.arrivals
@@ -405,6 +429,7 @@ class FleetSim:
         pre_seq = loop._seq  # events below this watermark win time ties
         pop = heapq.heappop
         on_arrival = self._on_arrival
+        poll_timer = _PollTimer
         # Bulk admission replays only the in-tree routers exactly; a
         # custom Router subclass keeps the per-arrival path.
         bulk = type(self.router) in (RoundRobinRouter, ShortestQueueRouter)
@@ -412,17 +437,21 @@ class FleetSim:
         n = len(times)
         i = 0
         while True:
+            top_when = math.inf
+            if heap:
+                top = heap[0]
+                top_when = top[0]
+                event = top[2]
+                if type(event) is poll_timer and event.replica.server.free_at > top_when:
+                    pop(heap)  # the replica is busy: its poll would return at once
+                    continue
             if i < n:
                 when = times[i]
-                top_when = math.inf
-                if heap:
-                    top = heap[0]
-                    top_when = top[0]
-                    if top_when < when or (top_when == when and top[1] < pre_seq):
-                        pop(heap)
-                        loop.now = top_when
-                        top[2](top_when)
-                        continue
+                if top_when < when or (top_when == when and top[1] < pre_seq):
+                    pop(heap)
+                    loop.now = top_when
+                    event(top_when)
+                    continue
                 if bulk:
                     j = self._bulk_admit(i, top_when)
                     if j > i:
@@ -432,9 +461,9 @@ class FleetSim:
                 on_arrival(i)
                 i += 1
             elif heap:
-                when, _, callback = pop(heap)
-                loop.now = when
-                callback(when)
+                pop(heap)
+                loop.now = top_when
+                event(top_when)
             else:
                 break
 
@@ -445,8 +474,9 @@ class FleetSim:
     def _bulk_admit(self, i: int, top_when: float) -> int:
         """Admit a window of arrivals from ``i`` on in one step.
 
-        No event fires before the next heap event ``top_when`` or a busy
-        eligible replica's ``free_at``, and a window ends before any
+        No event fires before the next heap event ``top_when`` (never a
+        busy replica's poll timer, which :meth:`_run_events` drops) or a
+        busy eligible replica's ``free_at``, and a window ends before any
         arrival that would launch a batch, so inside it busy replicas
         stay busy and idle ones idle.  While every eligible replica is
         busy, ``poll`` returns at once, so admitting is a queue append
@@ -542,7 +572,7 @@ class FleetSim:
                         return k
                     seq = loop._seq
                     loop._seq = seq + 1
-                    push(timers, (deadline, seq, lambda _t, r=replica: self.poll(r)))
+                    push(timers, (deadline, seq, _PollTimer(self, replica)))
                     if deadline < bound:
                         bound = deadline
             queue.append(k)

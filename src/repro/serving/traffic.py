@@ -15,6 +15,11 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 
+#: Candidates :func:`diurnal_arrivals` draws per block: bounds the arrays
+#: a long trace holds at once.
+_BLOCK = 4096
+
+
 def _check_positive(**values: float) -> None:
     """Raise a ``ValueError`` naming the first argument that is not
     finite and positive; generators validate before drawing anything."""
@@ -23,16 +28,27 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_count(n_requests: int) -> None:
+    """Raise a ``ValueError`` naming ``n_requests`` unless it is a
+    positive integer: a bool or a float, even an integral one, is
+    refused; a numpy integer is accepted."""
+    if isinstance(n_requests, bool) or not isinstance(n_requests, (int, np.integer)):
+        raise ValueError(f"n_requests must be an integer, got {n_requests!r}")
+    _check_positive(n_requests=n_requests)
+
+
 def poisson_arrivals(rate: float, n_requests: int, seed: int = 0) -> np.ndarray:
     """Memoryless arrivals at ``rate`` requests/second."""
-    _check_positive(rate=rate, n_requests=n_requests)
+    _check_positive(rate=rate)
+    _check_count(n_requests)
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.exponential(1.0 / rate, size=n_requests))
 
 
 def uniform_arrivals(rate: float, n_requests: int) -> np.ndarray:
     """Deterministic, evenly spaced arrivals (useful for closed-form tests)."""
-    _check_positive(rate=rate, n_requests=n_requests)
+    _check_positive(rate=rate)
+    _check_count(n_requests)
     return (np.arange(n_requests) + 1.0) / rate
 
 
@@ -47,28 +63,49 @@ def diurnal_arrivals(
     """A sinusoidally modulated Poisson process (day/night load swings).
 
     Instantaneous rate is ``mean_rate * (1 + swing * sin(2 pi (t / T +
-    phase)))``, generated by thinning a Poisson process at the peak rate.
-    ``phase`` (a fraction of the period) shifts the cycle, which is how
-    the multi-region topology in :mod:`repro.globe` staggers regional
-    peaks for follow-the-sun load.
+    phase)))``, generated by thinning a Poisson process at the peak rate:
+    each candidate draws one exponential gap at the peak rate, then one
+    uniform that keeps it with probability ``rate(t) / peak``.  Both are
+    scalar draws in that order, kept or not, so the trace depends on the
+    seed alone.  They are drawn in blocks of at most ``_BLOCK``
+    candidates; each block's running sum, sine and thinning test are
+    array operations, and ``np.cumsum`` adds in order, so every time is
+    the float a candidate-by-candidate loop reaches.  ``phase`` (a
+    fraction of the period) shifts the cycle, which is how the
+    multi-region topology in :mod:`repro.globe` staggers regional peaks
+    for follow-the-sun load.
     """
-    _check_positive(
-        mean_rate=mean_rate, period_seconds=period_seconds, n_requests=n_requests
-    )
+    _check_positive(mean_rate=mean_rate, period_seconds=period_seconds)
+    _check_count(n_requests)
     if not 0 <= swing < 1:
         raise ValueError(f"swing must be in [0, 1), got {swing}")
     peak = mean_rate * (1.0 + swing)
+    scale = 1.0 / peak
     rng = np.random.default_rng(seed)
-    times: list[float] = []
+    exponential, uniform = rng.exponential, rng.random
+    kept: list[np.ndarray] = []
     t = 0.0
-    while len(times) < n_requests:
-        t += rng.exponential(1.0 / peak)
+    need = n_requests
+    while need > 0:
+        # About 1 + swing candidates per kept arrival.
+        size = min(_BLOCK, need + math.ceil(need * swing))
+        gaps: list[float] = []
+        draws: list[float] = []
+        gap, draw = gaps.append, draws.append
+        for _ in range(size):
+            gap(exponential(scale))
+            draw(uniform())
+        times = np.array(gaps)
+        times[0] += t
+        times = np.cumsum(times)
         rate = mean_rate * (
-            1.0 + swing * np.sin(2.0 * np.pi * (t / period_seconds + phase))
+            1.0 + swing * np.sin(2.0 * np.pi * (times / period_seconds + phase))
         )
-        if rng.random() < rate / peak:
-            times.append(t)
-    return np.asarray(times)
+        block = times[np.array(draws) < rate / peak][:need]
+        kept.append(block)
+        need -= block.size
+        t = times[-1]
+    return np.concatenate(kept)
 
 
 def make_traffic(

@@ -24,6 +24,12 @@ compares the production path with a second, live implementation:
 * :func:`no_batch_scan` -- stands in for ``FleetSim._scan_applies``, so
   round-robin fixed, timeout and SLO-adaptive fleets take the
   per-arrival event loop instead of the per-batch scan;
+* :func:`every_event` -- stands in for ``FleetSim._run_events`` with the
+  unsorted-trace path: every arrival scheduled on the loop and every
+  timer fired by ``EventLoop.run``, so neither a window nor a dropped
+  poll timer can hide behind the main loop that the two above share;
+* :func:`reference_diurnal_arrivals` -- the diurnal thinning loop one
+  candidate at a time, with a scalar sine per candidate;
 * :func:`reference_stride_assign` -- the globe exact backend's stride
   scheduler over a numpy credit vector, one ``argmax`` per arrival;
 * :class:`PerTokenLLMSim` -- the LLM decode engine with per-token
@@ -510,6 +516,35 @@ def no_bulk_admission(sim, i, top_when):
 def no_batch_scan(sim):
     """Never scan per batch: every fleet takes the per-arrival event loop."""
     return False
+
+
+def every_event(sim):
+    """Stands in for ``FleetSim._run_events``: every arrival is its own
+    event on the loop and ``EventLoop.run`` fires every event, a poll
+    timer whose replica is still busy included; no window opens and no
+    batch scan runs."""
+    for index, when in enumerate(sim._times):
+        sim.loop.schedule(when, lambda _t, i=index: sim._on_arrival(i))
+    sim.loop.run()
+
+
+def reference_diurnal_arrivals(
+    mean_rate, swing, period_seconds, n_requests, seed=0, phase=0.0
+):
+    """:func:`repro.serving.traffic.diurnal_arrivals` one candidate at a
+    time: a scalar gap, a scalar sine and a scalar thinning test each."""
+    peak = mean_rate * (1.0 + swing)
+    rng = np.random.default_rng(seed)
+    times = []
+    t = 0.0
+    while len(times) < n_requests:
+        t += rng.exponential(1.0 / peak)
+        rate = mean_rate * (
+            1.0 + swing * np.sin(2.0 * np.pi * (t / period_seconds + phase))
+        )
+        if rng.random() < rate / peak:
+            times.append(t)
+    return np.asarray(times)
 
 
 def reference_stride_assign(n: int, fractions: np.ndarray) -> np.ndarray:

@@ -1,11 +1,18 @@
 """Datacenter layer tests: energy accounting, autoscaling, TCO, planning."""
 
+import dataclasses
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import repro
+from repro.api.spec import DatacenterScenario
 from repro.datacenter.autoscaler import (
     AutoscaleConfig,
     AutoscaledFleet,
@@ -26,7 +33,12 @@ from repro.power.proportionality import PowerCurve
 from repro.serving.batcher import SLOAdaptiveBatcher, TimeoutBatcher
 from repro.serving.engine import ConstantCurve, LatencyCurve
 from repro.serving.fleet import Fleet, Replica
-from repro.serving.traffic import diurnal_arrivals, poisson_arrivals, uniform_arrivals
+from repro.serving.traffic import (
+    diurnal_arrivals,
+    make_traffic,
+    poisson_arrivals,
+    uniform_arrivals,
+)
 from tests import oracles
 
 SERVICE = 2e-3
@@ -285,7 +297,9 @@ class TestAutoscalerFastPath:
     time, so a routing set that grows and shrinks between control ticks
     neither disables it nor changes a single response: the window bound
     (``min(free_at)`` vs the next heap event) already fences every
-    control tick, activation, and deactivation.
+    control tick, activation, and deactivation.  Dropping the poll
+    timers of busy replicas moves nothing either: the run matches
+    ``every_event`` (tests/oracles.py), which fires every event.
     """
 
     REPLICA_RPS = 16 / SERVICE
@@ -330,12 +344,17 @@ class TestAutoscalerFastPath:
                     fleet_mod.FleetSim, "_bulk_admit", oracles.no_bulk_admission
                 )
                 per_arrival = self._run(policy_factory(), arrivals, replica)
-            assert np.array_equal(bulk.fleet.responses, per_arrival.fleet.responses)
-            assert bulk.fleet.busy_intervals == per_arrival.fleet.busy_intervals
-            assert bulk.timeline == per_arrival.timeline
-            assert bulk.powered == per_arrival.powered
-            assert bulk.peak_replicas == per_arrival.peak_replicas
-            assert bulk.mean_powered == per_arrival.mean_powered
+            with monkeypatch.context() as patch:
+                patch.setattr(fleet_mod.FleetSim, "_run_events", oracles.every_event)
+                every = self._run(policy_factory(), arrivals, replica)
+            for oracle in (per_arrival, every):
+                assert np.array_equal(bulk.fleet.responses, oracle.fleet.responses)
+                assert bulk.fleet.busy_intervals == oracle.fleet.busy_intervals
+                assert bulk.fleet.horizon == oracle.fleet.horizon
+                assert bulk.timeline == oracle.timeline
+                assert bulk.powered == oracle.powered
+                assert bulk.peak_replicas == oracle.peak_replicas
+                assert bulk.mean_powered == oracle.mean_powered
 
 
 class TestAutoscaledSimLifetime:
@@ -458,6 +477,59 @@ class TestProvisioning:
         assert static.stats.completed == reactive.stats.completed
         # The autoscaled fleet should not power more than it peaked at.
         assert reactive.mean_powered <= reactive.peak_replicas + 1e-9
+
+
+class TestStudy:
+    def test_static_outcome_is_the_provisioning_run(self):
+        """``run_study`` takes the static policy's outcome from the plan of
+        the autoscaled platform; running that fleet again through
+        ``compare_policies`` must give the same outcome, field for field."""
+        from repro.analysis.datacenter import _spec, run_study, study_timings
+        from repro.datacenter.provisioning import PolicyOutcome, compare_policies
+
+        scenario = DatacenterScenario(requests=3000, max_replicas=8)
+        result = run_study(scenario)
+        plan = result.plans[result.autoscaled_kind]
+        arrivals = make_traffic("diurnal", swing=scenario.swing)(
+            scenario.rate, scenario.requests, seed=scenario.seed
+        )
+        _, interval, spinup = study_timings(scenario)
+        (rerun,) = compare_policies(
+            _spec(scenario, result.autoscaled_kind), arrivals,
+            [StaticPolicy(plan.replicas)],
+            AutoscaleConfig(interval, spinup, max_replicas=scenario.max_replicas),
+            cost_model=CostModel(
+                usd_per_kwh=scenario.usd_per_kwh, pue=scenario.pue,
+                capex_usd_per_tdp_watt=scenario.capex_per_watt,
+            ),
+        )
+        static = result.outcomes[0]
+        assert static.policy == f"static({plan.replicas})"
+        for field in dataclasses.fields(PolicyOutcome):
+            assert getattr(static, field.name) == getattr(rerun, field.name), field.name
+        assert [o.policy for o in result.outcomes[1:]] == ["reactive", "predictive"]
+
+    def test_fresh_processes_agree_bit_for_bit(self, tmp_path):
+        """Two interpreters with different hash seeds emit identical rows
+        and metadata for one study."""
+        config = tmp_path / "datacenter.json"
+        config.write_text(json.dumps({
+            "kind": "datacenter", "workload": "mlp0", "slo_ms": 7,
+            "requests": 4000, "max_replicas": 8,
+        }))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outs = []
+        for hashseed in ("0", "424242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "datacenter",
+                 "--config", str(config), "--json"],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": hashseed},
+            )
+            outs.append(json.loads(proc.stdout))
+        assert outs[0]["rows"] == outs[1]["rows"]
+        assert outs[0]["metadata"] == outs[1]["metadata"]
+        assert {row["section"] for row in outs[0]["rows"]} == {"provisioning", "autoscaling"}
 
 
 class TestCLI:

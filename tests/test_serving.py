@@ -23,7 +23,14 @@ from repro.serving.engine import (
     run_closed_loop,
     summarize,
 )
-from repro.serving.fleet import Fleet, FleetSim, PlatformCurve, Replica, make_router
+from repro.serving.fleet import (
+    Fleet,
+    FleetSim,
+    PlatformCurve,
+    Replica,
+    _PollTimer,
+    make_router,
+)
 from repro.serving.sweep import (
     FleetSpec,
     max_throughput_under_slo,
@@ -394,6 +401,33 @@ class TestTraffic:
         with pytest.raises(ValueError, match="^period_seconds must be finite and positive"):
             diurnal_arrivals(100.0, 0.5, period, 100)
 
+    # A count that is not an integer is refused before anything is
+    # drawn: 2.5 would otherwise size a 3-arrival trace without a word.
+    NON_INTEGER_COUNTS = [2.5, 100.0, True, math.nan, "100", np.float64(100.0)]
+
+    @pytest.mark.parametrize("n_requests", NON_INTEGER_COUNTS, ids=repr)
+    def test_poisson_rejects_non_integer_request_counts(self, n_requests):
+        with pytest.raises(ValueError, match="^n_requests must be an integer"):
+            poisson_arrivals(1.0, n_requests)
+        assert np.array_equal(
+            poisson_arrivals(1.0, np.int64(5), seed=3), poisson_arrivals(1.0, 5, seed=3)
+        )
+
+    @pytest.mark.parametrize("n_requests", NON_INTEGER_COUNTS, ids=repr)
+    def test_uniform_rejects_non_integer_request_counts(self, n_requests):
+        with pytest.raises(ValueError, match="^n_requests must be an integer"):
+            uniform_arrivals(1.0, n_requests)
+        assert uniform_arrivals(1.0, np.int32(5)).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("n_requests", NON_INTEGER_COUNTS, ids=repr)
+    def test_diurnal_rejects_non_integer_request_counts(self, n_requests):
+        with pytest.raises(ValueError, match="^n_requests must be an integer"):
+            diurnal_arrivals(100.0, 0.5, 1.0, n_requests)
+        assert np.array_equal(
+            diurnal_arrivals(100.0, 0.5, 1.0, np.int64(5), seed=3),
+            diurnal_arrivals(100.0, 0.5, 1.0, 5, seed=3),
+        )
+
     def test_diurnal_mean_rate(self):
         times = diurnal_arrivals(1000.0, 0.5, period_seconds=1.0,
                                  n_requests=4000, seed=10)
@@ -405,6 +439,31 @@ class TestTraffic:
         path.write_text("# comment\n0.0\n0.5\n\n1.5  # inline\n")
         times = load_trace(str(path))
         assert times.tolist() == [0.0, 0.5, 1.5]
+
+
+class TestDiurnalBlocks:
+    """``diurnal_arrivals`` draws its candidates in blocks and thins each
+    block over arrays; the one-candidate-at-a-time loop in
+    tests/oracles.py must give the identical trace.  Counts sit below,
+    just past and many times one 4,096-candidate block."""
+
+    RATE = 12000.0
+    # (period, phase): many cycles per trace, about one, and a fraction.
+    SHAPES = ((0.01, 0.25), (1.0, 0.0), (3.7, 2 / 3))
+
+    @pytest.mark.parametrize("n, seeds", [(1, 60), (4097, 6), (20000, 3), (60000, 1)])
+    @pytest.mark.parametrize("swing", [0.0, 0.6])
+    def test_matches_the_per_candidate_loop(self, swing, n, seeds):
+        for seed in range(seeds):
+            period, phase = self.SHAPES[seed % len(self.SHAPES)]
+            if seeds == 1:
+                period, phase = n / self.RATE / 2, 0.1  # two cycles
+            blocks = diurnal_arrivals(self.RATE, swing, period, n, seed=seed, phase=phase)
+            reference = oracles.reference_diurnal_arrivals(
+                self.RATE, swing, period, n, seed=seed, phase=phase
+            )
+            assert blocks.dtype == reference.dtype
+            assert np.array_equal(blocks, reference), (seed, period, phase)
 
 
 class TestVectorizedServingParity:
@@ -788,15 +847,18 @@ class TestBatchScanParity(ParityFleets):
 
 class TestJSQWindowParity(ParityFleets):
     """JSQ fleets admit whole arrival windows at once, also while idle
-    replicas are still filling a batch (``FleetSim._bulk_admit``).  The
-    per-arrival path is the oracle: with ``no_bulk_admission`` from
-    tests/oracles.py installed, the same fleet must give bit-identical
+    replicas are still filling a batch (``FleetSim._bulk_admit``), and
+    drop poll timers whose replica is still busy unfired.  Two oracles
+    from tests/oracles.py: with ``no_bulk_admission`` installed (the
+    per-arrival path through the same main loop), and with
+    ``every_event`` (every arrival and every timer fired by
+    ``EventLoop.run``), the same fleet must give bit-identical
     responses, per-replica accounting, busy intervals, horizon and busy
     time.
     """
 
     def check(self, monkeypatch, make_fleet, arrivals, drain=True):
-        """Run with windows and with the oracle; returns how many
+        """Run with windows and with both oracles; returns how many
         arrivals windows admitted while some eligible replica was idle,
         and in all."""
         admitted = Counter()
@@ -815,8 +877,51 @@ class TestJSQWindowParity(ParityFleets):
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
             per_arrival = make_fleet().run(arrivals, drain=drain)
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_run_events", oracles.every_event)
+            every = make_fleet().run(arrivals, drain=drain)
         assert_same_run(windowed, per_arrival)
+        assert_same_run(windowed, every)
         return admitted[True], admitted[True] + admitted[False]
+
+    def test_no_window_ends_at_a_busy_replicas_poll_timer(self, monkeypatch):
+        """A poll timer due before its replica frees would poll in vain;
+        the main loop drops it, so it never bounds a window.  The spy
+        reads the heap top behind each ``top_when`` and counts the poll
+        timers made and fired: some are dropped, and live ones still
+        bound windows."""
+        bounds = Counter()
+        timers = Counter()
+        bulk_admit, init, call = FleetSim._bulk_admit, _PollTimer.__init__, _PollTimer.__call__
+
+        def spy(sim, i, top_when):
+            heap = sim.loop._heap
+            if not heap:
+                assert top_when == math.inf
+            else:
+                when, _, event = heap[0]
+                assert when == top_when
+                if type(event) is _PollTimer:
+                    bounds[event.replica.server.free_at > when] += 1
+            return bulk_admit(sim, i, top_when)
+
+        def made(timer, sim, replica):
+            timers["made"] += 1
+            init(timer, sim, replica)
+
+        def fired(timer, now):
+            timers["fired"] += 1
+            call(timer, now)
+
+        arrivals = self._arrivals("poisson", 4, load=0.7)
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_bulk_admit", spy)
+            patch.setattr(_PollTimer, "__init__", made)
+            patch.setattr(_PollTimer, "__call__", fired)
+            self._fleet(4, "adaptive", router="jsq").run(arrivals)
+        assert bounds[True] == 0, "a busy replica's poll timer bounded a window"
+        assert bounds[False] > 0
+        assert timers["made"] > timers["fired"] > 0
 
     @pytest.mark.parametrize("traffic", ["poisson", "diurnal", "duplicates"])
     @pytest.mark.parametrize("replicas", [1, 3, 4, 7])
