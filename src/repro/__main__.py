@@ -36,18 +36,16 @@ Commands:
   continuous vs fixed batching under the KV-cache capacity budget,
   optionally disaggregated into prefill/decode pools with per-pool
   autoscaling, emitting tokens/sec-per-chip vs p99 time-per-token;
-* ``trace <command>``   -- run any subcommand with span tracing on and
-  write a Chrome trace-event JSON (open it in Perfetto), defaulting to
-  ``trace.json`` when the inner command sets no ``--trace-out``;
 * ``list``              -- list workloads, experiment ids, and scenario
   kinds (``--json`` for the introspectable registry).
 
 ``profile``/``report``/``serve``/``datacenter``/``globe``/``llm``
 additionally take
-``--trace-out TRACE.json`` (Chrome trace export), ``--trace-jsonl``
-(one span object per line), and ``--profile`` (span-time summary table
-on stderr); ``REPRO_TRACE_OUT=trace.json`` in the environment does the
-same without touching the command line.
+``--trace-out TRACE.json`` (span tracing on, written as a Chrome
+trace-event JSON to open in Perfetto), ``--trace-jsonl`` (one span
+object per line), and ``--profile`` (span-time summary table on
+stderr); ``REPRO_TRACE_OUT=trace.json`` in the environment does what
+``--trace-out`` does without touching the command line.
 """
 
 from __future__ import annotations
@@ -183,27 +181,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import report_cli
 
     return report_cli(args.output, only=args.only, jobs=args.jobs)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Re-parse the wrapped command with tracing forced on.
-
-    ``repro trace serve --workload mlp0`` == ``repro serve --workload
-    mlp0 --trace-out trace.json``; an explicit ``--trace-out`` after the
-    inner subcommand overrides the default path.
-    """
-    rest = [token for token in args.rest if token != "--"]
-    if not rest:
-        print("trace: give a command to trace, e.g. "
-              "`python -m repro trace serve --workload mlp0`", file=sys.stderr)
-        return 2
-    if rest[0] == "trace":
-        print("trace: cannot nest trace inside trace", file=sys.stderr)
-        return 2
-    inner = build_parser().parse_args(rest)
-    if getattr(inner, "trace_out", None) is None:
-        inner.trace_out = args.trace_out
-    return _with_obs(inner)
 
 
 def _add_scenario_io(parser: argparse.ArgumentParser) -> None:
@@ -375,21 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         "request-level gang baseline; --mode disaggregated splits "
         "prefill and decode pools with a KV transfer hop.",
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run any subcommand with span tracing on "
-             "(writes a Perfetto-loadable trace.json)",
-        description="Wrapper: `repro trace serve --workload mlp0` runs the "
-        "serve command with tracing enabled and writes the spans as Chrome "
-        "trace-event JSON.  Put trace flags after the inner subcommand.",
-    )
-    trace.add_argument("--trace-out", default="trace.json",
-                       help="where the wrapped command writes its trace "
-                            "(default trace.json)")
-    trace.add_argument("rest", nargs=argparse.REMAINDER,
-                       help="the command to trace, with its own flags")
-    trace.set_defaults(fn=_cmd_trace)
     return parser
 
 
@@ -403,8 +365,6 @@ def _with_obs(args: argparse.Namespace) -> int:
     """
     from repro import obs
 
-    if args.command == "trace":  # the wrapper re-dispatches its inner command
-        return args.fn(args)
     trace_out = getattr(args, "trace_out", None)
     if trace_out is None:
         trace_out = os.environ.get("REPRO_TRACE_OUT") or None

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.datacenter.autoscaler import FleetObservation, ReactivePolicy
-from repro.serving.continuous import ContinuousConfig
+from repro.serving.continuous import ContinuousConfig, full_decode_step
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ class PoolAutoscaler:
 
 def decode_chip_rps(cfg: ContinuousConfig, prompt_mean: int, decode_mean: int) -> float:
     """One decode chip's sustainable *request* rate at full batch."""
-    mean_kv = prompt_mean + decode_mean // 2 + 1
-    batch = min(cfg.max_batch, max(1, cfg.kv_capacity // mean_kv))
-    step = cfg.timing.iteration_seconds(batch, batch * mean_kv)
+    batch, step = full_decode_step(cfg, prompt_mean, decode_mean)
     return batch / step / max(1, decode_mean)
 
 

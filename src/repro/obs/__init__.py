@@ -25,9 +25,9 @@ Quick tour::
     fleet.run(arrivals)
     obs.metrics_snapshot()                   # {'serving.batch_size': {...}, ...}
 
-CLI surfaces: ``python -m repro trace <subcommand> --trace-out trace.json``
-wraps any subcommand; ``serve``/``datacenter``/``report`` take
-``--trace-out``/``--trace-jsonl``/``--profile`` directly.
+CLI surfaces: ``profile``/``report``/``serve``/``datacenter``/``globe``/
+``llm`` take ``--trace-out trace.json``/``--trace-jsonl``/``--profile``;
+``REPRO_TRACE_OUT=trace.json`` does what ``--trace-out`` does.
 """
 
 from repro.obs.log import get_logger, setup as setup_logging

@@ -26,7 +26,7 @@ shared no-op context manager without touching the clock, and every
 instrumentation site in the hot simulators checks ``TRACER.enabled``
 (one attribute load) before building any event.  ``REPRO_TRACE=1``
 enables recording from the environment; the CLI's ``--trace-out`` /
-``repro trace`` surfaces enable it per run.
+``--trace-jsonl`` / ``--profile`` flags enable it per run.
 """
 
 from __future__ import annotations

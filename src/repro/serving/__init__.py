@@ -49,7 +49,6 @@ from repro.serving.engine import (
     ConstantCurve,
     EventLoop,
     LatencyCurve,
-    Request,
     ServingStats,
     run_closed_loop,
     summarize,
@@ -100,7 +99,6 @@ __all__ = [
     "OperatingPoint",
     "PlatformCurve",
     "Replica",
-    "Request",
     "RoundRobinRouter",
     "SLOAdaptiveBatcher",
     "ServingStats",

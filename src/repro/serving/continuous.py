@@ -130,13 +130,27 @@ def build_llm_config(scenario, **controllers) -> ContinuousConfig:
     )
 
 
+def full_decode_step(
+    cfg: ContinuousConfig, prompt_mean: int, decode_mean: int
+) -> tuple[int, float]:
+    """``(batch, seconds)`` of one chip's decode iteration at full batch.
+
+    The batch is as many requests at the mean cache length (the prompt
+    plus half the decode, plus one) as the KV budget holds, capped at
+    ``max_batch``.  :func:`fleet_capacity_tokens_per_s` and the decode
+    pool's autoscaler (``datacenter.llm_pools.decode_chip_rps``) both
+    size from it.
+    """
+    mean_kv = prompt_mean + decode_mean // 2 + 1
+    batch = min(cfg.max_batch, max(1, cfg.kv_capacity // mean_kv))
+    return batch, cfg.timing.iteration_seconds(batch, batch * mean_kv)
+
+
 def fleet_capacity_tokens_per_s(
     cfg: ContinuousConfig, prompt_mean: int, decode_mean: int
 ) -> float:
     """Ideal steady-state decode-pool token throughput (sizing anchor)."""
-    mean_kv = prompt_mean + decode_mean // 2 + 1
-    batch = min(cfg.max_batch, max(1, cfg.kv_capacity // mean_kv))
-    step = cfg.timing.iteration_seconds(batch, batch * mean_kv)
+    batch, step = full_decode_step(cfg, prompt_mean, decode_mean)
     return cfg.chips * batch / step
 
 

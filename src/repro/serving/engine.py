@@ -60,14 +60,6 @@ class EventLoop:
             callback(when)
 
 
-@dataclass
-class Request:
-    """One inference request travelling through the simulated fleet."""
-
-    index: int
-    arrival: float
-
-
 class LatencyCurve:
     """Batch size -> (occupancy, latency) seconds; subclass or use the
     ready-made :class:`ConstantCurve` / ``PlatformCurve`` (fleet module)."""

@@ -35,7 +35,6 @@ from repro.serving.engine import (
     BatchServer,
     EventLoop,
     LatencyCurve,
-    Request,
     ServingStats,
     reject_first,
     summarize,
@@ -124,9 +123,6 @@ class Replica:
         self.queue.clear()
         self.admitted = 0
 
-    def admit(self, request: Request) -> None:
-        self.admit_index(request.index)
-
     def admit_index(self, index: int) -> None:
         self.queue.append(index)
         self.admitted += 1
@@ -163,9 +159,6 @@ class ShortestQueueRouter(Router):
     """Join-shortest-queue: fewest waiting requests, busy server breaks ties."""
 
     def pick(self, replicas: list[Replica], now: float) -> Replica:
-        # Explicit scan (first strict minimum wins) == the old
-        # min-with-key over (backlog, busy, index), minus the 2N lambda
-        # calls per arrival on the simulation's hottest path.
         best = replicas[0]
         best_key = (len(best.queue), best.server.free_at > now)
         for replica in replicas[1:]:
@@ -467,10 +460,6 @@ class FleetSim:
             else:
                 break
 
-    #: Shortest all-busy window admitted by strided slices (round-robin)
-    #: or the numpy water-fill (JSQ); shorter JSQ windows take the loop.
-    _BULK_MIN = 8
-
     def _bulk_admit(self, i: int, top_when: float) -> int:
         """Admit a window of arrivals from ``i`` on in one step.
 
@@ -478,13 +467,12 @@ class FleetSim:
         busy replica's poll timer, which :meth:`_run_events` drops) or a
         busy eligible replica's ``free_at``, and a window ends before any
         arrival that would launch a batch, so inside it busy replicas
-        stay busy and idle ones idle.  While every eligible replica is
-        busy, ``poll`` returns at once, so admitting is a queue append
-        plus router bookkeeping: round-robin assigns strided slices and
-        JSQ a water-fill (:meth:`_bulk_admit_jsq`) to windows of at
-        least ``_BULK_MIN`` arrivals.  Under exactly
-        :class:`ShortestQueueRouter`, shorter windows and windows with
-        idle replicas of in-tree batchers go through :meth:`_jsq_window`.
+        stay busy and idle ones idle.  Under exactly
+        :class:`ShortestQueueRouter` every window goes through
+        :meth:`_jsq_window`, unless an idle replica's batcher is not one
+        of the in-tree ones it replays.  Round-robin opens a window only
+        while every eligible replica is busy: ``poll`` then returns at
+        once, so the window is strided slices of queue appends.
 
         The final arrival always takes the per-arrival path: its
         ``_on_arrival`` triggers the end-of-trace drain polls.  Returns
@@ -495,42 +483,31 @@ class FleetSim:
             return i
         times = self._times
         now = times[i]
+        jsq = type(self.router) is ShortestQueueRouter
         bound = top_when
-        idle = custom = False
         for replica in eligible:
             free = replica.server.free_at
             if free > now:
                 if free < bound:
                     bound = free
-            else:
-                idle = True
-                if type(replica.batcher) not in _REPLAYED_BATCHERS:
-                    custom = True
-        jsq = type(self.router) is ShortestQueueRouter
-        if now >= bound or (idle and (custom or not jsq)):
-            return i
+            elif not jsq or type(replica.batcher) not in _REPLAYED_BATCHERS:
+                return i
         j = min(bisect_left(times, bound, i, len(times)), len(times) - 1)
-        m = j - i
-        if idle or m < self._BULK_MIN:
-            if not jsq or m == 0:
-                return i
+        if jsq:
             j = self._jsq_window(i, j, eligible)
-            m = j - i
-            if m == 0:
-                return i
-        elif type(self.router) is RoundRobinRouter:
+        else:
             # Sequential round-robin == strided slices of the window.
             base = self.router._next
             count = len(eligible)
-            for offset in range(min(count, m)):
+            for offset in range(min(count, j - i)):
                 replica = eligible[(base + offset) % count]
                 indices = range(i + offset, j, count)
                 replica.queue.extend(indices)
                 replica.admitted += len(indices)
-            self.router._next = base + m
-        else:
-            self._bulk_admit_jsq(i, j, eligible)
-        self.pending -= m
+            self.router._next = base + j - i
+        if j == i:
+            return i
+        self.pending -= j - i
         self.loop.now = times[j - 1]
         return j
 
@@ -579,36 +556,6 @@ class FleetSim:
             replica.admitted += 1
             replace(keys, (depth + 1, busy, q))
         return j
-
-    @staticmethod
-    def _bulk_admit_jsq(i: int, j: int, eligible: list[Replica]) -> None:
-        """Vectorized join-shortest-queue water-fill over one window.
-
-        With every eligible replica busy, the sequential JSQ scan picks
-        the first replica with the minimum queue length -- so arrival k
-        of the window lands on the k-th pair of the lexicographic
-        (queue-level, scan-index) enumeration with level >= the
-        replica's starting backlog.  ``np.nonzero`` on the level x
-        replica openness mask yields exactly that enumeration.
-        """
-        m = j - i
-        depths = np.array([len(r.queue) for r in eligible])
-        count = len(eligible)
-        top = int(depths.max()) + -(-m // count)  # fill levels can't exceed this
-        levels = np.arange(int(depths.min()), top)
-        open_slots = depths[None, :] <= levels[:, None]
-        _, replica_ids = np.nonzero(open_slots)  # row-major == lexicographic
-        replica_ids = replica_ids[:m]
-        order = np.argsort(replica_ids, kind="stable")  # group, keep arrival order
-        assigned = (np.arange(i, j)[order]).tolist()
-        counts = np.bincount(replica_ids, minlength=count)
-        pos = 0
-        for r, c in enumerate(counts.tolist()):
-            if c:
-                replica = eligible[r]
-                replica.queue.extend(assigned[pos : pos + c])
-                replica.admitted += c
-                pos += c
 
     def _scan_applies(self) -> bool:
         """Whether each replica's batches follow from its own arrivals.

@@ -63,8 +63,6 @@ def test_documented_command_parses(command, capsys):
     from repro.__main__ import build_parser
 
     try:
-        args = build_parser().parse_args(shlex.split(command))
-        if args.command == "trace":  # the wrapper parses its command later
-            build_parser().parse_args(args.rest)
+        build_parser().parse_args(shlex.split(command))
     except SystemExit as exc:  # --help exits 0; a parse error exits 2
         assert exc.code == 0, f"`python -m repro {command}` does not parse"

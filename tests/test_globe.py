@@ -499,7 +499,7 @@ class TestFacadeAndCLI:
 
     def test_trace_globe_writes_globe_spans(self, tmp_path):
         out = tmp_path / "globe.json"
-        assert main(["trace", "globe", "--rate", "2000", "--duration-s", "30",
+        assert main(["globe", "--rate", "2000", "--duration-s", "30",
                      "--bins", "6", "--trace-out", str(out)]) == 0
         trace = json.loads(out.read_text())
         cats = {event.get("cat") for event in trace["traceEvents"]}

@@ -272,7 +272,7 @@ def test_cli_trace_subcommand_writes_chrome_trace(tmp_path):
 
     out = tmp_path / "trace.json"
     code = main([
-        "trace", "serve", "--workload", "mlp0", "--replicas", "2",
+        "serve", "--workload", "mlp0", "--replicas", "2",
         "--requests", "800", "--loads", "0.5", "--trace-out", str(out),
     ])
     assert code == 0
@@ -280,15 +280,6 @@ def test_cli_trace_subcommand_writes_chrome_trace(tmp_path):
     cats = {e.get("cat") for e in events if e.get("ph") == "X"}
     assert "serving" in cats
     assert not obs.tracing_enabled()  # the CLI restored the global state
-
-
-def test_cli_trace_requires_a_command_and_rejects_nesting(capsys):
-    from repro.__main__ import main
-
-    assert main(["trace"]) == 2
-    assert main(["trace", "trace", "serve"]) == 2
-    err = capsys.readouterr().err
-    assert "give a command" in err and "cannot nest" in err
 
 
 def test_cli_profile_flag_prints_span_table(tmp_path, capsys):

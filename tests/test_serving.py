@@ -227,12 +227,11 @@ class TestJSQTieBreaking:
 
     def test_backlog_dominates_idleness(self):
         from repro.serving.fleet import ShortestQueueRouter
-        from repro.serving.engine import Request
 
         curve = ConstantCurve(SERVICE)
         shallow, deep = (Replica(curve, FixedBatcher(4)) for _ in range(2))
         shallow.server.start_batch(0.0, 4)  # busy, but queue is empty
-        deep.admit(Request(index=0, arrival=0.0))
+        deep.admit_index(0)
         router = ShortestQueueRouter()
         assert router.pick([deep, shallow], now=1e-3) is shallow
 
@@ -470,8 +469,8 @@ class TestVectorizedServingParity:
     """Bulk admission and the array closed loop must be bit-identical to
     the per-request oracles in tests/oracles.py: same responses, same
     per-replica accounting, same busy timeline.  Overloaded traffic
-    exercises the bulk-admission window; the trailing drain exercises
-    partial batches."""
+    exercises the bulk-admission window, short windows included; the
+    trailing drain exercises partial batches."""
 
     def _replicas(self, n=3):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=1.5e-3)
@@ -488,16 +487,31 @@ class TestVectorizedServingParity:
                 n_requests=3000, seed=3,
             )
         # Round-robin timeout fleets take the batch scan; withhold it so
-        # both runs step per arrival and differ only in admission.
+        # every run steps per arrival and differs only in admission.
         answered = withhold_batch_scan(monkeypatch)
-        bulk = FleetSim(self._replicas(), make_router(router), arrivals).run()
-        monkeypatch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
-        per_arrival = FleetSim(self._replicas(), make_router(router), arrivals).run()
+        short_windows = 0
+        original = FleetSim._bulk_admit
+
+        def spy(sim, i, top_when):
+            nonlocal short_windows
+            j = original(sim, i, top_when)
+            short_windows += 0 < j - i < 8
+            return j
+
+        def run(**patches):
+            with monkeypatch.context() as patch:
+                for name, method in patches.items():
+                    patch.setattr(FleetSim, name, method)
+                return FleetSim(self._replicas(), make_router(router), arrivals).run()
+
+        bulk = run(_bulk_admit=spy)
+        per_arrival = run(_bulk_admit=oracles.no_bulk_admission)
+        every = run(_run_events=oracles.every_event)
         assert len(answered) == 2
-        assert np.array_equal(bulk.responses, per_arrival.responses)
-        assert bulk.served_per_replica == per_arrival.served_per_replica
-        assert bulk.batches_per_replica == per_arrival.batches_per_replica
-        assert bulk.busy_intervals == per_arrival.busy_intervals
+        # Windows of fewer than 8 arrivals open under either router.
+        assert short_windows > 0
+        assert_same_run(bulk, per_arrival)
+        assert_same_run(bulk, every)
 
     def test_fleet_fast_matches_reference_under_light_load(self, monkeypatch):
         """Below saturation JSQ windows cover idle replicas still filling
@@ -858,9 +872,10 @@ class TestJSQWindowParity(ParityFleets):
     """
 
     def check(self, monkeypatch, make_fleet, arrivals, drain=True):
-        """Run with windows and with both oracles; returns how many
-        arrivals windows admitted while some eligible replica was idle,
-        and in all."""
+        """Run with windows and with both oracles; returns a Counter of
+        the arrivals windows admitted: ``"idle"`` while some eligible
+        replica was idle, ``"wide"`` while all were busy in windows of at
+        least 8 arrivals, and ``"all"``."""
         admitted = Counter()
         original = FleetSim._bulk_admit
 
@@ -868,7 +883,11 @@ class TestJSQWindowParity(ParityFleets):
             now = sim._times[i]
             idle = any(r.server.free_at <= now for r in sim.eligible)
             j = original(sim, i, top_when)
-            admitted[idle] += j - i
+            admitted["all"] += j - i
+            if idle:
+                admitted["idle"] += j - i
+            elif j - i >= 8:
+                admitted["wide"] += j - i
             return j
 
         with monkeypatch.context() as patch:
@@ -882,7 +901,7 @@ class TestJSQWindowParity(ParityFleets):
             every = make_fleet().run(arrivals, drain=drain)
         assert_same_run(windowed, per_arrival)
         assert_same_run(windowed, every)
-        return admitted[True], admitted[True] + admitted[False]
+        return admitted
 
     def test_no_window_ends_at_a_busy_replicas_poll_timer(self, monkeypatch):
         """A poll timer due before its replica frees would poll in vain;
@@ -927,7 +946,7 @@ class TestJSQWindowParity(ParityFleets):
     @pytest.mark.parametrize("replicas", [1, 3, 4, 7])
     @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
     def test_matches_the_per_arrival_path(self, monkeypatch, policy, replicas, traffic):
-        admitted = np.zeros(2, dtype=int)
+        admitted = Counter()
         for load in (0.3, 0.7, 1.0, 1.4):
             arrivals = self._arrivals(traffic, replicas, load, n=1500)
             for drain in (True, False):
@@ -935,13 +954,13 @@ class TestJSQWindowParity(ParityFleets):
                     monkeypatch, lambda: self._fleet(replicas, policy, router="jsq"),
                     arrivals, drain=drain,
                 )
-        idle, total = admitted
+        assert admitted["wide"] > 0, "no wide window opened with every replica busy"
         if policy == "adaptive_clamped":
             # A zero budget launches on every poll of an idle replica,
             # so no replica is ever idle while holding a queue.
-            assert idle == 0 < total
+            assert admitted["idle"] == 0 < admitted["all"]
         else:
-            assert idle > 0, "no window opened while a replica was idle"
+            assert admitted["idle"] > 0, "no window opened while a replica was idle"
 
     def test_seeded_fuzz(self, monkeypatch):
         """Random JSQ fleets: replica count, policy, batch cap, timeout,
@@ -962,7 +981,7 @@ class TestJSQWindowParity(ParityFleets):
                 monkeypatch,
                 lambda: self._fleet(replicas, policy, batch, timeout, router="jsq"),
                 arrivals, drain=bool(rng.integers(2)),
-            )[0]
+            )["idle"]
         assert idle_admitted > 0
 
     def test_deadline_reached_before_the_age(self, monkeypatch):
@@ -991,12 +1010,12 @@ class TestJSQWindowParity(ParityFleets):
                 0.2, Step(), candidates=(4,), service_share=1.0, slo_margin=1.0
             ),
         ):
-            idle, _ = self.check(
+            admitted = self.check(
                 monkeypatch,
                 lambda: Fleet([Replica(Step(), new_batcher())], router="jsq"),
                 np.array([0.0, 0.7, now, now, 5.0]),
             )
-            assert idle > 0
+            assert admitted["idle"] > 0
 
     def test_custom_batchers_keep_the_per_arrival_path(self, monkeypatch):
         """A batcher subclass may override either call or keep state
@@ -1013,7 +1032,7 @@ class TestJSQWindowParity(ParityFleets):
                 return super().dispatch_size(queue_len, oldest_age)
 
         curve = ConstantCurve(self.OCCUPANCY)
-        idle, total = self.check(
+        admitted = self.check(
             monkeypatch,
             lambda: Fleet(
                 [Replica(curve, EveryThirdPoll(self.BATCH, self.TIMEOUT)) for _ in range(3)],
@@ -1021,7 +1040,7 @@ class TestJSQWindowParity(ParityFleets):
             ),
             self._arrivals("poisson", 3, load=1.2),
         )
-        assert idle == 0 < total
+        assert admitted["idle"] == 0 < admitted["all"]
 
     @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
     def test_observability_matches_the_per_arrival_path(self, monkeypatch, policy):
