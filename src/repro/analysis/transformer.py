@@ -32,24 +32,22 @@ from __future__ import annotations
 from repro.analysis.common import ExperimentResult, platforms
 from repro.core.config import TPU_V1
 from repro.nn.graph import Model
-from repro.nn.layers import FullyConnected, MultiHeadAttention
+from repro.nn.layers import MultiHeadAttention
 from repro.nn.workloads import extension_workloads
 from repro.perfmodel.model import app_cost
+from repro.platforms.kv import DecodeTiming
 from repro.roofline.model import AppPoint, chip_roofline
 from repro.roofline.render import render_roofline
 from repro.util.tables import TextTable
 
 
 def decode_macs_per_token(model: Model) -> int:
-    """MACs to generate one token with a full KV cache (per example)."""
-    total = 0
-    for layer in model.layers:
-        if isinstance(layer, MultiHeadAttention):
-            d, t = layer.embed_dim, layer.seq_len
-            total += 4 * d * d + 2 * t * d  # projections + one query row
-        elif isinstance(layer, FullyConnected):
-            total += layer.in_features * layer.out_features  # one token row
-    return total
+    """MACs to generate one token with a full KV cache (per example): the
+    serving engine's :class:`DecodeTiming` counts at a ``seq_len``-long
+    cache, which every block the transformer builder makes shares."""
+    timing = DecodeTiming.for_model(model)
+    seq_len = next(la.seq_len for la in model.layers if isinstance(la, MultiHeadAttention))
+    return timing.fixed_macs_per_token + timing.attn_macs_per_kv_token * seq_len
 
 
 def decode_intensity(model: Model, batch: int | None = None) -> float:

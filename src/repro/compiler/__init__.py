@@ -15,7 +15,7 @@ from repro.compiler.allocator import (
     UBOverflowError,
 )
 from repro.compiler.driver import CompiledModel, TPUDriver
-from repro.compiler.tiling import TileCoord, tile_grid, tile_matmul
+from repro.compiler.tiling import tile_grid
 
 __all__ = [
     "Allocation",
@@ -24,8 +24,6 @@ __all__ = [
     "Request",
     "StaticPartitionAllocator",
     "TPUDriver",
-    "TileCoord",
     "UBOverflowError",
     "tile_grid",
-    "tile_matmul",
 ]

@@ -471,8 +471,9 @@ class Lowering:
         weight = None
         if not dynamic and self.params is not None and layer_name in self.params.weights:
             weight = self.params.weights[layer_name].data
-        # N-major grid (the tile_matmul order) built from plain coordinates;
-        # only functional compiles slice per-tile weight data.
+        # N-major grid: each column stripe's K tiles in turn, which
+        # accumulate into one accumulator region; only functional compiles
+        # slice per-tile weight data.
         dim = self.dim
         kt, nt = tile_grid(k, n, dim)
         k_coords = [(ki * dim, min(dim, k - ki * dim)) for ki in range(kt)]

@@ -1,34 +1,18 @@
 """Weight-matrix tiling onto the (dim x dim) Matrix Multiply Unit.
 
-A (K, N) weight matrix is cut into ceil(K/dim) x ceil(N/dim) tiles.  Every
-tile occupies the full array when loaded (edge tiles are zero-padded), so
-tile *traffic* is charged at the full dim*dim bytes -- the two-dimensional
-internal-fragmentation effect behind Section 7's 600x600 example, where a
-512x512 unit needs fewer steps but each step moves four times the bytes.
+A (K, N) weight matrix is cut into ceil(K/dim) x ceil(N/dim) tiles.  The
+lowering registers them N-major (each column stripe's K tiles in turn,
+which accumulate into one accumulator region), and every tile occupies
+the full array when loaded: edge tiles are zero-padded, and the device's
+timing walk charges a static tile's fetch at the full ``dim * dim``
+bytes.  That is the two-dimensional internal-fragmentation effect behind
+Section 7's 600x600 example, where a 512x512 unit needs fewer steps but
+each step moves four times the bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class TileCoord:
-    """One weight tile: offsets and extents within the (K, N) matrix."""
-
-    k0: int
-    k: int
-    n0: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k <= 0 or self.n <= 0 or self.k0 < 0 or self.n0 < 0:
-            raise ValueError(f"bad tile {self!r}")
-
-    @property
-    def elements(self) -> int:
-        return self.k * self.n
 
 
 def tile_grid(k: int, n: int, dim: int) -> tuple[int, int]:
@@ -36,33 +20,3 @@ def tile_grid(k: int, n: int, dim: int) -> tuple[int, int]:
     if k <= 0 or n <= 0 or dim <= 0:
         raise ValueError(f"dims must be positive, got k={k}, n={n}, dim={dim}")
     return math.ceil(k / dim), math.ceil(n / dim)
-
-
-def tile_matmul(k: int, n: int, dim: int) -> list[TileCoord]:
-    """All tiles of a (k, n) matrix in N-major order.
-
-    N-major (for each column stripe, sweep the K tiles) matches the
-    accumulation pattern: the K tiles of one stripe accumulate into the
-    same accumulator region, which is then activated and released before
-    the next stripe begins.
-    """
-    kt, nt = tile_grid(k, n, dim)
-    tiles = []
-    for ni in range(nt):
-        n0 = ni * dim
-        n_ext = min(dim, n - n0)
-        for ki in range(kt):
-            k0 = ki * dim
-            k_ext = min(dim, k - k0)
-            tiles.append(TileCoord(k0=k0, k=k_ext, n0=n0, n=n_ext))
-    return tiles
-
-
-def padded_tile_bytes(dim: int, dtype_bytes: int = 1) -> int:
-    """DRAM traffic per tile load: the full array footprint."""
-    return dim * dim * dtype_bytes
-
-
-def utilization(coord: TileCoord, dim: int) -> float:
-    """Fraction of the array's MACs holding useful weights for a tile."""
-    return coord.elements / (dim * dim)

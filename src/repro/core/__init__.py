@@ -1,20 +1,25 @@
 """TPU v1 microarchitecture: functional + cycle-approximate simulation.
 
-The package mirrors Figure 1's block diagram, one module per block:
+The package mirrors Figure 1's block diagram.  The block modules hold
+and move data; every cycle is computed in one place, the device's timing
+walk, from :mod:`repro.core.config`'s parameters and the DMA engine's
+transfer time:
 
 * :mod:`repro.core.config` -- every architectural parameter (scalable for
   the Section 7 design-space study);
 * :mod:`repro.core.systolic` -- the weight-stationary systolic array at
-  cycle granularity (Figure 4);
-* :mod:`repro.core.matrix_unit` -- the 256x256 MXU tile engine with
-  double-buffered weights and 8/16-bit speed modes;
-* :mod:`repro.core.accumulators`, :mod:`repro.core.weight_memory` -- the
-  memory system (the device's timing walk models the Weight FIFO, and its
-  data pass keeps Unified Buffer tensors as per-tensor arrays);
+  cycle granularity (Figure 4), which the tests check against numpy;
+* :mod:`repro.core.matrix_unit` -- the 256x256 MXU's resident weight
+  plane and functional multiply, and the 8/16-bit speed factor;
+* :mod:`repro.core.accumulators` -- the accumulator file's int32 rows;
 * :mod:`repro.core.activation_unit` -- nonlinearities and pooling;
 * :mod:`repro.core.dma` -- the PCIe host interface;
 * :mod:`repro.core.counters` -- the performance-counter bank (Table 3);
-* :mod:`repro.core.device` -- the 4-stage CISC pipeline tying it together.
+* :mod:`repro.core.device` -- the 4-stage CISC pipeline tying it
+  together: one timing walk over each program, which models the Weight
+  FIFO, Weight Memory's bandwidth and every engine's clock, and for a
+  functional run one data pass that keeps Unified Buffer tensors as
+  per-tensor arrays and reads weight tiles from the program.
 """
 
 from repro.core.accumulators import AccumulatorFile

@@ -21,15 +21,6 @@ class AccumulatorFile:
         self.rows = rows
         self.lanes = lanes
         self._data = np.zeros((rows, lanes), dtype=np.int32)
-        self._high_water = 0
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.rows * self.lanes * 4
-
-    @property
-    def high_water_rows(self) -> int:
-        return self._high_water
 
     def _check(self, row: int, count: int, op: str) -> None:
         if row < 0 or count <= 0:
@@ -54,12 +45,7 @@ class AccumulatorFile:
                 self._data[row : row + count] += values.astype(np.int32)
             else:
                 self._data[row : row + count] = values.astype(np.int32)
-        self._high_water = max(self._high_water, row + count)
 
     def read(self, row: int, count: int) -> np.ndarray:
         self._check(row, count, "read")
         return self._data[row : row + count].copy()
-
-    def reset(self) -> None:
-        self._data[:] = 0
-        self._high_water = 0

@@ -5,7 +5,9 @@ writes 8-bit codes back to the Unified Buffer.  The hardware used lookup
 tables for sigmoid/tanh; this model offers both the exact closed forms
 (default, so the device matches the numpy reference bit-for-bit) and a
 LUT mode that quantizes the function input to a configurable number of
-entries, for studying the approximation the silicon actually made.
+entries, for studying the approximation the silicon actually made.  The
+unit moves data only; the device's timing walk charges each pass its
+``ceil(elements / activation_lanes)`` cycles.
 """
 
 from __future__ import annotations
@@ -24,25 +26,14 @@ from repro.nn.quantization import (
 class ActivationUnit:
     """Requantizing activation pipeline with optional LUT approximation."""
 
-    def __init__(self, lanes: int, mode: str = "exact", lut_bits: int = 12) -> None:
-        if lanes <= 0:
-            raise ValueError(f"lanes must be positive, got {lanes}")
+    def __init__(self, mode: str = "exact", lut_bits: int = 12) -> None:
         if mode not in ("exact", "lut"):
             raise ValueError(f"mode must be 'exact' or 'lut', got {mode!r}")
         if not 4 <= lut_bits <= 16:
             raise ValueError(f"lut_bits must be in [4, 16], got {lut_bits}")
-        self.lanes = lanes
         self.mode = mode
         self.lut_bits = lut_bits
 
-    # -- timing -------------------------------------------------------------
-    def cycles(self, elements: int) -> int:
-        """Cycles to push ``elements`` through the 256-wide pipeline."""
-        if elements < 0:
-            raise ValueError(f"elements must be non-negative, got {elements}")
-        return -(-elements // self.lanes)  # ceil division
-
-    # -- function ---------------------------------------------------------------
     def activate(
         self,
         acc: np.ndarray,
@@ -79,14 +70,3 @@ class ActivationUnit:
             np.rint((real + span) / (2 * span) * (entries - 1)), 0, entries - 1
         ).astype(np.int64)
         return quantize(table[index], output_scale)
-
-    def vector_op(
-        self,
-        codes: np.ndarray,
-        input_scale: TensorScale,
-        output_scale: TensorScale,
-        function: Activation,
-    ) -> np.ndarray:
-        """Element-wise UB->UB pass (the LSTM/vector layers of Table 1)."""
-        real = apply_activation(codes.astype(np.float64) * input_scale.scale, function)
-        return quantize(real, output_scale)

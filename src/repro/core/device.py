@@ -43,7 +43,6 @@ from repro.core.config import TPUConfig, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
 from repro.core.matrix_unit import MatrixUnit, speed_factor
-from repro.core.weight_memory import WeightMemory
 from repro.isa.encoding import (
     MM_ACTIVATION_16,
     MM_CONVOLVE,
@@ -55,18 +54,13 @@ from repro.isa.encoding import (
 from repro.isa.instructions import (
     Activate,
     Configure,
-    DebugTag,
     Halt,
-    InterruptHost,
     MatrixMultiply,
-    Nop,
     ROW_BYTES,
     ReadHostMemory,
     ReadWeights,
     SETUP_BANK_STRIDE,
     SETUP_BASE,
-    Sync,
-    SyncHost,
     VectorInstruction,
     VectorKind,
     WriteHostMemory,
@@ -130,7 +124,7 @@ class TPUDevice:
             )
         self.config = config
         self.functional = functional
-        self.activation_unit = ActivationUnit(config.activation_lanes, mode=activation_mode)
+        self.activation_unit = ActivationUnit(mode=activation_mode)
 
     # ------------------------------------------------------------------
     def run(self, program: TPUProgram, host_input: np.ndarray | None = None) -> ExecutionResult:
@@ -288,9 +282,9 @@ def _walk(
     weight shift and the RAW/PCIe-input sub-counters.  The counters are
     added to ``bank``, which a functional run has already charged with
     its data counters; ``output`` is that run's output codes.  A
-    malformed stream raises: an object that is no instruction, a
-    ``load_new_tile`` matmul with the Weight FIFO empty, or a tile
-    missing from ``program.tiles``.
+    malformed stream raises: an unknown opcode, a ``load_new_tile``
+    matmul with the Weight FIFO empty, or a tile missing from
+    ``program.tiles``.
     """
     columns = program.instructions
     deps, slots = _sidecar(program)
@@ -527,7 +521,7 @@ def _walk(
         elif op == _HALT:
             break
         else:
-            raise TypeError(f"device cannot execute {type(columns[issued - 1])!r}")
+            raise ValueError(f"device cannot execute opcode {op}")
         for token in writes:
             write_end[token] = end
             write_unit[token] = unit
@@ -597,9 +591,10 @@ def _walk(
 class _DataPass:
     """A functional run's data, moved by one untimed pass over the program.
 
-    Holds the Unified Buffer tensors, Weight Memory, the matrix unit and
-    the accumulators.  Timing comes from the walk; this pass charges only
-    the counters that need the data: ``ub_bytes_read``,
+    Holds the Unified Buffer tensors, the matrix unit and the
+    accumulators, and shifts each weight tile in straight from
+    ``program.tiles``.  Timing comes from the walk; this pass charges
+    only the counters that need the data: ``ub_bytes_read``,
     ``ub_bytes_written`` and ``acc_rows_written``.
     """
 
@@ -629,16 +624,18 @@ class _DataPass:
             self.tensors.append(_Tensor(base_row, rows, width))
         self.tensors.sort(key=lambda t: t.base_row)
         self.tensor_bases = [t.base_row for t in self.tensors]
-        self.weight_memory = WeightMemory(
-            self.config.weight_dram_bytes, self.config.weight_bandwidth
-        )
         for tile_id, spec in self.program.tiles.items():
             if spec.data is None:
                 raise ValueError(
                     f"tile {tile_id} carries no data; compile with "
                     f"quantized parameters for functional runs"
                 )
-            self.weight_memory.store_tile(tile_id, spec.data)
+        image = self.program.weight_image_bytes
+        if image > self.config.weight_dram_bytes:
+            raise MemoryError(
+                f"weight image of {image} B exceeds Weight Memory "
+                f"(weight_dram_bytes = {self.config.weight_dram_bytes} B)"
+            )
 
     def _find_tensor(self, row: int) -> tuple[_Tensor, int]:
         idx = bisect_right(self.tensor_bases, row) - 1
@@ -671,9 +668,8 @@ class _DataPass:
                 if instr.load_new_tile:
                     if not fifo_ids:
                         raise RuntimeError(_EMPTY_FIFO)
-                    tile_id = fifo_ids.popleft()
-                    spec = self.program.tiles[tile_id]
-                    self._install_tile(tile_id)
+                    spec = self.program.tiles[fifo_ids.popleft()]
+                    self.matrix_unit.install_tile(spec.data)
                 self._matmul_functional(instr, spec)
             elif isinstance(instr, Activate):
                 self._activate_functional(instr)
@@ -687,14 +683,8 @@ class _DataPass:
                 self._configure(instr)
             elif isinstance(instr, Halt):
                 break
-            elif not isinstance(instr, (Sync, SyncHost, DebugTag, Nop, InterruptHost)):
-                raise TypeError(f"device cannot execute {type(instr)!r}")
 
     # -- matrix path --------------------------------------------------------
-    def _install_tile(self, tile_id: int) -> None:
-        data, _seconds = self.weight_memory.read_tile(tile_id)
-        self.matrix_unit.install_tile(tile_id, data)
-
     def _matmul_functional(self, instr: MatrixMultiply, spec) -> None:
         x = self._read_matmul_input(instr, spec.rows if spec else self.config.matrix_dim)
         result = self.matrix_unit.multiply(x)

@@ -50,11 +50,7 @@ from repro.datacenter.provisioning import (
     compare_policies,
     plan_capacity,
 )
-from repro.datacenter.llm_pools import (
-    PoolAutoscaleConfig,
-    PoolAutoscaler,
-    pool_controllers,
-)
+from repro.datacenter.llm_pools import PoolAutoscaler, pool_controllers
 from repro.datacenter.tco import CostBreakdown, CostModel, fleet_cost, servers_for
 
 __all__ = [
@@ -67,7 +63,6 @@ __all__ = [
     "FleetObservation",
     "PlatformPlan",
     "PolicyOutcome",
-    "PoolAutoscaleConfig",
     "PoolAutoscaler",
     "PredictivePolicy",
     "ReactivePolicy",

@@ -20,42 +20,33 @@ not in ``serving/``) preserves the layering: ``datacenter`` builds on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.datacenter.autoscaler import FleetObservation, ReactivePolicy
 from repro.serving.continuous import ContinuousConfig, full_decode_step
 
 
-@dataclass(frozen=True)
-class PoolAutoscaleConfig:
-    """Shared knobs for both pool controllers."""
-
-    control_interval_s: float = 0.05
-    spinup_s: float = 0.25
-    min_chips: int = 1
-    target_utilization: float = 0.7
-    high_utilization: float = 0.9
-    max_backlog_per_chip: int = 64
+#: Seconds between a pool controller's decisions.
+CONTROL_INTERVAL_S = 0.05
+#: Seconds a chip takes to spin up.
+SPINUP_S = 0.25
+#: Chips a pool starts with and never drops below.
+MIN_CHIPS = 1
 
 
 class PoolAutoscaler:
     """One pool's controller: ReactivePolicy over chip-rate capacity."""
 
-    def __init__(
-        self, name: str, chip_rps: float, cfg: PoolAutoscaleConfig
-    ) -> None:
+    interval_s = CONTROL_INTERVAL_S
+    spinup_s = SPINUP_S
+    min_chips = MIN_CHIPS
+
+    def __init__(self, name: str, chip_rps: float) -> None:
         if chip_rps <= 0:
             raise ValueError(f"chip_rps must be positive, got {chip_rps}")
         self.name = name
         self.chip_rps = chip_rps
-        self.interval_s = cfg.control_interval_s
-        self.spinup_s = cfg.spinup_s
-        self.min_chips = cfg.min_chips
-        self._policy = ReactivePolicy(
-            target_utilization=cfg.target_utilization,
-            high_utilization=cfg.high_utilization,
-            max_backlog_per_replica=cfg.max_backlog_per_chip,
-        )
+        # ReactivePolicy's default target and high-water utilization and
+        # backlog per chip.
+        self._policy = ReactivePolicy()
 
     def desired(
         self,
@@ -91,18 +82,12 @@ def prefill_chip_rps(cfg: ContinuousConfig, prompt_mean: int) -> float:
 
 
 def pool_controllers(
-    cfg: ContinuousConfig,
-    prompt_mean: int,
-    decode_mean: int,
-    scale: PoolAutoscaleConfig | None = None,
+    cfg: ContinuousConfig, prompt_mean: int, decode_mean: int
 ) -> dict[str, PoolAutoscaler]:
     """Build the two controllers the disaggregated engine plugs in."""
-    scale = scale or PoolAutoscaleConfig()
     return {
-        "prefill_controller": PoolAutoscaler(
-            "prefill", prefill_chip_rps(cfg, prompt_mean), scale
-        ),
+        "prefill_controller": PoolAutoscaler("prefill", prefill_chip_rps(cfg, prompt_mean)),
         "decode_controller": PoolAutoscaler(
-            "decode", decode_chip_rps(cfg, prompt_mean, decode_mean), scale
+            "decode", decode_chip_rps(cfg, prompt_mean, decode_mean)
         ),
     }

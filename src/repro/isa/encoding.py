@@ -276,8 +276,6 @@ def decode_program(blob: bytes) -> list[Instruction]:
 #: The field columns in encoding order, and their storage types.
 FIELD_COLUMNS = ("opcode", "flags", "ub", "acc", "length", "extent")
 _DTYPES = (np.uint8, np.uint16, np.uint32, np.uint32, np.uint32, np.uint32)
-#: The opcode a stray -- an object that is no instruction -- is sealed as.
-STRAY = 0
 
 
 def _frozen(values: np.ndarray, dtype) -> np.ndarray:
@@ -294,11 +292,6 @@ class InstructionColumns(Sequence):
     object on demand and keep none.  The device walk, :func:`encode_columns`
     and :meth:`at_widths` read the columns themselves.
 
-    An object that is no instruction (a hand-built malformed stream) is
-    sealed as opcode :data:`STRAY` and kept in ``strays`` by index, so
-    building a program never raises: the device refuses the stray when
-    its walk reaches it, and the decoded view hands the object back.
-
     A stream the compiler sealed also holds its dependency sidecar
     (``deps``) and the sidecar's token count (``deps_tokens``), fixed at
     sealing time.  The count describes that very tuple, so the device
@@ -306,19 +299,17 @@ class InstructionColumns(Sequence):
     other sidecar is checked when the program runs.
     """
 
-    __slots__ = (*FIELD_COLUMNS, "operand", "strays", "deps", "deps_tokens")
+    __slots__ = (*FIELD_COLUMNS, "operand", "deps", "deps_tokens")
 
     def __init__(
         self,
         columns: Sequence[np.ndarray],
-        strays: dict[int, object] | None = None,
         deps: tuple | None = None,
         deps_tokens: int = 0,
     ) -> None:
         for name, dtype, column in zip(FIELD_COLUMNS, _DTYPES, columns):
             setattr(self, name, _frozen(column, dtype))
         self.operand = _operands(self.opcode, self.length, self.extent)
-        self.strays = strays or None
         if deps is not None and len(deps) != len(self.opcode):
             raise ValueError(
                 f"a sidecar of {len(deps)} entries cannot seal {len(self.opcode)} instructions"
@@ -340,19 +331,10 @@ class InstructionColumns(Sequence):
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("instruction index out of range")
-        if self.opcode[index] == STRAY:
-            return self.strays[index]
         return _instruction(*(column.item(index) for column in self.fields))
 
     def __iter__(self):
-        decoded = zip(*(column.tolist() for column in self.fields))
-        if not self.strays:
-            return starmap(_instruction, decoded)
-        strays = self.strays
-        return (
-            strays[index] if fields[0] == STRAY else _instruction(*fields)
-            for index, fields in enumerate(decoded)
-        )
+        return starmap(_instruction, zip(*(column.tolist() for column in self.fields)))
 
     def at_widths(self, weight_bits: int, activation_bits: int) -> "InstructionColumns":
         """The stream with every MatrixMultiply at the given operand widths.
@@ -395,29 +377,26 @@ def seal(
     The compiler passes its dependency sidecar and token count too.
     Compiled streams repeat the same instruction objects heavily, so the
     fields are computed once per distinct object and gathered by index.
+    An object that is no instruction raises ``TypeError`` naming its type
+    and its (first) index in the stream.
     """
     instructions = list(instructions)  # keeps every object, so each id() is unique
     ids = np.fromiter(map(id, instructions), dtype=np.uint64, count=len(instructions))
     _, first, which = np.unique(ids, return_index=True, return_inverse=True)
     rows = []
-    strays: dict[int, object] = {}
-    for distinct, index in enumerate(first.tolist()):
-        instr = instructions[index]
-        fields = _FIELDS.get(type(instr))
+    for index in first.tolist():
+        fields = _FIELDS.get(type(instructions[index]))
         if fields is None:
-            strays.update(dict.fromkeys(np.flatnonzero(which == distinct).tolist(), instr))
-            rows.append((STRAY, 0, 0, 0, 0, 0))
-        else:
-            rows.append(fields(instr))
+            at = next(i for i, obj in enumerate(instructions) if type(obj) not in _FIELDS)
+            raise TypeError(f"cannot seal {type(instructions[at])!r} at index {at}")
+        rows.append(fields(instructions[index]))
     table = np.array(rows, dtype=np.int64).reshape(len(rows), len(FIELD_COLUMNS))
-    return InstructionColumns([column[which] for column in table.T], strays, deps, deps_tokens)
+    return InstructionColumns([column[which] for column in table.T], deps, deps_tokens)
 
 
 def encode_columns(columns: InstructionColumns) -> bytes:
     """The binary of a sealed stream, packed from its columns in one pass:
     byte for byte :func:`encode_program` of its decoded view."""
-    if columns.strays:
-        raise TypeError(f"cannot encode {type(columns.strays[min(columns.strays)])!r}")
     count = len(columns)
     vector = columns.opcode == Opcode.VECTOR
     acc = columns.acc.astype(np.uint64)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.compiler.driver import TPUDriver
+from repro.core.device import ExecutionResult, TPUDevice
+from repro.isa.instructions import Halt, MatrixMultiply, ReadWeights
+from repro.isa.program import TileSpec, TPUProgram
 from repro.nn.graph import Model
 from repro.nn.layers import (
     Activation,
@@ -17,6 +20,7 @@ from repro.nn.layers import (
 )
 from repro.nn.reference import ReferenceExecutor, initialize_weights, random_input
 from repro.nn.workloads import paper_workloads
+from tests import oracles
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +100,33 @@ def functional_pair(model: Model, seed: int = 3):
     compiled = drv.compile(model, params=params)
     out, result = drv.run(compiled, x)
     return np.asarray(ref).reshape(np.asarray(out).shape), out, result
+
+
+def one_tile_program(
+    tile: TileSpec,
+    fetch: int | None = None,
+    rows: int = 1,
+    weight_bits: int = 8,
+    activation_bits: int = 8,
+) -> TPUProgram:
+    """Fetch a weight tile (``tile``'s own id unless ``fetch`` names
+    another) and stream ``rows`` rows through it in one matmul."""
+    return TPUProgram(
+        name="one-tile",
+        instructions=(
+            ReadWeights(tile_id=tile.tile_id if fetch is None else fetch),
+            MatrixMultiply(ub_row=0, acc_row=0, rows=rows, accumulate=False,
+                           load_new_tile=True, weight_bits=weight_bits,
+                           activation_bits=activation_bits),
+            Halt(),
+        ),
+        tiles={tile.tile_id: tile}, scales=(), host_buffers={}, batch_size=1,
+    )
+
+
+def timing_run(program: TPUProgram) -> ExecutionResult:
+    """The device's timing run of ``program``, which must equal the
+    per-instruction oracle's."""
+    result = TPUDevice().run(program)
+    assert result == oracles.PerInstructionRun(TPUDevice(), program).execute()
+    return result

@@ -4,9 +4,9 @@ Every layer under ``src/`` has one production path.  The plainer loops
 those paths replaced live here as test-only oracles, so each parity test
 compares the production path with a second, live implementation:
 
-* :class:`ReferenceLowering` -- per-tile emission: one ``TileCoord`` per
-  weight tile, a freshly built instruction and accumulator read per
-  K-step, and lazy per-tile source-token reads, over a
+* :class:`ReferenceLowering` -- per-tile emission: one N-major loop
+  step per weight tile, a freshly built instruction and accumulator read
+  per K-step, and lazy per-tile source-token reads, over a
   :class:`ReferenceDepTracker`;
 * :class:`ReferenceDepTracker` -- the compiler's interval -> token
   tracker with two passes per write: one collects the WAR tokens, a
@@ -50,7 +50,7 @@ import numpy as np
 
 from repro import obs
 from repro.compiler.lowering import Lowering, LoweredTensor, ROW_BYTES
-from repro.compiler.tiling import tile_matmul
+from repro.compiler.tiling import tile_grid
 from repro.core.counters import CycleBreakdown
 from repro.core.device import ExecutionResult, _DataPass
 from repro.core.dma import DMAEngine
@@ -112,19 +112,19 @@ class ReferenceLowering(Lowering):
         if not dynamic and self.params is not None and layer_name in self.params.weights:
             weight = self.params.weights[layer_name].data
         stripes: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        for coord in tile_matmul(k, n, self.dim):
-            tile_id = len(self._tiles)
-            data = None
-            if weight is not None:
-                data = np.ascontiguousarray(
-                    weight[coord.k0 : coord.k0 + coord.k, coord.n0 : coord.n0 + coord.n]
+        kt, nt = tile_grid(k, n, self.dim)
+        for ni in range(nt):
+            for ki in range(kt):
+                k0, n0 = ki * self.dim, ni * self.dim
+                k_ext, n_ext = min(self.dim, k - k0), min(self.dim, n - n0)
+                tile_id = len(self._tiles)
+                data = None
+                if weight is not None:
+                    data = np.ascontiguousarray(weight[k0 : k0 + k_ext, n0 : n0 + n_ext])
+                self._tiles[tile_id] = TileSpec(
+                    tile_id=tile_id, rows=k_ext, cols=n_ext, data=data, dynamic=dynamic
                 )
-            self._tiles[tile_id] = TileSpec(
-                tile_id=tile_id, rows=coord.k, cols=coord.n, data=data, dynamic=dynamic
-            )
-            stripes.setdefault(coord.n0, []).append(
-                (tile_id, coord.k0, coord.k, coord.n0, coord.n)
-            )
+                stripes.setdefault(n0, []).append((tile_id, k0, k_ext, n0, n_ext))
         return stripes
 
     def _matmul_pass(
@@ -203,9 +203,10 @@ class PerInstructionRun(_DataPass):
     on its engine's clock and adds its own counters; a functional run
     moves its data in the same step, through the data pass's helpers.  A
     program without a dependency sidecar chains each instruction after
-    the last one committed, and weight fetches ignore the chain.
-    ``walked`` counts the instructions issued, so a parity test can tell
-    this path ran.
+    the last one committed, and weight fetches ignore the chain.  An
+    ACTIVATE or VECTOR pass takes ``ceil(elements / activation_lanes)``
+    cycles.  ``walked`` counts the instructions issued, so a parity test
+    can tell this path ran.
     """
 
     def __init__(self, device, program, host_input=None):
@@ -312,8 +313,6 @@ class PerInstructionRun(_DataPass):
                 self._commit(index, start + 1, "control")
             elif isinstance(instr, Halt):
                 break
-            else:
-                raise TypeError(f"device cannot execute {type(instr)!r}")
 
         total = max(self.unit_free.values())
         total = max(total, 1.0)
@@ -398,7 +397,7 @@ class PerInstructionRun(_DataPass):
             self.pop_times.append(shift_start)
             shift_done = shift_start + cfg.weight_shift_cycles
             if self.functional:
-                self._install_tile(tile_id)
+                self.matrix_unit.install_tile(spec.data)
         start = max(matrix_free, shift_done, dep_ready, war_ready)
         idle = start - matrix_free
         if idle > 0:
@@ -443,7 +442,7 @@ class PerInstructionRun(_DataPass):
 
     def _exec_activate(self, index: int, instr: Activate) -> None:
         dep_ready, _unit, war_ready = self._dep_times(index)
-        duration = self.device.activation_unit.cycles(instr.rows * instr.lanes)
+        duration = self._pass_cycles(instr.rows * instr.lanes)
         start = max(self.unit_free["vector"], dep_ready, war_ready)
         end = start + duration
         self.unit_free["vector"] = end
@@ -461,7 +460,7 @@ class PerInstructionRun(_DataPass):
         # Patch streaming runs on the dedicated setup block, concurrent
         # with the activation pipeline.
         unit = "setup" if instr.kind == VectorKind.IM2COL else "vector"
-        duration = self.device.activation_unit.cycles(elements)
+        duration = self._pass_cycles(elements)
         start = max(self.unit_free[unit], dep_ready, war_ready)
         end = start + duration
         self.unit_free[unit] = end
@@ -472,6 +471,11 @@ class PerInstructionRun(_DataPass):
         if self.functional:
             self._vector_functional(instr)
         self._commit(index, end, unit)
+
+    def _pass_cycles(self, elements: int) -> int:
+        """Cycles to push ``elements`` through the activation pipeline."""
+        lanes = self.config.activation_lanes
+        return (elements + lanes - 1) // lanes
 
     def _exec_dma_in(self, index: int, instr: ReadHostMemory) -> None:
         nbytes = instr.rows * ROW_BYTES

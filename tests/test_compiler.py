@@ -14,8 +14,9 @@ from repro.compiler.allocator import (
 )
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering, groups_of
-from repro.compiler.tiling import TileCoord, padded_tile_bytes, tile_grid, tile_matmul, utilization
+from repro.compiler.tiling import tile_grid
 from repro.core.config import TPU_V1, TPUConfig
+from repro.core.device import TPUDevice
 from repro.isa.encoding import FIELD_COLUMNS
 from repro.isa.instructions import (
     MatrixMultiply,
@@ -23,50 +24,69 @@ from repro.isa.instructions import (
     VectorInstruction,
     VectorKind,
 )
+from repro.nn.graph import Model
+from repro.nn.layers import FullyConnected
 from repro.nn.workloads import build_workload
 from repro.util.units import MIB
+
+
+def _fc_program(k: int, n: int):
+    """The compiled program of one (k, n) fully connected layer."""
+    model = Model(f"fc{k}x{n}", (FullyConnected("fc", k, n),), (k,), batch_size=4)
+    return TPUDriver().compile(model).program
 
 
 class TestTiling:
     def test_exact_fit(self):
         assert tile_grid(512, 512, 256) == (2, 2)
-        assert len(tile_matmul(512, 512, 256)) == 4
+        tiles = _fc_program(512, 512).tiles
+        assert [(t.rows, t.cols) for t in tiles.values()] == [(256, 256)] * 4
 
     def test_fragmentation_600(self):
         # Section 7's example: 600x600 tiles into 9 passes on a 256 array
         # but only 4 on a 512 array -- each moving 4x the bytes.
-        assert len(tile_matmul(600, 600, 256)) == 9
-        assert len(tile_matmul(600, 600, 512)) == 4
-        assert padded_tile_bytes(512) == 4 * padded_tile_bytes(256)
+        assert tile_grid(600, 600, 256) == (3, 3)
+        assert tile_grid(600, 600, 512) == (2, 2)
+        assert TPU_V1.scaled(matrix=2).tile_bytes == 4 * TPU_V1.tile_bytes
 
     def test_edge_extents(self):
-        tiles = tile_matmul(600, 600, 256)
-        extents = {(t.k, t.n) for t in tiles}
-        assert (256, 256) in extents and (88, 88) in extents
+        tiles = _fc_program(600, 600).tiles.values()
+        assert {(t.rows, t.cols) for t in tiles} == {(256, 256), (256, 88), (88, 256), (88, 88)}
+        assert sum(t.rows * t.cols for t in tiles) == 600 * 600
 
     def test_n_major_order(self):
-        tiles = tile_matmul(600, 300, 256)
-        # First stripe's K tiles come before the second stripe starts.
-        assert tiles[0].n0 == 0 and tiles[2].n0 == 0
-        assert tiles[3].n0 == 256
+        """Each column stripe's K tiles come before the next stripe's, in
+        tile-id order and in fetch order."""
+        program = _fc_program(600, 600)
+        stripe = [(256, 256), (256, 256), (88, 256)]
+        edge = [(256, 88), (256, 88), (88, 88)]
+        assert [(program.tiles[i].rows, program.tiles[i].cols) for i in range(9)] == (
+            stripe + stripe + edge
+        )
+        fetched = [i.tile_id for i in program.instructions if isinstance(i, ReadWeights)]
+        assert fetched == list(range(9))
 
     def test_utilization(self):
-        coord = TileCoord(k0=0, k=128, n0=0, n=256)
-        assert utilization(coord, 256) == pytest.approx(0.5)
+        """The walk counts a tile's share of the array as useful MAC time:
+        the 600x600 layer's nine tiles fill 360,000 of 9 x 65,536 MACs."""
+        counters = TPUDevice().run(_fc_program(600, 600)).counters
+        assert counters["useful_mac_cycles"] == pytest.approx(
+            counters["array_active_cycles"] * 600 * 600 / (9 * 256 * 256)
+        )
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             tile_grid(0, 5, 256)
         with pytest.raises(ValueError):
-            TileCoord(k0=0, k=0, n0=0, n=1)
+            tile_grid(5, 5, 0)
 
     @given(st.integers(1, 2000), st.integers(1, 2000), st.sampled_from([128, 256, 512]))
     @settings(max_examples=60)
     def test_tiles_cover_matrix_exactly(self, k, n, dim):
-        tiles = tile_matmul(k, n, dim)
-        assert sum(t.elements for t in tiles) == k * n
-        spans = {(t.k0, t.k0 + t.k, t.n0, t.n0 + t.n) for t in tiles}
-        assert len(spans) == len(tiles)  # disjoint
+        """The last K and N tiles hold the 1..dim rows and columns left over."""
+        kt, nt = tile_grid(k, n, dim)
+        assert 0 < k - (kt - 1) * dim <= dim
+        assert 0 < n - (nt - 1) * dim <= dim
 
 
 class TestLivenessAllocator:
@@ -159,9 +179,6 @@ class TestLowering:
         assert counts["HALT"] == 1
 
     def test_matmul_accumulate_pattern(self):
-        from repro.nn.graph import Model
-        from repro.nn.layers import FullyConnected
-
         model = Model(
             "wide", (FullyConnected("fc", 600, 300),), (600,), batch_size=4
         )
@@ -202,7 +219,6 @@ class TestLowering:
         assert len(columns) == 51_553
         for name in (*FIELD_COLUMNS, "operand"):
             assert not gc.is_tracked(getattr(columns, name)), name
-        assert columns.strays is None
 
     def test_lstm_emits_gate_ops(self, tiny_lstm):
         compiled = TPUDriver().compile(tiny_lstm)

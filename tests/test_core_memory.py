@@ -1,14 +1,19 @@
 """Tests for the TPU memory system: accumulators, weight memory, DRAM, DMA."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.compiler.driver import TPUDriver
 from repro.core.accumulators import AccumulatorFile
 from repro.core.config import TPUConfig, TPU_PRIME, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
+from repro.core.device import TPUDevice
 from repro.core.dma import DMAEngine
-from repro.core.weight_memory import WeightMemory
-from repro.util.units import GB, MIB
+from repro.isa.program import TileSpec
+from repro.util.units import MIB
+from tests.conftest import one_tile_program, timing_run
 
 
 class TestConfig:
@@ -105,37 +110,48 @@ class TestAccumulators:
         with pytest.raises(ValueError):
             acc.write(0, np.zeros((1, 3), dtype=np.int32), accumulate=False)
 
-    def test_high_water(self):
-        acc = AccumulatorFile(rows=8, lanes=2)
-        acc.write(4, np.zeros((2, 2), dtype=np.int32), accumulate=False)
-        assert acc.high_water_rows == 6
-
 
 class TestWeightMemory:
-    def test_store_read_accounting(self):
-        mem = WeightMemory(capacity_bytes=1 * MIB, bandwidth_bytes_per_s=1 * GB)
-        tile = np.zeros((256, 256), dtype=np.int8)
-        mem.store_tile(0, tile)
-        data, seconds = mem.read_tile(0)
-        assert data is tile
-        assert seconds == pytest.approx(65536 / 1e9)
-        assert mem.bytes_read == 65536
+    """Weight Memory as the device's timing walk and data pass model it."""
 
-    def test_capacity_enforced(self):
-        mem = WeightMemory(capacity_bytes=1000, bandwidth_bytes_per_s=1.0)
-        with pytest.raises(MemoryError):
-            mem.store_tile(0, np.zeros(2000, dtype=np.int8))
+    def test_store_read_accounting(self):
+        """A static tile's fetch moves the full padded 64 KiB in
+        ``tile_load_cycles``, however small the tile; a dynamic tile moves
+        only its packed bytes."""
+        for spec, nbytes in (
+            (TileSpec(0, rows=256, cols=256), 65536),
+            (TileSpec(0, rows=88, cols=88), 65536),
+            (TileSpec(0, rows=88, cols=88, dynamic=True), 88 * 88),
+        ):
+            result = timing_run(one_tile_program(spec))
+            assert result.counters["weight_bytes_read"] == nbytes, spec
+            assert result.counters["weight_tiles_loaded"] == 1
+            # The matmul waits for the fetch and the 256-cycle shift.
+            load = TPU_V1.tile_load_cycles() * nbytes / TPU_V1.tile_bytes
+            assert result.cycles == pytest.approx(load + TPU_V1.weight_shift_cycles + 1)
+
+    def test_capacity_enforced(self, tiny_mlp):
+        """A functional run refuses a weight image larger than Weight Memory."""
+        program = TPUDriver().compile_functional(tiny_mlp, seed=1).program
+        image = program.weight_image_bytes
+        codes = np.zeros((5, 20), dtype=np.int8)
+        fits = dataclasses.replace(TPU_V1, weight_dram_bytes=image)
+        assert TPUDevice(fits, functional=True).run(program, host_input=codes).output is not None
+        small = dataclasses.replace(TPU_V1, weight_dram_bytes=image - 1)
+        message = (
+            rf"^weight image of {image} B exceeds Weight Memory "
+            rf"\(weight_dram_bytes = {image - 1} B\)$"
+        )
+        with pytest.raises(MemoryError, match=message):
+            TPUDevice(small, functional=True).run(program, host_input=codes)
 
     def test_missing_tile(self):
-        mem = WeightMemory(capacity_bytes=1000, bandwidth_bytes_per_s=1.0)
-        with pytest.raises(KeyError):
-            mem.read_tile(42)
-
-    def test_restore_replaces(self):
-        mem = WeightMemory(capacity_bytes=1000, bandwidth_bytes_per_s=1.0)
-        mem.store_tile(0, np.zeros(600, dtype=np.int8))
-        mem.store_tile(0, np.zeros(600, dtype=np.int8))  # no capacity error
-        assert mem.bytes_used == 600
+        """A tile fetched but missing from the program fails when shifted in."""
+        tile = TileSpec(0, rows=4, cols=4, data=np.zeros((4, 4), dtype=np.int8))
+        program = one_tile_program(tile, fetch=42)
+        for functional in (False, True):
+            with pytest.raises(KeyError, match="^42$"):
+                TPUDevice(functional=functional).run(program)
 
 
 class TestDMA:

@@ -14,12 +14,24 @@ from repro.compiler.lowering import Lowering, _DepTracker
 from repro.core.activation_unit import ActivationUnit
 from repro.core.config import TPU_V1
 from repro.core.device import TPUDevice
-from repro.isa.instructions import Halt, MatrixMultiply, ReadWeights
-from repro.isa.program import TPUProgram
+from repro.isa.encoding import InstructionColumns
+from repro.isa.instructions import (
+    Activate,
+    Halt,
+    MatrixMultiply,
+    ReadHostMemory,
+    ReadWeights,
+    VectorInstruction,
+    VectorKind,
+    WriteHostMemory,
+)
+from repro.isa.opcodes import Opcode
+from repro.isa.program import ScaleEntry, TPUProgram
 from repro.nn.layers import Activation
 from repro.nn.quantization import TensorScale, apply_activation, requantize
 from repro.nn.reference import random_input
-from tests.oracles import ReferenceDepTracker
+from tests.conftest import timing_run
+from tests.oracles import PerInstructionRun, ReferenceDepTracker
 
 #: Random tracker traffic: (is_write, key, first row, row count) steps
 #: over two or three keys.  Rows 0-15 and counts 0-8 make partial
@@ -84,8 +96,8 @@ class TestPrecisionModes:
 
 class TestActivationLUT:
     def test_lut_close_to_exact_sigmoid(self):
-        exact = ActivationUnit(256, mode="exact")
-        lut = ActivationUnit(256, mode="lut", lut_bits=12)
+        exact = ActivationUnit(mode="exact")
+        lut = ActivationUnit(mode="lut", lut_bits=12)
         acc = np.arange(-500, 500, dtype=np.int32).reshape(-1, 1)
         s_in = TensorScale(0.01)
         s_w = TensorScale(1.0)
@@ -95,14 +107,14 @@ class TestActivationLUT:
         assert np.abs(a.astype(int) - b.astype(int)).max() <= 1  # one code step
 
     def test_lut_saturates_cleanly(self):
-        lut = ActivationUnit(256, mode="lut", lut_bits=8)
+        lut = ActivationUnit(mode="lut", lut_bits=8)
         acc = np.array([[10**6], [-(10**6)]], dtype=np.int32)
         s = TensorScale(1.0)
         out = lut.activate(acc, s, s, TensorScale(1 / 127), Activation.TANH)
         assert out[0, 0] == 127 and out[1, 0] == -127
 
     def test_relu_bypasses_lut(self):
-        lut = ActivationUnit(256, mode="lut")
+        lut = ActivationUnit(mode="lut")
         acc = np.array([[-5, 7]], dtype=np.int32)
         s = TensorScale(1.0)
         out = lut.activate(acc, s, s, TensorScale(1.0), Activation.RELU)
@@ -110,29 +122,55 @@ class TestActivationLUT:
         assert np.array_equal(out, expected)
 
     def test_cycles_ceil(self):
-        unit = ActivationUnit(256)
-        assert unit.cycles(0) == 0
-        assert unit.cycles(1) == 1
-        assert unit.cycles(257) == 2
+        """The walk charges a pass ceil(elements / 256 lanes) cycles."""
+        passes = [
+            (VectorInstruction(kind=VectorKind.UNARY, src_row=0, dst_row=0, rows=0,
+                               lanes=5, scale_id=0), 0),
+            *(
+                (Activate(acc_row=0, ub_row=0, rows=rows, lanes=lanes,
+                          function=Activation.RELU, scale_id=0), cycles)
+                for rows, lanes, cycles in ((1, 1, 1), (1, 256, 1), (1, 257, 2), (3, 200, 3))
+            ),
+        ]
+        for instr, cycles in passes:
+            program = TPUProgram(
+                name="one-pass", instructions=(instr, Halt()), tiles={}, scales=(),
+                host_buffers={}, batch_size=1,
+            )
+            assert timing_run(program).counters["activation_cycles"] == cycles, instr
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ActivationUnit(0)
+            ActivationUnit(mode="magic")
         with pytest.raises(ValueError):
-            ActivationUnit(256, mode="magic")
-        with pytest.raises(ValueError):
-            ActivationUnit(256, lut_bits=2)
+            ActivationUnit(lut_bits=2)
 
     def test_vector_op_matches_reference_semantics(self):
-        unit = ActivationUnit(256)
+        """A UNARY vector pass dequantizes its UB codes, applies the
+        function and requantizes them into another UB tensor."""
         codes = np.array([[10, -10]], dtype=np.int8)
-        s_in = TensorScale(0.1)
-        s_out = TensorScale(0.01)
-        out = unit.vector_op(codes, s_in, s_out, Activation.TANH)
+        program = TPUProgram(
+            name="unary",
+            instructions=(
+                ReadHostMemory(buffer_id=0, ub_row=0, rows=1),
+                VectorInstruction(kind=VectorKind.UNARY, src_row=0, dst_row=1, rows=1,
+                                  lanes=2, scale_id=0, function=Activation.TANH),
+                WriteHostMemory(buffer_id=1, ub_row=1, rows=1),
+                Halt(),
+            ),
+            tiles={},
+            scales=(ScaleEntry(input_scale=TensorScale(0.1), output_scale=TensorScale(0.01)),),
+            host_buffers={},
+            batch_size=1,
+            metadata={"tensors": {"x": (0, 1, 2), "y": (1, 1, 2)}, "output_shape": (2,)},
+        )
+        out = TPUDevice(functional=True).run(program, host_input=codes).output
         expected = np.clip(
             np.rint(apply_activation(codes * 0.1, Activation.TANH) / 0.01), -128, 127
         )
         assert np.array_equal(out, expected.astype(np.int8))
+        oracle = PerInstructionRun(TPUDevice(functional=True), program, codes).execute()
+        assert out.tobytes() == oracle.output.tobytes()
 
 
 class TestDriverCaching:
@@ -265,17 +303,30 @@ class TestFailureInjection:
                             load_new_tile=True), Halt()),
             KeyError, "^0$",
         ),
-        ((object(), Halt()), TypeError, r"^device cannot execute <class 'object'>$"),
+        ((object(), Halt()), TypeError, r"^cannot seal <class 'object'> at index 0$"),
     ], ids=["unknown-tile-shifted-in", "unknown-instruction"])
     def test_malformed_program_raises_in_both_modes(
         self, instructions, error, message, functional
     ):
-        program = TPUProgram(
-            name="malformed", instructions=instructions, tiles={}, scales=(),
-            host_buffers={}, batch_size=1,
-        )
+        """A stream the device cannot run raises in both modes; an object
+        that is no instruction is refused before any run, when the
+        program is built."""
         with pytest.raises(error, match=message):
+            program = TPUProgram(
+                name="malformed", instructions=instructions, tiles={}, scales=(),
+                host_buffers={}, batch_size=1,
+            )
             TPUDevice(functional=functional).run(program)
+
+    def test_walk_refuses_an_unknown_opcode(self):
+        """Columns built by hand can hold an opcode no instruction has."""
+        fields = [np.array([0, Opcode.HALT]), *(np.zeros(2, dtype=np.int64) for _ in range(5))]
+        program = TPUProgram(
+            name="unknown-opcode", instructions=InstructionColumns(fields), tiles={},
+            scales=(), host_buffers={}, batch_size=1,
+        )
+        with pytest.raises(ValueError, match="^device cannot execute opcode 0$"):
+            TPUDevice().run(program)
 
     def test_breakdown_survives_trivial_program(self):
         program = TPUProgram(

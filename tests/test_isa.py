@@ -255,20 +255,24 @@ class TestSealedColumns:
         assert program.instruction_counts()["MATRIX_MULTIPLY"] == 2
         assert "16 instructions" in program.summary()
 
-    def test_a_stray_object_is_kept_and_refused_only_on_use(self):
-        """Sealing never raises: an object that is no instruction comes
-        back from the view, and encoding it raises as it always did."""
+    def test_a_stray_object_is_refused_when_sealed(self):
+        """An object that is no instruction fails the program's
+        construction, named by its type and its first index; encoding it
+        raises as it always did."""
         stray = object()
-        program = TPUProgram(
-            name="stray", instructions=(Nop(), stray, Halt()), tiles={}, scales=(),
-            host_buffers={}, batch_size=1,
-        )
-        assert list(program.instructions) == [Nop(), stray, Halt()]
-        assert program.instructions[1] is stray
+        with pytest.raises(TypeError, match="^cannot seal <class 'object'> at index 1$"):
+            TPUProgram(
+                name="stray", instructions=(Nop(), stray, Halt(), stray), tiles={},
+                scales=(), host_buffers={}, batch_size=1,
+            )
+        # The first stray in the stream is named, in either order of the
+        # objects' ids.
+        for strays in (("halt", 1.5), (1.5, "halt")):
+            name = type(strays[0]).__name__
+            with pytest.raises(TypeError, match=f"^cannot seal <class '{name}'> at index 2$"):
+                seal([Nop(), Halt(), *strays])
         with pytest.raises(TypeError, match="^cannot encode <class 'object'>$"):
-            program.binary()
-        with pytest.raises(TypeError, match="^cannot encode <class 'object'>$"):
-            encode_program(list(program.instructions))
+            encode_program([Nop(), stray, Halt()])
 
     def test_at_widths_rewrites_only_the_matmul_width_bits(self):
         columns = seal(SAMPLE_INSTRUCTIONS)

@@ -31,11 +31,7 @@ from repro.__main__ import main
 from repro.api import LLMServeScenario, ScenarioSpec, SpecError
 from repro.api.spec import load_scenario
 from repro.core.config import TPU_V1
-from repro.datacenter.llm_pools import (
-    PoolAutoscaleConfig,
-    PoolAutoscaler,
-    pool_controllers,
-)
+from repro.datacenter.llm_pools import CONTROL_INTERVAL_S, PoolAutoscaler, pool_controllers
 from repro.nn.workloads import build_workload
 from repro.platforms.kv import (
     DecodeTiming,
@@ -250,8 +246,7 @@ def parity_trace(scheduler, mode, *, chips=2, max_batch=32, kv_reserve_mib=2.0,
     controllers = {}
     if spec.autoscale:
         controllers = pool_controllers(
-            build_llm_config(spec), spec.prompt_tokens, spec.decode_tokens,
-            scale=PoolAutoscaleConfig(min_chips=1),
+            build_llm_config(spec), spec.prompt_tokens, spec.decode_tokens
         )
     cfg = build_llm_config(spec, **controllers)
     capacity = fleet_capacity_tokens_per_s(
@@ -317,7 +312,7 @@ class TestOracleParity:
                 # Bursts of 80 on the autoscaler's ticks (accumulated as the
                 # controller accumulates them): a backlog above its 64 per
                 # chip only if the burst is queued before the tick runs.
-                ticks = [PoolAutoscaleConfig().control_interval_s]
+                ticks = [CONTROL_INTERVAL_S]
                 while len(ticks) * 80 < arrivals.size:
                     ticks.append(ticks[-1] + ticks[0])
                 arrivals = np.asarray(ticks)[np.arange(arrivals.size) // 80]
@@ -455,10 +450,7 @@ class TestAutoscaledPools:
         spec = scenario(mode="disaggregated", chips=4, prefill_chips=2,
                         loads=(0.9,), autoscale=True)
         base = build_llm_config(spec)
-        controllers = pool_controllers(
-            base, spec.prompt_tokens, spec.decode_tokens,
-            scale=PoolAutoscaleConfig(min_chips=1),
-        )
+        controllers = pool_controllers(base, spec.prompt_tokens, spec.decode_tokens)
         cfg = build_llm_config(spec, **controllers)
         capacity = fleet_capacity_tokens_per_s(
             cfg, spec.prompt_tokens, spec.decode_tokens
@@ -479,7 +471,7 @@ class TestAutoscaledPools:
         assert result.decode_chip_seconds < 4.0 * result.horizon
 
     def test_autoscaler_desired_tracks_rate(self):
-        ctl = PoolAutoscaler("decode", chip_rps=100.0, cfg=PoolAutoscaleConfig())
+        ctl = PoolAutoscaler("decode", chip_rps=100.0)
         low = ctl.desired(1.0, queued=0, arrival_rate=50.0, active=1,
                           spinning=0, utilization=0.3)
         high = ctl.desired(2.0, queued=200, arrival_rate=500.0, active=1,
@@ -488,7 +480,7 @@ class TestAutoscaledPools:
 
     def test_rejects_nonpositive_chip_rate(self):
         with pytest.raises(ValueError, match="chip_rps"):
-            PoolAutoscaler("decode", chip_rps=0.0, cfg=PoolAutoscaleConfig())
+            PoolAutoscaler("decode", chip_rps=0.0)
 
 
 class TestDeterminism:

@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import TPU_V1
 from repro.core.matrix_unit import MatrixUnit, speed_factor
 from repro.core.systolic import SystolicArray
+from repro.isa.program import TileSpec
+from tests.conftest import one_tile_program, timing_run
+
+FULL_TILE = TileSpec(0, rows=256, cols=256)
 
 
 class TestSystolicArray:
@@ -102,14 +106,15 @@ class TestMatrixUnit:
             speed_factor(8, 32)
 
     def test_compute_cycles_scale_with_precision(self):
-        unit = MatrixUnit(TPU_V1)
-        assert unit.compute_cycles(100).compute_cycles == 100
-        assert unit.compute_cycles(100, 16, 16).compute_cycles == 400
+        for bits, cycles in (((8, 8), 100), ((8, 16), 200), ((16, 8), 200), ((16, 16), 400)):
+            program = one_tile_program(FULL_TILE, rows=100, weight_bits=bits[0],
+                                       activation_bits=bits[1])
+            assert timing_run(program).counters["array_active_cycles"] == cycles, bits
 
     def test_partial_tile_zero_padding(self):
         unit = MatrixUnit(TPU_V1)
         tile = np.ones((3, 5), dtype=np.int8)
-        unit.install_tile(0, tile)
+        unit.install_tile(tile)
         x = np.full((2, 3), 2, dtype=np.int8)
         out = unit.multiply(x)
         assert out.shape == (2, 256)
@@ -120,18 +125,21 @@ class TestMatrixUnit:
         rng = np.random.default_rng(3)
         unit = MatrixUnit(TPU_V1)
         tile = rng.integers(-128, 128, size=(256, 256)).astype(np.int8)
-        unit.install_tile(1, tile)
+        unit.install_tile(tile)
         x = rng.integers(-128, 128, size=(17, 256)).astype(np.int8)
         assert np.array_equal(
             unit.multiply(x), x.astype(np.int32) @ tile.astype(np.int32)
         )
 
     def test_useful_fraction(self):
-        unit = MatrixUnit(TPU_V1)
-        assert unit.useful_fraction(256, 256) == 1.0
-        assert unit.useful_fraction(128, 256) == 0.5
-        with pytest.raises(ValueError):
-            unit.useful_fraction(257, 1)
+        """The walk weights active cycles by the tile's share of the array."""
+        full = timing_run(one_tile_program(FULL_TILE, rows=10)).counters
+        assert full["useful_mac_cycles"] == full["array_active_cycles"] == 10
+        half = timing_run(one_tile_program(TileSpec(0, rows=128, cols=256), rows=10)).counters
+        assert half["useful_mac_cycles"] == 5.0
+        assert half["macs_issued"] == 10 * 128 * 256
+        with pytest.raises(ValueError, match="exceeds the 256x256 array"):
+            MatrixUnit(TPU_V1).install_tile(np.zeros((257, 1), dtype=np.int8))
 
     def test_requires_tile_for_functional(self):
         unit = MatrixUnit(TPU_V1)
@@ -140,6 +148,6 @@ class TestMatrixUnit:
 
     def test_rejects_float_input(self):
         unit = MatrixUnit(TPU_V1)
-        unit.install_tile(0, np.zeros((4, 4), dtype=np.int8))
+        unit.install_tile(np.zeros((4, 4), dtype=np.int8))
         with pytest.raises(TypeError):
             unit.multiply(np.zeros((1, 4), dtype=np.float32))
