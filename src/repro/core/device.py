@@ -282,9 +282,10 @@ def _walk(
     weight shift and the RAW/PCIe-input sub-counters.  The counters are
     added to ``bank``, which a functional run has already charged with
     its data counters; ``output`` is that run's output codes.  A
-    malformed stream raises: an unknown opcode, a ``load_new_tile``
-    matmul with the Weight FIFO empty, or a tile missing from
-    ``program.tiles``.
+    malformed stream raises: a ``load_new_tile`` matmul with the Weight
+    FIFO empty, or a tile missing from ``program.tiles``.  An unknown
+    opcode is refused when the columns are built; the walk still names
+    one if a column is replaced afterwards.
     """
     columns = program.instructions
     deps, slots = _sidecar(program)

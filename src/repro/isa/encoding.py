@@ -278,6 +278,11 @@ FIELD_COLUMNS = ("opcode", "flags", "ub", "acc", "length", "extent")
 _DTYPES = (np.uint8, np.uint16, np.uint32, np.uint32, np.uint32, np.uint32)
 
 
+#: Whether each byte value is an opcode, indexed by the byte.
+_KNOWN_OPCODE = np.zeros(256, dtype=bool)
+_KNOWN_OPCODE[list(Opcode)] = True
+
+
 def _frozen(values: np.ndarray, dtype) -> np.ndarray:
     column = np.ascontiguousarray(values, dtype=dtype)
     column.flags.writeable = False
@@ -291,6 +296,10 @@ class InstructionColumns(Sequence):
     decodes nothing, while indexing and iteration build each instruction
     object on demand and keep none.  The device walk, :func:`encode_columns`
     and :meth:`at_widths` read the columns themselves.
+
+    Every opcode must be one of :class:`~repro.isa.opcodes.Opcode`; the
+    first that is not raises ``ValueError`` naming its index and value,
+    so no run, decode or encode meets it.
 
     A stream the compiler sealed also holds its dependency sidecar
     (``deps``) and the sidecar's token count (``deps_tokens``), fixed at
@@ -309,6 +318,10 @@ class InstructionColumns(Sequence):
     ) -> None:
         for name, dtype, column in zip(FIELD_COLUMNS, _DTYPES, columns):
             setattr(self, name, _frozen(column, dtype))
+        unknown = np.flatnonzero(~_KNOWN_OPCODE[self.opcode])
+        if unknown.size:
+            at = int(unknown[0])
+            raise ValueError(f"cannot seal unknown opcode {self.opcode[at]} at index {at}")
         self.operand = _operands(self.opcode, self.length, self.extent)
         if deps is not None and len(deps) != len(self.opcode):
             raise ValueError(

@@ -308,8 +308,13 @@ class FleetSim:
     def _launch(self, replica: Replica, n: int, now: float) -> None:
         if self._observe:
             self._pre_launch(replica, len(replica.queue))
-        popleft = replica.queue.popleft
-        batch = [popleft() for _ in range(n)]
+        queue = replica.queue
+        if n == len(queue):
+            batch = list(queue)
+            queue.clear()
+        else:
+            popleft = queue.popleft
+            batch = [popleft() for _ in range(n)]
         done = replica.server.start_batch(now, n)
         if n >= 32:
             # Completion scheduling over arrays: one float64 subtraction
@@ -469,10 +474,12 @@ class FleetSim:
         arrival that would launch a batch, so inside it busy replicas
         stay busy and idle ones idle.  Under exactly
         :class:`ShortestQueueRouter` every window goes through
-        :meth:`_jsq_window`, unless an idle replica's batcher is not one
-        of the in-tree ones it replays.  Round-robin opens a window only
-        while every eligible replica is busy: ``poll`` then returns at
-        once, so the window is strided slices of queue appends.
+        :meth:`_jsq_window` (busy replicas' runs as queue extends, idle
+        replicas' polls replayed), unless an idle replica's batcher is
+        not one of the in-tree ones it replays.  Round-robin opens a
+        window only while every eligible replica is busy: ``poll`` then
+        returns at once, so the window is strided slices of queue
+        appends.
 
         The final arrival always takes the per-arrival path: its
         ``_on_arrival`` triggers the end-of-trace drain polls.  Returns
@@ -512,49 +519,89 @@ class FleetSim:
         return j
 
     def _jsq_window(self, i: int, j: int, eligible: list[Replica]) -> int:
-        """Replay join-shortest-queue arrival by arrival over ``i:j``.
+        """Replay join-shortest-queue over ``i:j``, a run of arrivals at a time.
 
         Each replica's busy flag is fixed inside the window, so the pick
         is the minimum of (queue length, busy, list index), kept in a
-        heap.  An arrival sent to a busy replica is a queue append; one
-        sent to an idle replica replays :meth:`poll`, ending the window
-        before an arrival that would launch and otherwise pushing its
-        timer with the sequence number ``EventLoop.schedule`` would
-        give.  The window also ends before the earliest such timer.
-        Returns the first unconsumed index.
+        heap.  A busy replica holding the minimum keeps it until its
+        queue passes the runner-up's key, so its run of arrivals is one
+        queue extend; once every eligible replica is busy at one depth,
+        the picks go round in list order and the rest of the window is
+        strided slices.  An arrival sent to an idle replica replays
+        :meth:`poll`, ending the window before an arrival that would
+        launch and otherwise pushing its timer with the sequence number
+        ``EventLoop.schedule`` would give.  The window also ends before
+        the earliest such timer.  Returns the first unconsumed index.
         """
         times = self._times
         now = times[i]
         keys = [(len(r.queue), r.server.free_at > now, q) for q, r in enumerate(eligible)]
+        count = len(keys)
+        top = max(keys)[0]  # the deepest queue
         heapq.heapify(keys)
-        loop = self.loop
-        timers = loop._heap
-        push, replace = heapq.heappush, heapq.heapreplace
+        replace = heapq.heapreplace
         bound = math.inf  # the earliest timer this window pushed
-        for k in range(i, j):
-            when = times[k]
-            if when >= bound:
-                return k
+        k = i
+        while k < j:
             depth, busy, q = keys[0]
             replica = eligible[q]
             queue = replica.queue
-            if not busy:
-                batcher = replica.batcher
-                oldest = times[queue[0]] if queue else when
-                if batcher.dispatch_size(depth + 1, when - oldest):
+            if busy:
+                if depth == top:
+                    # Every depth is equal, and an idle replica would hold
+                    # the minimum: all are busy, so picks go in list order.
+                    for offset in range(min(count, j - k)):
+                        replica = eligible[offset]
+                        indices = range(k + offset, j, count)
+                        replica.queue.extend(indices)
+                        replica.admitted += len(indices)
+                    return j
+                # The minimum keeps winning while its key is below the
+                # runner-up's: up to the runner-up's depth, one further
+                # when that one is busy too and later in the list.
+                second = keys[1]
+                if count > 2 and keys[2] < second:
+                    second = keys[2]
+                stop = k + second[0] - depth + (second[1] and q < second[2])
+                if stop > j:
+                    stop = j
+                end = stop
+                if times[stop - 1] >= bound:
+                    end = bisect_left(times, bound, k, stop)
+                queue.extend(range(k, end))
+                replica.admitted += end - k
+                if end < stop:
+                    return end
+                depth += end - k
+                replace(keys, (depth, True, q))
+                if depth > top:
+                    top = depth
+                k = end
+                continue
+            when = times[k]
+            if when >= bound:
+                return k
+            batcher = replica.batcher
+            oldest = times[queue[0]] if queue else when
+            if batcher.dispatch_size(depth + 1, when - oldest):
+                return k
+            deadline = batcher.wait_deadline(depth + 1, oldest)
+            if deadline is not None:
+                if deadline <= when:
                     return k
-                deadline = batcher.wait_deadline(depth + 1, oldest)
-                if deadline is not None:
-                    if deadline <= when:
-                        return k
-                    seq = loop._seq
-                    loop._seq = seq + 1
-                    push(timers, (deadline, seq, _PollTimer(self, replica)))
-                    if deadline < bound:
-                        bound = deadline
+                loop = self.loop
+                seq = loop._seq
+                loop._seq = seq + 1
+                heapq.heappush(loop._heap, (deadline, seq, _PollTimer(self, replica)))
+                if deadline < bound:
+                    bound = deadline
             queue.append(k)
             replica.admitted += 1
-            replace(keys, (depth + 1, busy, q))
+            depth += 1
+            replace(keys, (depth, False, q))
+            if depth > top:
+                top = depth
+            k += 1
         return j
 
     def _scan_applies(self) -> bool:

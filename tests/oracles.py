@@ -17,6 +17,11 @@ compares the production path with a second, live implementation:
   token scoreboard and engine clocks advanced one instruction at a time,
   each instruction adding its own counters, with a serial chain for
   programs without a dependency sidecar;
+* :func:`reference_jsq_window` -- ``FleetSim._jsq_window`` one arrival
+  at a time: a heap pick and a queue append each, and a replay of
+  ``poll`` for every arrival to an idle replica, where the production
+  window takes a busy replica's run as one extend and an all-busy
+  level as strided slices;
 * :func:`no_bulk_admission` -- stands in for ``FleetSim._bulk_admit``
   with its "nothing admitted" answer, so every arrival takes the
   per-arrival admission path: no round-robin or JSQ window, whether
@@ -43,6 +48,7 @@ checks that render paper tables end to end in a fresh interpreter.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, deque
 
@@ -74,6 +80,7 @@ from repro.isa.instructions import (
 from repro.isa.program import TileSpec
 from repro.serving.continuous import ContinuousBatchingSim, _Chip, _LLMRequest
 from repro.serving.engine import BatchServer, EventLoop, LatencyCurve
+from repro.serving.fleet import _PollTimer
 
 
 class ReferenceDepTracker:
@@ -515,6 +522,47 @@ class PerInstructionRun(_DataPass):
 def no_bulk_admission(sim, i, top_when):
     """Admit nothing in bulk: every arrival takes the per-arrival path."""
     return i
+
+
+def reference_jsq_window(sim, i, j, eligible):
+    """``FleetSim._jsq_window`` one arrival at a time: a heap pick per
+    arrival over (queue length, busy, list index), a queue append to a
+    busy replica, and a replay of ``poll`` for an idle one, ending the
+    window before an arrival that would launch and before the earliest
+    timer the window pushed."""
+    times = sim._times
+    now = times[i]
+    keys = [(len(r.queue), r.server.free_at > now, q) for q, r in enumerate(eligible)]
+    heapq.heapify(keys)
+    loop = sim.loop
+    timers = loop._heap
+    push, replace = heapq.heappush, heapq.heapreplace
+    bound = math.inf  # the earliest timer this window pushed
+    for k in range(i, j):
+        when = times[k]
+        if when >= bound:
+            return k
+        depth, busy, q = keys[0]
+        replica = eligible[q]
+        queue = replica.queue
+        if not busy:
+            batcher = replica.batcher
+            oldest = times[queue[0]] if queue else when
+            if batcher.dispatch_size(depth + 1, when - oldest):
+                return k
+            deadline = batcher.wait_deadline(depth + 1, oldest)
+            if deadline is not None:
+                if deadline <= when:
+                    return k
+                seq = loop._seq
+                loop._seq = seq + 1
+                push(timers, (deadline, seq, _PollTimer(sim, replica)))
+                if deadline < bound:
+                    bound = deadline
+        queue.append(k)
+        replica.admitted += 1
+        replace(keys, (depth + 1, busy, q))
+    return j
 
 
 def no_batch_scan(sim):

@@ -318,15 +318,17 @@ class TestFailureInjection:
             )
             TPUDevice(functional=functional).run(program)
 
-    def test_walk_refuses_an_unknown_opcode(self):
-        """Columns built by hand can hold an opcode no instruction has."""
-        fields = [np.array([0, Opcode.HALT]), *(np.zeros(2, dtype=np.int64) for _ in range(5))]
-        program = TPUProgram(
-            name="unknown-opcode", instructions=InstructionColumns(fields), tiles={},
-            scales=(), host_buffers={}, batch_size=1,
-        )
-        with pytest.raises(ValueError, match="^device cannot execute opcode 0$"):
-            TPUDevice().run(program)
+    def test_columns_refuse_an_unknown_opcode(self):
+        """Columns built by hand can hold an opcode no instruction has;
+        building them refuses the first one, before a run, a decode or
+        an encode can meet it."""
+        for opcodes, message in (
+            ((0, Opcode.HALT), "opcode 0 at index 0"),
+            ((Opcode.NOP, 99, 0, Opcode.HALT), "opcode 99 at index 1"),
+        ):
+            fields = [np.array(opcodes), *(np.zeros(len(opcodes), dtype=np.int64) for _ in range(5))]
+            with pytest.raises(ValueError, match=f"^cannot seal unknown {message}$"):
+                InstructionColumns(fields)
 
     def test_breakdown_survives_trivial_program(self):
         program = TPUProgram(

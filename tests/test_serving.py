@@ -1,13 +1,18 @@
 """Fleet serving simulator tests: batchers, routers, traffic, sweeps."""
 
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
 import weakref
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.latency.queueing import simulate_batch_queue
 from repro.serving.batcher import (
@@ -1061,6 +1066,125 @@ class TestJSQWindowParity(ParityFleets):
         assert metrics["serving.queue_depth_at_launch"]["max"] > 1
 
 
+class RecordingQueue(deque):
+    """A replica queue that logs what each ``extend`` (a range) and each
+    ``append`` (an index) admits."""
+
+    def __init__(self, log, items):
+        super().__init__(items)
+        self.log = log
+
+    def extend(self, items):
+        self.log.append(items)
+        super().extend(items)
+
+    def append(self, item):
+        self.log.append(item)
+        super().append(item)
+
+
+class TestJSQWindowOracle:
+    """``FleetSim._jsq_window`` against ``oracles.reference_jsq_window``,
+    the per-arrival replay, on seeded random window states built twice:
+    1-5 replicas, each with a fixed, timeout or SLO-adaptive batcher,
+    busy or idle, with 0-6 requests queued; a sorted trace on a 2^-13 s
+    grid, so timestamps repeat and deadlines land on arrivals; and a few
+    timers already on the loop.  Both must return the same index and
+    leave the same queues, admissions, timer heap and sequence counter.
+    """
+
+    STEP = 2.0**-13
+
+    def _state(self, seed, log=None):
+        """A window state ``(sim, i, j)`` drawn from ``seed``; with
+        ``log``, every queue is a :class:`RecordingQueue` writing to it."""
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 6))
+        curve = GrowingCurve()  # adaptive wait budgets (10 - L) grid steps
+        replicas = []
+        for q in range(count):
+            policy = int(rng.integers(3))
+            batch = int(rng.choice([1, 2, 4, 8]))
+            if policy == 0:
+                batcher = FixedBatcher(batch)
+            elif policy == 1:
+                batcher = TimeoutBatcher(batch, int(rng.integers(9)) * self.STEP)
+            else:
+                batcher = SLOAdaptiveBatcher(
+                    9 * 2.0**-12, curve, candidates=(1, batch),
+                    service_share=1.0, slo_margin=1.0,
+                )
+            replicas.append(Replica(curve, batcher, name=f"r{q}"))
+        depths = rng.integers(0, 7, count)
+        queued = int(depths.sum())
+        n = queued + int(rng.integers(1, 48)) + 1
+        span = int(n * rng.uniform(0.1, 2.0)) + 1
+        times = np.sort(rng.integers(0, span, n)) * self.STEP
+        sim = FleetSim(replicas, make_router("jsq"), times)
+        owners = rng.permutation(np.repeat(np.arange(count), depths)).tolist()
+        now = sim._times[queued]
+        for q, replica in enumerate(replicas):
+            items = [index for index, owner in enumerate(owners) if owner == q]
+            replica.queue = deque(items) if log is None else RecordingQueue(log, items)
+            replica.admitted = len(items)
+            if rng.integers(2):
+                replica.server.free_at = now + int(rng.integers(1, 64)) * self.STEP
+            else:
+                replica.server.free_at = now - int(rng.integers(0, 4)) * self.STEP
+        sim.loop._seq = int(rng.integers(1000))
+        for _ in range(int(rng.integers(3))):
+            when = now + int(rng.integers(64)) * self.STEP
+            sim.loop.schedule(when, _PollTimer(sim, replicas[int(rng.integers(count))]))
+        return sim, queued, n - 1
+
+    @staticmethod
+    def _timers(sim):
+        return [(when, seq, sim.replicas.index(t.replica)) for when, seq, t in sim.loop._heap]
+
+    def test_matches_the_per_arrival_replay(self):
+        reached = Counter()
+        for seed in range(4000):
+            log = []
+            sim, i, j = self._state(seed, log)
+            ref, _, _ = self._state(seed)
+            seq = sim.loop._seq
+            got = sim._jsq_window(i, j, sim.eligible)
+            want = oracles.reference_jsq_window(ref, i, j, ref.eligible)
+            assert got == want, seed
+            assert [list(r.queue) for r in sim.replicas] == [list(r.queue) for r in ref.replicas]
+            assert [r.admitted for r in sim.replicas] == [r.admitted for r in ref.replicas]
+            assert self._timers(sim) == self._timers(ref), seed
+            assert sim.loop._seq == ref.loop._seq
+
+            count = len(sim.replicas)
+            for item in log:
+                if type(item) is int:
+                    reached["idle poll replay"] += 1
+                elif len(item) >= 2 and count > 1:
+                    reached["busy run of two or more" if item.step == 1 else "all-busy strided round"] += 1
+            if got < j:
+                when = sim._times[got]
+                bound = min((t for t, s, _ in sim.loop._heap if s >= seq), default=math.inf)
+                now = sim._times[i]
+                _, busy, _ = min(
+                    (len(r.queue), r.server.free_at > now, q) for q, r in enumerate(sim.eligible)
+                )
+                if when < bound:
+                    reached["cut at a launching arrival"] += 1
+                elif busy and when == bound:
+                    reached["busy pick cut at a timer tie"] += 1
+                else:
+                    reached["cut at a pushed timer"] += 1
+        assert set(reached) == {
+            "idle poll replay",
+            "busy run of two or more",
+            "all-busy strided round",
+            "cut at a pushed timer",
+            "busy pick cut at a timer tie",
+            "cut at a launching arrival",
+        }, reached
+
+
 class TestSimLifetime(ParityFleets):
     """A finished ``FleetSim`` is freed by reference counting alone.  A
     reference cycle through the sim (per-replica poll closures cached on
@@ -1084,6 +1208,52 @@ class TestSimLifetime(ParityFleets):
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestFreshProcesses:
+    """One seed gives one JSQ fleet in any process: two interpreters with
+    different hash seeds print identical rows and metadata, equal to
+    ``repro.run`` of the same scenario in this process."""
+
+    @pytest.mark.parametrize("extra, fields", [
+        ((), {}),
+        # Past capacity: windows open with every replica busy, so their
+        # picks go round in strided slices.
+        (("--policy", "fixed", "--batch", "128", "--loads", "1.5"),
+         {"policy": "fixed", "batch": 128, "loads": (1.5,)}),
+    ], ids=["adaptive", "fixed-overloaded"])
+    def test_jsq_fleet_agrees_bit_for_bit(self, monkeypatch, extra, fields):
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outs = []
+        for hashseed in ("0", "424242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--router", "jsq",
+                 "--replicas", "4", "--traffic", "diurnal", "--requests", "20000",
+                 *extra, "--json"],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": hashseed},
+            )
+            outs.append(json.loads(proc.stdout))
+        assert outs[0]["rows"] == outs[1]["rows"]
+        assert outs[0]["metadata"] == outs[1]["metadata"]
+
+        busy_windows = 0
+        window = FleetSim._jsq_window
+
+        def spy(sim, i, j, eligible):
+            nonlocal busy_windows
+            now = sim._times[i]
+            busy_windows += all(r.server.free_at > now for r in eligible)
+            return window(sim, i, j, eligible)
+
+        monkeypatch.setattr(FleetSim, "_jsq_window", spy)
+        scenario = repro.ServeScenario(
+            router="jsq", replicas=4, traffic="diurnal", requests=20000, **fields
+        )
+        local = json.loads(json.dumps(repro.run(scenario).to_dict()))
+        assert local["rows"] == outs[0]["rows"]
+        assert local["metadata"] == outs[0]["metadata"]
+        assert busy_windows > 0
 
 
 def test_batch_scan_engaged_by_default(monkeypatch):
