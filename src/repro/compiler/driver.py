@@ -39,11 +39,6 @@ class CompiledModel:
     def ub_peak_bytes(self) -> int:
         return self.program.metadata["ub_peak_bytes"]
 
-    @property
-    def weight_traffic_bytes(self) -> int:
-        """Weight Memory bytes streamed per batch (padded tiles)."""
-        return self.program.metadata["weight_traffic_bytes"]
-
     def host_seconds_per_batch(self) -> float:
         """Host interaction time: PCIe payloads plus driver overhead.
 

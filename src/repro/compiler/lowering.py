@@ -68,7 +68,6 @@ from repro.isa.instructions import (
     check_operand_widths,
     pack_pooling_config,
 )
-from repro.isa.opcodes import Opcode
 from repro.isa.program import HostBufferSpec, ScaleEntry, TileSpec, TPUProgram
 from repro.nn.graph import Model
 from repro.nn.layers import (
@@ -1131,7 +1130,6 @@ class Lowering:
         deps = tuple(self._deps)
         instructions = seal(self._instructions, deps, self._tracker._next)
         metadata_rest = {
-            "weight_traffic_bytes": self._weight_traffic_bytes(instructions),
             "macs_per_batch": model.macs_per_batch,
             "input_layout": self._input_layout(),
             "input_shape": model.input_shape,
@@ -1149,29 +1147,6 @@ class Lowering:
             requests=tuple(self._requests),
             metadata_rest=metadata_rest,
         )
-
-    def _weight_traffic_bytes(self, instructions: InstructionColumns) -> int:
-        """DRAM bytes moved by the emitted Read_Weights stream.
-
-        Static trained tiles stream padded (the full 64 KiB plane);
-        dynamic attention tiles (K^T/V staged per head per example) move
-        their packed bytes only.  Computed as arrays: per-tile byte
-        charges times per-tile fetch counts.
-        """
-        ids = instructions.operand[instructions.opcode == Opcode.READ_WEIGHTS]
-        if not len(ids):
-            return 0
-        tiles = self._tiles  # keyed 0..N-1 in insertion order
-        charges = np.fromiter(
-            (
-                spec.rows * spec.cols if spec.dynamic else self.config.tile_bytes
-                for spec in tiles.values()
-            ),
-            dtype=np.int64,
-            count=len(tiles),
-        )
-        counts = np.bincount(ids.astype(np.intp), minlength=len(tiles))
-        return int(counts @ charges)
 
     def _declare_staging(self, input_t: LoweredTensor, output_t: LoweredTensor, n_layers: int) -> None:
         """Reserve the driver's batch-staging region for all-FC models.

@@ -259,7 +259,7 @@ class AutoscaledFleet:
     def _clamp(self, n: int) -> int:
         return min(max(n, self.config.min_replicas), self.config.max_replicas)
 
-    def run(self, arrivals: np.ndarray, drain: bool = True) -> AutoscaleResult:
+    def run(self, arrivals: np.ndarray) -> AutoscaleResult:
         arrivals = np.asarray(arrivals, dtype=float)
         cfg = self.config
         interval = cfg.control_interval_seconds
@@ -274,7 +274,7 @@ class AutoscaledFleet:
         )
         initial = self._clamp(self.policy.desired_replicas(boot))
         replicas = [self.make_replica(i) for i in range(initial)]
-        sim = FleetSim(replicas, self.router, arrivals, drain=drain)
+        sim = FleetSim(replicas, self.router, arrivals)
 
         powered_on = {id(r): 0.0 for r in replicas}
         deactivated_at: dict[int, float] = {}

@@ -138,8 +138,8 @@ def _poisson_pmf(mu: float, mmax: int) -> np.ndarray:
 def _adaptive_window(batcher: SLOAdaptiveBatcher, lam: float) -> float:
     """Effective collection window of the SLO-adaptive policy at rate lam.
 
-    The dispatch condition is ``age >= budget(q)`` with ``budget(q) =
-    margin * slo - latency(q)`` shrinking as the queue grows, so the
+    A partial batch launches at ``oldest + budget(q)``, with ``budget(q)
+    = margin * slo - latency(q)`` shrinking as the queue grows, so the
     window length is the fixed point ``tau = budget(lam * tau)`` --
     solved by damped iteration against the real latency curve.
     """

@@ -71,8 +71,9 @@ class FullyConnected:
     (LSTM1's 600x600 matrices): it is applied once per time step, and --
     because the TPU streams a model's weights layer-by-layer every step --
     its weights are re-read from Weight Memory ``steps`` times per batch.
-    A flat input whose total element count equals ``in_features`` is
-    flattened implicitly (conv -> FC transitions).
+    A multi-axis input is flattened implicitly when its element count,
+    but not its last axis, equals ``in_features`` (conv -> FC
+    transitions); a ``(1, in_features)`` token row stays a row.
 
     ``tokens > 1`` marks a *per-token* projection (a transformer FFN or
     output head): the same weight matrix is applied independently to each
@@ -144,7 +145,11 @@ class FullyConnected:
                 f"{self.name}: per-token FC expects ({self.tokens}, "
                 f"{self.in_features}), got {input_shape}"
             )
-        if len(input_shape) > 1 and math.prod(input_shape) == self.in_features:
+        if (
+            len(input_shape) > 1
+            and input_shape[-1] != self.in_features
+            and math.prod(input_shape) == self.in_features
+        ):
             return (self.out_features,)  # implicit flatten after conv/pool
         if input_shape[-1] != self.in_features:
             raise ValueError(

@@ -6,18 +6,21 @@ batch must wait for the batch to fill *and* for the batch to run, and the
 99th-percentile deadline bounds that sum (Table 4's 7 ms limit caps the
 TPU at batch ~200, 80% of peak).
 
-* :class:`FixedBatcher` -- dispatch only full batches (the legacy
-  ``simulate_batch_queue`` behaviour).
-* :class:`TimeoutBatcher` -- dispatch a full batch, or whatever has
-  accumulated once the oldest request has waited ``timeout_seconds``.
-* :class:`SLOAdaptiveBatcher` -- pick the largest batch whose predicted
-  response still fits the deadline, using the platform's batch latency
-  curve; dispatch early when the oldest request's slack runs out.
+A policy is a batch cap ``max_batch`` and a deadline ``wait_deadline``.
+A replica with a free server launches ``min(len(queue), max_batch)``
+requests when its queue holds ``max_batch``, when the head's deadline is
+at or before now, or at the end of the trace:
+
+* :class:`FixedBatcher` -- no deadline: only full batches, and the
+  partial one the trace ends with.
+* :class:`TimeoutBatcher` -- the head waits at most ``timeout_seconds``.
+* :class:`SLOAdaptiveBatcher` -- the cap is the largest batch whose
+  predicted response still fits the SLO, using the platform's batch
+  latency curve; the head waits only as long as its slack allows.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from collections.abc import Sequence
 
@@ -25,35 +28,28 @@ from repro.platforms.base import BATCH_CANDIDATES
 from repro.serving.engine import LatencyCurve
 
 
-class Batcher(abc.ABC):
-    """Decides, given the queue state, whether to launch a batch now.
+class Batcher:
+    """A batch cap and a wait deadline (see the module docstring).
 
     ``max_batch`` is the policy's largest admissible batch; the fleet
-    uses it to size drain batches and to express offered load as a
-    fraction of capacity.
+    also uses it to express offered load as a fraction of capacity.
     """
 
     max_batch: int
 
-    @abc.abstractmethod
-    def dispatch_size(self, queue_len: int, oldest_age: float) -> int:
-        """How many queued requests to dispatch now (0 = keep waiting)."""
-
     def wait_deadline(self, queue_len: int, oldest_arrival: float) -> float | None:
-        """Absolute time at which waiting must end (None = wait forever)."""
+        """Absolute time at which waiting must end (None: no deadline)."""
         return None
 
 
 class FixedBatcher(Batcher):
-    """Dispatch exactly ``batch_size`` requests, never a partial batch."""
+    """Launch full ``batch_size`` batches; only the trace's end launches a
+    partial one."""
 
     def __init__(self, batch_size: int) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.max_batch = batch_size
-
-    def dispatch_size(self, queue_len: int, oldest_age: float) -> int:
-        return self.max_batch if queue_len >= self.max_batch else 0
 
 
 class TimeoutBatcher(Batcher):
@@ -67,13 +63,6 @@ class TimeoutBatcher(Batcher):
         self.max_batch = batch_size
         self.timeout_seconds = timeout_seconds
 
-    def dispatch_size(self, queue_len: int, oldest_age: float) -> int:
-        if queue_len >= self.max_batch:
-            return self.max_batch
-        if queue_len > 0 and oldest_age >= self.timeout_seconds:
-            return queue_len
-        return 0
-
     def wait_deadline(self, queue_len: int, oldest_arrival: float) -> float | None:
         return oldest_arrival + self.timeout_seconds if queue_len else None
 
@@ -84,9 +73,9 @@ class SLOAdaptiveBatcher(Batcher):
     The target batch is the largest candidate whose batch latency uses at
     most ``service_share`` of the SLO (the rest of the budget absorbs
     collection and queueing).  A partial batch is launched as soon as the
-    oldest request could no longer make the deadline by waiting -- i.e.
-    when ``oldest_age + latency(queue_len) >= slo_margin * slo_seconds``
-    is imminent (the margin keeps responses strictly inside the SLO).
+    oldest request could no longer make the deadline by waiting: at
+    ``oldest + slo_margin * slo_seconds - latency(queue_len)`` (the
+    margin keeps responses strictly inside the SLO).
     At low load every response therefore lands inside the SLO; at
     overload the queue itself blows the budget, which is the physics the
     paper's Table 4 rows at 100% max IPS exhibit.
@@ -149,13 +138,6 @@ class SLOAdaptiveBatcher(Batcher):
         if queue_len < self.max_batch:
             return (self._budgets or self.wait_budgets())[queue_len]
         return self._budget(queue_len)
-
-    def dispatch_size(self, queue_len: int, oldest_age: float) -> int:
-        if queue_len >= self.max_batch:
-            return self.max_batch
-        if queue_len > 0 and oldest_age >= self._wait_budget(queue_len):
-            return queue_len
-        return 0
 
     def wait_deadline(self, queue_len: int, oldest_arrival: float) -> float | None:
         if not queue_len:

@@ -192,7 +192,6 @@ class FleetResult:
     busy_time: float
     served_per_replica: tuple[int, ...]
     batches_per_replica: tuple[int, ...]
-    unserved: int = 0  # requests still queued at the end (drain=False)
     #: Per-replica busy (start, end) intervals -- the utilization
     #: timelines the datacenter energy accounting integrates.
     busy_intervals: tuple[tuple[tuple[float, float], ...], ...] = ()
@@ -214,8 +213,19 @@ class FleetResult:
 
 
 #: Batchers whose polls a JSQ admission window replays (exact types: a
-#: subclass may override either call or keep state across polls).
+#: subclass may override ``wait_deadline`` or keep state across polls).
 _REPLAYED_BATCHERS = (FixedBatcher, TimeoutBatcher, SLOAdaptiveBatcher)
+
+
+def _deal(replicas: list[Replica], start: int, i: int, j: int) -> None:
+    """Admit arrivals ``i:j`` round-robin over ``replicas``, the first to
+    ``replicas[start % len(replicas)]``: one strided slice each."""
+    count = len(replicas)
+    for offset in range(min(count, j - i)):
+        replica = replicas[(start + offset) % count]
+        indices = range(i + offset, j, count)
+        replica.queue.extend(indices)
+        replica.admitted += len(indices)
 
 
 class _PollTimer:
@@ -253,7 +263,6 @@ class FleetSim:
         replicas: Sequence[Replica],
         router: Router,
         arrivals: np.ndarray,
-        drain: bool = True,
     ) -> None:
         arrivals = np.asarray(arrivals, dtype=float)
         if arrivals.ndim != 1:
@@ -267,7 +276,6 @@ class FleetSim:
         self.eligible: list[Replica] = list(replicas)  # routing targets
         self.router = router
         self.arrivals = arrivals
-        self.drain = drain
         self.loop = EventLoop()
         self.responses = np.full(arrivals.size, np.nan)
         self.pending = arrivals.size  # arrivals not yet processed
@@ -281,29 +289,28 @@ class FleetSim:
         self._tids: dict[int, int] = {id(r): i for i, r in enumerate(self.replicas)}
 
     def poll(self, replica: Replica) -> None:
-        """Launch a batch on ``replica`` if its policy says so."""
+        """Launch a batch on ``replica`` if its server is free and its
+        queue is full, its head's deadline has come, or the trace has
+        ended; otherwise set a timer for the deadline.
+
+        Deadlines are compared, never ages: the timer fires at exactly
+        the float ``wait_deadline`` returns, which ``now - oldest >=
+        budget`` can pass one ulp earlier.
+        """
         now = self.loop.now
         queue = replica.queue
         if not queue or replica.server.free_at > now:
             return
-        oldest = self._times[queue[0]]
-        n = replica.batcher.dispatch_size(len(queue), now - oldest)
-        if n == 0:
-            # Compare absolute deadlines, not ages: recomputing the
-            # deadline reproduces the exact float a timer fired at,
-            # where age arithmetic can round just below the budget
-            # and spin the loop at zero delay.
-            deadline = replica.batcher.wait_deadline(len(replica.queue), oldest)
-            if deadline is not None and deadline <= now:
-                n = min(len(replica.queue), replica.batcher.max_batch)
-            elif self.pending == 0 and self.drain:
-                # End of trace: serve the leftover partial batch.
-                n = min(len(replica.queue), replica.batcher.max_batch)
-            elif deadline is not None:
-                self.loop.schedule(deadline, _PollTimer(self, replica))
-        if n > 0:
-            self._launch(replica, n, now)
-            self.loop.schedule(replica.server.free_at, _PollTimer(self, replica))
+        batcher = replica.batcher
+        n = len(queue)
+        if n < batcher.max_batch and self.pending:
+            deadline = batcher.wait_deadline(n, self._times[queue[0]])
+            if deadline is None or deadline > now:
+                if deadline is not None:
+                    self.loop.schedule(deadline, _PollTimer(self, replica))
+                return
+        self._launch(replica, min(n, batcher.max_batch), now)
+        self.loop.schedule(replica.server.free_at, _PollTimer(self, replica))
 
     def _launch(self, replica: Replica, n: int, now: float) -> None:
         if self._observe:
@@ -377,12 +384,11 @@ class FleetSim:
     def _flush_residual(self) -> None:
         """Serve whatever the event cascade left queued, deterministically.
 
-        The in-loop drain handles every in-tree batcher, but the
-        guarantee "every admitted request gets a response" must not
-        depend on each policy's deadline discipline: a custom batcher
-        that neither dispatches nor sets a deadline would otherwise
-        strand its queue.  Flush replica by replica (index order, then
-        time), so the residual schedule is reproducible.
+        The end-of-trace polls launch every queue, so a run normally
+        leaves nothing here; the flush keeps "every admitted request
+        gets a response" from depending on that cascade.  It goes
+        replica by replica (index order, then time), so any residual
+        schedule is reproducible.
         """
         for replica in self.replicas:
             while replica.queue:
@@ -503,15 +509,8 @@ class FleetSim:
         if jsq:
             j = self._jsq_window(i, j, eligible)
         else:
-            # Sequential round-robin == strided slices of the window.
-            base = self.router._next
-            count = len(eligible)
-            for offset in range(min(count, j - i)):
-                replica = eligible[(base + offset) % count]
-                indices = range(i + offset, j, count)
-                replica.queue.extend(indices)
-                replica.admitted += len(indices)
-            self.router._next = base + j - i
+            _deal(eligible, self.router._next, i, j)
+            self.router._next += j - i
         if j == i:
             return i
         self.pending -= j - i
@@ -550,11 +549,7 @@ class FleetSim:
                 if depth == top:
                     # Every depth is equal, and an idle replica would hold
                     # the minimum: all are busy, so picks go in list order.
-                    for offset in range(min(count, j - k)):
-                        replica = eligible[offset]
-                        indices = range(k + offset, j, count)
-                        replica.queue.extend(indices)
-                        replica.admitted += len(indices)
+                    _deal(eligible, 0, k, j)
                     return j
                 # The minimum keeps winning while its key is below the
                 # runner-up's: up to the runner-up's depth, one further
@@ -582,10 +577,9 @@ class FleetSim:
             if when >= bound:
                 return k
             batcher = replica.batcher
-            oldest = times[queue[0]] if queue else when
-            if batcher.dispatch_size(depth + 1, when - oldest):
+            if depth + 1 >= batcher.max_batch:
                 return k
-            deadline = batcher.wait_deadline(depth + 1, oldest)
+            deadline = batcher.wait_deadline(depth + 1, times[queue[0]] if queue else when)
             if deadline is not None:
                 if deadline <= when:
                     return k
@@ -614,10 +608,9 @@ class FleetSim:
         and nothing else touches its queue.  Every batcher must be
         exactly a :class:`FixedBatcher`, a :class:`TimeoutBatcher`, or an
         :class:`SLOAdaptiveBatcher` whose wait budgets are finite and
-        never rise with the queue (:meth:`_scan_budgets`).  The trace
-        must start at t >= 0, where the age test can beat a deadline by
-        at most one ulp.  O(replicas + adaptive batch caps); the caller
-        has checked the trace is sorted.
+        never rise with the queue (:meth:`_scan_budgets`).
+        O(replicas + adaptive batch caps); the caller has checked the
+        trace is sorted.
         """
         if type(self.router) is not RoundRobinRouter or self.loop._heap:
             return False
@@ -628,7 +621,6 @@ class FleetSim:
                 or self._scan_budgets(r.batcher) is not None
                 for r in self.replicas
             )
-            and first >= 0.0
             and self.eligible == self.replicas
             and all(not r.queue and r.server.free_at <= first for r in self.replicas)
         )
@@ -673,26 +665,22 @@ class FleetSim:
         indices ``start::stride``, exactly as :meth:`poll` would.
 
         A replica polls at its own arrivals, when its server frees, at
-        queue-head deadlines (timers), and at the end-of-trace drain.
-        At equal times its arrivals come first, in index order, so a
-        poll is ordered by ``(time, own arrivals admitted)``.  Between
-        launches every launch condition can only turn true, so the next
-        batch starts at the earliest of:
+        queue-head deadlines (timers), and at the end-of-trace poll
+        after the global last arrival.  At equal times its arrivals come
+        first, in index order, so a poll is ordered by ``(time, own
+        arrivals admitted)``.  Between launches every launch condition
+        can only turn true, so the next batch starts at the earliest of:
 
         * the first poll with the server free and the head queued;
         * the poll admitting the ``max_batch``-th queued arrival;
-        * the first poll at or past the head's deadline, the float
-          ``wait_deadline`` returns -- or one ulp earlier, where the age
-          test ``now - oldest >= timeout`` can already hold, if an
-          arrival, an earlier head's still-pending timer or the
-          end-of-trace poll polls there;
-        * the drain poll after the global last arrival.
+        * the head's deadline, where its timer polls -- after any own
+          arrival at that same instant;
+        * the end-of-trace poll.
 
         An SLO-adaptive head's deadline moves with the queue length, so
         :meth:`_adaptive_launch` finds its launch past the first poll by
         one bisection over the queue lengths.  Python work is per batch;
-        responses go through strided slices, and the queue stays empty
-        apart from what a non-draining fixed batcher leaves behind.
+        responses go through strided slices, and the queue stays empty.
         """
         m = len(own)
         cap = replica.batcher.max_batch
@@ -701,12 +689,10 @@ class FleetSim:
             if type(replica.batcher) is TimeoutBatcher else None
         )
         budgets = self._scan_budgets(replica.batcher)
-        recent: deque[tuple[float, int, int]] = deque()  # adaptive heads' timers
         server = replica.server
         responses = self.responses[start::stride]
         arrivals = self.arrivals[start::stride]
-        drain_at = (self._times[-1], m) if self.drain else None
-        timers = (None, None)  # the last two distinct deadlines timers were set for
+        end = (self._times[-1], m)  # the end-of-trace poll
         free = server.free_at
         head = admitted = 0
         while head < m:
@@ -717,43 +703,22 @@ class FleetSim:
                 now, admitted = free, j
             else:  # idle with an empty queue until the head arrives
                 now, admitted = own[head], head + 1
-            oldest = own[head]
             if budgets is not None:
-                now, admitted = self._adaptive_launch(
-                    own, head, now, admitted, budgets, self._times[-1], self.drain, recent
-                )
+                now, admitted = self._adaptive_launch(own, head, now, admitted, budgets, end[0])
             elif not (
                 admitted - head >= cap
-                or (drain_at is not None and (now, admitted) >= drain_at)
-                or (timeout is not None
-                    and (now - oldest >= timeout or oldest + timeout <= now))
+                or (now, admitted) >= end
+                or (timeout is not None and own[head] + timeout <= now)
             ):
-                options = []
+                options = [end]
                 if head + cap <= m:
                     options.append((own[head + cap - 1], head + cap))
-                if drain_at is not None:
-                    options.append(drain_at)
                 if timeout is not None:
-                    deadline = oldest + timeout
-                    early = math.nextafter(deadline, -math.inf)
-                    if early - oldest < timeout:
-                        early = deadline
-                    j = bisect_left(own, early, admitted)
-                    if j < m and own[j] == early:
-                        options.append((early, j + 1))
-                    elif early < deadline and (
-                        early in timers or (j == m and early == self._times[-1])
-                    ):  # an earlier head's timer or the end-of-trace poll
-                        options.append((early, j))
-                    elif j < m and own[j] == deadline:
-                        options.append((deadline, j + 1))
-                    else:
-                        options.append((deadline, j))
-                    if deadline != timers[1]:
-                        timers = (timers[1], deadline)
-                if not options:  # fixed batcher, no drain: the rest stays queued
-                    replica.queue.extend(range(start + head * stride, len(self._times), stride))
-                    return
+                    deadline = own[head] + timeout
+                    j = bisect_left(own, deadline, admitted)
+                    if j < m and own[j] == deadline:
+                        j += 1  # an own arrival at the deadline polls first
+                    options.append((deadline, j))
                 now, admitted = min(options)
             n = min(admitted - head, cap)
             if self._observe:
@@ -774,34 +739,21 @@ class FleetSim:
         first: int,
         budgets: tuple[float, ...],
         end: float,
-        drain: bool,
-        recent: deque[tuple[float, int, int]],
     ) -> tuple[float, int]:
         """The poll ``(time, own arrivals admitted)`` that launches the
         SLO-adaptive batch headed by ``own[head]``, given the first poll
         ``(start, first)`` that finds the server free.
 
         From there the replica polls at each own arrival, at the timer
-        each non-launching poll sets for ``oldest + budget(L)``, at
-        earlier heads' still-pending timers, and at the end-of-trace
-        poll ``(end, m)``.  The budget never rises with ``L``, so the
-        launch test only turns true along those polls, and "a poll with
-        at most ``a`` own arrivals admitted launches" is monotone in
-        ``a``: one bisection finds the launch.  It lands
-
-        * at an arrival poll where the queue holds ``max_batch``, where
-          the age test ``now - oldest >= budget(L)`` or the deadline
-          test ``oldest + budget(L) <= now`` holds, or at the drain;
-        * otherwise at the last poll's deadline timer, or at the drain
-          poll if that comes first;
-        * or one ulp before that deadline, where the age test can
-          already hold, if an earlier head's still-pending timer or the
-          end-of-trace poll sits exactly there.
-
-        A head's timers are ``oldest + budget(L)`` over the contiguous
-        range of queue lengths its non-launching polls saw, so
-        ``recent`` keeps one ``(oldest, first L, last L)`` per head; this
-        call prunes it and appends the current head's.
+        each non-launching poll sets for its deadline ``oldest +
+        budget(L)``, at earlier heads' still-pending timers, and at the
+        end-of-trace poll ``(end, m)``.  With ``L`` queued, no poll
+        before the deadline launches and the deadline's own timer does,
+        so the launch lands there unless the next own arrival, the
+        ``max_batch``-th queued or the end-of-trace poll comes first.
+        The budget never rises with ``L``, so "a poll with at most ``a``
+        own arrivals admitted launches" is monotone in ``a``: one
+        bisection finds the launch.
         """
         m = len(own)
         cap = len(budgets)
@@ -811,78 +763,52 @@ class FleetSim:
             """Where the launch lands if a poll with at most ``a`` own
             arrivals admitted makes it, else None."""
             now = start if a == first else own[a - 1]
-            if a - head >= cap or (drain and a == m and now >= end):
+            if a - head >= cap:
                 return now, a
-            budget = budgets[a - head]
-            deadline = oldest + budget
-            if now - oldest >= budget or deadline <= now:
+            deadline = oldest + budgets[a - head]
+            if deadline <= now or (a == m and now >= end):
                 return now, a
-            upcoming = own[a] if a < m else math.inf
-            options = []
-            if deadline < upcoming:
-                options.append((deadline, a))
-            if drain and a == m:
-                options.append((end, m))
-            early = math.nextafter(deadline, -math.inf)
-            if now < early < upcoming and early - oldest >= budget and (
-                (a == m and early == end)
-                or any(
-                    then + budgets[n] == early
-                    for then, lo, hi in recent
-                    for n in range(lo, hi + 1)
-                )
-            ):
-                options.append((early, a))
-            return min(options) if options else None
+            if a == m:
+                return min(deadline, end), m
+            return (deadline, a) if deadline < own[a] else None
 
         launch = lands(first)
-        if launch is None:
-            lo, hi = first + 1, min(m, head + cap)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if lands(mid) is None:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            launch = lands(lo)
-        when, admitted = launch
-        # Every poll up to the launch set a timer, unless it launched.
-        polled = own[admitted - 1] if admitted > first else start
-        last = admitted - head - (when == polled)
-        if last >= first - head:
-            while recent and recent[0][0] + budgets[recent[0][1]] <= when:
-                recent.popleft()  # every timer it set has fired
-            recent.append((oldest, first - head, last))
-        return launch
+        if launch is not None:
+            return launch
+        lo, hi = first + 1, min(m, head + cap)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if lands(mid) is None:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lands(lo)
 
     def run(self) -> FleetResult:
         self._run_events()
-        if self.drain:
-            self._flush_residual()
+        self._flush_residual()
 
-        # The engine invariant: every admitted request got a response
-        # (or, with drain=False, is reported as unserved -- never lost).
+        # The engine invariant: every admitted request got a response.
         admitted = sum(r.admitted for r in self.replicas)
         served = sum(r.server.served for r in self.replicas)
-        unserved_mask = np.isnan(self.responses)
-        unserved = int(np.count_nonzero(unserved_mask))
-        if admitted != self.arrivals.size or admitted != served + unserved:
+        if (
+            admitted != self.arrivals.size
+            or served != admitted
+            or np.isnan(self.responses).any()
+        ):
             raise RuntimeError(
                 f"request conservation violated: {self.arrivals.size} arrived, "
-                f"{admitted} admitted, {served} served, {unserved} unserved"
+                f"{admitted} admitted, {served} served"
             )
-        if unserved and self.drain:
-            raise RuntimeError("simulation ended with unserved requests")
         horizon = max(
             max(r.server.free_at for r in self.replicas), float(self.arrivals[-1])
         )
         return FleetResult(
-            responses=self.responses[~unserved_mask] if unserved else self.responses,
+            responses=self.responses,
             horizon=horizon,
             busy_time=sum(r.server.busy_time for r in self.replicas),
             served_per_replica=tuple(r.server.served for r in self.replicas),
             batches_per_replica=tuple(r.server.batches for r in self.replicas),
-            unserved=unserved,
             busy_intervals=tuple(tuple(r.server.busy_intervals) for r in self.replicas),
         )
 
@@ -896,18 +822,14 @@ class Fleet:
         self.replicas = replicas
         self.router = make_router(router) if isinstance(router, str) else router
 
-    def run(self, arrivals: np.ndarray, drain: bool = True) -> FleetResult:
+    def run(self, arrivals: np.ndarray) -> FleetResult:
         """Simulate the fleet over an arrival-time vector.
 
-        With ``drain=True`` (default) partial batches left at the end of
-        the trace are served, so every request completes.  With
-        ``drain=False`` requests a non-draining policy (e.g. a fixed
-        batcher with a partial final batch) never launches are reported
-        via ``FleetResult.unserved`` and excluded from the statistics.
-        Every run starts from idle replicas and a fresh router, so one
-        fleet can be run again.
+        The partial batches left at the end of the trace are served, so
+        every request completes.  Every run starts from idle replicas
+        and a fresh router, so one fleet can be run again.
         """
         for replica in self.replicas:
             replica.reset()
         self.router.reset()
-        return FleetSim(self.replicas, self.router, arrivals, drain=drain).run()
+        return FleetSim(self.replicas, self.router, arrivals).run()

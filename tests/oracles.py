@@ -547,10 +547,9 @@ def reference_jsq_window(sim, i, j, eligible):
         queue = replica.queue
         if not busy:
             batcher = replica.batcher
-            oldest = times[queue[0]] if queue else when
-            if batcher.dispatch_size(depth + 1, when - oldest):
+            if depth + 1 >= batcher.max_batch:
                 return k
-            deadline = batcher.wait_deadline(depth + 1, oldest)
+            deadline = batcher.wait_deadline(depth + 1, times[queue[0]] if queue else when)
             if deadline is not None:
                 if deadline <= when:
                     return k

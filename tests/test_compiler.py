@@ -257,16 +257,17 @@ class TestLowering:
         reads = sum(
             1 for i in compiled.program.instructions if isinstance(i, ReadWeights)
         )
-        assert compiled.weight_traffic_bytes == reads * 256 * 256
+        result = TPUDevice().run(compiled.program)
+        assert result.counters["weight_bytes_read"] == reads * 256 * 256
 
     def test_fewer_accumulators_reread_conv_weights(self, workloads):
         # Convolution rows are chunked to half the accumulator file, and
         # each chunk re-reads the layer's weight tiles.
-        traffic = {
-            scale: TPUDriver(TPUConfig().scaled(accumulators=scale))
-            .compile(workloads["cnn0"]).weight_traffic_bytes
-            for scale in (0.25, 1.0, 4.0)
-        }
+        traffic = {}
+        for scale in (0.25, 1.0, 4.0):
+            driver = TPUDriver(TPUConfig().scaled(accumulators=scale))
+            result = driver.profile(driver.compile(workloads["cnn0"]))
+            traffic[scale] = result.counters["weight_bytes_read"]
         assert traffic[0.25] > traffic[1.0] >= traffic[4.0]
 
     def test_scaled_matrix_dim_rejected_by_lowering(self, tiny_mlp):

@@ -145,11 +145,14 @@ class TestTimingBehaviour:
         assert result.counters["weight_tiles_loaded"] == counts["READ_WEIGHTS"]
 
     def test_weight_bytes_counter_matches_compiler(self, profiles, workloads, driver):
+        """``weight_bytes_read`` over each compiled Read_Weights stream,
+        against the per-instruction oracle's count of the same program."""
         for name, model in workloads.items():
-            compiled = driver.compile(model)
-            assert profiles[name].counters["weight_bytes_read"] == pytest.approx(
-                compiled.weight_traffic_bytes
-            )
+            program = driver.compile(model).program
+            oracle = oracles.PerInstructionRun(TPUDevice(), program).execute()
+            assert profiles[name].counters["weight_bytes_read"] == (
+                oracle.counters["weight_bytes_read"]
+            ), name
 
     def test_device_rejects_scaled_matrix(self):
         with pytest.raises(NotImplementedError):

@@ -35,6 +35,10 @@ class TestFullyConnected:
         fc = FullyConnected("fc", 4 * 4 * 16, 32)
         assert fc.output_shape((4, 4, 16)) == (32,)
 
+    def test_output_shape_keeps_a_token_row(self):
+        # A (1, in_features) row is already in features: no flatten.
+        assert FullyConnected("fc", 512, 64).output_shape((1, 512)) == (1, 64)
+
     def test_output_shape_recurrent(self):
         fc = FullyConnected("fc", 600, 300, steps=20)
         assert fc.output_shape((20, 600)) == (20, 300)

@@ -16,6 +16,7 @@ import repro
 from repro import obs
 from repro.latency.queueing import simulate_batch_queue
 from repro.serving.batcher import (
+    Batcher,
     FixedBatcher,
     SLOAdaptiveBatcher,
     TimeoutBatcher,
@@ -80,7 +81,6 @@ def assert_same_run(a, b):
     assert a.busy_intervals == b.busy_intervals
     assert a.horizon == b.horizon
     assert a.busy_time == b.busy_time
-    assert a.unserved == b.unserved
 
 
 class TestEventLoop:
@@ -114,14 +114,6 @@ class TestClosedFormParity:
         assert stats.throughput_rps == pytest.approx(legacy.throughput_ips, rel=1e-12)
         assert stats.utilization == pytest.approx(legacy.server_utilization, rel=1e-12)
 
-    def test_drain_false_reports_unserved(self):
-        # A fixed batcher never launches the partial tail; without
-        # draining those requests are counted, not crashed on.
-        fleet = single_replica(FixedBatcher(16))
-        result = fleet.run(poisson_arrivals(1000.0, 100, seed=3), drain=False)
-        assert result.unserved == 100 % 16
-        assert result.responses.size == 100 - result.unserved
-
     def test_deterministic_uniform_load(self):
         # Requests every 1 ms, batch 4, 2 ms service: batch k collects
         # until arrival 4k ms, runs 2 ms; first request waits 3+2 ms.
@@ -137,7 +129,7 @@ class TestBatchers:
         # launches exactly at the timeout.
         timeout = 5e-3
         fleet = single_replica(TimeoutBatcher(16, timeout))
-        result = fleet.run(poisson_arrivals(100.0, 2000, seed=1), drain=False)
+        result = fleet.run(poisson_arrivals(100.0, 2000, seed=1))
         stats = result.stats(warmup_fraction=0.0)
         assert stats.mean_batch < 16
         assert stats.p99_seconds <= timeout + SERVICE + 1e-9
@@ -153,7 +145,7 @@ class TestBatchers:
         slo = 7e-3
         curve = ConstantCurve(SERVICE)
         fleet = Fleet([Replica(curve, SLOAdaptiveBatcher(slo, curve))])
-        result = fleet.run(poisson_arrivals(200.0, 3000, seed=4), drain=False)
+        result = fleet.run(poisson_arrivals(200.0, 3000, seed=4))
         assert float(np.max(result.responses)) <= slo + 1e-9
 
     def test_slo_adaptive_batches_grow_with_load(self):
@@ -250,16 +242,15 @@ class TestJSQTieBreaking:
 
 class TestDrainInvariant:
     def test_trace_drain_flushes_residual_queues(self):
-        # A trace that parks partial batches on several replicas: with
-        # drain=True every request must complete, including on replicas
-        # that are busy when the trace ends.
+        # A trace that parks partial batches on several replicas: every
+        # request must complete, including on replicas that are busy
+        # when the trace ends.
         curve = ConstantCurve(SERVICE)
         fleet = Fleet(
             [Replica(curve, FixedBatcher(16)) for _ in range(3)],
             router="round_robin",
         )
         result = fleet.run(trace_arrivals([i * 1e-4 for i in range(50)]))
-        assert result.unserved == 0
         assert result.responses.size == 50
         assert not np.isnan(result.responses).any()
         assert sum(result.served_per_replica) == 50
@@ -278,16 +269,16 @@ class TestDrainInvariant:
         assert a.served_per_replica == b.served_per_replica
 
     def test_stranding_batcher_is_flushed(self):
-        # A pathological policy that never dispatches and never sets a
-        # deadline: the structural flush must still serve everyone.
-        class Stubborn(FixedBatcher):
-            def dispatch_size(self, queue_len, oldest_age):
-                return 0
+        # A policy with no deadline and a cap the trace never fills: the
+        # end of the trace still serves everyone, in one batch.
+        class Stubborn(Batcher):
+            max_batch = 64
 
-        fleet = single_replica(Stubborn(8))
+        fleet = single_replica(Stubborn())
         result = fleet.run(uniform_arrivals(1000.0, 20))
-        assert result.unserved == 0
         assert result.responses.size == 20
+        assert not np.isnan(result.responses).any()
+        assert result.batches_per_replica == (1,)
 
     def test_admission_accounting(self):
         fleet = single_replica(FixedBatcher(4))
@@ -635,19 +626,19 @@ class TestBatchScanParity(ParityFleets):
         assert clamped.max_batch == self.BATCH
         assert {clamped._wait_budget(n) for n in range(1, self.BATCH)} == {0.0}
 
-    def check(self, monkeypatch, make_fleet, arrivals, drain=True):
+    def check(self, monkeypatch, make_fleet, arrivals):
         """Run the scan and the oracle; returns the scan's result."""
         polls = []
         original_poll = FleetSim.poll
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "poll", lambda sim, r: polls.append(r))
-            scanned = make_fleet().run(arrivals, drain=drain)
+            scanned = make_fleet().run(arrivals)
         assert polls == [], "the batch scan did not engage"
         with monkeypatch.context() as patch:
             answered = withhold_batch_scan(patch)
             patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
             patch.setattr(FleetSim, "poll", original_poll)
-            per_arrival = make_fleet().run(arrivals, drain=drain)
+            per_arrival = make_fleet().run(arrivals)
         assert len(answered) == 1, "the no_batch_scan oracle did not fire"
         assert_same_run(scanned, per_arrival)
         return scanned
@@ -671,14 +662,23 @@ class TestBatchScanParity(ParityFleets):
         arrivals = self._arrivals(traffic, 3, load=0.5)
         self.check(monkeypatch, lambda: self._fleet(3, "timeout", timeout=0.0), arrivals)
 
-    @pytest.mark.parametrize("drain", [True, False])
+    @pytest.mark.parametrize("prompt_end", [True, False])
     @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive", "adaptive_clamped"])
-    def test_trace_ending_in_a_partial_batch(self, monkeypatch, policy, drain):
+    def test_trace_ending_in_a_partial_batch(self, monkeypatch, policy, prompt_end):
+        """Every replica ends on a partial batch, which the end-of-trace
+        poll launches unless a deadline comes first.  Without
+        ``prompt_end`` the last arrival comes a second after the rest:
+        fixed batchers' partial batches all wait for it, while every
+        other policy's launch at their deadlines and it runs alone."""
         arrivals = self._arrivals("poisson", 3, load=0.6, n=3 * self.BATCH * 40 + 5)
-        result = self.check(
-            monkeypatch, lambda: self._fleet(3, policy), arrivals, drain=drain
-        )
-        assert result.unserved == (0 if drain or policy != "fixed" else 5)
+        if not prompt_end:
+            arrivals[-1] += 1.0
+        result = self.check(monkeypatch, lambda: self._fleet(3, policy), arrivals)
+        assert sum(result.served_per_replica) == arrivals.size
+        if not prompt_end:
+            last_starts = [intervals[-1][0] for intervals in result.busy_intervals]
+            waited = 3 if policy == "fixed" else 1
+            assert last_starts.count(arrivals[-1]) == waited
 
     @pytest.mark.parametrize("replicas", [1, 4])
     @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive", "adaptive_clamped"])
@@ -703,61 +703,92 @@ class TestBatchScanParity(ParityFleets):
         assert answered and scanned.served_per_replica[1] == 167
         assert_same_run(scanned, per_arrival)
 
-    def test_age_test_one_ulp_before_the_deadline(self, monkeypatch):
-        """``now - oldest >= timeout`` can hold one ulp before the float
-        deadline ``oldest + timeout``.  A launch happens there if an
-        arrival, the server-free poll, a still-pending timer set for an
-        earlier head, or the end-of-trace poll polls at that instant, and
-        at the deadline otherwise.
+    def test_a_head_launches_at_its_deadline_never_one_ulp_before(self, monkeypatch):
+        """The launch rule compares deadlines, never ages.  The age test
+        ``now - oldest >= budget`` holds one ulp before the float
+        deadline ``oldest + budget``, and a poll lands there when an
+        arrival, the server-free poll or an earlier head's pending timer
+        polls at that instant; the head still launches at its deadline.
+        Timeout and SLO-adaptive heads, round-robin (the batch scan) and
+        JSQ (an admission window), each against the ``no_batch_scan``,
+        ``no_bulk_admission`` and ``every_event`` oracles.
         """
         timeout, unit = 1.5, 2.0**-56
         oldest = 24 * unit
         deadline = oldest + timeout
         early = math.nextafter(deadline, -math.inf)
         assert early - oldest >= timeout
-        # An earlier head whose deadline is exactly `early`.
-        assert 9 * unit + timeout == early
+        assert 9 * unit + timeout == early  # an earlier head's deadline
 
-        def fleet(batch, occupancy):
-            curve = ConstantCurve(occupancy_seconds=occupancy)
-            return lambda: Fleet([Replica(curve, TimeoutBatcher(batch, timeout))])
+        def batchers(cap, occupancy):
+            curve = ConstantCurve(occupancy_seconds=occupancy, latency_seconds=2.0**-10)
+            return curve, {
+                "timeout": lambda: TimeoutBatcher(cap, timeout),
+                "adaptive": lambda: SLOAdaptiveBatcher(
+                    timeout + 2.0**-10, curve, candidates=(cap,),
+                    service_share=1.0, slo_margin=1.0,
+                ),
+            }
 
         cases = [
-            # (batch, occupancy, arrivals, index and start of the checked batch)
-            (4, 1e-3, [oldest, early, 10.0], 0, early),  # an arrival polls
-            (4, early, [0.0] * 4 + [oldest, 10.0], 1, early),  # the server frees
-            (2, 1e-300, [9 * unit, 10 * unit, oldest, 10.0], 1, early),  # stale timer
-            (4, 1e-3, [oldest, deadline, 10.0], 0, deadline),  # nothing polls early
+            # (cap, occupancy, arrivals, index of the batch the head starts,
+            # batches in all)
+            (4, 1e-3, [oldest, early, 10.0], 0, 2),  # an arrival polls early
+            (4, early, [0.0] * 4 + [oldest, 10.0], 1, 3),  # the server frees early
+            (2, 1e-300, [9 * unit, 10 * unit, oldest, 10.0], 1, 3),  # a pending timer
+            (4, 1e-3, [oldest, deadline, 10.0], 0, 2),  # the deadline arrival joins
         ]
-        for batch, occupancy, arrivals, k, start in cases:
-            result = self.check(monkeypatch, fleet(batch, occupancy), np.array(arrivals))
-            assert result.busy_intervals[0][k][0] == start
-        assert result.batches_per_replica == (2,)  # the deadline arrival joined
+        oracle_patches = [
+            {"_scan_applies": oracles.no_batch_scan, "_bulk_admit": oracles.no_bulk_admission},
+            {"_bulk_admit": oracles.no_bulk_admission},
+            {"_run_events": oracles.every_event},
+        ]
+        scanned, windows = [], []
+        scan_batches, bulk_admit = FleetSim._scan_batches, FleetSim._bulk_admit
 
-        # Without a drain, the end-of-trace poll after another replica's
-        # last arrival still polls, here at `early`.
-        def pair(new_batcher):
-            curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=2.0**-10)
-            return lambda: Fleet([Replica(curve, new_batcher()) for _ in range(2)])
+        def scan_spy(sim):
+            scanned.append(sim)
+            scan_batches(sim)
 
-        for new_batcher in (
-            lambda: TimeoutBatcher(4, timeout),
-            lambda: SLOAdaptiveBatcher(
-                timeout + 2.0**-10, ConstantCurve(1e-3, 2.0**-10), candidates=(4,),
-                service_share=1.0, slo_margin=1.0,
-            ),
-        ):
-            result = self.check(
-                monkeypatch, pair(new_batcher), np.array([oldest, early]), drain=False
-            )
-            assert result.busy_intervals[0][0][0] == early
+        def window_spy(sim, i, top_when):
+            j = bulk_admit(sim, i, top_when)
+            windows.append(range(i, j))
+            return j
 
-        # SLO-adaptive: the budget at queue length 1 is one 2^-51 step over
-        # the budget at 2.  The first head's three arrivals fill the batch,
-        # leaving its timers from queue lengths 1 and 2 pending.  The next
-        # head waits at queue length 2, and the age test holds one ulp
-        # before its deadline, where the first head's timer from queue
-        # length 1 polls.
+        for cap, occupancy, arrivals, k, batches in cases:
+            curve, named = batchers(cap, occupancy)
+            for name, new_batcher in named.items():
+                assert new_batcher().max_batch == cap
+                assert new_batcher().wait_deadline(1, oldest) == deadline, name
+                for router in ("round_robin", "jsq"):
+                    def make():
+                        return Fleet([Replica(curve, new_batcher())], router=router)
+
+                    scanned.clear()
+                    windows.clear()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(FleetSim, "_scan_batches", scan_spy)
+                        patch.setattr(FleetSim, "_bulk_admit", window_spy)
+                        fast = make().run(np.array(arrivals))
+                    assert fast.busy_intervals[0][k][0] == deadline, (name, router, arrivals)
+                    assert fast.batches_per_replica == (batches,)
+                    assert bool(scanned) == (router == "round_robin")
+                    if router == "jsq" and early in arrivals:
+                        assert any(arrivals.index(early) in w for w in windows), (
+                            "no JSQ window admitted the arrival one ulp early"
+                        )
+                    for patches in oracle_patches:
+                        with monkeypatch.context() as patch:
+                            for attr, oracle in patches.items():
+                                patch.setattr(FleetSim, attr, oracle)
+                            assert_same_run(make().run(np.array(arrivals)), fast)
+
+        # SLO-adaptive, budgets by queue length: the budget at queue length
+        # 1 is one 2^-51 step over the budget at 2.  The first head's three
+        # arrivals fill its batch, leaving its timers from queue lengths 1
+        # and 2 pending.  The next head waits at queue length 2; the first
+        # head's timer from queue length 1 polls one ulp before its
+        # deadline, and it still launches at the deadline.
         class Steps(LatencyCurve):
             def occupancy(self, batch):
                 return 1e-300
@@ -779,7 +810,10 @@ class TestBatchScanParity(ParityFleets):
         assert first + timeout + 2.0**-51 == second_early != first + timeout
         arrivals = np.array([first, 10 * unit, 11 * unit, second, 57 * unit, 10.0])
         result = self.check(monkeypatch, adaptive, arrivals)
-        assert result.busy_intervals[0][1][0] == second_early
+        assert result.busy_intervals[0][1][0] == second + timeout
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_run_events", oracles.every_event)
+            assert_same_run(adaptive().run(arrivals), result)
 
     @pytest.mark.parametrize("policy", ["timeout", "adaptive", "adaptive_clamped"])
     def test_observability_matches_the_event_loop(self, monkeypatch, policy):
@@ -824,7 +858,7 @@ class TestBatchScanParity(ParityFleets):
         assert sim()._scan_applies()
         assert not sim(router="jsq")._scan_applies()
         assert not sim(batcher=CustomTimeout)._scan_applies()
-        assert not sim(arrivals=(-0.1, 0.2))._scan_applies()
+        assert not sim(arrivals=(-0.1, 0.2))._scan_applies()  # busy until 0.0
         scheduled = sim()
         scheduled.loop.schedule(0.15, lambda _t: None)  # e.g. an autoscaler tick
         assert not scheduled._scan_applies()
@@ -876,7 +910,7 @@ class TestJSQWindowParity(ParityFleets):
     time.
     """
 
-    def check(self, monkeypatch, make_fleet, arrivals, drain=True):
+    def check(self, monkeypatch, make_fleet, arrivals):
         """Run with windows and with both oracles; returns a Counter of
         the arrivals windows admitted: ``"idle"`` while some eligible
         replica was idle, ``"wide"`` while all were busy in windows of at
@@ -897,13 +931,13 @@ class TestJSQWindowParity(ParityFleets):
 
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "_bulk_admit", spy)
-            windowed = make_fleet().run(arrivals, drain=drain)
+            windowed = make_fleet().run(arrivals)
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
-            per_arrival = make_fleet().run(arrivals, drain=drain)
+            per_arrival = make_fleet().run(arrivals)
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "_run_events", oracles.every_event)
-            every = make_fleet().run(arrivals, drain=drain)
+            every = make_fleet().run(arrivals)
         assert_same_run(windowed, per_arrival)
         assert_same_run(windowed, every)
         return admitted
@@ -954,11 +988,9 @@ class TestJSQWindowParity(ParityFleets):
         admitted = Counter()
         for load in (0.3, 0.7, 1.0, 1.4):
             arrivals = self._arrivals(traffic, replicas, load, n=1500)
-            for drain in (True, False):
-                admitted += self.check(
-                    monkeypatch, lambda: self._fleet(replicas, policy, router="jsq"),
-                    arrivals, drain=drain,
-                )
+            admitted += self.check(
+                monkeypatch, lambda: self._fleet(replicas, policy, router="jsq"), arrivals
+            )
         assert admitted["wide"] > 0, "no wide window opened with every replica busy"
         if policy == "adaptive_clamped":
             # A zero budget launches on every poll of an idle replica,
@@ -985,7 +1017,7 @@ class TestJSQWindowParity(ParityFleets):
             idle_admitted += self.check(
                 monkeypatch,
                 lambda: self._fleet(replicas, policy, batch, timeout, router="jsq"),
-                arrivals, drain=bool(rng.integers(2)),
+                arrivals,
             )["idle"]
         assert idle_admitted > 0
 
@@ -1023,18 +1055,18 @@ class TestJSQWindowParity(ParityFleets):
             assert admitted["idle"] > 0
 
     def test_custom_batchers_keep_the_per_arrival_path(self, monkeypatch):
-        """A batcher subclass may override either call or keep state
+        """A batcher subclass may override ``wait_deadline`` or keep state
         across polls, so no window opens while one is idle; all-busy
         windows still do."""
 
         class EveryThirdPoll(TimeoutBatcher):
             polls = 0
 
-            def dispatch_size(self, queue_len, oldest_age):
+            def wait_deadline(self, queue_len, oldest_arrival):
                 self.polls += 1
                 if self.polls % 3 == 0:
-                    return min(queue_len, self.max_batch)
-                return super().dispatch_size(queue_len, oldest_age)
+                    return oldest_arrival  # due now: launch
+                return super().wait_deadline(queue_len, oldest_arrival)
 
         curve = ConstantCurve(self.OCCUPANCY)
         admitted = self.check(
@@ -1191,16 +1223,20 @@ class TestSimLifetime(ParityFleets):
     it, say) would keep each finished run's arrays alive until a full
     collection."""
 
-    @pytest.mark.parametrize("drain", [True, False])
+    @pytest.mark.parametrize("sorted_trace", [True, False])
     @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive"])
     @pytest.mark.parametrize("router", ["round_robin", "jsq"])
-    def test_finished_sim_is_freed_by_reference_counting(self, router, policy, drain):
+    def test_finished_sim_is_freed_by_reference_counting(self, router, policy, sorted_trace):
+        """Also for an unsorted trace, whose arrivals go on the loop as
+        closures over the sim."""
         fleet = self._fleet(3, policy, router=router)
         arrivals = self._arrivals("poisson", 3, load=0.7, n=1000)
+        if not sorted_trace:
+            arrivals = np.random.default_rng(0).permutation(arrivals)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            sim = FleetSim(fleet.replicas, fleet.router, arrivals, drain=drain)
+            sim = FleetSim(fleet.replicas, fleet.router, arrivals)
             ref = weakref.ref(sim)
             sim.run()
             del sim
@@ -1211,9 +1247,32 @@ class TestSimLifetime(ParityFleets):
 
 
 class TestFreshProcesses:
-    """One seed gives one JSQ fleet in any process: two interpreters with
+    """One seed gives one result in any process: two interpreters with
     different hash seeds print identical rows and metadata, equal to
     ``repro.run`` of the same scenario in this process."""
+
+    @staticmethod
+    def fresh_outputs(*args):
+        """``python -m repro <args> --json`` under two hash seeds; asserts
+        the two agree and returns the first."""
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outs = []
+        for hashseed in ("0", "424242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *args, "--json"],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": hashseed},
+            )
+            outs.append(json.loads(proc.stdout))
+        assert outs[0]["rows"] == outs[1]["rows"]
+        assert outs[0]["metadata"] == outs[1]["metadata"]
+        return outs[0]
+
+    @staticmethod
+    def assert_matches_in_process(scenario, out):
+        local = json.loads(json.dumps(repro.run(scenario).to_dict()))
+        assert local["rows"] == out["rows"]
+        assert local["metadata"] == out["metadata"]
 
     @pytest.mark.parametrize("extra, fields", [
         ((), {}),
@@ -1223,20 +1282,10 @@ class TestFreshProcesses:
          {"policy": "fixed", "batch": 128, "loads": (1.5,)}),
     ], ids=["adaptive", "fixed-overloaded"])
     def test_jsq_fleet_agrees_bit_for_bit(self, monkeypatch, extra, fields):
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        outs = []
-        for hashseed in ("0", "424242"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro", "serve", "--router", "jsq",
-                 "--replicas", "4", "--traffic", "diurnal", "--requests", "20000",
-                 *extra, "--json"],
-                capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": hashseed},
-            )
-            outs.append(json.loads(proc.stdout))
-        assert outs[0]["rows"] == outs[1]["rows"]
-        assert outs[0]["metadata"] == outs[1]["metadata"]
-
+        out = self.fresh_outputs(
+            "serve", "--router", "jsq", "--replicas", "4", "--traffic", "diurnal",
+            "--requests", "20000", *extra,
+        )
         busy_windows = 0
         window = FleetSim._jsq_window
 
@@ -1250,10 +1299,16 @@ class TestFreshProcesses:
         scenario = repro.ServeScenario(
             router="jsq", replicas=4, traffic="diurnal", requests=20000, **fields
         )
-        local = json.loads(json.dumps(repro.run(scenario).to_dict()))
-        assert local["rows"] == outs[0]["rows"]
-        assert local["metadata"] == outs[0]["metadata"]
+        self.assert_matches_in_process(scenario, out)
         assert busy_windows > 0
+
+    @pytest.mark.parametrize("args, scenario", [
+        # The hybrid backend's event cells run FleetSim.
+        (("globe",), repro.GlobalScenario()),
+        (("profile", "mlp0"), repro.ProfileScenario(workload="mlp0")),
+    ], ids=["globe", "profile-mlp0"])
+    def test_default_scenarios_agree_bit_for_bit(self, args, scenario):
+        self.assert_matches_in_process(scenario, self.fresh_outputs(*args))
 
 
 def test_batch_scan_engaged_by_default(monkeypatch):

@@ -23,9 +23,11 @@ from repro.nn.workloads import (
     build_workload,
     bert_s,
     extension_workloads,
+    gpt_s,
     paper_workloads,
 )
 from repro.perfmodel.model import app_cost
+from repro.platforms.kv import DecodeTiming
 
 
 def _attention_only(embed_dim: int, num_heads: int) -> Model:
@@ -199,6 +201,17 @@ class TestCompileAndRun:
         assert result.useful_macs >= model.macs_per_batch
         assert compiled.ub_peak_bytes <= TPU_V1.unified_buffer_bytes
 
+    def test_one_token_gpt_s_runs_on_the_device(self, driver):
+        """At ``seq_len=1`` every layer keeps its (1, 512) token row, so
+        gpt_s builds, compiles and runs; the device issues exactly the
+        closed form's one-token prefill MACs per example."""
+        model = gpt_s(seq_len=1)
+        assert model.output_shape == (1, 512)
+        result = driver.profile(driver.compile(model))
+        issued = result.counters["macs_issued"]
+        assert issued == model.batch_size * DecodeTiming.for_model(model).prefill_macs(1)
+        assert issued == model.macs_per_batch
+
     def test_dynamic_tiles_marked_and_packed(self, transformers, driver):
         compiled = driver.compile(transformers["bert_s"])
         tiles = compiled.program.tiles.values()
@@ -210,7 +223,7 @@ class TestCompileAndRun:
             t.rows * t.cols for t in static
         )
         # Dynamic staging traffic is packed: strictly less than padded.
-        assert compiled.weight_traffic_bytes < (
+        assert driver.profile(compiled).counters["weight_bytes_read"] < (
             sum(1 for i in compiled.program.instructions
                 if type(i).__name__ == "ReadWeights") * TPU_V1.tile_bytes
         )
@@ -225,7 +238,7 @@ class TestCompileAndRun:
         kv_bytes = sum(
             2 * la.embed_dim * la.seq_len * model.batch_size for la in attn_layers
         )
-        assert compiled.weight_traffic_bytes >= kv_bytes
+        assert driver.profile(compiled).counters["weight_bytes_read"] >= kv_bytes
 
     def test_perfmodel_tracks_device(self, transformers, driver):
         for name, model in transformers.items():
