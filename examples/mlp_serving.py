@@ -7,7 +7,7 @@ while the TPU's deterministic execution keeps large batches inside the
 deadline.
 """
 
-from repro.latency.queueing import simulate_closed_loop
+from repro.latency.sweep import table4_point
 from repro.nn.workloads import mlp0
 from repro.platforms.cpu import HaswellPlatform
 from repro.platforms.gpu import K80Platform
@@ -27,16 +27,14 @@ def main() -> None:
     for platform in platforms:
         for batch in (16, 64, 200, 250):
             service = platform.service_seconds(model, batch)
-            occupancy = platform.occupancy_seconds(model, batch)
-            depth = max(int(round(platform.p99_factor * batch)), batch)
-            stats = simulate_closed_loop(depth, batch, occupancy, service)
+            p99, ips = table4_point(platform, model, batch)
             table.add_row([
                 platform.name,
                 batch,
                 service * 1e3,
-                stats.p99_seconds * 1e3,
-                f"{stats.throughput_ips:,.0f}",
-                "yes" if stats.p99_seconds <= SLA_MS / 1e3 else "NO",
+                p99 * 1e3,
+                f"{ips:,.0f}",
+                "yes" if p99 <= SLA_MS / 1e3 else "NO",
             ])
     print(table.render())
     print(

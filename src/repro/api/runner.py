@@ -106,46 +106,42 @@ def _run_profile(scenario: ProfileScenario) -> ScenarioResult:
     )
 
 
-def _serve_fleet_spec(scenario: ServeScenario) -> tuple[Any, int | None, tuple[str, ...]]:
-    """Resolve a :class:`FleetSpec` plus (batch, advisory notes)."""
+def _serve_fleet_spec(scenario: ServeScenario) -> tuple[Any, tuple[str, ...]]:
+    """Resolve a :class:`FleetSpec` plus advisory notes."""
     from repro.analysis.common import platforms, workload
     from repro.serving.sweep import FleetSpec
 
-    platform = platforms()[scenario.platform]
-    model = workload(scenario.workload)
-    batch = scenario.batch
-    notes: tuple[str, ...] = ()
-    if batch is None and scenario.policy in ("fixed", "timeout"):
-        batch = platform.latency_bounded_batch(model, scenario.slo_seconds)
-        notes = (f"(batch not given; using latency-bounded batch {batch})",)
     timeout = (
         scenario.timeout_ms * 1e-3 if scenario.timeout_ms is not None else None
     )
     spec = FleetSpec(
-        platform=platform,
-        model=model,
+        platform=platforms()[scenario.platform],
+        model=workload(scenario.workload),
         replicas=scenario.replicas,
         policy=scenario.policy,
         slo_seconds=scenario.slo_seconds,
-        batch_size=batch,
+        batch_size=scenario.batch,
         timeout_seconds=timeout,
         router=scenario.router,
     )
-    return spec, batch, notes
+    notes: tuple[str, ...] = ()
+    if scenario.batch is None and spec.batch_size is not None:
+        notes = (f"(batch not given; using latency-bounded batch {spec.batch_size})",)
+    return spec, notes
 
 
 def _run_serve(scenario: ServeScenario) -> ScenarioResult:
     from repro.serving import load_trace, make_traffic
     from repro.serving.sweep import max_throughput_under_slo, serving_sweep, sweep_table
 
-    spec, batch, notes = _serve_fleet_spec(scenario)
+    spec, notes = _serve_fleet_spec(scenario)
     title = (
         f"serve {scenario.workload} on {scenario.platform} "
         f"x{scenario.replicas} ({scenario.policy} batching)"
     )
     metadata: dict[str, Any] = {
         "scenario": scenario.to_dict(),
-        "resolved_batch": batch,
+        "resolved_batch": spec.batch_size,
         "max_batch": spec.max_batch(),
         "capacity_rps": spec.capacity_rps(),
     }

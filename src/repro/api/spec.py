@@ -276,7 +276,8 @@ class ServeScenario(ScenarioSpec):
     slo_ms: float = _field(7.0, "p99 response-time limit in ms")
     policy: str = _field("adaptive", "batching policy; adaptive sizes batches to the SLO",
                          BATCH_POLICIES)
-    batch: int | None = _field(None, "batch size for fixed/timeout policies")
+    batch: int | None = _field(None, "batch size for fixed/timeout policies; unset means "
+                                     "the latency-bounded batch for the SLO")
     timeout_ms: float | None = _field(None, "batch collection timeout for the timeout policy")
     router: str = _field("round_robin", "replica router; jsq is join-shortest-queue", ROUTERS)
     loads: tuple[float, ...] = _field((0.3, 0.5, 0.7, 0.8, 0.9, 0.95),
@@ -466,7 +467,8 @@ class GlobalScenario(ScenarioSpec):
     slo_ms: float = _field(7.0, "p99 response-time limit in ms")
     policy: str = _field("adaptive", "cluster batching policy; adaptive sizes batches to the SLO",
                          BATCH_POLICIES)
-    batch: int | None = _field(None, "batch size for fixed/timeout policies")
+    batch: int | None = _field(None, "batch size for fixed/timeout policies; unset means "
+                                     "the latency-bounded batch for the SLO")
     timeout_ms: float | None = _field(None, "batch collection timeout for the timeout policy")
     router: str = _field("round_robin", "replica router inside each cluster", ROUTERS)
     routing: str = _field("latency", "global routing policy: latency, cost, or spillover")

@@ -6,8 +6,9 @@ and real inference fleets run well below peak.  This module closes the
 loop between the serving simulator and the power models: each replica's
 busy intervals (recorded by :class:`repro.serving.engine.BatchServer`)
 become a windowed utilization timeline, each window is priced through
-the platform's :class:`~repro.power.proportionality.PowerCurve`, and the
-integral is joules.  The result is average Watts, energy per request and
+the replica's :class:`~repro.power.proportionality.ReplicaPower` (Figure
+10's per-die accounting, host share included), and the integral is
+joules.  The result is average Watts, energy per request and
 perf/Watt at the load the fleet actually saw -- the paper's
 proportionality penalty reproduced in simulation rather than asserted.
 
@@ -26,63 +27,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.platforms.specs import SERVERS
-from repro.power.proportionality import (
-    PowerCurve,
-    host_share_watts,
-    platform_curve,
-)
+from repro.power.proportionality import ReplicaPower
 from repro.serving.fleet import FleetResult
 
 Interval = tuple[float, float]
 
 #: Fraction of the horizon one utilization window spans by default.
 DEFAULT_WINDOW_FRACTION = 0.01
-
-
-class ReplicaPower:
-    """Utilization -> Watts for one replica slot, host share included.
-
-    Follows Figure 10's accounting: a Haswell "replica" is one of the
-    server's 2 dies, so it draws half the server curve; a K80 or TPU
-    replica draws its die curve plus its share of the host server that
-    carries 8 GPUs or 4 TPUs (:func:`host_share_watts`).  Set
-    ``include_host=False`` for the incremental (die-only) view.
-    """
-
-    def __init__(self, kind: str, app: str = "cnn0", include_host: bool = True) -> None:
-        if kind not in SERVERS:
-            raise ValueError(f"unknown platform kind {kind!r}; try {sorted(SERVERS)}")
-        self.kind = kind
-        self.app = app
-        self.include_host = include_host
-        self.dies = SERVERS[kind].dies
-        if kind == "cpu":
-            server = SERVERS["cpu"]
-            self._die = PowerCurve(
-                name="cpu-server",
-                idle_w=server.idle_w,
-                busy_w=server.busy_w,
-                alpha=platform_curve("cpu", app).alpha,
-            )
-        else:
-            self._die = platform_curve(kind, app)
-
-    def watts(self, utilization: float) -> float:
-        if self.kind == "cpu":
-            return self._die.watts(utilization) / self.dies
-        die = self._die.watts(utilization)
-        if not self.include_host:
-            return die
-        return die + host_share_watts(self.kind, utilization, self.app) / self.dies
-
-    @property
-    def peak_w(self) -> float:
-        return self.watts(1.0)
-
-    @property
-    def idle_w(self) -> float:
-        return self.watts(0.0)
 
 
 def utilization_timeline(

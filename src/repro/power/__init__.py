@@ -5,6 +5,7 @@ from repro.power.perfwatt import PerfWattBar, figure9_bars, server_scale_study
 from repro.power.proportionality import (
     PLATFORM_CURVES,
     PowerCurve,
+    ReplicaPower,
     calibrate_alpha,
     figure10_series,
     host_share_watts,
@@ -16,6 +17,7 @@ __all__ = [
     "PLATFORM_CURVES",
     "PerfWattBar",
     "PowerCurve",
+    "ReplicaPower",
     "calibrate_alpha",
     "category_shares",
     "die_table",

@@ -110,31 +110,66 @@ def host_share_watts(kind: str, utilization: float, app: str = "cnn0") -> float:
     return curve.watts(utilization)
 
 
+class ReplicaPower:
+    """Utilization -> Watts for one replica slot, host share included.
+
+    Follows Figure 10's accounting: a Haswell "replica" is one of the
+    server's 2 dies, so it draws half the server curve; a K80 or TPU
+    replica draws its die curve plus its share of the host server that
+    carries 8 GPUs or 4 TPUs (:func:`host_share_watts`).  Set
+    ``include_host=False`` for the incremental (die-only) view.
+    """
+
+    def __init__(self, kind: str, app: str = "cnn0", include_host: bool = True) -> None:
+        if kind not in SERVERS:
+            raise ValueError(f"unknown platform kind {kind!r}; try {sorted(SERVERS)}")
+        self.kind = kind
+        self.app = app
+        self.include_host = include_host
+        self.dies = SERVERS[kind].dies
+        if kind == "cpu":
+            server = SERVERS["cpu"]
+            self._die = PowerCurve(
+                name="cpu-server",
+                idle_w=server.idle_w,
+                busy_w=server.busy_w,
+                alpha=platform_curve("cpu", app).alpha,
+            )
+        else:
+            self._die = platform_curve(kind, app)
+
+    def watts(self, utilization: float) -> float:
+        if self.kind == "cpu":
+            return self._die.watts(utilization) / self.dies
+        die = self._die.watts(utilization)
+        if not self.include_host:
+            return die
+        return die + host_share_watts(self.kind, utilization, self.app) / self.dies
+
+    @property
+    def peak_w(self) -> float:
+        return self.watts(1.0)
+
+    @property
+    def idle_w(self) -> float:
+        return self.watts(0.0)
+
+
 def figure10_series(
     app: str = "cnn0", utilizations: tuple[float, ...] = tuple(i / 10 for i in range(11))
 ) -> dict[str, list[tuple[float, float]]]:
-    """Watts/die vs load for the five Figure 10 series.
+    """Watts/die vs load for the five Figure 10 series, each a
+    :class:`ReplicaPower`.
 
     ``Haswell`` is total power by definition; ``K80`` and ``TPU`` are
     incremental (die only); the ``+host`` variants add the host server's
     share divided by the dies it hosts (8 GPUs or 4 TPUs per server).
     """
-    series: dict[str, list[tuple[float, float]]] = {}
-    cpu_curve = PowerCurve(
-        name="cpu-server",
-        idle_w=SERVERS["cpu"].idle_w,
-        busy_w=SERVERS["cpu"].busy_w,
-        alpha=platform_curve("cpu", app).alpha,
-    )
-    series["Haswell (total, /2 dies)"] = [
-        (u, cpu_curve.watts(u) / SERVERS["cpu"].dies) for u in utilizations
-    ]
+    haswell = ReplicaPower("cpu", app)
+    series = {"Haswell (total, /2 dies)": [(u, haswell.watts(u)) for u in utilizations]}
     for kind, label in (("gpu", "K80"), ("tpu", "TPU")):
-        die = platform_curve(kind, app)
-        dies = SERVERS[kind].dies
+        die = ReplicaPower(kind, app, include_host=False)
+        hosted = ReplicaPower(kind, app)
         series[f"{label} (incremental)"] = [(u, die.watts(u)) for u in utilizations]
-        series[f"{label}+host/{dies}"] = [
-            (u, die.watts(u) + host_share_watts(kind, u, app) / dies)
-            for u in utilizations
-        ]
+        series[f"{label}+host/{hosted.dies}"] = [(u, hosted.watts(u)) for u in utilizations]
     return series

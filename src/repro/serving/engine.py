@@ -1,9 +1,10 @@
 """The discrete-event core shared by every serving simulation.
 
 One heap-ordered event loop (:class:`EventLoop`), one server abstraction
-(:class:`BatchServer`) and one statistics summarizer.  The open-loop
-fleet simulator (:mod:`repro.serving.fleet`) and the legacy single-queue
-simulators (:mod:`repro.latency.queueing`) are both built on these
+(:class:`BatchServer`), one statistics summarizer and the closed-loop
+load generator (:func:`run_closed_loop`).  The open-loop fleet simulator
+(:mod:`repro.serving.fleet`) and Table 4's closed-loop points
+(:func:`repro.latency.sweep.table4_point`) are both built on these
 pieces, so there is exactly one implementation of "a batch occupies the
 server for ``occupancy(n)`` seconds and its responses complete after
 ``latency(n)`` seconds".
@@ -73,7 +74,8 @@ class LatencyCurve:
 
 @dataclass(frozen=True)
 class ConstantCurve(LatencyCurve):
-    """Batch-size-independent timing (the legacy queueing.py contract)."""
+    """Batch-size-independent timing: one (occupancy, latency) pair, as
+    Table 4 measures at one batch size."""
 
     occupancy_seconds: float
     latency_seconds: float | None = None

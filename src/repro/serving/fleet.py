@@ -256,6 +256,10 @@ class FleetSim:
     control-loop events scheduled on ``loop``.  ``replicas`` accumulates
     every replica that ever admitted work -- deactivated replicas stay
     in it so their residual queues drain and their accounting is kept.
+
+    ``arrivals`` must be finite times >= 0 s in non-decreasing order, the
+    way every generator in :mod:`repro.serving.traffic` draws them; any
+    other trace raises ``ValueError`` naming its first bad index.
     """
 
     def __init__(
@@ -271,7 +275,17 @@ class FleetSim:
             )
         if arrivals.size == 0:
             raise ValueError("arrivals must be non-empty")
-        reject_first("arrivals", arrivals, ~np.isfinite(arrivals), "a finite time")
+        # A finite, sorted trace is non-negative when its first time is.
+        bad = ~np.isfinite(arrivals)
+        bad[0] |= arrivals[0] < 0
+        reject_first("arrivals", arrivals, bad, "a finite time >= 0 s")
+        drops = np.diff(arrivals) < 0
+        if drops.any():
+            i = int(np.argmax(drops)) + 1
+            raise ValueError(
+                f"arrivals[{i}] must be >= arrivals[{i - 1}] (a sorted trace), "
+                f"got {arrivals[i].item()!r} after {arrivals[i - 1].item()!r}"
+            )
         self.replicas: list[Replica] = list(replicas)
         self.eligible: list[Replica] = list(replicas)  # routing targets
         self.router = router
@@ -398,14 +412,14 @@ class FleetSim:
     def _run_events(self) -> None:
         """Drive the event loop over the arrival trace.
 
-        Sorted traces whose per-replica arrival streams are known up
-        front (:meth:`_scan_applies`: round-robin fixed, timeout and
+        Fleets whose per-replica arrival streams are known up front
+        (:meth:`_scan_applies`: round-robin fixed, timeout and
         SLO-adaptive fleets) are stepped per batch by
-        :meth:`_scan_batches` instead.  Other sorted traces (JSQ, custom
-        policies, adaptive batchers over a dipping latency curve, the
-        autoscaler's dynamic replica set) merge the arrival stream
-        directly against the dynamic-event heap instead of pushing a
-        heap event per arrival.  Event order is identical to scheduling every arrival
+        :meth:`_scan_batches` instead.  Others (JSQ, custom policies,
+        adaptive batchers over a dipping latency curve, the autoscaler's
+        dynamic replica set) merge the sorted arrival stream directly
+        against the dynamic-event heap instead of pushing a heap event
+        per arrival.  Event order is identical to scheduling every arrival
         up front: events already on the loop when the run starts carry
         lower sequence numbers than the arrivals would have received,
         so they win exact time ties; events scheduled during the run
@@ -419,13 +433,6 @@ class FleetSim:
         replica's launch scheduled comes after it.
         """
         loop = self.loop
-        arrivals = self.arrivals
-        if arrivals.size > 1 and np.any(np.diff(arrivals) < 0):
-            # Unsorted trace: the heap is the sort.
-            for index, when in enumerate(self._times):
-                loop.schedule(when, lambda _t, i=index: self._on_arrival(i))
-            loop.run()
-            return
         if self._scan_applies():
             self._scan_batches()
             return
@@ -609,8 +616,7 @@ class FleetSim:
         exactly a :class:`FixedBatcher`, a :class:`TimeoutBatcher`, or an
         :class:`SLOAdaptiveBatcher` whose wait budgets are finite and
         never rise with the queue (:meth:`_scan_budgets`).
-        O(replicas + adaptive batch caps); the caller has checked the
-        trace is sorted.
+        O(replicas + adaptive batch caps).
         """
         if type(self.router) is not RoundRobinRouter or self.loop._heap:
             return False

@@ -51,7 +51,12 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Everything needed to instantiate a fleet and price its capacity."""
+    """Everything needed to instantiate a fleet and price its capacity.
+
+    A fixed or timeout spec built without ``batch_size`` serves at the
+    platform's latency-bounded batch for ``slo_seconds``, and
+    ``batch_size`` holds that batch from construction on.
+    """
 
     platform: Platform
     model: Model
@@ -61,6 +66,11 @@ class FleetSpec:
     batch_size: int | None = None
     timeout_seconds: float | None = None
     router: str = "round_robin"
+
+    def __post_init__(self) -> None:
+        if self.batch_size is None and self.policy in ("fixed", "timeout"):
+            batch = self.platform.latency_bounded_batch(self.model, self.slo_seconds)
+            object.__setattr__(self, "batch_size", batch)
 
     @cached_property
     def curve(self) -> PlatformCurve:

@@ -4,12 +4,7 @@ These helpers are deliberately dependency-light (numpy only) so every other
 subpackage can use them without import cycles.
 """
 
-from repro.util.stats import (
-    geometric_mean,
-    percentile,
-    weighted_geometric_mean,
-    weighted_mean,
-)
+from repro.util.stats import geometric_mean, weighted_mean
 from repro.util.tables import TextTable
 from repro.util.units import (
     GB,
@@ -22,11 +17,6 @@ from repro.util.units import (
     KILO,
     MEGA,
     TERA,
-    cycles_to_seconds,
-    seconds_to_cycles,
-    format_bytes,
-    format_count,
-    format_seconds,
 )
 
 __all__ = [
@@ -41,13 +31,6 @@ __all__ = [
     "MEGA",
     "TERA",
     "TextTable",
-    "cycles_to_seconds",
-    "format_bytes",
-    "format_count",
-    "format_seconds",
     "geometric_mean",
-    "percentile",
-    "seconds_to_cycles",
-    "weighted_geometric_mean",
     "weighted_mean",
 ]

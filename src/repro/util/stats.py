@@ -1,4 +1,4 @@
-"""Statistics helpers: the means and percentiles the paper reports.
+"""Statistics helpers: the means the paper reports.
 
 The paper summarizes six-app results with a geometric mean ("when you don't
 know the mix") and a weighted mean using the deployment mix of Table 1.
@@ -35,41 +35,3 @@ def weighted_mean(values: Iterable[float], weights: Iterable[float]) -> float:
     if total <= 0:
         raise ValueError(f"weights must sum to a positive value, got {total}")
     return sum(v * w for v, w in zip(data, wts)) / total
-
-
-def weighted_geometric_mean(values: Iterable[float], weights: Iterable[float]) -> float:
-    """Geometric mean weighted by ``weights`` (normalized)."""
-    data = list(values)
-    wts = list(weights)
-    _check_values(data, "weighted_geometric_mean")
-    if len(data) != len(wts):
-        raise ValueError(f"length mismatch: {len(data)} values, {len(wts)} weights")
-    if any(v <= 0 for v in data):
-        raise ValueError("weighted_geometric_mean requires positive values")
-    total = sum(wts)
-    if total <= 0:
-        raise ValueError(f"weights must sum to a positive value, got {total}")
-    return math.exp(sum(w * math.log(v) for v, w in zip(data, wts)) / total)
-
-
-def percentile(values: Iterable[float], pct: float) -> float:
-    """Percentile by linear interpolation (pct in [0, 100]).
-
-    Implemented locally (rather than via numpy) so the latency simulator can
-    run on plain lists of floats without conversions.
-    """
-    data = sorted(values)
-    _check_values(data, "percentile")
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"pct must be within [0, 100], got {pct}")
-    if len(data) == 1:
-        return data[0]
-    rank = (pct / 100.0) * (len(data) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return data[low]
-    frac = rank - low
-    value = data[low] * (1.0 - frac) + data[high] * frac
-    # Clamp: interpolation rounding must not escape the sample range.
-    return min(max(value, data[0]), data[-1])

@@ -1,4 +1,4 @@
-"""Unit constants and conversions used throughout the reproduction.
+"""Unit constants used throughout the reproduction.
 
 The paper mixes binary units (MiB of SRAM, GiB of DRAM) with decimal units
 (GB/s of bandwidth, TOPS).  Keeping both families as named constants avoids
@@ -21,47 +21,3 @@ GB = GIGA
 KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
-
-
-def seconds_to_cycles(seconds: float, clock_hz: float) -> float:
-    """Convert wall-clock seconds to (fractional) clock cycles."""
-    if clock_hz <= 0:
-        raise ValueError(f"clock_hz must be positive, got {clock_hz}")
-    return seconds * clock_hz
-
-
-def cycles_to_seconds(cycles: float, clock_hz: float) -> float:
-    """Convert clock cycles to wall-clock seconds."""
-    if clock_hz <= 0:
-        raise ValueError(f"clock_hz must be positive, got {clock_hz}")
-    return cycles / clock_hz
-
-
-def format_count(value: float, unit: str = "") -> str:
-    """Format a count with an SI prefix: ``format_count(92e12, 'OPS')``."""
-    magnitude = abs(value)
-    for threshold, prefix in ((TERA, "T"), (GIGA, "G"), (MEGA, "M"), (KILO, "K")):
-        if magnitude >= threshold:
-            return f"{value / threshold:.3g} {prefix}{unit}".rstrip()
-    return f"{value:.3g} {unit}".rstrip()
-
-
-def format_bytes(value: float) -> str:
-    """Format a capacity using binary prefixes (KiB/MiB/GiB)."""
-    magnitude = abs(value)
-    for threshold, prefix in ((GIB, "GiB"), (MIB, "MiB"), (KIB, "KiB")):
-        if magnitude >= threshold:
-            return f"{value / threshold:.3g} {prefix}"
-    return f"{value:.0f} B"
-
-
-def format_seconds(value: float) -> str:
-    """Format a duration with an appropriate sub-second unit."""
-    magnitude = abs(value)
-    if magnitude >= 1.0:
-        return f"{value:.3g} s"
-    if magnitude >= 1e-3:
-        return f"{value * 1e3:.3g} ms"
-    if magnitude >= 1e-6:
-        return f"{value * 1e6:.3g} us"
-    return f"{value * 1e9:.3g} ns"

@@ -29,10 +29,10 @@ compares the production path with a second, live implementation:
 * :func:`no_batch_scan` -- stands in for ``FleetSim._scan_applies``, so
   round-robin fixed, timeout and SLO-adaptive fleets take the
   per-arrival event loop instead of the per-batch scan;
-* :func:`every_event` -- stands in for ``FleetSim._run_events`` with the
-  unsorted-trace path: every arrival scheduled on the loop and every
-  timer fired by ``EventLoop.run``, so neither a window nor a dropped
-  poll timer can hide behind the main loop that the two above share;
+* :func:`every_event` -- stands in for ``FleetSim._run_events``: every
+  arrival scheduled on the loop as its own event and every timer fired
+  by ``EventLoop.run``, so neither a window nor a dropped poll timer can
+  hide behind the main loop that the two above share;
 * :func:`reference_diurnal_arrivals` -- the diurnal thinning loop one
   candidate at a time, with a scalar sine per candidate;
 * :func:`reference_stride_assign` -- the globe exact backend's stride
@@ -786,13 +786,13 @@ def install() -> Counter:
 
     Patches module and class attributes in place and never undoes them, so call it
     only in a fresh interpreter.  ``Lowering`` and ``run_closed_loop`` are
-    bound by name in ``repro.compiler.driver`` and
-    ``repro.latency.queueing`` at import, so those bindings are the ones
-    replaced.
+    bound by name in ``repro.compiler.driver`` and ``repro.latency.sweep``
+    (Table 4's :func:`~repro.latency.sweep.table4_point`) at import, so
+    those bindings are the ones replaced.
     """
     from repro.compiler import driver
     from repro.core import device
-    from repro.latency import queueing
+    from repro.latency import sweep
 
     fired: Counter = Counter()
 
@@ -811,5 +811,5 @@ def install() -> Counter:
 
     driver.Lowering = CountingLowering
     device.TPUDevice._execute = device_loop
-    queueing.run_closed_loop = closed_loop
+    sweep.run_closed_loop = closed_loop
     return fired

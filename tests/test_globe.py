@@ -505,6 +505,23 @@ class TestFacadeAndCLI:
         cats = {event.get("cat") for event in trace["traceEvents"]}
         assert "globe" in cats
 
+    @pytest.mark.parametrize("policy", ["fixed", "timeout"])
+    def test_fixed_and_timeout_default_to_the_serve_batch(self, policy):
+        """Without ``batch``, fixed and timeout clusters run at the
+        latency-bounded batch ``serve`` picks for the same workload and
+        SLO."""
+        scenario = GlobalScenario(policy=policy)
+        world = next(r for r in repro.run(scenario).rows if r["section"] == "global")
+        assert np.isfinite([world["p50_seconds"], world["p99_seconds"]]).all()
+        assert world["p50_seconds"] <= world["p99_seconds"]
+        for cluster in build_topology(scenario).clusters:
+            serve = repro.run(repro.ServeScenario(
+                workload=scenario.workload, platform=cluster.spec.platform.kind,
+                slo_ms=scenario.slo_ms, policy=policy, loads=(0.5,), requests=500,
+            ))
+            assert cluster.spec.batch_size == serve.metadata["resolved_batch"]
+            assert cluster.spec.max_batch() == serve.metadata["max_batch"]
+
     def test_global_serving_experiment_registered(self):
         from repro.analysis import EXPERIMENTS
 

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.latency.queueing import simulate_batch_queue, simulate_closed_loop
 from repro.latency.sweep import table4_rows
 from repro.power.floorplan import category_shares, die_table
 from repro.power.perfwatt import figure9_bars, server_scale_study
@@ -14,61 +13,77 @@ from repro.power.proportionality import (
     host_share_watts,
     platform_curve,
 )
+from repro.serving.batcher import FixedBatcher
+from repro.serving.engine import ConstantCurve, run_closed_loop, summarize
+from repro.serving.traffic import poisson_arrivals
+from tests.test_serving import single_replica
 
 
 class TestQueueSim:
+    """One batching server: a one-replica fixed-batch fleet under Poisson
+    load, and the closed-loop generator that drives Table 4."""
+
+    @staticmethod
+    def open_loop(rate, batch, occupancy, latency=None, n_requests=20000):
+        fleet = single_replica(FixedBatcher(batch), occupancy, latency)
+        return fleet.run(poisson_arrivals(rate, n_requests)).stats()
+
+    @staticmethod
+    def closed_loop(concurrency, batch, service):
+        responses, server = run_closed_loop(concurrency, batch, ConstantCurve(service))
+        return summarize(
+            responses, horizon=server.free_at, busy_time=server.busy_time,
+            warmup_fraction=0.25, batches=server.batches,
+        )
+
     def test_p99_at_least_service(self):
-        stats = simulate_batch_queue(1000.0, 16, 2e-3, n_requests=5000)
+        stats = self.open_loop(1000.0, 16, 2e-3, n_requests=5000)
         assert stats.completed == 5000
         assert stats.p99_seconds >= 2e-3
 
     def test_p99_grows_with_load_in_high_regime(self):
         # p99 vs load is U-shaped (batch collection dominates at low
         # load); in the queueing-dominated regime it must rise with load.
-        mid = simulate_batch_queue(6000.0, 16, 2e-3, n_requests=8000)
-        high = simulate_batch_queue(7840.0, 16, 2e-3, n_requests=8000)
+        mid = self.open_loop(6000.0, 16, 2e-3, n_requests=8000)
+        high = self.open_loop(7840.0, 16, 2e-3, n_requests=8000)
         assert high.p99_seconds > mid.p99_seconds
 
     def test_collection_dominates_at_low_load(self):
         # "most applications keep their input queues empty": at tiny load
         # the batch-collection time stretches response times.
-        stats = simulate_batch_queue(100.0, 16, 2e-3, n_requests=2000)
+        stats = self.open_loop(100.0, 16, 2e-3, n_requests=2000)
         assert stats.p99_seconds > 10 * 2e-3
 
     def test_throughput_capped_by_capacity(self):
-        stats = simulate_batch_queue(1e6, 16, 2e-3, n_requests=5000)
-        assert stats.throughput_ips <= 16 / 2e-3 * 1.01
-        assert stats.server_utilization == pytest.approx(1.0, abs=0.02)
+        stats = self.open_loop(1e6, 16, 2e-3, n_requests=5000)
+        assert stats.throughput_rps <= 16 / 2e-3 * 1.01
+        assert stats.utilization == pytest.approx(1.0, abs=0.02)
 
     def test_latency_occupancy_split(self):
-        pipelined = simulate_batch_queue(
-            1000.0, 16, occupancy_seconds=1e-3, latency_seconds=3e-3, n_requests=4000
-        )
-        serial = simulate_batch_queue(1000.0, 16, 3e-3, n_requests=4000)
+        pipelined = self.open_loop(1000.0, 16, 1e-3, latency=3e-3, n_requests=4000)
+        serial = self.open_loop(1000.0, 16, 3e-3, n_requests=4000)
         assert pipelined.p99_seconds <= serial.p99_seconds
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            simulate_batch_queue(0.0, 16, 1e-3)
+            poisson_arrivals(0.0, 100)
         with pytest.raises(ValueError):
-            simulate_batch_queue(1.0, 0, 1e-3)
-        with pytest.raises(ValueError):
-            simulate_batch_queue(1.0, 4, 1e-3, latency_seconds=0.5e-3)
+            FixedBatcher(0)
 
     def test_closed_loop_depth_inflates_p99(self):
-        shallow = simulate_closed_loop(16, 16, 2e-3)
-        deep = simulate_closed_loop(64, 16, 2e-3)
+        shallow = self.closed_loop(16, 16, 2e-3)
+        deep = self.closed_loop(64, 16, 2e-3)
         assert deep.p99_seconds > shallow.p99_seconds
-        assert deep.throughput_ips == pytest.approx(16 / 2e-3)
+        assert deep.throughput_rps == pytest.approx(16 / 2e-3)
 
     def test_closed_loop_requires_full_batches(self):
         with pytest.raises(ValueError):
-            simulate_closed_loop(8, 16, 1e-3)
+            run_closed_loop(8, 16, ConstantCurve(1e-3))
 
     @given(st.integers(1, 6), st.floats(1e-4, 1e-2))
     @settings(max_examples=20, deadline=None)
     def test_closed_loop_p99_scales_with_depth(self, depth, service):
-        stats = simulate_closed_loop(16 * depth, 16, service)
+        stats = self.closed_loop(16 * depth, 16, service)
         assert stats.p99_seconds == pytest.approx(depth * service, rel=0.3)
 
 

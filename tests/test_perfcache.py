@@ -267,34 +267,43 @@ class TestCachedEqualsUncached:
 class TestSweepConvergence:
     """latency.sweep and serving.sweep must share one evaluation path."""
 
-    def test_single_probe_entrypoint(self):
-        from repro.latency import sweep as latency_sweep
-        from repro.serving import fleet
+    def test_single_probe_entrypoint(self, mlp0):
+        """Table 4 and the serving curve ask one memo: after
+        ``table4_rows``, the curve's exact points at Table 4's batches
+        are all hits."""
+        from repro.latency.sweep import TABLE4_BATCHES, table4_rows
 
-        assert latency_sweep._occupancy_latency is fleet.occupancy_latency
+        plats = {"cpu": HaswellPlatform(), "gpu": K80Platform(), "tpu": TPUPlatform()}
+        table4_rows(mlp0, plats)
+        cache = perfcache.GLOBAL
+        cache.reset_counters()
+        for kind, batches in TABLE4_BATCHES.items():
+            curve = _spec(plats[kind], mlp0).curve
+            for batch in batches:
+                assert batch in curve.anchors
+                curve._exact(batch)
+        stats = cache.stats()
+        assert stats.hits == 6 and stats.misses == 0
+        cache.reset_counters()
 
     def test_curves_agree_point_for_point(self, mlp0):
-        """The serving curve's exact anchors == latency.sweep's probes.
+        """The serving curve's exact anchors == Table 4's probes.
 
         Both funnel through :func:`repro.perfcache.occupancy_latency`,
         so at every anchor batch the two consumers must see the exact
         same (occupancy, latency) floats -- on every platform.
         """
-        from repro.latency.sweep import _occupancy_latency
-
         for platform in (TPUPlatform(), K80Platform(), HaswellPlatform()):
             curve = _spec(platform, mlp0).curve
             for batch in curve.anchors:
-                assert curve._exact(batch) == _occupancy_latency(
+                assert curve._exact(batch) == perfcache.occupancy_latency(
                     platform, mlp0, batch
                 ), f"{platform.kind} diverged at batch {batch}"
 
     def test_shared_probes_hit_the_global_cache(self, mlp0):
-        from repro.latency.sweep import _occupancy_latency
-
         platform = TPUPlatform()
         cache = perfcache.GLOBAL
-        _occupancy_latency(platform, mlp0, 48)  # ensure the entry exists
+        perfcache.occupancy_latency(platform, mlp0, 48)  # ensure the entry exists
         cache.reset_counters()
         curve = _spec(platform, mlp0).curve
         curve._exact(48)

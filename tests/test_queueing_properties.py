@@ -1,8 +1,9 @@
 """Property tests for the latency/queueing closed forms.
 
-The datacenter, globe, and LLM-pool layers all price fleets with these
-four functions, so their analytic invariants are pinned here with
-hypothesis rather than example-by-example: Erlang-C is a probability
+The globe's hybrid backend prices its cells with these four functions
+(the datacenter and LLM-pool layers simulate their fleets instead), so
+their analytic invariants are pinned here with hypothesis rather than
+example-by-example: Erlang-C is a probability
 and monotone in utilization, waits are non-negative and monotone in
 load, deterministic service never waits longer than exponential
 service at the same load, and the fluid backlog is a non-negative

@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro import obs
-from repro.latency.queueing import simulate_batch_queue
 from repro.serving.batcher import (
     Batcher,
     FixedBatcher,
@@ -101,18 +100,7 @@ class TestEventLoop:
 
 
 class TestClosedFormParity:
-    """A one-replica fixed-batch fleet IS simulate_batch_queue."""
-
-    def test_matches_simulate_batch_queue(self):
-        rate, batch, n = 1000.0, 16, 4000
-        legacy = simulate_batch_queue(rate, batch, SERVICE, n_requests=n, seed=3)
-        fleet = single_replica(FixedBatcher(batch))
-        result = fleet.run(poisson_arrivals(rate, n, seed=3))
-        stats = result.stats()
-        assert stats.p99_seconds == pytest.approx(legacy.p99_seconds, rel=1e-12)
-        assert stats.p50_seconds == pytest.approx(legacy.p50_seconds, rel=1e-12)
-        assert stats.throughput_rps == pytest.approx(legacy.throughput_ips, rel=1e-12)
-        assert stats.utilization == pytest.approx(legacy.server_utilization, rel=1e-12)
+    """A one-replica fixed-batch fleet against hand-computed responses."""
 
     def test_deterministic_uniform_load(self):
         # Requests every 1 ms, batch 4, 2 ms service: batch k collects
@@ -188,8 +176,8 @@ class TestBatchers:
 
 
 class TestMalformedArrivals:
-    """``FleetSim`` names ``arrivals`` and the first bad index; negative
-    times stay legal."""
+    """``FleetSim`` takes finite times >= 0 s in non-decreasing order and
+    names ``arrivals`` and the first bad index of any other trace."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_arrival(self, bad):
@@ -204,10 +192,31 @@ class TestMalformedArrivals:
         with pytest.raises(ValueError, match=r"arrivals must be one-dimensional.*\(5, 2\)"):
             fleet.run(np.zeros((5, 2)))
 
-    def test_negative_arrivals_stay_legal(self):
-        fleet = single_replica(TimeoutBatcher(8, 1e-3))
-        result = fleet.run(np.array([-2e-3, -1e-3, 0.0]))
-        assert sum(result.served_per_replica) == 3
+    @pytest.mark.parametrize("arrivals, message", [
+        ([-5.0, 10.0], r"arrivals\[0\] must be a finite time >= 0 s, got -5\.0$"),
+        ([0.5, 0.1], r"arrivals\[1\] must be >= arrivals\[0\] .*got 0\.1 after 0\.5$"),
+        ([0.5, -1.0], r"arrivals\[1\] must be >= arrivals\[0\] .*got -1\.0 after 0\.5$"),
+    ], ids=["negative", "unsorted", "unsorted-negative"])
+    @pytest.mark.parametrize("runner", ["fleet", "autoscaled"])
+    def test_refuses_a_negative_or_unsorted_trace(self, runner, arrivals, message):
+        """A fresh server counts as busy until t = 0, so an arrival before
+        it would wait for a later poll, and an unsorted trace would
+        schedule into the past: both are refused before the run starts."""
+        from repro.datacenter.autoscaler import (
+            AutoscaleConfig,
+            AutoscaledFleet,
+            StaticPolicy,
+        )
+
+        if runner == "fleet":
+            fleet = single_replica(TimeoutBatcher(8, 1e-3), occupancy=1e-3)
+        else:
+            fleet = AutoscaledFleet(
+                lambda i: Replica(ConstantCurve(1e-3), TimeoutBatcher(8, 1e-3)),
+                StaticPolicy(1), AutoscaleConfig(0.05, 0.0), replica_rps=8000.0,
+            )
+        with pytest.raises(ValueError, match=message):
+            fleet.run(np.array(arrivals))
 
 
 class TestJSQTieBreaking:
@@ -858,7 +867,6 @@ class TestBatchScanParity(ParityFleets):
         assert sim()._scan_applies()
         assert not sim(router="jsq")._scan_applies()
         assert not sim(batcher=CustomTimeout)._scan_applies()
-        assert not sim(arrivals=(-0.1, 0.2))._scan_applies()  # busy until 0.0
         scheduled = sim()
         scheduled.loop.schedule(0.15, lambda _t: None)  # e.g. an autoscaler tick
         assert not scheduled._scan_applies()
@@ -1223,16 +1231,11 @@ class TestSimLifetime(ParityFleets):
     it, say) would keep each finished run's arrays alive until a full
     collection."""
 
-    @pytest.mark.parametrize("sorted_trace", [True, False])
     @pytest.mark.parametrize("policy", ["fixed", "timeout", "adaptive"])
     @pytest.mark.parametrize("router", ["round_robin", "jsq"])
-    def test_finished_sim_is_freed_by_reference_counting(self, router, policy, sorted_trace):
-        """Also for an unsorted trace, whose arrivals go on the loop as
-        closures over the sim."""
+    def test_finished_sim_is_freed_by_reference_counting(self, router, policy):
         fleet = self._fleet(3, policy, router=router)
         arrivals = self._arrivals("poisson", 3, load=0.7, n=1000)
-        if not sorted_trace:
-            arrivals = np.random.default_rng(0).permutation(arrivals)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -1312,8 +1315,8 @@ class TestFreshProcesses:
 
 
 def test_batch_scan_engaged_by_default(monkeypatch):
-    """Round-robin timeout fleets and the legacy single-queue simulator
-    never poll; a JSQ fleet (no scan) does, so the spy is live."""
+    """Round-robin timeout fleets and a one-replica fixed fleet never
+    poll; a JSQ fleet (no scan) does, so the spy is live."""
     polls = []
     original = FleetSim.poll
 
@@ -1332,7 +1335,7 @@ def test_batch_scan_engaged_by_default(monkeypatch):
         assert sum(result.served_per_replica) == 2000
         assert (len(polls) > 0) == (router == "jsq")
     polls.clear()
-    simulate_batch_queue(1000.0, 16, SERVICE, n_requests=500)
+    single_replica(FixedBatcher(16)).run(poisson_arrivals(1000.0, 500))
     assert polls == []
 
 

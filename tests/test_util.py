@@ -4,24 +4,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    geometric_mean,
-    percentile,
-    weighted_geometric_mean,
-    weighted_mean,
-)
+from repro.util.stats import geometric_mean, weighted_mean
 from repro.util.tables import TextTable
 from repro.util.textplot import AsciiPlot, Series
-from repro.util.units import (
-    GIB,
-    KIB,
-    MIB,
-    cycles_to_seconds,
-    format_bytes,
-    format_count,
-    format_seconds,
-    seconds_to_cycles,
-)
+from repro.util.units import GIB, KIB, MIB
 
 
 class TestUnits:
@@ -29,32 +15,6 @@ class TestUnits:
         assert KIB == 1024
         assert MIB == 1024**2
         assert GIB == 1024**3
-
-    def test_cycle_conversions_roundtrip(self):
-        seconds = cycles_to_seconds(700, 700e6)
-        assert seconds == pytest.approx(1e-6)
-        assert seconds_to_cycles(seconds, 700e6) == pytest.approx(700)
-
-    def test_cycle_conversion_rejects_bad_clock(self):
-        with pytest.raises(ValueError):
-            cycles_to_seconds(1.0, 0.0)
-        with pytest.raises(ValueError):
-            seconds_to_cycles(1.0, -1.0)
-
-    def test_format_count_prefixes(self):
-        assert format_count(92e12, "OPS") == "92 TOPS"
-        assert format_count(34e9, "B/s") == "34 GB/s"
-        assert format_count(5) == "5"
-
-    def test_format_bytes(self):
-        assert format_bytes(24 * MIB) == "24 MiB"
-        assert format_bytes(8 * GIB) == "8 GiB"
-        assert format_bytes(100) == "100 B"
-
-    def test_format_seconds(self):
-        assert format_seconds(7e-3) == "7 ms"
-        assert format_seconds(2e-6) == "2 us"
-        assert format_seconds(1.5) == "1.5 s"
 
 
 class TestStats:
@@ -75,37 +35,10 @@ class TestStats:
         with pytest.raises(ValueError):
             weighted_mean([1, 2], [1])
 
-    def test_weighted_geometric_mean_matches_plain_when_uniform(self):
-        values = [2.0, 8.0, 4.0]
-        assert weighted_geometric_mean(values, [1, 1, 1]) == pytest.approx(
-            geometric_mean(values)
-        )
-
-    def test_percentile_endpoints(self):
-        data = [5.0, 1.0, 3.0]
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 5.0
-        assert percentile(data, 50) == 3.0
-
-    def test_percentile_interpolates(self):
-        assert percentile([0.0, 10.0], 25) == pytest.approx(2.5)
-
-    def test_percentile_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-
     @given(st.lists(st.floats(0.1, 1e6), min_size=1, max_size=40))
     def test_geometric_mean_bounded_by_extremes(self, values):
         gm = geometric_mean(values)
         assert min(values) * 0.999 <= gm <= max(values) * 1.001
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-        st.floats(0, 100),
-    )
-    def test_percentile_within_range(self, values, pct):
-        result = percentile(values, pct)
-        assert min(values) <= result <= max(values)
 
 
 class TestTextTable:
