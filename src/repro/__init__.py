@@ -48,7 +48,7 @@ from repro.api import (
     run,
 )
 from repro.compiler import LivenessAllocator, StaticPartitionAllocator, TPUDriver
-from repro.core import TPUConfig, TPUDevice, TPU_PRIME, TPU_V1
+from repro.core import TPUConfig, TPUDevice, TPU_V1
 from repro.nn import build_workload, paper_workloads
 
 __version__ = "1.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "TPUConfig",
     "TPUDevice",
     "TPUDriver",
-    "TPU_PRIME",
     "TPU_V1",
     "build_workload",
     "load_scenario",

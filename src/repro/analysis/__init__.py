@@ -3,8 +3,9 @@
 Each ``table*``/``figure*`` module exposes ``run() -> ExperimentResult``;
 the registry maps experiment ids to :class:`repro.api.Experiment`
 entries -- still zero-argument callables (``EXPERIMENTS[id]()``), but
-carrying a title and, where the experiment is a parameter study, the
-default :class:`ScenarioSpec` it runs with (introspectable via
+carrying the experiment's one title, which each entry stamps on its
+result, and, where the experiment is a parameter study, the default
+:class:`ScenarioSpec` it runs with (introspectable via
 ``repro list --json`` / ``repro experiment <id> --spec``).
 :mod:`repro.analysis.report` renders the whole evaluation with
 per-experiment error isolation (EXPERIMENTS.md is generated from it).
@@ -43,26 +44,31 @@ from repro.analysis import (  # noqa: E402  (registry population)
 EXPERIMENTS: dict[str, Experiment] = {
     exp.exp_id: exp
     for exp in (
-        Experiment("table1", "Six-application inference workload", table1.run),
-        Experiment("table2", "TPU vs Haswell vs K80 chip comparison", table2.run),
-        Experiment("table3", "TPU cycle breakdown per workload", table3.run),
-        Experiment("table4", "Batch caps under the 7 ms SLO", table4.run),
-        Experiment("table5", "Host time share of TPU serving", table5.run),
+        Experiment("table1", "Six NN applications (95% of datacenter inference demand)",
+                   table1.run),
+        Experiment("table2", "Benchmarked servers (published inputs)", table2.run),
+        Experiment("table3", "Factors limiting TPU performance", table3.run),
+        Experiment("table4", "Latency-bounded throughput (MLP0)", table4.run),
+        Experiment("table5", "Host interaction overhead", table5.run),
         Experiment("table6", "Relative inference performance per die", table6.run),
-        Experiment("table7", "Performance/Watt comparison", table7.run),
-        Experiment("table8", "Unified Buffer occupancy", table8.run),
-        Experiment("figure2", "Systolic data flow", figure2.run),
-        Experiment("figure4", "Systolic array timing", figure4.run),
-        Experiment("figure5", "TPU roofline", figure5.run),
-        Experiment("figure6", "Haswell roofline", figure6.run),
-        Experiment("figure7", "K80 roofline", figure7.run),
-        Experiment("figure8", "All platforms, one roofline", figure8.run),
-        Experiment("figure9", "Relative performance rollup", figure9.run),
-        Experiment("figure10", "Energy proportionality curves", figure10.run),
-        Experiment("figure11", "TPU' design-space what-ifs", figure11.run),
-        Experiment("tpu_prime", "TPU' memory-bandwidth uplift", extras.run_tpu_prime),
-        Experiment("boost_mode", "K80 boost-mode trade-off", extras.run_boost_mode),
-        Experiment("server_scale", "Server-scale speedup", extras.run_server_scale),
+        Experiment("table7", "Performance-model validation", table7.run),
+        Experiment("table8", "Unified Buffer footprint per app", table8.run),
+        Experiment("figure2", "TPU die floorplan (datapath ~2/3 of the die, control 2%)",
+                   figure2.run),
+        Experiment("figure4", "Systolic wavefront through the matrix unit", figure4.run),
+        Experiment("figure5", "Figure 5 -- TPU die roofline", figure5.run),
+        Experiment("figure6", "Figure 6 -- Haswell die roofline", figure6.run),
+        Experiment("figure7", "Figure 7 -- K80 die roofline", figure7.run),
+        Experiment("figure8", "Combined rooflines (all TPU stars above the other ceilings)",
+                   figure8.run),
+        Experiment("figure9", "Performance/Watt (the performance/TCO proxy)", figure9.run),
+        Experiment("figure10", "Energy proportionality", figure10.run),
+        Experiment("figure11", "Design-space sensitivity (memory bandwidth wins)", figure11.run),
+        Experiment("tpu_prime", "The GDDR5 hypothetical (TPU')", extras.run_tpu_prime),
+        Experiment("boost_mode", "Fallacy: K80 Boost mode would change the results",
+                   extras.run_boost_mode),
+        Experiment("server_scale", "Accelerator economics at the server level",
+                   extras.run_server_scale),
         Experiment(
             "serving_sweep",
             "Datacenter serving: p99 vs throughput at fleet scale",

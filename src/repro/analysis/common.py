@@ -17,13 +17,18 @@ from repro.platforms.tpu import TPUPlatform
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One regenerated table or figure."""
+    """One regenerated table or figure.
+
+    The registry entry that runs it stamps its ``title``
+    (:class:`repro.api.Experiment`), so ``repro list`` and the report
+    header read one string.
+    """
 
     exp_id: str
-    title: str
     text: str
     measured: dict = field(default_factory=dict)
     paper: dict = field(default_factory=dict)
+    title: str = ""
 
     def __str__(self) -> str:
         return f"== {self.exp_id}: {self.title} ==\n{self.text}"

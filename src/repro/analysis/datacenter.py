@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import repro
+from repro import _paper
 from repro.analysis.common import ExperimentResult, platforms, workload
 from repro.api.spec import DatacenterScenario
 from repro.datacenter.autoscaler import (
@@ -55,7 +56,7 @@ class StudyResult:
 #: full report regenerates quickly).
 DEFAULT_SCENARIO = DatacenterScenario(
     workload="mlp0",
-    slo_ms=SLA_SECONDS.get("mlp0", 7e-3) * 1e3,
+    slo_ms=SLA_SECONDS["mlp0"] * 1e3,
     requests=8000,
     max_replicas=16,
 )
@@ -261,12 +262,11 @@ def run(scenario: DatacenterScenario | None = None) -> ExperimentResult:
             }
     return ExperimentResult(
         exp_id="datacenter_provisioning",
-        title="Energy-aware capacity planning, autoscaling, and TCO",
         text=result.render(),
         measured=measured,
         paper={
             # Section 6's published 10%-load power ratios (Figure 10).
-            "ratio_at_10pct": {"tpu": 0.88, "gpu": 0.66, "cpu": 0.56},
+            "ratio_at_10pct": {k: _paper.FIGURE10[(k, "cnn0")] for k in ("tpu", "gpu", "cpu")},
             "slo_seconds": scenario.slo_seconds,
         },
     )

@@ -38,7 +38,6 @@ def run_tpu_prime() -> ExperimentResult:
     }
     return ExperimentResult(
         exp_id="tpu_prime",
-        title="The GDDR5 hypothetical (TPU')",
         text=table.render() + notes,
         measured=measured,
         paper=_paper.TPU_PRIME,
@@ -68,7 +67,6 @@ def run_boost_mode() -> ExperimentResult:
                 "boost_power_factor": BOOST_POWER_FACTOR}
     return ExperimentResult(
         exp_id="boost_mode",
-        title="Fallacy: K80 Boost mode would change the results",
         text=text,
         measured=measured,
         paper=_paper.BOOST_MODE,
@@ -85,7 +83,6 @@ def run_server_scale() -> ExperimentResult:
     )
     return ExperimentResult(
         exp_id="server_scale",
-        title="Accelerator economics at the server level",
         text=text,
         measured={"speedup": study.cnn0_speedup,
                   "extra_power": study.extra_power_fraction},

@@ -39,7 +39,6 @@ def run() -> ExperimentResult:
     )
     return ExperimentResult(
         exp_id="figure10",
-        title="Energy proportionality",
         text="\n".join(lines),
         measured=measured,
         paper=_paper.FIGURE10,

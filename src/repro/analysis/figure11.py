@@ -55,7 +55,6 @@ def run() -> ExperimentResult:
     ]
     return ExperimentResult(
         exp_id="figure11",
-        title="Design-space sensitivity (memory bandwidth wins)",
         text=plot.render() + "\n" + table.render() + "\n".join(notes),
         measured=measured,
         paper=_paper.FIGURE11,

@@ -17,7 +17,6 @@ def run() -> ExperimentResult:
         )
     return ExperimentResult(
         exp_id="figure2",
-        title="TPU die floorplan (datapath ~2/3 of the die, control 2%)",
         text="\n".join(lines),
         measured=shares,
         paper=_paper.FIGURE2,

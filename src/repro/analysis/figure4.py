@@ -31,7 +31,6 @@ def run() -> ExperimentResult:
     )
     return ExperimentResult(
         exp_id="figure4",
-        title="Systolic wavefront through the matrix unit",
         text=text,
         measured={"exact": exact, "cycles": trace.cycles,
                   "shift_cycles": shift_cycles},

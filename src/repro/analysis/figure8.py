@@ -31,7 +31,6 @@ def run() -> ExperimentResult:
     }
     return ExperimentResult(
         exp_id="figure8",
-        title="Combined rooflines (all TPU stars above the other ceilings)",
         text=text,
         measured=measured,
         paper={"claim": "All TPU stars are at or above the other 2 rooflines"},

@@ -23,7 +23,6 @@ def run() -> ExperimentResult:
         measured[(bar.comparison, bar.basis)] = (bar.gm, bar.wm)
     return ExperimentResult(
         exp_id="figure9",
-        title="Performance/Watt (the performance/TCO proxy)",
         text=table.render(),
         measured=measured,
         paper=_paper.FIGURE9,

@@ -113,7 +113,6 @@ def run(scenario: GlobalScenario | None = None) -> ExperimentResult:
     measured["validation_throughput_err"] = thr_err
     return ExperimentResult(
         exp_id="global_serving",
-        title="Planet-scale serving: global routing on the hybrid backend",
         text="\n\n".join(sections),
         measured=measured,
         paper={

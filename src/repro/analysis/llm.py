@@ -193,7 +193,6 @@ def run(scenario: LLMServeScenario | None = None) -> ExperimentResult:
 
     return ExperimentResult(
         exp_id="llm_operating_curve",
-        title="LLM decode serving: continuous batching under a KV budget",
         text="\n\n".join(sections),
         measured=measured,
         paper={

@@ -1,6 +1,6 @@
 """Run every experiment and render the paper-vs-measured report.
 
-``python -m repro.analysis.report [output.md] [--only ids] [--jobs N]``
+``python -m repro report [output.md] [--only ids] [--jobs N]``
 regenerates EXPERIMENTS.md.  Each experiment runs isolated: one failure
 is captured (traceback and all) and rendered as a FAILED section
 instead of killing the whole report, and ``--jobs N`` fans experiments
@@ -9,7 +9,6 @@ out across worker processes.
 
 from __future__ import annotations
 
-import argparse
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +35,7 @@ TOPS row inherits the paper's own counter-vs-production inconsistency;
 and our synthetic LSTM1 is heavier per step than Google's, so its
 TPU-vs-CPU ratio overshoots.
 
-Regenerate with: `python -m repro.analysis.report EXPERIMENTS.md`
+Regenerate with: `python -m repro report EXPERIMENTS.md`
 """
 
 
@@ -172,9 +171,8 @@ def write_report(
 
 
 def report_cli(output: str, only: str | None = None, jobs: int = 1) -> int:
-    """The shared CLI behavior behind ``python -m repro report`` and
-    ``python -m repro.analysis.report``: parse the ``--only`` subset,
-    write the report, exit 2 on bad ids, 1 if any experiment failed."""
+    """``python -m repro report``: parse the ``--only`` subset, write the
+    report, exit 2 on bad ids, 1 if any experiment failed."""
     exp_ids = (
         [e.strip() for e in only.split(",") if e.strip()] if only else None
     )
@@ -185,24 +183,3 @@ def report_cli(output: str, only: str | None = None, jobs: int = 1) -> int:
         return 2
     return 0 if all(o.ok for o in outcomes.values()) else 1
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis.report",
-        description="Regenerate the paper-vs-measured report.",
-    )
-    parser.add_argument("output", nargs="?", default="EXPERIMENTS.md")
-    parser.add_argument("--only", default=None,
-                        help="comma-separated experiment ids (default: all)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1: in-process)")
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return report_cli(args.output, only=args.only, jobs=args.jobs)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

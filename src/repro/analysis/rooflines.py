@@ -22,7 +22,6 @@ def roofline_result(exp_id: str, kind: str, title: str) -> ExperimentResult:
     }
     return ExperimentResult(
         exp_id=exp_id,
-        title=title,
         text=text,
         measured=measured,
         paper={"ridge": _paper.RIDGE_POINTS[kind]},

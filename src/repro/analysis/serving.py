@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 import repro
+from repro import _paper
 from repro.analysis.common import ExperimentResult
 from repro.api.spec import ServeScenario
 from repro.platforms.base import SLA_SECONDS
@@ -83,8 +84,10 @@ def run(scenario: ServeScenario | None = None) -> ExperimentResult:
     )
     return ExperimentResult(
         exp_id="serving_sweep",
-        title="Datacenter serving: p99 vs throughput at fleet scale",
         text="\n\n".join(sections),
         measured=measured,
-        paper={"tpu_pct_of_max_at_7ms": 0.80, "slo_seconds": scenario.slo_seconds},
+        paper={
+            "tpu_pct_of_max_at_7ms": _paper.TABLE4[("tpu", 200)]["pct_max"],
+            "slo_seconds": scenario.slo_seconds,
+        },
     )

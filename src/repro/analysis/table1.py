@@ -40,7 +40,6 @@ def run() -> ExperimentResult:
         ])
     return ExperimentResult(
         exp_id="table1",
-        title="Six NN applications (95% of datacenter inference demand)",
         text=table.render(),
         measured=measured,
         paper=_paper.TABLE1,

@@ -46,7 +46,6 @@ def run() -> ExperimentResult:
     }
     return ExperimentResult(
         exp_id="table2",
-        title="Benchmarked servers (published inputs)",
         text=text,
         measured=measured,
     )

@@ -45,7 +45,6 @@ def run() -> ExperimentResult:
     table.add_row(tops_cells)
     return ExperimentResult(
         exp_id="table3",
-        title="Factors limiting TPU performance",
         text=table.render(),
         measured=measured,
         paper=_paper.TABLE3,

@@ -37,7 +37,6 @@ def run() -> ExperimentResult:
         }
     return ExperimentResult(
         exp_id="table4",
-        title="Latency-bounded throughput (MLP0)",
         text=table.render(),
         measured=measured,
         paper=_paper.TABLE4,

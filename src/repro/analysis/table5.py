@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro import _paper
-from repro.analysis.common import ExperimentResult, compiled, profiled, workloads
+from repro.analysis.common import ExperimentResult, compiled, platforms, profiled, workloads
 from repro.util.tables import TextTable
 
 
@@ -13,13 +13,13 @@ def run() -> ExperimentResult:
         title="Table 5 -- time the CPU and TPU spend communicating",
     )
     measured = {}
+    driver = platforms()["tpu"].driver
     for name in workloads():
-        fraction = compiled(name).host_seconds_per_batch() / profiled(name).seconds
+        fraction = driver.host_fraction(compiled(name), profiled(name))
         measured[name] = fraction
         table.add_row([name.upper(), f"{fraction:.0%}", f"{_paper.TABLE5[name]:.0%}"])
     return ExperimentResult(
         exp_id="table5",
-        title="Host interaction overhead",
         text=table.render(),
         measured=measured,
         paper=_paper.TABLE5,

@@ -4,35 +4,21 @@ from __future__ import annotations
 
 from repro import _paper
 from repro.analysis.common import ExperimentResult, platforms, workloads
-from repro.nn.workloads import DEPLOYMENT_MIX
-from repro.util.stats import geometric_mean, weighted_mean
+from repro.nn.workloads import mix_means
+from repro.platforms.base import relative_ips
 from repro.util.tables import TextTable
 
 
-def relative_performance() -> dict[str, dict[str, float]]:
-    """Per-app IPS relative to the Haswell die (the Table 6 body)."""
-    plats = platforms()
-    rel: dict[str, dict[str, float]] = {"gpu": {}, "tpu": {}}
-    for name, model in workloads().items():
-        base = plats["cpu"].serving_point(model).ips
-        rel["gpu"][name] = plats["gpu"].serving_point(model).ips / base
-        rel["tpu"][name] = plats["tpu"].serving_point(model).ips / base
-    return rel
-
-
 def run() -> ExperimentResult:
-    rel = relative_performance()
+    rel = relative_ips(workloads(), platforms())
     apps = list(workloads())
-    weights = [DEPLOYMENT_MIX[a] for a in apps]
     table = TextTable(
         ["Type"] + [a.upper() for a in apps] + ["GM", "WM"],
         title="Table 6 -- relative per-die performance (CPU = 1); paper in parens",
     )
     means = {}
     for kind, paper_row in (("gpu", _paper.TABLE6_GPU), ("tpu", _paper.TABLE6_TPU)):
-        values = [rel[kind][a] for a in apps]
-        gm = geometric_mean(values)
-        wm = weighted_mean(values, weights)
+        gm, wm = mix_means(rel[kind])
         means[f"{kind}_gm"], means[f"{kind}_wm"] = gm, wm
         table.add_row(
             [kind.upper()]
@@ -41,9 +27,7 @@ def run() -> ExperimentResult:
                f"{wm:.1f} ({_paper.TABLE6_MEANS[kind + '_wm']})"]
         )
     ratio = {a: rel["tpu"][a] / rel["gpu"][a] for a in apps}
-    ratio_values = [ratio[a] for a in apps]
-    means["ratio_gm"] = geometric_mean(ratio_values)
-    means["ratio_wm"] = weighted_mean(ratio_values, weights)
+    means["ratio_gm"], means["ratio_wm"] = mix_means(ratio)
     table.add_row(
         ["TPU/GPU"]
         + [f"{ratio[a]:.1f}" for a in apps]
@@ -52,7 +36,6 @@ def run() -> ExperimentResult:
     )
     return ExperimentResult(
         exp_id="table6",
-        title="Relative inference performance per die",
         text=table.render(),
         measured={"gpu": rel["gpu"], "tpu": rel["tpu"], "means": means},
         paper={"gpu": _paper.TABLE6_GPU, "tpu": _paper.TABLE6_TPU,

@@ -29,7 +29,6 @@ def run() -> ExperimentResult:
     table.add_row(["Average", "", "", f"{average:.1%}", f"{_paper.TABLE7['average']:.0%}"])
     return ExperimentResult(
         exp_id="table7",
-        title="Performance-model validation",
         text=table.render(),
         measured=measured,
         paper=_paper.TABLE7,

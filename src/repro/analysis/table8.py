@@ -37,7 +37,6 @@ def run() -> ExperimentResult:
     measured["max"] = max_improved
     return ExperimentResult(
         exp_id="table8",
-        title="Unified Buffer footprint per app",
         text=table.render() + note,
         measured=measured,
         paper=_paper.TABLE8,

@@ -131,7 +131,6 @@ def run() -> ExperimentResult:
     )
     return ExperimentResult(
         exp_id="transformer_roofline",
-        title="Transformer workloads on the TPU roofline (extension)",
         text="\n\n".join([table.render(), chart, notes]),
         measured=measured,
         paper={"ridge": TPU_V1.ridge_ops_per_byte},

@@ -9,6 +9,7 @@ introspect it and callers can re-run the experiment on a modified spec.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -40,8 +41,13 @@ class Experiment:
     def __call__(self) -> Any:
         """Run with the default spec; returns an ``ExperimentResult``."""
         if self.scenario is None:
-            return self.runner()
-        return self.runner(self.scenario)
+            return self._titled(self.runner())
+        return self._titled(self.runner(self.scenario))
+
+    def _titled(self, result: Any) -> Any:
+        """The runner's result under this entry's title, the one string
+        ``repro list`` and the report header both print."""
+        return dataclasses.replace(result, title=self.title)
 
     def with_scenario(self, scenario: ScenarioSpec) -> Any:
         """Run on a caller-supplied spec (same kind as the default)."""
@@ -67,7 +73,7 @@ class Experiment:
                     f"{', '.join(ignored)}; it only reads: "
                     + ", ".join(self.honors)
                 )
-        return self.runner(scenario)
+        return self._titled(self.runner(scenario))
 
     def describe(self) -> dict[str, Any]:
         """Spec introspection for ``repro list --json`` / ``--spec``."""

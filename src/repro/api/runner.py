@@ -124,10 +124,27 @@ def _serve_fleet_spec(scenario: ServeScenario) -> tuple[Any, tuple[str, ...]]:
         timeout_seconds=timeout,
         router=scenario.router,
     )
-    notes: tuple[str, ...] = ()
+    notes = _ignored_field_notes(scenario)
     if scenario.batch is None and spec.batch_size is not None:
-        notes = (f"(batch not given; using latency-bounded batch {spec.batch_size})",)
+        notes += (f"(batch not given; using latency-bounded batch {spec.batch_size})",)
     return spec, notes
+
+
+def _ignored_field_notes(scenario: ServeScenario | GlobalScenario) -> tuple[str, ...]:
+    """One note per batching field the scenario sets but its policy does
+    not read (``serving.batcher.POLICY_FIELDS``): the fleet runs as if it
+    were unset."""
+    from repro.serving.batcher import POLICY_FIELDS
+
+    given = (
+        ("batch", "batch_size", scenario.batch),
+        ("timeout_ms", "timeout_seconds", scenario.timeout_ms),
+    )
+    return tuple(
+        f"({name} {value:g} ignored: the {scenario.policy} policy does not read it)"
+        for name, field, value in given
+        if value is not None and field not in POLICY_FIELDS[scenario.policy]
+    )
 
 
 def _run_serve(scenario: ServeScenario) -> ScenarioResult:
@@ -342,6 +359,7 @@ def _run_globe(scenario: GlobalScenario) -> ScenarioResult:
         },
         text=table.render(),
         summary=summary,
+        notes=_ignored_field_notes(scenario),
     )
 
 

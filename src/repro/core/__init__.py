@@ -12,7 +12,6 @@ transfer time:
 * :mod:`repro.core.matrix_unit` -- the 256x256 MXU's resident weight
   plane and functional multiply, and the 8/16-bit speed factor;
 * :mod:`repro.core.accumulators` -- the accumulator file's int32 rows;
-* :mod:`repro.core.activation_unit` -- nonlinearities and pooling;
 * :mod:`repro.core.dma` -- the PCIe host interface;
 * :mod:`repro.core.counters` -- the performance-counter bank (Table 3);
 * :mod:`repro.core.device` -- the 4-stage CISC pipeline tying it
@@ -23,8 +22,7 @@ transfer time:
 """
 
 from repro.core.accumulators import AccumulatorFile
-from repro.core.activation_unit import ActivationUnit
-from repro.core.config import TPUConfig, TPU_V1, TPU_PRIME
+from repro.core.config import TPUConfig, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.device import ExecutionResult, TPUDevice
 from repro.core.matrix_unit import MatrixUnit
@@ -32,7 +30,6 @@ from repro.core.systolic import SystolicArray
 
 __all__ = [
     "AccumulatorFile",
-    "ActivationUnit",
     "CounterBank",
     "CycleBreakdown",
     "ExecutionResult",
@@ -40,6 +37,5 @@ __all__ = [
     "SystolicArray",
     "TPUConfig",
     "TPUDevice",
-    "TPU_PRIME",
     "TPU_V1",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.roofline.model import tpu_roofline
 from repro.util.units import GB, GIB, MIB
 
 
@@ -37,11 +38,6 @@ class TPUConfig:
     #: Elements per cycle through the activation/pooling pipeline (the
     #: 256-byte-wide internal paths of Section 2).
     activation_lanes: int = 256
-    #: Thermal design power and measured power (Table 2), used by
-    #: repro.power rather than the timing model.
-    tdp_w: float = 75.0
-    idle_w: float = 28.0
-    busy_w: float = 40.0
 
     def __post_init__(self) -> None:
         if self.matrix_dim <= 0 or self.matrix_dim % 2 != 0:
@@ -85,7 +81,7 @@ class TPUConfig:
         Performance is plotted in ops/s (2 ops per MAC) but intensity in
         MACs per byte, so the knee sits at peak / (2 * bandwidth).
         """
-        return self.peak_ops_per_s / (2.0 * self.weight_bandwidth)
+        return tpu_roofline(self).ridge_ops_per_byte
 
     @property
     def weight_shift_cycles(self) -> int:
@@ -127,9 +123,3 @@ class TPUConfig:
 
 #: The deployed 2015 TPU (Table 2).
 TPU_V1 = TPUConfig()
-
-#: The Section 7 hypothetical: GDDR5 Weight Memory (>5x bandwidth) with the
-#: clock left at 700 MHz -- the paper's chosen TPU' ("just has faster
-#: memory").  System power rises from 861 W to ~900 W (handled in
-#: repro.power).
-TPU_PRIME = TPUConfig(weight_bandwidth=180 * GB, tdp_w=85.0, idle_w=30.0, busy_w=50.0)

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.accumulators import AccumulatorFile
-from repro.core.activation_unit import ActivationUnit
 from repro.core.config import TPUConfig, TPU_V1
 from repro.core.counters import CounterBank, CycleBreakdown
 from repro.core.dma import DMAEngine
@@ -69,7 +68,7 @@ from repro.isa.instructions import (
 from repro.isa.opcodes import Opcode
 from repro.isa.program import TPUProgram
 from repro.nn.layers import Activation
-from repro.nn.quantization import apply_activation, quantize
+from repro.nn.quantization import apply_activation, quantize, requantize
 from repro.nn.reference import im2col, max_pool
 
 
@@ -115,7 +114,6 @@ class TPUDevice:
         self,
         config: TPUConfig = TPU_V1,
         functional: bool = False,
-        activation_mode: str = "exact",
     ) -> None:
         if config.matrix_dim != ROW_BYTES:
             raise NotImplementedError(
@@ -124,7 +122,6 @@ class TPUDevice:
             )
         self.config = config
         self.functional = functional
-        self.activation_unit = ActivationUnit(mode=activation_mode)
 
     # ------------------------------------------------------------------
     def run(self, program: TPUProgram, host_input: np.ndarray | None = None) -> ExecutionResult:
@@ -718,7 +715,7 @@ class _DataPass:
     def _activate_functional(self, instr: Activate) -> None:
         entry = self.program.scales[instr.scale_id]
         acc_rows = self.acc.read(instr.acc_row, instr.rows)
-        codes = self.device.activation_unit.activate(
+        codes = requantize(
             acc_rows,
             entry.input_scale,
             entry.weight_scale,

@@ -45,6 +45,7 @@ from repro.nn.layers import (
     Pooling,
     VectorOp,
 )
+from repro.util.stats import geometric_mean, weighted_mean
 
 #: Deployment mix (Table 1, July 2016): MLPs 61%, LSTMs 29%, CNNs 5%.
 #: The paper's weighted means are reproduced when the pair weight rides on
@@ -59,8 +60,17 @@ DEPLOYMENT_MIX: dict[str, float] = {
     "cnn1": 0.0,
 }
 
-#: Popularity by network type, exactly as printed in Table 1.
-PAIR_MIX: dict[str, float] = {"mlp": 0.61, "lstm": 0.29, "cnn": 0.05}
+
+def mix_means(per_app: dict[str, float]) -> tuple[float, float]:
+    """The paper's pair of six-app summaries of a per-app result: the
+    geometric mean, and the mean weighted by :data:`DEPLOYMENT_MIX`.
+
+    An app outside the mix weighs nothing, as MLP1 does, so a result
+    in which no app carries weight has no weighted mean (``ValueError``).
+    """
+    values = list(per_app.values())
+    weights = [DEPLOYMENT_MIX.get(name, 0.0) for name in per_app]
+    return geometric_mean(values), weighted_mean(values, weights)
 
 
 def mlp0() -> Model:
@@ -417,8 +427,3 @@ def paper_workloads() -> dict[str, Model]:
 def extension_workloads() -> dict[str, Model]:
     """The transformer extension family, keyed by name."""
     return {name: builder() for name, builder in EXTENSION_BUILDERS.items()}
-
-
-def mix_weights(names: tuple[str, ...] | list[str]) -> list[float]:
-    """Deployment-mix weights aligned with ``names`` (for weighted means)."""
-    return [DEPLOYMENT_MIX[name] for name in names]

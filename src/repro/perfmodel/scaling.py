@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from repro.core.config import TPUConfig, TPU_V1
 from repro.nn.graph import Model
-from repro.nn.workloads import DEPLOYMENT_MIX
+from repro.nn.workloads import mix_means
 from repro.perfmodel.model import tpu_seconds
-from repro.util.stats import geometric_mean, weighted_mean
 
 #: The sweep's scale factors (the paper plots 0.25x to 4x).
 SCALE_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -54,10 +53,6 @@ def scaling_sweep(
     knobs: tuple[str, ...] = tuple(SCALE_KNOBS),
 ) -> list[SweepPoint]:
     """Evaluate every knob at every factor; speedups are vs ``config``."""
-    names = list(models)
-    weights = [DEPLOYMENT_MIX.get(name, 0.0) for name in names]
-    if not any(weights):
-        weights = [1.0] * len(names)
     baseline = {name: tpu_seconds(m, config) for name, m in models.items()}
     points = []
     for knob in knobs:
@@ -68,14 +63,14 @@ def scaling_sweep(
                 name: baseline[name] / tpu_seconds(m, scaled)
                 for name, m in models.items()
             }
-            ordered = [speedups[name] for name in names]
+            gm, wm = mix_means(speedups)
             points.append(
                 SweepPoint(
                     knob=knob,
                     factor=factor,
                     per_app_speedup=speedups,
-                    weighted_mean=weighted_mean(ordered, weights),
-                    geometric_mean=geometric_mean(ordered),
+                    weighted_mean=wm,
+                    geometric_mean=gm,
                 )
             )
     return points

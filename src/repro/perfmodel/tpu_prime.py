@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from repro.compiler.driver import TPUDriver
 from repro.core.config import TPUConfig, TPU_V1
 from repro.nn.graph import Model
-from repro.nn.workloads import DEPLOYMENT_MIX
+from repro.nn.workloads import mix_means
 from repro.perfmodel.model import tpu_seconds
-from repro.util.stats import geometric_mean, weighted_mean
 
 #: TPU' clock with more aggressive logic synthesis (Section 7).
 PRIME_CLOCK_FACTOR = 1.5
@@ -42,12 +41,6 @@ class TPUPrimeStudy:
     host_adjusted_wm: dict[str, float]
 
 
-def _means(speedups: dict[str, float], names: list[str]) -> tuple[float, float]:
-    weights = [DEPLOYMENT_MIX.get(n, 0.0) for n in names]
-    ordered = [speedups[n] for n in names]
-    return geometric_mean(ordered), weighted_mean(ordered, weights)
-
-
 def tpu_prime_study(
     models: dict[str, Model], config: TPUConfig = TPU_V1
 ) -> TPUPrimeStudy:
@@ -61,7 +54,6 @@ def tpu_prime_study(
             memory=PRIME_MEMORY_FACTOR,
         ),
     }
-    names = list(models)
     baseline = {n: tpu_seconds(m, config) for n, m in models.items()}
     driver = TPUDriver.shared(config)
     host = {
@@ -76,13 +68,13 @@ def tpu_prime_study(
     for variant, cfg in variants.items():
         speedups = {n: baseline[n] / tpu_seconds(m, cfg) for n, m in models.items()}
         per_app[variant] = speedups
-        gms[variant], wms[variant] = _means(speedups, names)
+        gms[variant], wms[variant] = mix_means(speedups)
         with_host = {
-            n: (baseline[n] + host[n]) / (tpu_seconds(models[n], cfg) + host[n])
-            for n in names
+            n: (baseline[n] + host[n]) / (tpu_seconds(m, cfg) + host[n])
+            for n, m in models.items()
         }
         per_app_host[variant] = with_host
-        host_gm[variant], host_wm[variant] = _means(with_host, names)
+        host_gm[variant], host_wm[variant] = mix_means(with_host)
     return TPUPrimeStudy(
         per_app=per_app,
         per_app_host_adjusted=per_app_host,

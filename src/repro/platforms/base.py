@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.nn.graph import Model
 from repro.platforms.specs import ChipSpec, ServerSpec
+from repro.roofline.model import chip_roofline
 
 #: p99 response time ~= factor * batch service time at sustainable load
 #: (batch collection + queueing + service; validated in repro.latency).
@@ -84,9 +85,7 @@ class Platform(abc.ABC):
 
     def attainable_ops(self, intensity: float) -> float:
         """The roofline ceiling at an operational intensity."""
-        if intensity <= 0:
-            raise ValueError(f"intensity must be positive, got {intensity}")
-        return min(self.chip.peak_ops, 2.0 * intensity * self.chip.bandwidth)
+        return chip_roofline(self.chip).attainable(intensity)
 
     # -- serving ------------------------------------------------------------
     @abc.abstractmethod
@@ -178,3 +177,19 @@ class AnalyticalPlatform(Platform):
         compute = 2.0 * model.macs_per_example * batch / self.achieved_ops(model, batch)
         host = self.batch_overhead_s + self.per_example_host_s * batch
         return compute + host
+
+
+def relative_ips(
+    models: dict[str, Model], platforms: dict[str, Platform]
+) -> dict[str, dict[str, float]]:
+    """Each platform's per-die IPS relative to the Haswell die's, per app,
+    all at their latency-bounded batches (Table 6's body; Figure 9
+    scales it to whole servers)."""
+    base = {name: platforms["cpu"].serving_point(model).ips for name, model in models.items()}
+    return {
+        kind: {
+            name: platform.serving_point(model).ips / base[name]
+            for name, model in models.items()
+        }
+        for kind, platform in platforms.items()
+    }

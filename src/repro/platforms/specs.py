@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.roofline.model import chip_roofline
 from repro.util.units import GB
 
 
@@ -53,7 +54,7 @@ class ChipSpec:
     @property
     def ridge_ops_per_byte(self) -> float:
         """Roofline knee in MACs per weight byte."""
-        return self.peak_ops / (2.0 * self.bandwidth)
+        return chip_roofline(self).ridge_ops_per_byte
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.graph import Model
-from repro.nn.workloads import DEPLOYMENT_MIX
+from repro.nn.workloads import mix_means
 from repro.perfmodel.tpu_prime import tpu_prime_study
-from repro.platforms.base import Platform
+from repro.platforms.base import Platform, relative_ips
 from repro.platforms.specs import SERVERS
-from repro.util.stats import geometric_mean, weighted_mean
 
 #: Section 7: GDDR5 raises the TPU' server budget from 861 W to ~900 W.
 TPU_PRIME_SERVER_TDP_W = 900.0
@@ -43,25 +42,12 @@ def _per_watt(
     return {app: p / watts for app, p in perf.items()}
 
 
-def _means(values: dict[str, float]) -> tuple[float, float]:
-    names = list(values)
-    ordered = [values[n] for n in names]
-    weights = [DEPLOYMENT_MIX.get(n, 0.0) for n in names]
-    return geometric_mean(ordered), weighted_mean(ordered, weights)
-
-
 def figure9_bars(
     models: dict[str, Model],
     platforms: dict[str, Platform],
 ) -> list[PerfWattBar]:
     """All ten Figure 9 bars (GPU, TPU, TPU' vs CPU and vs GPU)."""
-    cpu, gpu, tpu = platforms["cpu"], platforms["gpu"], platforms["tpu"]
-    rel: dict[str, dict[str, float]] = {"cpu": {}, "gpu": {}, "tpu": {}}
-    for name, model in models.items():
-        base = cpu.serving_point(model).ips
-        rel["cpu"][name] = 1.0
-        rel["gpu"][name] = gpu.serving_point(model).ips / base
-        rel["tpu"][name] = tpu.serving_point(model).ips / base
+    rel = relative_ips(models, platforms)
     # TPU': scale the TPU's per-app relative performance by the
     # host-adjusted memory-variant speedups of the Section 7 study
     # (the paper's chosen TPU' "just has faster memory").
@@ -105,7 +91,7 @@ def figure9_bars(
             ratios = {
                 app: per_watt[numer][app] / per_watt[denom][app] for app in models
             }
-            gm, wm = _means(ratios)
+            gm, wm = mix_means(ratios)
             bars.append(PerfWattBar(comparison=label, basis=basis, gm=gm, wm=wm))
     return bars
 

@@ -5,17 +5,21 @@ operational intensity in *MACs per byte of weights read from memory*
 (weights do not fit on chip, so the second change the paper makes to the
 HPC roofline is to measure intensity against weight traffic).  The ridge
 therefore sits at ``peak_ops / (2 * bandwidth)``: ~1350 for the TPU, ~13
-for Haswell, ~9 for the K80.
+for Haswell, ~9 for the K80.  :class:`RooflineView` is the one place the
+ceiling and the ridge are written; platforms, chips and TPU configs read
+theirs from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.config import TPUConfig
-from repro.nn.graph import Model
-from repro.platforms.base import Platform
-from repro.platforms.specs import ChipSpec
+if TYPE_CHECKING:
+    from repro.core.config import TPUConfig
+    from repro.nn.graph import Model
+    from repro.platforms.base import Platform
+    from repro.platforms.specs import ChipSpec
 
 
 @dataclass(frozen=True)

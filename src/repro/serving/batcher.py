@@ -145,6 +145,16 @@ class SLOAdaptiveBatcher(Batcher):
         return oldest_arrival + self._wait_budget(queue_len)
 
 
+#: The sizing arguments of :func:`make_batcher` each policy reads besides
+#: the SLO: an adaptive batcher sizes its own batches, and only a timeout
+#: batcher times out.
+POLICY_FIELDS: dict[str, tuple[str, ...]] = {
+    "fixed": ("batch_size",),
+    "timeout": ("batch_size", "timeout_seconds"),
+    "adaptive": (),
+}
+
+
 def make_batcher(
     policy: str,
     curve: LatencyCurve,

@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from repro.nn.graph import Model
-from repro.platforms.base import Platform
-from repro.serving.batcher import Batcher, make_batcher
+from repro.platforms.base import DEFAULT_SLA, Platform
+from repro.serving.batcher import POLICY_FIELDS, Batcher, make_batcher
 from repro.serving.fleet import Fleet, FleetResult, PlatformCurve, Replica
 from repro.serving.traffic import poisson_arrivals
 from repro.util.tables import TextTable
@@ -53,22 +53,30 @@ class OperatingPoint:
 class FleetSpec:
     """Everything needed to instantiate a fleet and price its capacity.
 
-    A fixed or timeout spec built without ``batch_size`` serves at the
-    platform's latency-bounded batch for ``slo_seconds``, and
-    ``batch_size`` holds that batch from construction on.
+    Only the sizing fields its policy reads
+    (:data:`~repro.serving.batcher.POLICY_FIELDS`) survive construction;
+    the others read ``None``.  A fixed or timeout spec
+    built without ``batch_size`` serves at the platform's
+    latency-bounded batch for ``slo_seconds``, and ``batch_size`` holds
+    that batch from construction on, so it is always the batch the fleet
+    serves at (``None`` for adaptive).
     """
 
     platform: Platform
     model: Model
     replicas: int = 1
     policy: str = "adaptive"
-    slo_seconds: float = 7e-3
+    slo_seconds: float = DEFAULT_SLA
     batch_size: int | None = None
     timeout_seconds: float | None = None
     router: str = "round_robin"
 
     def __post_init__(self) -> None:
-        if self.batch_size is None and self.policy in ("fixed", "timeout"):
+        reads = POLICY_FIELDS.get(self.policy, ())
+        for name in ("batch_size", "timeout_seconds"):
+            if name not in reads:
+                object.__setattr__(self, name, None)
+        if self.batch_size is None and "batch_size" in reads:
             batch = self.platform.latency_bounded_batch(self.model, self.slo_seconds)
             object.__setattr__(self, "batch_size", batch)
 

@@ -31,6 +31,21 @@ class TestHarness:
         for exp_id in results:
             assert f"## {exp_id}:" in markdown
 
+    def test_list_title_is_the_report_header(self, results, capsys):
+        """Each experiment has one title: ``repro list --json`` prints the
+        string the report's ``## <id>: <title>`` header shows."""
+        import json
+
+        from repro.__main__ import main
+        from repro.analysis.report import render_markdown
+
+        assert main(["list", "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["experiments"]
+        headers = [
+            line for line in render_markdown(results).splitlines() if line.startswith("## ")
+        ]
+        assert headers == [f"## {exp_id}: {listed[exp_id]['title']}" for exp_id in EXPERIMENTS]
+
 
 class TestTable3Bands:
     def test_memory_bound_apps(self, results):

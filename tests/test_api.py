@@ -288,6 +288,26 @@ class TestRunFacade:
         with pytest.raises(SpecError, match="cannot run"):
             repro.run("serve")
 
+    def test_adaptive_serve_names_an_ignored_batch(self):
+        """An adaptive batcher sizes its own batches: a given ``batch`` is
+        named in a note, no batch is resolved, and the run equals the
+        run without it."""
+        plain = ServeScenario(policy="adaptive", loads=(0.5,), requests=500)
+        given, without = repro.run(plain.replace(batch=64)), repro.run(plain)
+        assert given.metadata["resolved_batch"] is None
+        assert given.metadata["max_batch"] == without.metadata["max_batch"] == 512
+        assert given.notes == ("(batch 64 ignored: the adaptive policy does not read it)",)
+        assert (given.rows, given.text) == (without.rows, without.text)
+
+    def test_fixed_serve_names_an_ignored_timeout(self):
+        plain = ServeScenario(policy="fixed", loads=(0.5,), requests=500)
+        given, without = repro.run(plain.replace(timeout_ms=1.0)), repro.run(plain)
+        assert given.notes == (
+            ("(timeout_ms 1 ignored: the fixed policy does not read it)",) + without.notes
+        )
+        assert given.metadata["resolved_batch"] == without.metadata["resolved_batch"]
+        assert (given.rows, given.text) == (without.rows, without.text)
+
 
 class TestExperimentRegistry:
     def test_entries_are_introspectable_experiments(self):

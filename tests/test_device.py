@@ -9,7 +9,7 @@ import pytest
 
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import NO_DEPS
-from repro.core.config import TPU_PRIME, TPU_V1, TPUConfig
+from repro.core.config import TPU_V1, TPUConfig
 from repro.core.device import TPUDevice
 from repro.isa import assemble, decode_program, disassemble, encode_program
 from repro.isa.instructions import (
@@ -34,8 +34,12 @@ from repro.nn.graph import Model
 from repro.nn.layers import Activation
 from repro.nn.quantization import quantize
 from repro.nn.reference import ReferenceExecutor, initialize_weights, random_input
+from repro.perfmodel.tpu_prime import PRIME_MEMORY_FACTOR
 from tests import oracles
 from tests.conftest import functional_pair
+
+#: The Section 7 study's TPU': GDDR5 Weight Memory, everything else v1.
+TPU_PRIME = TPU_V1.scaled(memory=PRIME_MEMORY_FACTOR)
 
 
 class TestFunctionalEquivalence:

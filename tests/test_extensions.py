@@ -1,6 +1,6 @@
 """Extension-feature and edge-case tests.
 
-Covers the Section 2 precision modes, the LUT activation unit, driver
+Covers the Section 2 precision modes, the activation pipeline, driver
 caching, the dependency tracker, allocator corner cases, and failure
 injection on malformed programs.
 """
@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.compiler.driver import TPUDriver
 from repro.compiler.lowering import Lowering, _DepTracker
-from repro.core.activation_unit import ActivationUnit
 from repro.core.config import TPU_V1
 from repro.core.device import TPUDevice
 from repro.isa.encoding import InstructionColumns
@@ -28,7 +27,7 @@ from repro.isa.instructions import (
 from repro.isa.opcodes import Opcode
 from repro.isa.program import ScaleEntry, TPUProgram
 from repro.nn.layers import Activation
-from repro.nn.quantization import TensorScale, apply_activation, requantize
+from repro.nn.quantization import TensorScale, apply_activation
 from repro.nn.reference import random_input
 from tests.conftest import timing_run
 from tests.oracles import PerInstructionRun, ReferenceDepTracker
@@ -95,32 +94,6 @@ class TestPrecisionModes:
 
 
 class TestActivationLUT:
-    def test_lut_close_to_exact_sigmoid(self):
-        exact = ActivationUnit(mode="exact")
-        lut = ActivationUnit(mode="lut", lut_bits=12)
-        acc = np.arange(-500, 500, dtype=np.int32).reshape(-1, 1)
-        s_in = TensorScale(0.01)
-        s_w = TensorScale(1.0)
-        s_out = TensorScale(1 / 127)
-        a = exact.activate(acc, s_in, s_w, s_out, Activation.SIGMOID)
-        b = lut.activate(acc, s_in, s_w, s_out, Activation.SIGMOID)
-        assert np.abs(a.astype(int) - b.astype(int)).max() <= 1  # one code step
-
-    def test_lut_saturates_cleanly(self):
-        lut = ActivationUnit(mode="lut", lut_bits=8)
-        acc = np.array([[10**6], [-(10**6)]], dtype=np.int32)
-        s = TensorScale(1.0)
-        out = lut.activate(acc, s, s, TensorScale(1 / 127), Activation.TANH)
-        assert out[0, 0] == 127 and out[1, 0] == -127
-
-    def test_relu_bypasses_lut(self):
-        lut = ActivationUnit(mode="lut")
-        acc = np.array([[-5, 7]], dtype=np.int32)
-        s = TensorScale(1.0)
-        out = lut.activate(acc, s, s, TensorScale(1.0), Activation.RELU)
-        expected = requantize(acc, s, s, TensorScale(1.0), Activation.RELU)
-        assert np.array_equal(out, expected)
-
     def test_cycles_ceil(self):
         """The walk charges a pass ceil(elements / 256 lanes) cycles."""
         passes = [
@@ -138,12 +111,6 @@ class TestActivationLUT:
                 host_buffers={}, batch_size=1,
             )
             assert timing_run(program).counters["activation_cycles"] == cycles, instr
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ActivationUnit(mode="magic")
-        with pytest.raises(ValueError):
-            ActivationUnit(lut_bits=2)
 
     def test_vector_op_matches_reference_semantics(self):
         """A UNARY vector pass dequantizes its UB codes, applies the

@@ -522,6 +522,25 @@ class TestFacadeAndCLI:
             assert cluster.spec.batch_size == serve.metadata["resolved_batch"]
             assert cluster.spec.max_batch() == serve.metadata["max_batch"]
 
+    def test_adaptive_clusters_keep_no_batch_or_timeout(self):
+        """An adaptive cluster sizes its own batches and has no timeout:
+        both fields leave every cluster's spec, each is named in a note,
+        and the world runs as it does without them."""
+        given = small_world(rate=2000.0, policy="adaptive", batch=64, timeout_ms=1.0)
+        without = given.replace(batch=None, timeout_ms=None)
+        for cluster, plain in zip(
+            build_topology(given).clusters, build_topology(without).clusters
+        ):
+            assert (cluster.spec.batch_size, cluster.spec.timeout_seconds) == (None, None)
+            assert cluster.spec.max_batch() == plain.spec.max_batch() == 512
+        result, reference = repro.run(given), repro.run(without)
+        assert result.notes == (
+            "(batch 64 ignored: the adaptive policy does not read it)",
+            "(timeout_ms 1 ignored: the adaptive policy does not read it)",
+        )
+        assert reference.notes == ()
+        assert (result.rows, result.text) == (reference.rows, reference.text)
+
     def test_global_serving_experiment_registered(self):
         from repro.analysis import EXPERIMENTS
 

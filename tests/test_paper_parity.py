@@ -154,6 +154,25 @@ TABLE_TEXT_SHA256 = {
     "table8": "c2d3af779b2d70f9c4fc383f1dd59897b5dab97b537ffb6df93146652cb8e0eb",
 }
 
+#: sha256 of ExperimentResult.text for the paper's figures and the
+#: Section 7 studies, recorded before the six-app means, relative per-die
+#: IPS and the roofline ceiling each moved to one home.
+FIGURE_TEXT_SHA256 = {
+    "figure2": "774347d3189409d96661cc673b1611787fd932233c18ec07fb93ec96fce58651",
+    "figure4": "bdbf427f89cae22d676754abc4a3f8f319192d31bd175f0f791b9455255573f5",
+    "figure5": "3a9b261107b1400da20b650a4e35e0a06fce74d78848451f6cdeb1f1f35799e4",
+    "figure6": "2e5bbb63242022e9c280717a715ce39d180a3eb9988d07f81e498465b5c19edd",
+    "figure7": "eb7cb31095e7bebfb7fb6f80d11a272f0eafabf7aeb58c460fae6d1cb3a6cf63",
+    "figure8": "4bd3c9b6e4bef677ca5c8ba00d8e76d6797570b643bc9c1aa41f60aead0eaacd",
+    "figure9": "14b55e9dda5f5d5fdb7f9d137a8a4eaccb477fce69fe42ad6f352b509c285092",
+    "figure10": "f843e7bd8999bd3bd0379d6725d9e45b8d1750129a660cce0fbbef01f4d1021d",
+    "figure11": "a32b1f5f89d7d07ce199f8c2c7d14e8e74cb305eab621dbfcd973a330dfa5384",
+    "tpu_prime": "ddf514770df15bdc7f6e75fe80ebd2dd71445f1f2d299360d783315237264566",
+    "boost_mode": "8a34a5e2177bc69a89f7c923d625ee6442d5dcde4094c76aa1089293da4ea71e",
+    "server_scale": "d531c40fc512237b3b38c58775e06eb8122e7729a573f9e029ebd4fbcf9b39df",
+    "transformer_roofline": "254995c66fcb30f706017ddd377a68428c3ec9cdd5ff9e17968df665440e104a",
+}
+
 
 @pytest.mark.parametrize("name", list(PROGRAM_SHA256))
 def test_paper_program_byte_identical(name):
@@ -272,6 +291,14 @@ def test_paper_table_text_byte_identical(exp_id):
     result = EXPERIMENTS[exp_id]()
     assert hashlib.sha256(result.text.encode()).hexdigest() == TABLE_TEXT_SHA256[exp_id], (
         f"{exp_id}: rendered table changed vs the pre-transformer seed"
+    )
+
+
+@pytest.mark.parametrize("exp_id", list(FIGURE_TEXT_SHA256))
+def test_paper_figure_text_byte_identical(exp_id):
+    result = EXPERIMENTS[exp_id]()
+    assert hashlib.sha256(result.text.encode()).hexdigest() == FIGURE_TEXT_SHA256[exp_id], (
+        f"{exp_id}: rendered figure text changed"
     )
 
 

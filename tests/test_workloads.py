@@ -6,7 +6,7 @@ from repro import _paper
 from repro.nn.workloads import (
     DEPLOYMENT_MIX,
     build_workload,
-    mix_weights,
+    mix_means,
     paper_workloads,
 )
 
@@ -97,9 +97,21 @@ class TestMix:
         assert DEPLOYMENT_MIX["mlp0"] > DEPLOYMENT_MIX["lstm0"] > DEPLOYMENT_MIX["cnn0"]
         assert DEPLOYMENT_MIX["mlp1"] == 0.0
 
-    def test_mix_weights_aligned(self):
-        names = ["cnn0", "mlp0"]
-        assert mix_weights(names) == [DEPLOYMENT_MIX["cnn0"], DEPLOYMENT_MIX["mlp0"]]
+    def test_mix_means_align_weights_by_name(self):
+        gm, wm = mix_means({"cnn0": 4.0, "mlp0": 1.0})
+        cnn0, mlp0 = DEPLOYMENT_MIX["cnn0"], DEPLOYMENT_MIX["mlp0"]
+        assert gm == pytest.approx(2.0)
+        assert wm == pytest.approx((4.0 * cnn0 + 1.0 * mlp0) / (cnn0 + mlp0))
+
+    def test_an_app_outside_the_mix_weighs_nothing(self):
+        """Every six-app summary shares one rule: an app outside the mix
+        (an extension workload) counts in the geometric mean only, and a
+        result with no weighted app has no weighted mean."""
+        gm, wm = mix_means({"mlp0": 2.0, "bert_s": 8.0})
+        assert gm == pytest.approx(4.0)
+        assert wm == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="weights must sum to a positive value"):
+            mix_means({"bert_s": 8.0})
 
     def test_build_workload_by_name(self):
         assert build_workload("MLP0").name == "mlp0"
