@@ -85,6 +85,10 @@ TABLE8 = {"mlp0": 11.0, "mlp1": 2.3, "lstm0": 4.8, "lstm1": 4.5,
 #: Figure 2: die area shares.
 FIGURE2 = {"buffers": 0.37, "compute": 0.30, "io": 0.10, "control": 0.02}
 
+#: Figure 4 / Section 2: shifting a weight tile in takes 256 cycles; once
+#: the wave is flowing, the unit takes one input row per clock cycle.
+FIGURE4 = {"shift_cycles_full_tile": 256, "pipelined_cycles_per_row": 1}
+
 #: Figures 5-7: roofline ridge points (MACs per weight byte).
 RIDGE_POINTS = {"tpu": 1350.0, "cpu": 13.0, "gpu": 9.0}
 

@@ -241,7 +241,7 @@ def study_summary(result: StudyResult) -> str:
 def run(scenario: DatacenterScenario | None = None) -> ExperimentResult:
     scenario = scenario or DEFAULT_SCENARIO
     result = repro.run(scenario)
-    measured: dict = {}
+    measured: dict = {"slo_seconds": scenario.slo_seconds}
     for row in result.rows:
         if row["section"] == "provisioning":
             measured[row["platform"]] = {
@@ -267,6 +267,5 @@ def run(scenario: DatacenterScenario | None = None) -> ExperimentResult:
         paper={
             # Section 6's published 10%-load power ratios (Figure 10).
             "ratio_at_10pct": {k: _paper.FIGURE10[(k, "cnn0")] for k in ("tpu", "gpu", "cpu")},
-            "slo_seconds": scenario.slo_seconds,
         },
     )

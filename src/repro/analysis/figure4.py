@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import _paper
 from repro.analysis.common import ExperimentResult
 from repro.core.systolic import SystolicArray
 
@@ -34,5 +35,5 @@ def run() -> ExperimentResult:
         text=text,
         measured={"exact": exact, "cycles": trace.cycles,
                   "shift_cycles": shift_cycles},
-        paper={"shift_cycles_full_tile": 256, "pipelined_cycles_per_row": 1},
+        paper=_paper.FIGURE4,
     )

@@ -43,7 +43,7 @@ DEFAULT_SCENARIO = ServeScenario(
 def run(scenario: ServeScenario | None = None) -> ExperimentResult:
     scenario = scenario or DEFAULT_SCENARIO
     sections: list[str] = []
-    measured: dict = {}
+    measured: dict = {"slo_seconds": scenario.slo_seconds}
 
     # One replica per platform: the Table 4 trade-off as a full curve.
     for kind in ("cpu", "gpu", "tpu"):
@@ -86,8 +86,5 @@ def run(scenario: ServeScenario | None = None) -> ExperimentResult:
         exp_id="serving_sweep",
         text="\n\n".join(sections),
         measured=measured,
-        paper={
-            "tpu_pct_of_max_at_7ms": _paper.TABLE4[("tpu", 200)]["pct_max"],
-            "slo_seconds": scenario.slo_seconds,
-        },
+        paper={"tpu_pct_of_max_at_7ms": _paper.TABLE4[("tpu", 200)]["pct_max"]},
     )

@@ -29,6 +29,7 @@ experiment draws only from the extension registry.
 
 from __future__ import annotations
 
+from repro import _paper
 from repro.analysis.common import ExperimentResult, platforms
 from repro.core.config import TPU_V1
 from repro.nn.graph import Model
@@ -133,5 +134,5 @@ def run() -> ExperimentResult:
         exp_id="transformer_roofline",
         text="\n\n".join([table.render(), chart, notes]),
         measured=measured,
-        paper={"ridge": TPU_V1.ridge_ops_per_byte},
+        paper={"ridge": _paper.RIDGE_POINTS["tpu"]},
     )

@@ -456,6 +456,10 @@ GLOBE_BACKENDS = ("exact", "hybrid")
 #: expected request count would take minutes to event-simulate.
 _EXACT_MAX_REQUESTS = 2_000_000
 
+#: The LLM engine builds and steps every chip of its pools: refuse pools
+#: larger than this.
+_LLM_MAX_CHIPS = 4096
+
 
 @dataclass(frozen=True)
 class GlobalScenario(ScenarioSpec):
@@ -585,8 +589,10 @@ class LLMServeScenario(ScenarioSpec):
     scheduler: str = _field("continuous", "iteration-level (continuous) vs request-level "
                                           "gang (fixed) batching", LLM_SCHEDULERS)
     mode: str = _field("aggregated", "one pool, or split prefill/decode pools", LLM_MODES)
-    chips: int = _field(2, "decode-pool chips, the whole fleet when aggregated")
-    prefill_chips: int = _field(1, "prefill-pool chips in disaggregated mode")
+    chips: int = _field(2, f"decode-pool chips, the whole fleet when aggregated; "
+                           f"at most {_LLM_MAX_CHIPS:,}")
+    prefill_chips: int = _field(1, f"prefill-pool chips in disaggregated mode; "
+                                   f"at most {_LLM_MAX_CHIPS:,}")
     max_batch: int = _field(32, "decode batch-slot cap per chip")
     prefill_batch: int = _field(8, "prompts per batched prefill pass")
     prompt_tokens: int = _field(96, "mean prompt length m; lengths are sampled "
@@ -625,8 +631,12 @@ class LLMServeScenario(ScenarioSpec):
         _check_choice("workload", self.workload, EXTENSION_WORKLOAD_NAMES)
         _check_choice("scheduler", self.scheduler, LLM_SCHEDULERS)
         _check_choice("mode", self.mode, LLM_MODES)
-        _check_positive("chips", self.chips, integer=True)
-        _check_positive("prefill_chips", self.prefill_chips, integer=True)
+        for field in ("chips", "prefill_chips"):
+            value = getattr(self, field)
+            _check_positive(field, value, integer=True)
+            _require(value <= _LLM_MAX_CHIPS,
+                     f"{field} must be at most {_LLM_MAX_CHIPS:,} (the LLM engine "
+                     f"simulates every chip), got {value!r}")
         _check_positive("max_batch", self.max_batch, integer=True)
         _check_positive("prefill_batch", self.prefill_batch, integer=True)
         _check_positive("prompt_tokens", self.prompt_tokens, integer=True)

@@ -46,6 +46,31 @@ class TestHarness:
         ]
         assert headers == [f"## {exp_id}: {listed[exp_id]['title']}" for exp_id in EXPERIMENTS]
 
+    def test_paper_dicts_hold_only_published_numbers(self, results):
+        """Every number in a ``paper`` dict is one ``repro._paper``
+        publishes, never a model value; a scenario's own settings (its
+        SLOs) are reported in ``measured``, never in ``paper``."""
+
+        def numbers(obj):
+            if isinstance(obj, dict):
+                obj = [*obj.keys(), *obj.values()]
+            if isinstance(obj, (list, tuple)):
+                return [x for item in obj for x in numbers(item)]
+            is_number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            return [obj] if is_number else []
+
+        published = set(numbers([getattr(_paper, name) for name in dir(_paper) if name.isupper()]))
+        for exp_id, result in results.items():
+            assert [x for x in numbers(result.paper) if x not in published] == [], exp_id
+            scenario = EXPERIMENTS[exp_id].scenario
+            if scenario is None:
+                continue
+            own = [key for key in result.paper if isinstance(key, str) and hasattr(scenario, key)]
+            assert own == [], exp_id
+            for key in ("slo_seconds", "slo_tpot_ms", "slo_ttft_ms"):
+                if hasattr(scenario, key):
+                    assert result.measured[key] == getattr(scenario, key), (exp_id, key)
+
 
 class TestTable3Bands:
     def test_memory_bound_apps(self, results):

@@ -199,6 +199,12 @@ class TestValidation:
          "max_replicas must fit in a signed 64-bit integer"),
         (lambda: ScenarioSpec.from_dict({"kind": "llm", "chips": 2**64}),
          "chips must fit in a signed 64-bit integer"),
+        # The LLM engine builds every chip of its pools.
+        (lambda: ScenarioSpec.from_dict({"kind": "llm", "chips": 10**12}),
+         r"^chips must be at most 4,096 \(the LLM engine simulates every chip\), "
+         r"got 1000000000000$"),
+        (lambda: ScenarioSpec.from_dict({"kind": "llm", "prefill_chips": 4097}),
+         r"^prefill_chips must be at most 4,096 .*got 4097$"),
         (lambda: ClusterSpec(name="c", replicas=2**63),
          "cluster replicas must fit in a signed 64-bit integer"),
     ])
@@ -208,6 +214,14 @@ class TestValidation:
 
     def test_integer_fields_accept_the_int64_maximum(self):
         assert ServeScenario(requests=2**63 - 1).requests == 2**63 - 1
+
+    def test_llm_pools_accept_the_chip_ceiling(self):
+        from repro.api.spec import _LLM_MAX_CHIPS
+
+        spec = ScenarioSpec.from_dict(
+            {"kind": "llm", "chips": _LLM_MAX_CHIPS, "prefill_chips": _LLM_MAX_CHIPS}
+        )
+        assert spec.chips == spec.prefill_chips == _LLM_MAX_CHIPS == 4096
 
     def test_from_dict_requires_kind(self):
         with pytest.raises(SpecError, match="needs a string 'kind'"):

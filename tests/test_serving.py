@@ -712,6 +712,39 @@ class TestBatchScanParity(ParityFleets):
         assert answered and scanned.served_per_replica[1] == 167
         assert_same_run(scanned, per_arrival)
 
+    @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
+    def test_strided_read_only_trace(self, monkeypatch, policy):
+        """The scan reads a strided, read-only trace in place: every other
+        slot of its base is NaN, so a wrong stride cannot pass."""
+        arrivals = self._arrivals("duplicates", 3, load=0.7)
+        base = np.full(2 * arrivals.size, np.nan)
+        base[::2] = arrivals
+        view = base[::2]
+        view.flags.writeable = False
+        scanned = self.check(monkeypatch, lambda: self._fleet(3, policy), view)
+        assert_same_run(scanned, self._fleet(3, policy).run(arrivals))
+
+    def test_only_the_event_loop_copies_the_trace(self):
+        """A scanned run keeps no Python float per request: it reads the
+        trace through a memoryview.  A JSQ run, on the per-arrival event
+        loop, copies the trace into a list of floats once."""
+        arrivals = self._arrivals("poisson", 4, load=0.7, n=20_000)
+
+        def blocks_kept(router):
+            fleet = self._fleet(4, "fixed", batch=256, router=router)
+            gc.collect()
+            gc.disable()
+            try:
+                before = sys.getallocatedblocks()
+                sim = FleetSim(fleet.replicas, fleet.router, arrivals)
+                sim.run()
+                return sys.getallocatedblocks() - before
+            finally:
+                gc.enable()
+
+        assert blocks_kept("round_robin") < arrivals.size // 10
+        assert blocks_kept("jsq") > arrivals.size // 2
+
     def test_a_head_launches_at_its_deadline_never_one_ulp_before(self, monkeypatch):
         """The launch rule compares deadlines, never ages.  The age test
         ``now - oldest >= budget`` holds one ulp before the float
@@ -1306,10 +1339,12 @@ class TestFreshProcesses:
         assert busy_windows > 0
 
     @pytest.mark.parametrize("args, scenario", [
+        # Round-robin SLO-adaptive fleets: FleetSim's batch scan.
+        (("serve",), repro.ServeScenario()),
         # The hybrid backend's event cells run FleetSim.
         (("globe",), repro.GlobalScenario()),
         (("profile", "mlp0"), repro.ProfileScenario(workload="mlp0")),
-    ], ids=["globe", "profile-mlp0"])
+    ], ids=["serve", "globe", "profile-mlp0"])
     def test_default_scenarios_agree_bit_for_bit(self, args, scenario):
         self.assert_matches_in_process(scenario, self.fresh_outputs(*args))
 
