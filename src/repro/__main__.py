@@ -42,10 +42,10 @@ Commands:
 ``profile``/``report``/``serve``/``datacenter``/``globe``/``llm``
 additionally take
 ``--trace-out TRACE.json`` (span tracing on, written as a Chrome
-trace-event JSON to open in Perfetto), ``--trace-jsonl`` (one span
-object per line), and ``--profile`` (span-time summary table on
-stderr); ``REPRO_TRACE_OUT=trace.json`` in the environment does what
-``--trace-out`` does without touching the command line.
+trace-event JSON to open in Perfetto) and ``--profile`` (span-time
+summary table on stderr); ``REPRO_TRACE_OUT=trace.json`` in the
+environment does what ``--trace-out`` does without touching the command
+line.
 """
 
 from __future__ import annotations
@@ -195,8 +195,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", default=None, metavar="TRACE.json",
                         help="record spans and write a Chrome trace-event "
                              "JSON (open in Perfetto / chrome://tracing)")
-    parser.add_argument("--trace-jsonl", default=None, metavar="SPANS.jsonl",
-                        help="also write the spans as JSON lines")
     parser.add_argument("--profile", action="store_true",
                         help="print a span-time summary table to stderr "
                              "after the run")
@@ -358,43 +356,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_obs(args: argparse.Namespace) -> int:
     """Dispatch a parsed command, honoring its observability flags.
 
-    Enables the tracer (and, for ``--profile``, the metrics registry)
-    around the command, then exports: Chrome trace JSON to
-    ``--trace-out`` (or ``REPRO_TRACE_OUT``), JSONL to ``--trace-jsonl``,
-    and the span-time summary table to stderr for ``--profile``.
+    Records spans around the command, then exports: Chrome trace JSON
+    to ``--trace-out`` (or ``REPRO_TRACE_OUT``), and the span-time
+    summary table to stderr for ``--profile``.
     """
     from repro import obs
 
     trace_out = getattr(args, "trace_out", None)
     if trace_out is None:
         trace_out = os.environ.get("REPRO_TRACE_OUT") or None
-    trace_jsonl = getattr(args, "trace_jsonl", None)
     profiling = getattr(args, "profile", False)
-    if not (trace_out or trace_jsonl or profiling):
+    if not (trace_out or profiling):
         return args.fn(args)
 
-    previous_trace = obs.TRACER.enabled
-    previous_metrics = obs.REGISTRY.enabled
-    obs.TRACER.clear()
-    obs.TRACER.enabled = True
-    if profiling:
-        obs.REGISTRY.enabled = True
     try:
-        code = args.fn(args)
+        with obs.capture():
+            return args.fn(args)
     finally:
-        obs.TRACER.enabled = previous_trace
-        obs.REGISTRY.enabled = previous_metrics
         if trace_out:
             n = obs.TRACER.write_chrome(trace_out)
             print(f"wrote {trace_out} ({n} spans); load it in "
                   f"https://ui.perfetto.dev", file=sys.stderr)
-        if trace_jsonl:
-            obs.TRACER.write_jsonl(trace_jsonl)
-            print(f"wrote {trace_jsonl}", file=sys.stderr)
         if profiling:
             print(obs.span_summary(obs.TRACER.snapshot()).render(),
                   file=sys.stderr)
-    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -66,12 +66,8 @@ def _run_one(exp_id: str) -> ExperimentOutcome:
             result = EXPERIMENTS[exp_id]()
     except Exception:
         seconds = time.perf_counter() - start
-        obs.gauge(f"report.seconds.{exp_id}").set(seconds)
         return ExperimentOutcome(exp_id, None, traceback.format_exc(), seconds)
-    seconds = time.perf_counter() - start
-    obs.gauge(f"report.seconds.{exp_id}").set(seconds)
-    obs.counter("report.experiments").inc()
-    return ExperimentOutcome(exp_id, result, None, seconds)
+    return ExperimentOutcome(exp_id, result, None, time.perf_counter() - start)
 
 
 def select_experiments(exp_ids: list[str] | None) -> list[str]:

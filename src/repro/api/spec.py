@@ -82,6 +82,10 @@ def _finite(value: object) -> bool:
 #: which hold int64.
 _INT64_MAX = 2**63 - 1
 
+#: The serving fleet builds and steps every replica, and the LLM engine
+#: every chip of its pools: refuse fleets and pools larger than this.
+_MAX_REPLICAS = 4096
+
 
 def _check_positive(field: str, value: object, integer: bool = False) -> None:
     kind = "a positive integer" if integer else "a positive number"
@@ -94,6 +98,15 @@ def _check_positive(field: str, value: object, integer: bool = False) -> None:
         _require(value <= _INT64_MAX,
                  f"{field} must fit in a signed 64-bit integer "
                  f"(at most 2**63 - 1), got {value!r}")
+
+
+def _check_replicas(field: str, value: object, engine: str = "fleet",
+                    unit: str = "replica") -> None:
+    """A positive count of replicas (or chips), at most :data:`_MAX_REPLICAS`."""
+    _check_positive(field, value, integer=True)
+    _require(value <= _MAX_REPLICAS,
+             f"{field} must be at most {_MAX_REPLICAS:,} (the {engine} simulates "
+             f"every {unit}), got {value!r}")
 
 
 def _check_non_negative(field: str, value: object) -> None:
@@ -272,7 +285,7 @@ class ServeScenario(ScenarioSpec):
 
     workload: str = _field("mlp0", "any workload from `repro list`, e.g. mlp0 or bert_s")
     platform: str = _field("tpu", "accelerator platform of every replica", PLATFORM_KINDS)
-    replicas: int = _field(1, "number of accelerator replicas")
+    replicas: int = _field(1, f"number of accelerator replicas; at most {_MAX_REPLICAS:,}")
     slo_ms: float = _field(7.0, "p99 response-time limit in ms")
     policy: str = _field("adaptive", "batching policy; adaptive sizes batches to the SLO",
                          BATCH_POLICIES)
@@ -301,7 +314,7 @@ class ServeScenario(ScenarioSpec):
             _set(self, "workload", self.workload.lower())
         _check_workload(self.workload)
         _check_choice("platform", self.platform, PLATFORM_KINDS)
-        _check_positive("replicas", self.replicas, integer=True)
+        _check_replicas("replicas", self.replicas)
         _check_positive("slo_ms", self.slo_ms)
         _check_choice("policy", self.policy, BATCH_POLICIES)
         _check_optional_positive("batch", self.batch, integer=True)
@@ -333,7 +346,8 @@ class DatacenterScenario(ScenarioSpec):
     rate: float = _field(20000.0, "mean offered load, requests/s")
     swing: float = _field(0.6, "diurnal swing in [0, 1) around the mean")
     requests: int = _field(20000, "requests simulated over one diurnal cycle")
-    max_replicas: int = _field(32, "provisioning search ceiling per platform")
+    max_replicas: int = _field(32, f"provisioning search ceiling per platform; "
+                                   f"at most {_MAX_REPLICAS:,}")
     router: str = _field("jsq", "replica router; jsq is join-shortest-queue", ROUTERS)
     seed: int = _field(0, "random seed")
     usd_per_kwh: float = _field(0.10, "electricity price, $/kWh")
@@ -361,7 +375,7 @@ class DatacenterScenario(ScenarioSpec):
         _require(_finite(self.swing) and 0 <= self.swing < 1,
                  f"swing must be in [0, 1), got {self.swing!r}")
         _check_positive("requests", self.requests, integer=True)
-        _check_positive("max_replicas", self.max_replicas, integer=True)
+        _check_replicas("max_replicas", self.max_replicas)
         _check_choice("router", self.router, ROUTERS)
         _check_seed(self.seed)
         _check_positive("usd_per_kwh", self.usd_per_kwh)
@@ -403,7 +417,7 @@ class ClusterSpec:
         _require(isinstance(self.name, str) and bool(self.name),
                  f"cluster name must be a non-empty string, got {self.name!r}")
         _check_choice("cluster platform", self.platform, PLATFORM_KINDS)
-        _check_positive("cluster replicas", self.replicas, integer=True)
+        _check_replicas("cluster replicas", self.replicas)
         _check_positive("cluster cost", self.cost)
 
 
@@ -455,11 +469,6 @@ GLOBE_BACKENDS = ("exact", "hybrid")
 #: The exact backend materializes every arrival: refuse worlds whose
 #: expected request count would take minutes to event-simulate.
 _EXACT_MAX_REQUESTS = 2_000_000
-
-#: The LLM engine builds and steps every chip of its pools: refuse pools
-#: larger than this.
-_LLM_MAX_CHIPS = 4096
-
 
 @dataclass(frozen=True)
 class GlobalScenario(ScenarioSpec):
@@ -590,9 +599,9 @@ class LLMServeScenario(ScenarioSpec):
                                           "gang (fixed) batching", LLM_SCHEDULERS)
     mode: str = _field("aggregated", "one pool, or split prefill/decode pools", LLM_MODES)
     chips: int = _field(2, f"decode-pool chips, the whole fleet when aggregated; "
-                           f"at most {_LLM_MAX_CHIPS:,}")
+                           f"at most {_MAX_REPLICAS:,}")
     prefill_chips: int = _field(1, f"prefill-pool chips in disaggregated mode; "
-                                   f"at most {_LLM_MAX_CHIPS:,}")
+                                   f"at most {_MAX_REPLICAS:,}")
     max_batch: int = _field(32, "decode batch-slot cap per chip")
     prefill_batch: int = _field(8, "prompts per batched prefill pass")
     prompt_tokens: int = _field(96, "mean prompt length m; lengths are sampled "
@@ -632,11 +641,7 @@ class LLMServeScenario(ScenarioSpec):
         _check_choice("scheduler", self.scheduler, LLM_SCHEDULERS)
         _check_choice("mode", self.mode, LLM_MODES)
         for field in ("chips", "prefill_chips"):
-            value = getattr(self, field)
-            _check_positive(field, value, integer=True)
-            _require(value <= _LLM_MAX_CHIPS,
-                     f"{field} must be at most {_LLM_MAX_CHIPS:,} (the LLM engine "
-                     f"simulates every chip), got {value!r}")
+            _check_replicas(field, getattr(self, field), "LLM engine", "chip")
         _check_positive("max_batch", self.max_batch, integer=True)
         _check_positive("prefill_batch", self.prefill_batch, integer=True)
         _check_positive("prompt_tokens", self.prompt_tokens, integer=True)

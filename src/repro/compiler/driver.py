@@ -122,7 +122,6 @@ class TPUDriver:
         if cached is not None and cached.params is params and (
             cached.model is model or (params is None and cached.model == model)
         ):
-            obs.counter("compiler.cache_hits").inc()
             return cached
         # Timing-mode compiles consult the process-wide emission memo:
         # hits replay the cached instruction stream at the requested
@@ -144,7 +143,6 @@ class TPUDriver:
                 result = record.materialize(
                     self.allocator, self.config, weight_bits, activation_bits
                 )
-                obs.counter("compiler.lowering_cache_hits").inc()
             else:
                 lowering = Lowering(
                     model,
@@ -157,7 +155,6 @@ class TPUDriver:
                 result = lowering.lower()
                 if lowering_state == "miss":
                     perfcache.GLOBAL_LOWERING.put(lkey, lowering.record)
-        obs.counter("compiler.compiles").inc()
         compiled = CompiledModel(
             model=model,
             program=result.program,

@@ -133,7 +133,7 @@ class TPUDevice:
         untimed pass moves the data, and the result carries the output
         codes.  In timing mode data is ignored entirely.
         """
-        if not (obs.TRACER.enabled or obs.REGISTRY.enabled):
+        if not obs.TRACER.enabled:
             return self._execute(program, host_input)
         start = time.perf_counter()
         result = self._execute(program, host_input)
@@ -152,46 +152,21 @@ class TPUDevice:
 
 
 def _record_run(device: "TPUDevice", result: ExecutionResult, wall_s: float) -> None:
-    """Observability for one program replay (only called when enabled).
+    """The wall span of one program replay (only called while tracing).
 
     The span carries the simulated outcome (cycles, simulated ms) against
-    real elapsed time; the metrics mirror the paper's per-unit counters --
-    MXU active / weight-path stall / shift / non-matrix cycle totals plus
-    the DMA and Unified Buffer byte counters -- accumulated across runs.
+    real elapsed time; the per-unit counters stay on ``result.counters``.
     """
-    b = result.breakdown
-    if obs.TRACER.enabled:
-        now = obs.TRACER.now()
-        obs.TRACER.record_wall(
-            f"device:{result.program_name}", now - wall_s * 1e6, wall_s * 1e6,
-            cat="device",
-            batch=result.batch_size,
-            cycles=result.cycles,
-            sim_ms=result.seconds * 1e3,
-            mxu_active_frac=round(b.active_fraction, 4),
-            functional=device.functional,
-        )
-    if obs.REGISTRY.enabled:
-        obs.counter("device.runs").inc()
-        obs.counter("device.cycles.total").inc(b.total)
-        obs.counter("device.cycles.mxu_active").inc(b.active)
-        obs.counter("device.cycles.weight_stall").inc(b.weight_stall)
-        obs.counter("device.cycles.weight_shift").inc(b.weight_shift)
-        obs.counter("device.cycles.non_matrix").inc(b.non_matrix)
-        counters = result.counters
-        for metric, key in (
-            ("device.cycles.dma_in", "dma_in_cycles"),
-            ("device.cycles.dma_out", "dma_out_cycles"),
-            ("device.bytes.pcie_in", "pcie_bytes_in"),
-            ("device.bytes.pcie_out", "pcie_bytes_out"),
-            ("device.bytes.weight_read", "weight_bytes_read"),
-            ("device.bytes.ub_read", "ub_bytes_read"),
-            ("device.bytes.ub_written", "ub_bytes_written"),
-            ("device.macs_issued", "macs_issued"),
-        ):
-            value = counters.get(key)
-            if value:
-                obs.counter(metric).inc(value)
+    now = obs.TRACER.now()
+    obs.TRACER.record_wall(
+        f"device:{result.program_name}", now - wall_s * 1e6, wall_s * 1e6,
+        cat="device",
+        batch=result.batch_size,
+        cycles=result.cycles,
+        sim_ms=result.seconds * 1e3,
+        mxu_active_frac=round(result.breakdown.active_fraction, 4),
+        functional=device.functional,
+    )
 
 
 # ----------------------------------------------------------------------

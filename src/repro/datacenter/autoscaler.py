@@ -215,28 +215,6 @@ class AutoscaleResult:
         return self.fleet.stats(**kwargs)
 
 
-def _record_tick(observation: FleetObservation, desired: int) -> None:
-    """Trace marker + metrics for one control tick (cold path)."""
-    current = observation.active + observation.spinning_up
-    if obslib.TRACER.enabled:
-        obslib.TRACER.sim_span(
-            "autoscale:tick", observation.now, 0.0, cat="autoscaler",
-            tid=AUTOSCALER_TID,
-            desired=desired, active=observation.active,
-            spinning=observation.spinning_up, queued=observation.queued,
-            rate_rps=observation.arrival_rate,
-            utilization=observation.utilization,
-        )
-    if obslib.REGISTRY.enabled:
-        obslib.counter("autoscaler.ticks").inc()
-        if desired > current:
-            obslib.counter("autoscaler.scale_ups").inc()
-        elif desired < current:
-            obslib.counter("autoscaler.scale_downs").inc()
-        obslib.histogram("autoscaler.desired").observe(desired)
-        obslib.gauge("autoscaler.active").set(observation.active)
-
-
 class AutoscaledFleet:
     """A fleet whose replica count follows a :class:`ScalingPolicy`."""
 
@@ -347,8 +325,15 @@ class AutoscaledFleet:
             now = sim.loop.now
             observation = observe(now)
             desired = self._clamp(self.policy.desired_replicas(observation))
-            if obslib.TRACER.enabled or obslib.REGISTRY.enabled:
-                _record_tick(observation, desired)
+            if obslib.TRACER.enabled:
+                obslib.TRACER.sim_span(
+                    "autoscale:tick", observation.now, 0.0, cat="autoscaler",
+                    tid=AUTOSCALER_TID,
+                    desired=desired, active=observation.active,
+                    spinning=observation.spinning_up, queued=observation.queued,
+                    rate_rps=observation.arrival_rate,
+                    utilization=observation.utilization,
+                )
             scale_to(desired, now)
             if sim.pending > 0:
                 sim.loop.schedule(now + interval, tick)

@@ -88,7 +88,6 @@ def plan_capacity(
             result = fleet.run(arrivals)
         stats = result.stats(slo_seconds=spec.slo_seconds)
         if stats.p99_seconds <= spec.slo_seconds or n == max_replicas:
-            obs.gauge(f"datacenter.provisioned_replicas.{spec.platform.kind}").set(n)
             power = ReplicaPower(spec.platform.kind, app=spec.model.name)
             energy = fleet_energy(result, power, window_seconds=window_seconds)
             cost = fleet_cost(

@@ -274,8 +274,6 @@ def _event_samples(
     arrivals = poisson_arrivals(rate, event_requests, seed=seed)
     result = cluster.spec.build().run(arrivals)
     responses = result.responses[int(0.1 * result.responses.size):]  # warmup
-    if obs.REGISTRY.enabled:
-        obs.counter("globe.event_sim_requests").inc(int(arrivals.size))
     return np.quantile(responses, _Q_GRID)
 
 
@@ -327,7 +325,6 @@ def evaluate_hybrid(
     rates = plan.cluster_rates()  # [bins, clusters]
     bin_dur = topology.bin_seconds
     tracing = obs.TRACER.enabled
-    metering = obs.REGISTRY.enabled
 
     batchers = {c.index: c.spec.batcher for c in topology.clusters}
     event_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -392,8 +389,6 @@ def evaluate_hybrid(
                     rho=rho,
                     backend=kind,
                 )
-            if metering:
-                obs.counter(f"globe.cells_{kind}").inc()
 
     # Flow conservation: everything offered completes except the backlog
     # still queued when the horizon ends.
@@ -449,9 +444,6 @@ def evaluate_hybrid(
 
     total = topology.total_expected_requests()
     spill = plan.spilled_fraction(topology)
-    if metering:
-        obs.counter("globe.routed_requests").inc(total)
-        obs.counter("globe.spilled_requests").inc(total * spill)
     return GlobalResult(
         backend="hybrid",
         routing=plan.policy,
@@ -585,9 +577,6 @@ def evaluate_exact(
     else:
         p50 = p99 = mean = 0.0
     spill = spilled / realized if realized else 0.0
-    if obs.REGISTRY.enabled:
-        obs.counter("globe.routed_requests").inc(realized)
-        obs.counter("globe.spilled_requests").inc(spilled)
     return GlobalResult(
         backend="exact",
         routing=plan.policy,

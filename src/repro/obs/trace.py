@@ -6,9 +6,7 @@ every layer of the simulation stack: compiler passes, device-sim program
 replays, per-request serving lifecycles, autoscaler decisions, and
 report experiments.  The export is the Chrome trace-event format
 (``{"traceEvents": [...]}``, each event carrying ``ph``/``ts``/``pid``/
-``tid``/``name``), loadable directly in Perfetto or ``chrome://tracing``,
-plus a structured JSONL sink (one span object per line) for scripted
-analysis.
+``tid``/``name``), loadable directly in Perfetto or ``chrome://tracing``.
 
 Two clocks share one trace, separated by process id:
 
@@ -24,15 +22,14 @@ Two clocks share one trace, separated by process id:
 The disabled path is near-free by construction: :func:`span` returns a
 shared no-op context manager without touching the clock, and every
 instrumentation site in the hot simulators checks ``TRACER.enabled``
-(one attribute load) before building any event.  ``REPRO_TRACE=1``
-enables recording from the environment; the CLI's ``--trace-out`` /
-``--trace-jsonl`` / ``--profile`` flags enable it per run.
+(one attribute load) before building any event.  Library code records
+inside :func:`capture`; the CLI's ``--trace-out`` and ``--profile`` flags
+(and ``REPRO_TRACE_OUT``) record a whole run and write or print it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -94,7 +91,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Buffers spans; exports Chrome trace JSON and JSONL.
+    """Buffers spans; exports Chrome trace JSON.
 
     Spans are appended under a lock (compiler and analysis spans can
     come from worker threads); the buffer lives in memory until an
@@ -105,9 +102,7 @@ class Tracer:
     simply sees only the parent's spans otherwise).
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get("REPRO_TRACE", "0") not in ("", "0")
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.events: list[Span] = []
         self._lock = threading.Lock()
@@ -153,10 +148,6 @@ class Tracer:
             return
         self._append(Span(name, cat, start_s * 1e6, max(dur_s, 0.0) * 1e6, pid, tid, args))
 
-    def instant(self, name: str, cat: str = "", **args) -> None:
-        """A zero-duration wall marker (rendered as a slim span)."""
-        self.record_wall(name, self.now(), 0.0, cat=cat, **args)
-
     # -- management -----------------------------------------------------
     def clear(self) -> None:
         with self._lock:
@@ -190,19 +181,6 @@ class Tracer:
             json.dump(self.chrome_trace(), handle)
             handle.write("\n")
         return len(self.events)
-
-    def write_jsonl(self, path: str) -> int:
-        """Write one JSON object per span (the structured sink)."""
-        spans = self.snapshot()
-        with open(path, "w") as handle:
-            for span in spans:
-                handle.write(json.dumps({
-                    "name": span.name, "cat": span.cat, "ts": span.ts,
-                    "dur": span.dur, "pid": span.pid, "tid": span.tid,
-                    "args": span.args,
-                }))
-                handle.write("\n")
-        return len(spans)
 
 
 class _WallSpan:
@@ -239,17 +217,9 @@ def span(name: str, cat: str = "", **args):
     return TRACER.span(name, cat, **args)
 
 
-def tracing_enabled() -> bool:
-    return TRACER.enabled
-
-
-def set_tracing(enabled: bool) -> None:
-    TRACER.enabled = enabled
-
-
 @contextmanager
 def capture():
-    """Enable tracing on a cleared buffer for a scoped block (tests)."""
+    """Enable tracing on a cleared buffer for a scoped block."""
     previous = TRACER.enabled
     TRACER.clear()
     TRACER.enabled = True

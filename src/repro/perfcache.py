@@ -26,8 +26,8 @@ per instance and memoized on it, under an attribute of its own key
 function, so a lookup costs a dict probe.
 
 Both tables are :class:`PerfCache` instances with one API: ``get`` and
-``put``, hit/miss counters (``stats``, ``reset_counters``, ``metrics``)
-and ``invalidate`` by workload and/or platform.  Bypass both with the
+``put``, hit/miss counters (``stats``, ``reset_counters``) and
+``invalidate`` by workload and/or platform.  Bypass both with the
 :func:`disabled` context manager; cached and uncached results are
 identical by construction (a table stores exactly what was computed on
 the first miss).  Compiled programs and their profiles are memoized by
@@ -46,8 +46,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
-
-from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.config import TPUConfig
@@ -305,30 +303,12 @@ class PerfCache:
                 hits=self._hits, misses=self._misses, entries=len(self._entries)
             )
 
-    def metrics(self) -> dict:
-        """The counters as a flat dict (a :func:`repro.obs` collector).
-
-        Pull-based, so the lookup path stays untouched: snapshots read
-        the same counters :meth:`stats` reports.
-        """
-        stats = self.stats()
-        return {
-            "enabled": self.enabled,
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "entries": stats.entries,
-            "hit_rate": stats.hit_rate,
-        }
-
 
 #: Curve points: (occupancy, latency) per (platform, workload, batch).
 GLOBAL = PerfCache()
 
 #: Compiler emission records per :func:`lowering_key`.
 GLOBAL_LOWERING = PerfCache()
-
-obs.register_collector("perfcache", GLOBAL.metrics)
-obs.register_collector("lowering_cache", GLOBAL_LOWERING.metrics)
 
 
 def occupancy_latency(

@@ -370,7 +370,7 @@ class ContinuousBatchingSim:
         #: Closed residencies, four ints each: request, chip, first and
         #: one-past-last chip iteration.
         self._spans: list[int] = []
-        self._observe = obs.TRACER.enabled or obs.REGISTRY.enabled
+        self._observe = obs.TRACER.enabled
 
     def _schedule_ticks(self) -> None:
         for pool in self._pools():
@@ -573,18 +573,10 @@ class ContinuousBatchingSim:
         if chip.kv_used > self.kv_peak:
             self.kv_peak = chip.kv_used
         if self._observe:
-            if obs.TRACER.enabled:
-                obs.TRACER.sim_span(
-                    f"iter b{active}", now, step, cat="llm",
-                    tid=chip.index, batch=active, kv=chip.kv_used,
-                )
-            if obs.REGISTRY.enabled:
-                obs.counter("llm.iterations").inc()
-                obs.gauge("llm.kv_tokens").set(chip.kv_used)
-                obs.histogram("llm.kv_occupancy").observe(
-                    chip.kv_used / cfg.kv_capacity
-                )
-                obs.histogram("llm.iteration_batch").observe(active)
+            obs.TRACER.sim_span(
+                f"iter b{active}", now, step, cat="llm",
+                tid=chip.index, batch=active, kv=chip.kv_used,
+            )
         self._schedule(now + step, self._end_iteration, chip)
         if evicted and self.prefill_pool is not None:
             self._kick_prefill(now)
@@ -611,8 +603,6 @@ class ContinuousBatchingSim:
         k = len(chip.log)
         chip.log.append(now)
         self.tokens += len(chip.running)
-        if obs.REGISTRY.enabled:
-            obs.counter("llm.tokens").inc(len(chip.running))
         for index in chip.finishing.pop(k, ()):
             req = self.requests[index]
             # A finished request's cache holds its prompt and every token.
@@ -657,14 +647,10 @@ class ContinuousBatchingSim:
         self.prefill_pool.window_busy += step
         self.prefill_batches += 1
         if self._observe:
-            if obs.TRACER.enabled:
-                obs.TRACER.sim_span(
-                    f"prefill b{len(taken)}", now, step, cat="llm",
-                    tid=1000 + chip.index, batch=len(taken), kv=kv_sum,
-                )
-            if obs.REGISTRY.enabled:
-                obs.counter("llm.prefill_batches").inc()
-                obs.histogram("llm.prefill_batch").observe(len(taken))
+            obs.TRACER.sim_span(
+                f"prefill b{len(taken)}", now, step, cat="llm",
+                tid=1000 + chip.index, batch=len(taken), kv=kv_sum,
+            )
         self._schedule(
             now + step, self._end_prefill, chip, tuple(taken), tuple(needs)
         )
@@ -681,8 +667,6 @@ class ContinuousBatchingSim:
             )
             self.transfers += 1
             self._schedule(now + delay, self._decode_arrival, index)
-        if obs.REGISTRY.enabled:
-            obs.counter("llm.transfers").inc(len(members))
         self._start_prefill(chip, now)
 
     def _decode_arrival(self, index: int, now: float) -> None:
@@ -732,8 +716,6 @@ class ContinuousBatchingSim:
                     if chip.idle:
                         chip.power_off(now)
                     have -= 1
-        if obs.REGISTRY.enabled:
-            obs.gauge(f"llm.{pool.name}_chips").set(active)
         if self.completed < self.n:
             self._schedule(now + ctl.interval_s, self._control_tick, pool)
 

@@ -135,11 +135,6 @@ class BatchServer:
                 "batch", now, occupancy, cat="serving",
                 tid=self.trace_tid, batch=batch,
             )
-        if obs.REGISTRY.enabled:
-            obs.counter("serving.batches").inc()
-            obs.counter("serving.requests").inc(batch)
-            obs.histogram("serving.batch_size").observe(batch)
-            obs.histogram("serving.batch_occupancy_s").observe(occupancy)
         return now + self.curve.latency(batch)
 
 

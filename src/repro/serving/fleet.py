@@ -299,9 +299,9 @@ class FleetSim:
         # about twice as fast.
         self._times: Sequence[float] = memoryview(arrivals)
         # One flag decides whether the hot launch path pays for
-        # observability at all.  Replica trace tracks follow list
-        # position; autoscaler-spawned replicas get the next tids lazily.
-        self._observe = obs.TRACER.enabled or obs.REGISTRY.enabled
+        # tracing at all.  Replica trace tracks follow list position;
+        # autoscaler-spawned replicas get the next tids lazily.
+        self._observe = obs.TRACER.enabled
         self._tids: dict[int, int] = {id(r): i for i, r in enumerate(self.replicas)}
 
     def poll(self, replica: Replica) -> None:
@@ -330,7 +330,7 @@ class FleetSim:
 
     def _launch(self, replica: Replica, n: int, now: float) -> None:
         if self._observe:
-            self._pre_launch(replica, len(replica.queue))
+            self._pre_launch(replica)
         queue = replica.queue
         if n == len(queue):
             batch = list(queue)
@@ -353,37 +353,31 @@ class FleetSim:
         if self._observe:
             self._post_launch(replica, batch, now, done)
 
-    def _pre_launch(self, replica: Replica, depth: int) -> None:
-        """Observability bookkeeping before a batch launches from a queue
-        ``depth`` requests deep (cold path)."""
+    def _pre_launch(self, replica: Replica) -> None:
+        """Point the replica's batch spans at its trace track (cold path)."""
         tid = self._tids.get(id(replica))
         if tid is None:
             tid = self._tids[id(replica)] = len(self._tids)
         replica.server.trace_tid = tid
-        if obs.REGISTRY.enabled:
-            obs.histogram("serving.queue_depth_at_launch").observe(depth)
 
     def _post_launch(
         self, replica: Replica, batch: Sequence[int], now: float, done: float
     ) -> None:
-        """Per-request lifecycle spans and queue-wait metrics (cold path)."""
+        """Per-request lifecycle spans (cold path)."""
         times = self._times
-        if obs.TRACER.enabled:
-            tid = replica.server.trace_tid
-            for index in batch:
-                arrival = times[index]
-                obs.TRACER.sim_span(
-                    "request",
-                    arrival,
-                    done - arrival,
-                    cat="serving",
-                    tid=tid,
-                    pid=obs.REQ_PID,
-                    wait_ms=(now - arrival) * 1e3,
-                    batch=len(batch),
-                )
-        if obs.REGISTRY.enabled:
-            obs.histogram("serving.queue_wait_s").observe(now - times[batch[0]])
+        tid = replica.server.trace_tid
+        for index in batch:
+            arrival = times[index]
+            obs.TRACER.sim_span(
+                "request",
+                arrival,
+                done - arrival,
+                cat="serving",
+                tid=tid,
+                pid=obs.REQ_PID,
+                wait_ms=(now - arrival) * 1e3,
+                batch=len(batch),
+            )
 
     def _on_arrival(self, index: int) -> None:
         self.pending -= 1
@@ -733,7 +727,7 @@ class FleetSim:
                 now, admitted = min(options)
             n = min(admitted - head, cap)
             if self._observe:
-                self._pre_launch(replica, admitted - head)
+                self._pre_launch(replica)
             done = server.start_batch(now, n)
             dones.append(done)
             sizes.append(n)

@@ -736,18 +736,10 @@ class PerTokenLLMSim(ContinuousBatchingSim):
         if chip.kv_used > self.kv_peak:
             self.kv_peak = chip.kv_used
         if self._observe:
-            if obs.TRACER.enabled:
-                obs.TRACER.sim_span(
-                    f"iter b{active}", now, step, cat="llm",
-                    tid=chip.index, batch=active, kv=chip.kv_used,
-                )
-            if obs.REGISTRY.enabled:
-                obs.counter("llm.iterations").inc()
-                obs.gauge("llm.kv_tokens").set(chip.kv_used)
-                obs.histogram("llm.kv_occupancy").observe(
-                    chip.kv_used / cfg.kv_capacity
-                )
-                obs.histogram("llm.iteration_batch").observe(active)
+            obs.TRACER.sim_span(
+                f"iter b{active}", now, step, cat="llm",
+                tid=chip.index, batch=active, kv=chip.kv_used,
+            )
         self.loop.schedule(
             now + step, lambda t, c=chip: self._end_iteration(c, t)
         )
@@ -766,8 +758,6 @@ class PerTokenLLMSim(ContinuousBatchingSim):
             req.token_times.append(now)
             if req.emitted == req.decode:
                 finished.append(index)
-        if obs.REGISTRY.enabled:
-            obs.counter("llm.tokens").inc(len(chip.running))
         for index in finished:
             req = self.requests[index]
             req.finish = now

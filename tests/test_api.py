@@ -207,6 +207,18 @@ class TestValidation:
          r"^prefill_chips must be at most 4,096 .*got 4097$"),
         (lambda: ClusterSpec(name="c", replicas=2**63),
          "cluster replicas must fit in a signed 64-bit integer"),
+        # The fleet builds and steps every replica.
+        (lambda: ServeScenario(replicas=4097),
+         r"^replicas must be at most 4,096 \(the fleet simulates every replica\), "
+         r"got 4097$"),
+        (lambda: ScenarioSpec.from_dict({"kind": "serve", "replicas": 10**9}),
+         r"^replicas must be at most 4,096 .*got 1000000000$"),
+        (lambda: DatacenterScenario(max_replicas=4097),
+         r"^max_replicas must be at most 4,096 \(the fleet simulates every replica\), "
+         r"got 4097$"),
+        (lambda: ClusterSpec(name="c", replicas=4097),
+         r"^cluster replicas must be at most 4,096 \(the fleet simulates every "
+         r"replica\), got 4097$"),
     ])
     def test_actionable_messages(self, build, message):
         with pytest.raises(SpecError, match=message):
@@ -216,12 +228,17 @@ class TestValidation:
         assert ServeScenario(requests=2**63 - 1).requests == 2**63 - 1
 
     def test_llm_pools_accept_the_chip_ceiling(self):
-        from repro.api.spec import _LLM_MAX_CHIPS
+        from repro.api.spec import _MAX_REPLICAS
 
         spec = ScenarioSpec.from_dict(
-            {"kind": "llm", "chips": _LLM_MAX_CHIPS, "prefill_chips": _LLM_MAX_CHIPS}
+            {"kind": "llm", "chips": _MAX_REPLICAS, "prefill_chips": _MAX_REPLICAS}
         )
-        assert spec.chips == spec.prefill_chips == _LLM_MAX_CHIPS == 4096
+        assert spec.chips == spec.prefill_chips == _MAX_REPLICAS == 4096
+
+    def test_fleets_accept_the_replica_ceiling(self):
+        assert ServeScenario(replicas=4096).replicas == 4096
+        assert DatacenterScenario(max_replicas=4096).max_replicas == 4096
+        assert ClusterSpec(name="c", replicas=4096).replicas == 4096
 
     def test_from_dict_requires_kind(self):
         with pytest.raises(SpecError, match="needs a string 'kind'"):

@@ -222,7 +222,7 @@ SCENARIOS = [ProfileScenario, ServeScenario, DatacenterScenario, GlobalScenario,
 #: Nested fields (the globe's region tree and RTT triples) are config-only.
 CONFIG_ONLY = {"regions", "rtt_ms"}
 #: Flags every scenario command has that set no field.
-COMMON_FLAGS = {"--help", "--config", "--json", "--trace-out", "--trace-jsonl", "--profile"}
+COMMON_FLAGS = {"--help", "--config", "--json", "--trace-out", "--profile"}
 #: Fields whose non-default value only validates alongside another field's.
 REQUIRES = {"autoscale": ("mode", "disaggregated"), "backend": ("duration_s", 1.0)}
 #: Valid non-default values the generic rule in ``other_value`` cannot make.

@@ -9,6 +9,7 @@ routing plan, so any gap isolates the pricing model.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,12 +47,8 @@ from tests import oracles
 @pytest.fixture(autouse=True)
 def _clean_obs():
     obs.TRACER.clear()
-    obs.REGISTRY.reset()
-    obs.set_metrics(False)
     yield
     obs.TRACER.clear()
-    obs.REGISTRY.reset()
-    obs.set_metrics(False)
 
 
 def small_world(rate=9000.0, **overrides):
@@ -549,21 +546,19 @@ class TestFacadeAndCLI:
 
 class TestGlobeObs:
     def test_counters_and_spans(self):
-        obs.set_metrics(True)
+        """One simulated-time span per evaluated (cluster, bin) cell,
+        tagged with the regime that priced it."""
         with obs.capture() as tracer:
-            simulate_global(small_world(rate=9000.0))
+            result = simulate_global(small_world(rate=9000.0))
             spans = tracer.snapshot()
-        assert any(s.cat == "globe" for s in spans)
-        names = {s.name for s in spans}
-        assert "globe.simulate" in names
-        snapshot = obs.metrics_snapshot()
-        assert snapshot["globe.routed_requests"] > 0
-        assert snapshot["globe.cells_analytic"] + snapshot.get(
-            "globe.cells_event", 0
-        ) + snapshot.get("globe.cells_fluid", 0) > 0
+        assert "globe.simulate" in {s.name for s in spans}
+        cells = Counter(
+            s.args["backend"] for s in spans
+            if s.cat == "globe" and s.pid == obs.SIM_PID
+        )
+        assert cells == result.backend_cells and sum(cells.values()) > 0
+        assert result.total_requests > 0
 
     def test_disabled_obs_records_nothing(self):
         simulate_global(small_world(rate=2000.0))
         assert obs.TRACER.events == []
-        snapshot = obs.metrics_snapshot()
-        assert not any(key.startswith("globe.") for key in snapshot)

@@ -55,14 +55,10 @@ from tests import oracles
 @pytest.fixture(autouse=True)
 def _clean_obs():
     obs.TRACER.clear()
-    obs.REGISTRY.reset()
-    obs.set_tracing(False)
-    obs.set_metrics(False)
+    obs.TRACER.enabled = False
     yield
     obs.TRACER.clear()
-    obs.REGISTRY.reset()
-    obs.set_tracing(False)
-    obs.set_metrics(False)
+    obs.TRACER.enabled = False
 
 
 def scenario(**overrides):
@@ -326,33 +322,24 @@ class TestOracleParity:
             run_against_oracle(cfg, arrivals, prompts, decodes)
 
     @pytest.mark.parametrize("mode", ["aggregated", "autoscaled"])
-    def test_spans_and_metrics_match_oracle(self, mode):
-        obs.set_tracing(True)
-        obs.set_metrics(True)
+    def test_spans_match_oracle(self, mode):
         cfg, arrivals, prompts, decodes = parity_trace(
             "continuous", mode, chips=3, kv_reserve_mib=19.0
         )
         seen = []
         for sim in (ContinuousBatchingSim(cfg), oracles.PerTokenLLMSim(cfg)):
-            obs.TRACER.clear()
-            obs.REGISTRY.reset()
-            result = sim.run(arrivals, prompts, decodes)
+            with obs.capture() as tracer:
+                result = sim.run(arrivals, prompts, decodes)
             spans = Counter(
                 (s.name, s.ts, s.dur, s.tid, tuple(sorted(s.args.items())))
-                for s in obs.TRACER.snapshot()
+                for s in tracer.snapshot()
                 if s.name.startswith(("iter b", "prefill b"))
             )
-            metrics = {
-                name: value for name, value in obs.metrics_snapshot().items()
-                if name.startswith("llm.")
-            }
-            seen.append((result, spans, metrics))
-        (got, got_spans, got_metrics), (want, want_spans, want_metrics) = seen
-        assert sim.walked == want.tokens  # the per-token path ran
+            seen.append((result, spans))
+        (got, got_spans), (want, want_spans) = seen
+        assert sim.walked == want.tokens == decodes.sum()  # the per-token path ran
         assert_same_result(got, want)
         assert got_spans == want_spans and sum(want_spans.values()) > 0
-        assert got_metrics == want_metrics
-        assert want_metrics["llm.tokens"] == float(decodes.sum())
 
 
 class TestTraceValidation:
@@ -591,24 +578,24 @@ class TestCLI:
 
 class TestObservability:
     def test_metrics_and_spans_emitted(self):
-        obs.set_tracing(True)
-        obs.set_metrics(True)
+        """One ``iter b*`` span per decode iteration and one ``prefill b*``
+        span per prefill batch, each carrying its batch size."""
         spec = scenario(requests=100, mode="disaggregated", chips=2)
         cfg, arrivals, prompts, decodes = run_trace(spec)
-        ContinuousBatchingSim(cfg).run(arrivals, prompts, decodes)
-        snapshot = obs.metrics_snapshot()
-        assert snapshot["llm.iterations"] > 0
-        assert snapshot["llm.tokens"] == float(decodes.sum())
-        assert snapshot["llm.transfers"] > 0
-        names = {span.name for span in obs.TRACER.snapshot()}
-        assert any(name.startswith("iter b") for name in names)
-        assert any(name.startswith("prefill") for name in names)
+        with obs.capture() as tracer:
+            result = ContinuousBatchingSim(cfg).run(arrivals, prompts, decodes)
+        spans = tracer.snapshot()
+        iters = [s for s in spans if s.name.startswith("iter b")]
+        prefills = [s for s in spans if s.name.startswith("prefill b")]
+        assert len(iters) == result.iterations > 0
+        assert len(prefills) == result.prefill_batches > 0
+        assert sum(s.args["batch"] for s in iters) == result.token_batch_sum
+        assert result.tokens == decodes.sum() and result.transfers > 0
 
     def test_quiet_when_disabled(self):
         spec = scenario(requests=60)
         cfg, arrivals, prompts, decodes = run_trace(spec)
         ContinuousBatchingSim(cfg).run(arrivals, prompts, decodes)
-        assert "llm.iterations" not in obs.metrics_snapshot()
         assert obs.TRACER.snapshot() == []
 
 

@@ -1,5 +1,6 @@
 """Observability tests: trace validity, zero-overhead disabled mode,
-metrics registry semantics, logging, and the CLI trace surfaces."""
+span args against the results they describe, logging, and the CLI
+trace surfaces."""
 
 import json
 import logging
@@ -19,16 +20,12 @@ from repro.serving.fleet import Fleet, Replica
 
 @pytest.fixture(autouse=True)
 def _pristine_obs():
-    """Every test starts and ends with tracing/metrics off and empty."""
-    obs.set_tracing(False)
-    obs.set_metrics(False)
+    """Every test starts and ends with tracing off and empty."""
+    obs.TRACER.enabled = False
     obs.TRACER.clear()
-    obs.REGISTRY.reset()
     yield
-    obs.set_tracing(False)
-    obs.set_metrics(False)
+    obs.TRACER.enabled = False
     obs.TRACER.clear()
-    obs.REGISTRY.reset()
 
 
 def _small_fleet_run():
@@ -130,37 +127,23 @@ def test_trace_exports_round_trip(tmp_path):
         with obs.span("outer", cat="test", answer=42):
             pass
         chrome_path = tmp_path / "trace.json"
-        jsonl_path = tmp_path / "spans.jsonl"
         n_chrome = tracer.write_chrome(str(chrome_path))
-        n_jsonl = tracer.write_jsonl(str(jsonl_path))
-    assert n_chrome == n_jsonl == 1
+    assert n_chrome == 1
     loaded = json.loads(chrome_path.read_text())
     assert loaded["traceEvents"][-1]["args"] == {"answer": 42}
-    lines = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
-    assert lines[0]["name"] == "outer" and lines[0]["args"] == {"answer": 42}
 
 
 # ----------------------------------------------------------------------
 # disabled mode is really off
 # ----------------------------------------------------------------------
 def test_disabled_tracer_records_nothing():
-    assert not obs.tracing_enabled()
+    assert not obs.TRACER.enabled
     driver = TPUDriver()
     compiled = driver.compile(paper_workloads()["mlp0"])
     driver.profile(compiled)
     _small_fleet_run()
     assert obs.TRACER.events == []
     assert obs.span("x") is obs.span("y")  # the shared no-op span
-
-
-def test_disabled_registry_mutates_nothing():
-    assert not obs.metrics_enabled()
-    obs.counter("t.c").inc()
-    obs.gauge("t.g").set(3.0)
-    obs.histogram("t.h").observe(1.0)
-    assert obs.counter("t.c").value == 0.0
-    assert obs.gauge("t.g").value is None
-    assert obs.histogram("t.h").count == 0
 
 
 def test_paper_table_bytes_identical_with_tracing_enabled():
@@ -179,64 +162,26 @@ def test_paper_table_bytes_identical_with_tracing_enabled():
 
 
 # ----------------------------------------------------------------------
-# metrics registry
+# span args agree with the results they describe
 # ----------------------------------------------------------------------
-def test_counter_gauge_histogram_when_enabled():
-    obs.set_metrics(True)
-    obs.counter("m.c").inc()
-    obs.counter("m.c").inc(2.5)
-    obs.gauge("m.g").set(7)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        obs.histogram("m.h").observe(value)
-    snapshot = obs.metrics_snapshot()
-    assert snapshot["m.c"] == 3.5
-    assert snapshot["m.g"] == 7.0
-    hist = snapshot["m.h"]
-    assert hist["count"] == 4 and hist["sum"] == 10.0
-    assert hist["min"] == 1.0 and hist["max"] == 4.0 and hist["mean"] == 2.5
-    assert hist["p50"] == 3.0  # nearest-rank over [1, 2, 3, 4]
-
-
-def test_histogram_percentile_and_empty_summary():
-    obs.set_metrics(True)
-    hist = obs.histogram("m.p")
-    assert hist.summary() == {"count": 0}
-    for value in range(100):
-        hist.observe(float(value))
-    assert hist.percentile(50.0) == 50.0
-    assert hist.percentile(99.0) == 99.0
-
-
-def test_perfcache_counters_surface_in_snapshot():
-    from repro import perfcache
-
-    obs.set_metrics(True)
-    snapshot = obs.metrics_snapshot()
-    stats = perfcache.GLOBAL.stats()
-    assert snapshot["perfcache.hits"] == stats.hits
-    assert snapshot["perfcache.misses"] == stats.misses
-    assert snapshot["perfcache.entries"] == stats.entries
-    assert 0.0 <= snapshot["perfcache.hit_rate"] <= 1.0
-
-
 def test_serving_metrics_recorded_per_batch():
-    obs.set_metrics(True)
-    result = _small_fleet_run()
-    snapshot = obs.metrics_snapshot()
-    assert snapshot["serving.batches"] == sum(result.batches_per_replica)
-    assert snapshot["serving.requests"] == 64
-    assert snapshot["serving.batch_size"]["max"] <= 4
+    with obs.capture() as tracer:
+        result = _small_fleet_run()
+    batches = [s for s in tracer.snapshot() if s.name == "batch"]
+    assert len(batches) == sum(result.batches_per_replica)
+    assert sum(s.args["batch"] for s in batches) == 64
+    assert max(s.args["batch"] for s in batches) <= 4
 
 
 def test_device_metrics_mirror_cycle_breakdown():
-    obs.set_metrics(True)
     driver = TPUDriver()
     compiled = driver.compile(paper_workloads()["mlp0"])
-    result = driver.profile(compiled)
-    snapshot = obs.metrics_snapshot()
-    assert snapshot["device.runs"] == 1
-    assert snapshot["device.cycles.total"] == result.cycles
-    assert snapshot["device.cycles.mxu_active"] > 0
+    with obs.capture() as tracer:
+        result = driver.profile(compiled)
+    runs = [s for s in tracer.snapshot() if s.name == "device:mlp0"]
+    assert len(runs) == 1
+    assert runs[0].args["cycles"] == result.cycles
+    assert runs[0].args["mxu_active_frac"] == round(result.breakdown.active_fraction, 4) > 0
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +212,7 @@ def test_logging_goes_to_current_stderr(capsys):
 # ----------------------------------------------------------------------
 # CLI surfaces
 # ----------------------------------------------------------------------
-def test_cli_trace_subcommand_writes_chrome_trace(tmp_path):
+def test_cli_trace_out_writes_chrome_trace(tmp_path):
     from repro.__main__ import main
 
     out = tmp_path / "trace.json"
@@ -279,7 +224,7 @@ def test_cli_trace_subcommand_writes_chrome_trace(tmp_path):
     events = json.loads(out.read_text())["traceEvents"]
     cats = {e.get("cat") for e in events if e.get("ph") == "X"}
     assert "serving" in cats
-    assert not obs.tracing_enabled()  # the CLI restored the global state
+    assert not obs.TRACER.enabled  # the CLI restored the global state
 
 
 def test_cli_profile_flag_prints_span_table(tmp_path, capsys):
@@ -292,7 +237,7 @@ def test_cli_profile_flag_prints_span_table(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "span-time profile" in err
-    assert not obs.metrics_enabled()
+    assert not obs.TRACER.enabled
 
 
 def test_env_trace_out_enables_tracing(tmp_path, monkeypatch):
@@ -316,4 +261,4 @@ def test_environment_switches_are_observability_only():
     names = set()
     for path in package.rglob("*.py"):
         names.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
-    assert names == {"REPRO_TRACE", "REPRO_METRICS", "REPRO_TRACE_OUT", "REPRO_LOG"}
+    assert names == {"REPRO_TRACE_OUT", "REPRO_LOG"}

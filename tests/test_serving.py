@@ -600,22 +600,21 @@ class ParityFleets:
 
 
 def observe_run(run):
-    """Run ``run()`` with tracing and metrics on; returns its spans as a
-    multiset and the metrics snapshot."""
-    obs.REGISTRY.reset()
-    obs.set_metrics(True)
+    """Run ``run()`` with tracing on; returns its spans as a multiset."""
     try:
         with obs.capture() as tracer:
             run()
-        spans = Counter(
+        return Counter(
             (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, tuple(sorted(s.args.items())))
             for s in tracer.snapshot()
         )
-        return spans, obs.metrics_snapshot()
     finally:
-        obs.set_metrics(False)
-        obs.REGISTRY.reset()
         obs.TRACER.clear()
+
+
+def largest_batch(spans):
+    """The largest ``batch`` arg among ``observe_run``'s batch spans."""
+    return max(dict(args)["batch"] for name, *_, args in spans if name == "batch")
 
 
 class TestBatchScanParity(ParityFleets):
@@ -859,8 +858,8 @@ class TestBatchScanParity(ParityFleets):
 
     @pytest.mark.parametrize("policy", ["timeout", "adaptive", "adaptive_clamped"])
     def test_observability_matches_the_event_loop(self, monkeypatch, policy):
-        """Spans equal as a multiset, histograms equal up to the order
-        observations arrive in (replica by replica under the scan)."""
+        """Spans equal as a multiset (the scan records them replica by
+        replica, the event loop in time order)."""
         arrivals = self._arrivals("poisson", 3, load=0.9)
         polls = []
 
@@ -869,24 +868,14 @@ class TestBatchScanParity(ParityFleets):
 
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "poll", lambda sim, r: polls.append(r))
-            spans, metrics = observed()
+            spans = observed()
         assert polls == [], "the batch scan did not engage"
         with monkeypatch.context() as patch:
             answered = withhold_batch_scan(patch)
-            ref_spans, ref_metrics = observed()
+            ref_spans = observed()
         assert answered
         assert spans == ref_spans
-        assert metrics.keys() == ref_metrics.keys()
-        for name, value in metrics.items():
-            ref = ref_metrics[name]
-            if not isinstance(value, dict):
-                assert value == ref, name
-                continue
-            for field in ("count", "min", "max", "p50", "p99"):
-                assert value[field] == ref[field], (name, field)
-            for field in ("sum", "mean"):
-                assert value[field] == pytest.approx(ref[field], rel=1e-12, abs=0.0)
-        assert metrics["serving.queue_depth_at_launch"]["max"] > 1
+        assert largest_batch(spans) > 1
 
     def test_scan_stands_down_unless_streams_are_known_up_front(self):
         class CustomTimeout(TimeoutBatcher):
@@ -1122,21 +1111,18 @@ class TestJSQWindowParity(ParityFleets):
 
     @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
     def test_observability_matches_the_per_arrival_path(self, monkeypatch, policy):
-        """Spans equal as a multiset, and every histogram field equal:
-        the window launches nothing, so observations come in the same
-        order."""
+        """Spans equal as a multiset: the window launches nothing."""
         arrivals = self._arrivals("poisson", 3, load=0.6)
 
         def observed():
             return observe_run(lambda: self._fleet(3, policy, router="jsq").run(arrivals))
 
-        spans, metrics = observed()
+        spans = observed()
         with monkeypatch.context() as patch:
             patch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
-            ref_spans, ref_metrics = observed()
+            ref_spans = observed()
         assert spans == ref_spans
-        assert metrics == ref_metrics
-        assert metrics["serving.queue_depth_at_launch"]["max"] > 1
+        assert largest_batch(spans) > 1
 
 
 class RecordingQueue(deque):
