@@ -234,7 +234,8 @@ class _PollTimer:
     :meth:`FleetSim.poll` returns at once while the replica's server is
     busy, and a server's ``free_at`` never falls, so a poll timer due
     before its replica frees is a no-op: :meth:`FleetSim._run_events`
-    drops it off the heap top unfired.
+    drops it off the heap top unfired.  A JSQ window sets at most one
+    per idle replica (:meth:`FleetSim._jsq_window`).
     """
 
     __slots__ = ("sim", "replica")
@@ -303,6 +304,10 @@ class FleetSim:
         # autoscaler-spawned replicas get the next tids lazily.
         self._observe = obs.TRACER.enabled
         self._tids: dict[int, int] = {id(r): i for i, r in enumerate(self.replicas)}
+        # Whether a JSQ window pushes one timer per idle replica rather
+        # than one per poll (:meth:`_jsq_window`); set per run by
+        # :meth:`_run_events`.
+        self._hold_timers = True
 
     def poll(self, replica: Replica) -> None:
         """Launch a batch on ``replica`` if its server is free and its
@@ -410,12 +415,13 @@ class FleetSim:
 
         Fleets whose per-replica arrival streams are known up front
         (:meth:`_scan_applies`: round-robin fixed, timeout and
-        SLO-adaptive fleets) are stepped per batch by
-        :meth:`_scan_batches` instead.  Others (JSQ, custom policies,
-        adaptive batchers over a dipping latency curve, the autoscaler's
-        dynamic replica set) merge the sorted arrival stream directly
-        against the dynamic-event heap instead of pushing a heap event
-        per arrival, over the trace copied once into a list.  Event order
+        SLO-adaptive fleets, and one such replica under JSQ) are stepped
+        per batch by :meth:`_scan_batches` instead.  Others (JSQ over
+        two or more replicas, custom policies, adaptive batchers over a
+        dipping latency curve, the autoscaler's dynamic replica set)
+        merge the sorted arrival stream directly against the
+        dynamic-event heap instead of pushing a heap event per arrival,
+        over the trace copied once into a list.  Event order
         is identical to scheduling every arrival up front: events
         already on the loop when the run starts carry lower sequence
         numbers than the arrivals would have received, so they win
@@ -427,7 +433,10 @@ class FleetSim:
         A :class:`_PollTimer` on the heap top whose replica is busy at
         the timer's time is dropped unfired, so it never ends a window.
         It is never the run's last event: the free-time poll its
-        replica's launch scheduled comes after it.
+        replica's launch scheduled comes after it.  While the loop holds
+        nothing but poll timers at the start, nothing else is ever
+        scheduled, and JSQ windows hold one timer per idle replica
+        (``_hold_timers``).
         """
         loop = self.loop
         if self._scan_applies():
@@ -435,6 +444,7 @@ class FleetSim:
             return
         heap = loop._heap
         pre_seq = loop._seq  # events below this watermark win time ties
+        self._hold_timers = all(type(event) is _PollTimer for _, _, event in heap)
         pop = heapq.heappop
         on_arrival = self._on_arrival
         poll_timer = _PollTimer
@@ -485,11 +495,11 @@ class FleetSim:
         stay busy and idle ones idle.  Under exactly
         :class:`ShortestQueueRouter` every window goes through
         :meth:`_jsq_window` (busy replicas' runs as queue extends, idle
-        replicas' polls replayed), unless an idle replica's batcher is
-        not one of the in-tree ones it replays.  Round-robin opens a
-        window only while every eligible replica is busy: ``poll`` then
-        returns at once, so the window is strided slices of queue
-        appends.
+        replicas' polls replayed, one timer held per replica), unless an
+        idle replica's batcher is not one of the in-tree ones it
+        replays.  Round-robin opens a window only while every eligible
+        replica is busy: ``poll`` then returns at once, so the window is
+        strided slices of queue appends.
 
         The final arrival always takes the per-arrival path: its
         ``_on_arrival`` triggers the end-of-trace drain polls.  Returns
@@ -532,9 +542,21 @@ class FleetSim:
         the picks go round in list order and the rest of the window is
         strided slices.  An arrival sent to an idle replica replays
         :meth:`poll`, ending the window before an arrival that would
-        launch and otherwise pushing its timer with the sequence number
-        ``EventLoop.schedule`` would give.  The window also ends before
-        the earliest such timer.  Returns the first unconsumed index.
+        launch and otherwise taking the sequence number
+        ``EventLoop.schedule`` would give its timer.  The window also
+        ends before the earliest such timer.
+
+        An idle replica's head stays put inside the window, so of the
+        timers its polls set only the earliest, ``(deadline, seq)``, is
+        pushed, once, as the window returns.  A later one would poll only
+        where a poll of its replica runs anyway: a poll launches only at
+        or past its head's deadline, and the held timer's poll sets the
+        timer for the head's deadline at its current queue length.  Two
+        polls of one replica at one time are the same call, so dropping
+        one is exact while the loop runs nothing but polls
+        (``_hold_timers``).  An autoscaler's control tick could read the
+        queue between them, so under one every timer is pushed as set.
+        Returns the first unconsumed index.
         """
         times = self._times
         now = times[i]
@@ -543,7 +565,8 @@ class FleetSim:
         top = max(keys)[0]  # the deepest queue
         heapq.heapify(keys)
         replace = heapq.heapreplace
-        bound = math.inf  # the earliest timer this window pushed
+        held: dict[int, tuple[float, int]] | None = None  # list index -> earliest timer
+        bound = math.inf  # the earliest timer set
         k = i
         while k < j:
             depth, busy, q = keys[0]
@@ -552,7 +575,8 @@ class FleetSim:
             if busy:
                 if depth == top:
                     # Every depth is equal, and an idle replica would hold
-                    # the minimum: all are busy, so picks go in list order.
+                    # the minimum: all are busy, so picks go in list order
+                    # (and no timer is held).
                     _deal(eligible, 0, k, j)
                     return j
                 # The minimum keeps winning while its key is below the
@@ -569,28 +593,33 @@ class FleetSim:
                     end = bisect_left(times, bound, k, stop)
                 queue.extend(range(k, end))
                 replica.admitted += end - k
-                if end < stop:
-                    return end
                 depth += end - k
+                k = end
+                if end < stop:
+                    break
                 replace(keys, (depth, True, q))
                 if depth > top:
                     top = depth
-                k = end
                 continue
             when = times[k]
             if when >= bound:
-                return k
+                break
             batcher = replica.batcher
             if depth + 1 >= batcher.max_batch:
-                return k
+                break
             deadline = batcher.wait_deadline(depth + 1, times[queue[0]] if queue else when)
             if deadline is not None:
                 if deadline <= when:
-                    return k
+                    break
                 loop = self.loop
                 seq = loop._seq
                 loop._seq = seq + 1
-                heapq.heappush(loop._heap, (deadline, seq, _PollTimer(self, replica)))
+                if not self._hold_timers:
+                    heapq.heappush(loop._heap, (deadline, seq, _PollTimer(self, replica)))
+                elif held is None:
+                    held = {q: (deadline, seq)}
+                elif q not in held or deadline < held[q][0]:
+                    held[q] = (deadline, seq)
                 if deadline < bound:
                     bound = deadline
             queue.append(k)
@@ -600,7 +629,11 @@ class FleetSim:
             if depth > top:
                 top = depth
             k += 1
-        return j
+        if held:
+            heap = self.loop._heap
+            for q, (deadline, seq) in held.items():
+                heapq.heappush(heap, (deadline, seq, _PollTimer(self, eligible[q])))
+        return k
 
     def _scan_applies(self) -> bool:
         """Whether each replica's batches follow from its own arrivals.
@@ -609,13 +642,19 @@ class FleetSim:
         set of replicas that are idle with empty queues at the first
         arrival, with nothing pre-scheduled on the loop: replica ``q``
         then receives the strided slice ``arrivals[(q - base) % R :: R]``
-        and nothing else touches its queue.  Every batcher must be
-        exactly a :class:`FixedBatcher`, a :class:`TimeoutBatcher`, or an
+        and nothing else touches its queue.  Under exactly
+        :class:`ShortestQueueRouter` they do for one such replica, which
+        receives every arrival.  Every batcher must be exactly a
+        :class:`FixedBatcher`, a :class:`TimeoutBatcher`, or an
         :class:`SLOAdaptiveBatcher` whose wait budgets are finite and
         never rise with the queue (:meth:`_scan_budgets`).
         O(replicas + adaptive batch caps).
         """
-        if type(self.router) is not RoundRobinRouter or self.loop._heap:
+        router = type(self.router)
+        if self.loop._heap or not (
+            router is RoundRobinRouter
+            or (router is ShortestQueueRouter and len(self.replicas) == 1)
+        ):
             return False
         first = self._times[0]
         return (
@@ -648,17 +687,20 @@ class FleetSim:
         return None
 
     def _scan_batches(self) -> None:
-        """Step every replica batch by batch over its round-robin share."""
+        """Step every replica batch by batch over its share: its
+        round-robin slice, or the whole trace for a lone JSQ replica."""
         times = self._times
         count = len(self.replicas)
-        base = self.router._next
+        round_robin = type(self.router) is RoundRobinRouter
+        base = self.router._next if round_robin else 0
         for q, replica in enumerate(self.replicas):
             start = (q - base) % count
             own = times[start::count]
             if own:
                 self._scan_replica(replica, own, start, count)
             replica.admitted += len(own)
-        self.router._next = base + len(times)
+        if round_robin:
+            self.router._next = base + len(times)
         self.pending = 0
 
     def _scan_replica(
@@ -793,6 +835,9 @@ class FleetSim:
         return lands(lo)
 
     def run(self) -> FleetResult:
+        """Simulate the trace; traced, the run is one ``serving.fleet``
+        wall span carrying its request and replica counts."""
+        start = obs.TRACER.now() if self._observe else 0.0
         self._run_events()
         self._flush_residual()
 
@@ -811,6 +856,11 @@ class FleetSim:
         horizon = max(
             max(r.server.free_at for r in self.replicas), float(self.arrivals[-1])
         )
+        if self._observe:
+            obs.TRACER.record_wall(
+                "serving.fleet", start, obs.TRACER.now() - start, cat="serving",
+                requests=self.arrivals.size, replicas=len(self.replicas),
+            )
         return FleetResult(
             responses=self.responses,
             horizon=horizon,

@@ -19,16 +19,18 @@ compares the production path with a second, live implementation:
   programs without a dependency sidecar;
 * :func:`reference_jsq_window` -- ``FleetSim._jsq_window`` one arrival
   at a time: a heap pick and a queue append each, and a replay of
-  ``poll`` for every arrival to an idle replica, where the production
-  window takes a busy replica's run as one extend and an all-busy
-  level as strided slices;
+  ``poll`` for every arrival to an idle replica, pushing each timer it
+  sets, where the production window takes a busy replica's run as one
+  extend and an all-busy level as strided slices, and holds the
+  earliest timer per idle replica;
 * :func:`no_bulk_admission` -- stands in for ``FleetSim._bulk_admit``
   with its "nothing admitted" answer, so every arrival takes the
   per-arrival admission path: no round-robin or JSQ window, whether
   every replica is busy or idle ones are still filling a batch;
 * :func:`no_batch_scan` -- stands in for ``FleetSim._scan_applies``, so
-  round-robin fixed, timeout and SLO-adaptive fleets take the
-  per-arrival event loop instead of the per-batch scan;
+  round-robin fixed, timeout and SLO-adaptive fleets, and one-replica
+  JSQ fleets, take the per-arrival event loop instead of the per-batch
+  scan;
 * :func:`every_event` -- stands in for ``FleetSim._run_events``: every
   arrival scheduled on the loop as its own event and every timer fired
   by ``EventLoop.run``, so neither a window nor a dropped poll timer can

@@ -173,6 +173,18 @@ def test_serving_metrics_recorded_per_batch():
     assert max(s.args["batch"] for s in batches) <= 4
 
 
+def test_fleet_run_is_one_wall_span():
+    """Each fleet run records one ``serving.fleet`` wall span (perfbench's
+    layer name) naming its request and replica counts; untraced, none."""
+    with obs.capture() as tracer:
+        _small_fleet_run()
+    fleet = [s for s in tracer.snapshot() if s.name == "serving.fleet"]
+    assert [(s.pid, s.cat, s.args) for s in fleet] == [
+        (obs.WALL_PID, "serving", {"requests": 64, "replicas": 2})
+    ]
+    assert fleet[0].dur > 0
+
+
 def test_device_metrics_mirror_cycle_breakdown():
     driver = TPUDriver()
     compiled = driver.compile(paper_workloads()["mlp0"])
@@ -237,6 +249,8 @@ def test_cli_profile_flag_prints_span_table(tmp_path, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "span-time profile" in err
+    # The fleet simulation, where serve spends its time, has its row.
+    assert re.search(r"\|\s*wall\s*\|\s*serving\.fleet\s*\|\s*1\s*\|", err), err
     assert not obs.TRACER.enabled
 
 

@@ -14,6 +14,13 @@ import pytest
 
 import repro
 from repro import obs
+from repro.datacenter.autoscaler import (
+    AutoscaleConfig,
+    AutoscaledFleet,
+    PredictivePolicy,
+    ReactivePolicy,
+    ScalingPolicy,
+)
 from repro.serving.batcher import (
     Batcher,
     FixedBatcher,
@@ -546,6 +553,14 @@ class GrowingCurve(LatencyCurve):
         return (8 + batch) * 2.0**-13
 
 
+class DippingCurve(GrowingCurve):
+    """Batch 3 runs as fast as batch 1, so an SLO-adaptive wait budget
+    rises from queue length 2 to 3."""
+
+    def latency(self, batch):
+        return super().latency(1 if batch == 3 else batch)
+
+
 class ParityFleets:
     """Fleets and traffic for the parity tests against the per-arrival
     event loop.
@@ -600,13 +615,22 @@ class ParityFleets:
 
 
 def observe_run(run):
-    """Run ``run()`` with tracing on; returns its spans as a multiset."""
+    """Run ``run()``, a fleet run, with tracing on; returns its
+    simulated-clock spans as a multiset.  Its one wall span, whose time
+    differs between any two runs, must be the fleet simulation's, named
+    with the run's request and replica counts."""
     try:
         with obs.capture() as tracer:
-            run()
+            result = run()
+        spans = tracer.snapshot()
+        wall = [(s.name, s.cat, s.args) for s in spans if s.pid == obs.WALL_PID]
+        assert wall == [("serving.fleet", "serving", {
+            "requests": result.responses.size,
+            "replicas": len(result.served_per_replica),
+        })]
         return Counter(
             (s.name, s.cat, s.ts, s.dur, s.pid, s.tid, tuple(sorted(s.args.items())))
-            for s in tracer.snapshot()
+            for s in spans if s.pid != obs.WALL_PID
         )
     finally:
         obs.TRACER.clear()
@@ -694,6 +718,22 @@ class TestBatchScanParity(ParityFleets):
         arrivals = self._arrivals("poisson", replicas, load=1.4)
         self.check(monkeypatch, lambda: self._fleet(replicas, policy), arrivals)
 
+    @pytest.mark.parametrize("traffic", ["poisson", "diurnal", "duplicates"])
+    @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
+    def test_one_replica_under_jsq(self, monkeypatch, policy, traffic):
+        """A lone replica takes every arrival under either router, so a
+        one-replica JSQ fleet scans too: bit-identical to the per-arrival
+        loop, to ``every_event`` and to the round-robin scan."""
+        for load in (0.7, 1.4):
+            arrivals = self._arrivals(traffic, 1, load)
+            scanned = self.check(
+                monkeypatch, lambda: self._fleet(1, policy, router="jsq"), arrivals
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(FleetSim, "_run_events", oracles.every_event)
+                assert_same_run(self._fleet(1, policy, router="jsq").run(arrivals), scanned)
+            assert_same_run(self._fleet(1, policy).run(arrivals), scanned)
+
     def test_router_base_offset(self, monkeypatch):
         # A FleetSim driven directly may start round-robin mid-cycle.
         arrivals = self._arrivals("poisson", 3, load=0.8, n=500)
@@ -751,7 +791,8 @@ class TestBatchScanParity(ParityFleets):
         arrival, the server-free poll or an earlier head's pending timer
         polls at that instant; the head still launches at its deadline.
         Timeout and SLO-adaptive heads, round-robin (the batch scan) and
-        JSQ (an admission window), each against the ``no_batch_scan``,
+        JSQ (an admission window: ``no_batch_scan`` withholds the scan a
+        lone JSQ replica would take), each against the ``no_batch_scan``,
         ``no_bulk_admission`` and ``every_event`` oracles.
         """
         timeout, unit = 1.5, 2.0**-56
@@ -808,6 +849,8 @@ class TestBatchScanParity(ParityFleets):
                     scanned.clear()
                     windows.clear()
                     with monkeypatch.context() as patch:
+                        if router == "jsq":
+                            patch.setattr(FleetSim, "_scan_applies", oracles.no_batch_scan)
                         patch.setattr(FleetSim, "_scan_batches", scan_spy)
                         patch.setattr(FleetSim, "_bulk_admit", window_spy)
                         fast = make().run(np.array(arrivals))
@@ -881,13 +924,15 @@ class TestBatchScanParity(ParityFleets):
         class CustomTimeout(TimeoutBatcher):
             pass
 
-        def sim(batcher=TimeoutBatcher, router="round_robin", arrivals=(0.1, 0.2)):
+        def sim(batcher=TimeoutBatcher, router="round_robin", arrivals=(0.1, 0.2), count=2):
             curve = ConstantCurve(self.OCCUPANCY)
-            replicas = [Replica(curve, batcher(4, self.TIMEOUT)) for _ in range(2)]
+            replicas = [Replica(curve, batcher(4, self.TIMEOUT)) for _ in range(count)]
             return FleetSim(replicas, make_router(router), np.array(arrivals))
 
         assert sim()._scan_applies()
+        # JSQ picks follow the queues, unless one replica takes every pick.
         assert not sim(router="jsq")._scan_applies()
+        assert sim(router="jsq", count=1)._scan_applies()
         assert not sim(batcher=CustomTimeout)._scan_applies()
         scheduled = sim()
         scheduled.loop.schedule(0.15, lambda _t: None)  # e.g. an autoscaler tick
@@ -899,17 +944,13 @@ class TestBatchScanParity(ParityFleets):
         busy.replicas[1].server.start_batch(0.0995, 4)  # busy past the first arrival
         assert not busy._scan_applies()
 
-        class Dips(GrowingCurve):  # batch 3 runs faster than batch 2
-            def latency(self, batch):
-                return super().latency(1 if batch == 3 else batch)
-
         def adaptive(curve):
             return lambda batch, _timeout: SLOAdaptiveBatcher(
                 9 * 2.0**-12, curve, candidates=(batch,), service_share=1.0, slo_margin=1.0
             )
 
         assert sim(batcher=adaptive(GrowingCurve()))._scan_applies()
-        dips = sim(batcher=adaptive(Dips()))
+        dips = sim(batcher=adaptive(DippingCurve()))
         budgets = [dips.replicas[0].batcher._wait_budget(n) for n in (2, 3)]
         assert budgets[1] > budgets[0]
         assert not dips._scan_applies()
@@ -930,11 +971,13 @@ class TestBatchScanParity(ParityFleets):
 
 class TestJSQWindowParity(ParityFleets):
     """JSQ fleets admit whole arrival windows at once, also while idle
-    replicas are still filling a batch (``FleetSim._bulk_admit``), and
-    drop poll timers whose replica is still busy unfired.  Two oracles
-    from tests/oracles.py: with ``no_bulk_admission`` installed (the
-    per-arrival path through the same main loop), and with
-    ``every_event`` (every arrival and every timer fired by
+    replicas are still filling a batch (``FleetSim._bulk_admit``), hold
+    one timer per idle replica in a window, and drop poll timers whose
+    replica is still busy unfired.  The windowed run withholds the batch
+    scan (``no_batch_scan``), so a lone JSQ replica opens windows too.
+    Two oracles from tests/oracles.py: with ``no_bulk_admission``
+    installed (the per-arrival path through the same main loop), and
+    with ``every_event`` (every arrival and every timer fired by
     ``EventLoop.run``), the same fleet must give bit-identical
     responses, per-replica accounting, busy intervals, horizon and busy
     time.
@@ -960,6 +1003,7 @@ class TestJSQWindowParity(ParityFleets):
             return j
 
         with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_scan_applies", oracles.no_batch_scan)
             patch.setattr(FleetSim, "_bulk_admit", spy)
             windowed = make_fleet().run(arrivals)
         with monkeypatch.context() as patch:
@@ -1149,7 +1193,10 @@ class TestJSQWindowOracle:
     busy or idle, with 0-6 requests queued; a sorted trace on a 2^-13 s
     grid, so timestamps repeat and deadlines land on arrivals; and a few
     timers already on the loop.  Both must return the same index and
-    leave the same queues, admissions, timer heap and sequence counter.
+    leave the same queues, admissions, timers from before the window and
+    sequence counter.  Of the timers the replay sets, the window holds
+    the earliest ``(deadline, seq)`` per replica; with another event on
+    the loop (``_hold_timers`` off) it sets every one.
     """
 
     STEP = 2.0**-13
@@ -1197,23 +1244,47 @@ class TestJSQWindowOracle:
         return sim, queued, n - 1
 
     @staticmethod
-    def _timers(sim):
-        return [(when, seq, sim.replicas.index(t.replica)) for when, seq, t in sim.loop._heap]
+    def _timers(sim, seq):
+        """The loop's timers as sorted ``(when, seq, replica index)``:
+        those set before sequence number ``seq``, and those set since."""
+        timers = sorted(
+            (when, s, sim.replicas.index(t.replica)) for when, s, t in sim.loop._heap
+        )
+        return [t for t in timers if t[1] < seq], [t for t in timers if t[1] >= seq]
+
+    @staticmethod
+    def _earliest_per_replica(timers):
+        """The first of sorted ``timers`` for each replica."""
+        earliest = {}
+        for timer in timers:
+            earliest.setdefault(timer[2], timer)
+        return sorted(earliest.values())
+
+    def _window_pair(self, seed, log=None, hold=True):
+        """Run one state through the window and through the replay, and
+        check all that must match in full.  Returns ``(sim, i, j, got)``
+        for the window's run, and the timers each set."""
+        sim, i, j = self._state(seed, log)
+        ref, _, _ = self._state(seed)
+        sim._hold_timers = hold
+        seq = sim.loop._seq
+        got = sim._jsq_window(i, j, sim.eligible)
+        want = oracles.reference_jsq_window(ref, i, j, ref.eligible)
+        assert got == want, seed
+        assert [list(r.queue) for r in sim.replicas] == [list(r.queue) for r in ref.replicas]
+        assert [r.admitted for r in sim.replicas] == [r.admitted for r in ref.replicas]
+        before, held = self._timers(sim, seq)
+        ref_before, replayed = self._timers(ref, seq)
+        assert before == ref_before, seed
+        assert sim.loop._seq == ref.loop._seq
+        return (sim, i, j, got), held, replayed
 
     def test_matches_the_per_arrival_replay(self):
         reached = Counter()
         for seed in range(4000):
             log = []
-            sim, i, j = self._state(seed, log)
-            ref, _, _ = self._state(seed)
-            seq = sim.loop._seq
-            got = sim._jsq_window(i, j, sim.eligible)
-            want = oracles.reference_jsq_window(ref, i, j, ref.eligible)
-            assert got == want, seed
-            assert [list(r.queue) for r in sim.replicas] == [list(r.queue) for r in ref.replicas]
-            assert [r.admitted for r in sim.replicas] == [r.admitted for r in ref.replicas]
-            assert self._timers(sim) == self._timers(ref), seed
-            assert sim.loop._seq == ref.loop._seq
+            (sim, i, j, got), held, replayed = self._window_pair(seed, log)
+            assert held == self._earliest_per_replica(replayed), seed
 
             count = len(sim.replicas)
             for item in log:
@@ -1223,7 +1294,7 @@ class TestJSQWindowOracle:
                     reached["busy run of two or more" if item.step == 1 else "all-busy strided round"] += 1
             if got < j:
                 when = sim._times[got]
-                bound = min((t for t, s, _ in sim.loop._heap if s >= seq), default=math.inf)
+                bound = min((t for t, _, _ in held), default=math.inf)
                 now = sim._times[i]
                 _, busy, _ = min(
                     (len(r.queue), r.server.free_at > now, q) for q, r in enumerate(sim.eligible)
@@ -1242,6 +1313,204 @@ class TestJSQWindowOracle:
             "busy pick cut at a timer tie",
             "cut at a launching arrival",
         }, reached
+
+    def test_holds_one_timer_per_idle_replica(self):
+        """A window leaves at most one new timer per replica, where the
+        replay sets one per poll of an idle replica."""
+        superseded = 0
+        for seed in range(4000):
+            _, held, replayed = self._window_pair(seed)
+            owners = [q for _, _, q in held]
+            assert len(owners) == len(set(owners)), seed
+            superseded += len(replayed) - len(held)
+        assert superseded > 0
+
+    def test_sets_every_timer_beside_other_events(self):
+        """A run that starts with anything but poll timers on its loop
+        (an autoscaler's control tick) does not hold timers, and its
+        windows then set every timer the replay sets."""
+        curve = ConstantCurve(1e-3)
+        sim = FleetSim(
+            [Replica(curve, TimeoutBatcher(4, 1e-3)) for _ in range(2)],
+            make_router("jsq"), np.arange(8) * 1e-4,
+        )
+        sim.loop.schedule(5e-4, lambda _t: None)
+        sim.run()
+        assert not sim._hold_timers
+        for seed in range(1000):
+            _, held, replayed = self._window_pair(seed, hold=False)
+            assert held == replayed, seed
+
+
+class RecordingPolicy(ScalingPolicy):
+    """A scaling policy that keeps every observation it is shown."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.seen = []
+
+    def desired_replicas(self, obs):
+        self.seen.append(obs)
+        return self.inner.desired_replicas(obs)
+
+
+class TestGridTies:
+    """JSQ fleets and autoscaled JSQ fleets against ``every_event``, bit
+    for bit, with arrivals, deadlines, batch times, spin-ups and control
+    ticks on one 2^-13 s grid, so timers, polls and ticks meet at one
+    float time: a static fleet's held timers must stand in for the ones
+    they supersede, and an autoscaled fleet, which holds none, must show
+    its policy the same observations.  Fixed, timeout and SLO-adaptive
+    replicas over :class:`GrowingCurve`, some adaptive ones over
+    :class:`DippingCurve`, whose budgets rise with the queue."""
+
+    STEP = 2.0**-13
+
+    def _make_replica(self, rng):
+        """``make_replica(i)`` over batchers drawn from ``rng``."""
+        # Adaptive wait budgets (10 - L) grid steps, or rising at L = 3.
+        curves = (GrowingCurve(), DippingCurve())
+        draws = [
+            (int(rng.integers(3)), int(rng.choice([1, 2, 4, 8])), int(rng.integers(9)),
+             curves[int(rng.integers(2))])
+            for _ in range(8)
+        ]
+
+        def make_replica(i):
+            policy, batch, wait, curve = draws[i % len(draws)]
+            if policy == 0:
+                batcher = FixedBatcher(batch)
+            elif policy == 1:
+                batcher = TimeoutBatcher(batch, wait * self.STEP)
+            else:
+                batcher = SLOAdaptiveBatcher(
+                    9 * 2.0**-12, curve, candidates=(1, batch),
+                    service_share=1.0, slo_margin=1.0,
+                )
+            return Replica(curve, batcher, name=f"r{i}")
+
+        return make_replica
+
+    def _scaled(self, rng, make_replica, arrivals):
+        """A fresh-policy autoscaled-run factory drawn from ``rng``."""
+
+        def steps(lo, hi):
+            return int(rng.integers(lo, hi)) * self.STEP
+
+        low = int(rng.integers(1, 3))
+        config = AutoscaleConfig(
+            control_interval_seconds=steps(1, 13), spinup_seconds=steps(0, 17),
+            min_replicas=low, max_replicas=low + int(rng.integers(0, 4)),
+        )
+        replica_rps = float(rng.uniform(0.2, 1.0)) / self.STEP
+        predictive = bool(rng.integers(2))
+        reactive = dict(
+            target_utilization=float(rng.uniform(0.3, 0.7)), high_utilization=0.9,
+            max_backlog_per_replica=int(rng.integers(1, 5)), cooldown_seconds=steps(0, 8),
+        )
+        lead = steps(0, 8)
+
+        def run():
+            if predictive:
+                span = float(arrivals[-1]) or self.STEP
+                inner = PredictivePolicy(arrivals.size / span, 0.5, span, lead_seconds=lead)
+            else:
+                inner = ReactivePolicy(**reactive)
+            policy = RecordingPolicy(inner)
+            result = AutoscaledFleet(
+                make_replica, policy, config, replica_rps=replica_rps, router="jsq"
+            ).run(arrivals)
+            return result, policy.seen
+
+        return run
+
+    def _arrivals(self, rng):
+        """Sorted grid times: single draws, or bursts of 1-10 requests at
+        one instant, which fill a batch at once."""
+        if rng.integers(2):
+            n = int(rng.integers(20, 300))
+            times = rng.integers(0, int(n * rng.uniform(0.2, 3.0)) + 1, n)
+        else:
+            bursts = int(rng.integers(5, 60))
+            at = rng.integers(0, int(bursts * rng.uniform(2.0, 20.0)) + 1, bursts)
+            times = np.repeat(at, rng.integers(1, 11, bursts))
+        return np.sort(times) * self.STEP
+
+    def test_seeded_grid_fuzz(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        scaled_up = 0
+        for _ in range(900):
+            make_replica = self._make_replica(rng)
+            arrivals = self._arrivals(rng)
+            if rng.integers(3) == 0:
+                count = int(rng.integers(1, 6))
+
+                def run():
+                    fleet = Fleet([make_replica(i) for i in range(count)], router="jsq")
+                    return fleet.run(arrivals)
+
+                fast = run()
+                with monkeypatch.context() as patch:
+                    patch.setattr(FleetSim, "_run_events", oracles.every_event)
+                    assert_same_run(run(), fast)
+                continue
+            run = self._scaled(rng, make_replica, arrivals)
+            fast, seen = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(FleetSim, "_run_events", oracles.every_event)
+                every, every_seen = run()
+            assert_same_run(every.fleet, fast.fleet)
+            assert every.timeline == fast.timeline
+            assert every.powered == fast.powered
+            assert every.mean_powered == fast.mean_powered
+            assert every_seen == seen
+            scaled_up += fast.peak_replicas > fast.timeline[0][1]
+        assert scaled_up > 50
+
+    def test_a_tick_sees_the_queue_every_event_sees(self, monkeypatch):
+        """A control tick at the instant a superseded timer comes due.
+        Eight arrivals at t = 0 fill an adaptive replica's batch (cap 8,
+        budgets 10 - L steps), its first seven polls setting timers at 9,
+        8, ..., 3 steps; the batch runs until 8 steps.  A ninth arrival
+        at t = 0 waits behind it; when the server frees, its own timer is
+        set for 9 steps, after the tick at 9 steps was scheduled.  The
+        per-event loop launches it at the 9-step timer set at t = 0,
+        before that tick, so the tick sees an empty queue.  Holding only
+        the earliest of the window's timers would launch it after the
+        tick, which would then see it queued: with a control tick on the
+        loop, each timer is set."""
+        step = self.STEP
+        curve = GrowingCurve()
+
+        def make_replica(i):
+            return Replica(curve, SLOAdaptiveBatcher(
+                9 * 2.0**-12, curve, candidates=(1, 8), service_share=1.0, slo_margin=1.0,
+            ))
+
+        class Hold(ScalingPolicy):
+            name = "hold"
+
+            def desired_replicas(self, obs):
+                return 1
+
+        arrivals = np.array([0.0] * 9 + [40.0, 41.0]) * step
+
+        def run():
+            policy = RecordingPolicy(Hold())
+            result = AutoscaledFleet(
+                make_replica, policy, AutoscaleConfig(3 * step, 0.0, 1, 1), replica_rps=1.0,
+            ).run(arrivals)
+            return result, [(o.now / step, o.queued) for o in policy.seen]
+
+        fast, seen = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetSim, "_run_events", oracles.every_event)
+            every, every_seen = run()
+        assert fast.fleet.busy_intervals[0][:2] == ((0.0, 8 * step), (9 * step, 13.5 * step))
+        assert (9.0, 0) in seen
+        assert seen == every_seen
+        assert_same_run(fast.fleet, every.fleet)
 
 
 class TestSimLifetime(ParityFleets):
