@@ -31,7 +31,7 @@ import numpy as np
 
 # Aliased: `obs` is this module's naming convention for FleetObservation.
 from repro import obs as obslib
-from repro.serving.fleet import FleetResult, FleetSim, Replica, Router, make_router
+from repro.serving.fleet import FleetResult, FleetSim, Replica, check_router
 
 #: Trace track (Chrome tid on :data:`repro.obs.SIM_PID`) reserved for the
 #: autoscaler's control-tick markers, well above any replica's track.
@@ -224,15 +224,16 @@ class AutoscaledFleet:
         policy: ScalingPolicy,
         config: AutoscaleConfig,
         replica_rps: float,
-        router: Router | str = "jsq",
+        router: str = "jsq",
     ) -> None:
         if replica_rps <= 0:
             raise ValueError(f"replica_rps must be positive, got {replica_rps}")
+        check_router(router)
         self.make_replica = make_replica
         self.policy = policy
         self.config = config
         self.replica_rps = replica_rps
-        self.router = make_router(router) if isinstance(router, str) else router
+        self.router = router
 
     def _clamp(self, n: int) -> int:
         return min(max(n, self.config.min_replicas), self.config.max_replicas)
@@ -264,7 +265,7 @@ class AutoscaledFleet:
                 return
             spinning.remove(replica)
             sim.eligible.append(replica)
-            timeline.append((sim.loop.now, len(sim.eligible)))
+            timeline.append((sim.now, len(sim.eligible)))
 
         def window_utilization(now: float) -> float:
             start = max(now - interval, 0.0)
@@ -298,7 +299,7 @@ class AutoscaledFleet:
                 powered_on[id(replica)] = now  # pays idle Watts from now
                 sim.replicas.append(replica)
                 spinning.append(replica)
-                sim.loop.schedule(
+                sim.schedule(
                     now + cfg.spinup_seconds, lambda _t, r=replica: activate(r)
                 )
                 current += 1
@@ -322,7 +323,7 @@ class AutoscaledFleet:
                 current -= 1
 
         def tick(_t: float) -> None:
-            now = sim.loop.now
+            now = sim.now
             observation = observe(now)
             desired = self._clamp(self.policy.desired_replicas(observation))
             if obslib.TRACER.enabled:
@@ -336,9 +337,9 @@ class AutoscaledFleet:
                 )
             scale_to(desired, now)
             if sim.pending > 0:
-                sim.loop.schedule(now + interval, tick)
+                sim.schedule(now + interval, tick)
 
-        sim.loop.schedule(interval, tick)
+        sim.schedule(interval, tick)
         try:
             result = sim.run()
         finally:

@@ -131,7 +131,6 @@ def fleet_energy(
     power: ReplicaPower,
     window_seconds: float | None = None,
     powered: Sequence[Interval] | None = None,
-    names: Sequence[str] | None = None,
     provisioned_replicas: int | None = None,
 ) -> FleetEnergy:
     """Energy accounting for a completed fleet simulation.
@@ -161,8 +160,7 @@ def fleet_energy(
     for i, (intervals, span) in enumerate(zip(result.busy_intervals, powered)):
         if span[1] <= span[0]:
             continue
-        name = names[i] if names is not None else f"{power.kind}{i}"
-        reports.append(replica_energy(intervals, span, power, window, name=name))
+        reports.append(replica_energy(intervals, span, power, window, name=f"{power.kind}{i}"))
     joules = sum(r.joules for r in reports)
     powered_seconds = sum(r.powered_seconds for r in reports)
     busy_seconds = sum(r.busy_seconds for r in reports)

@@ -60,7 +60,6 @@ def plan_capacity(
     arrivals: np.ndarray,
     max_replicas: int = 32,
     cost_model: CostModel = CostModel(),
-    window_seconds: float | None = None,
 ) -> PlatformPlan:
     """Smallest static fleet of ``spec``'s platform meeting its SLO.
 
@@ -89,7 +88,7 @@ def plan_capacity(
         stats = result.stats(slo_seconds=spec.slo_seconds)
         if stats.p99_seconds <= spec.slo_seconds or n == max_replicas:
             power = ReplicaPower(spec.platform.kind, app=spec.model.name)
-            energy = fleet_energy(result, power, window_seconds=window_seconds)
+            energy = fleet_energy(result, power)
             cost = fleet_cost(
                 spec.platform.kind, n, energy.joules, result.horizon,
                 int(result.responses.size), cost_model,
@@ -111,7 +110,6 @@ def compare_policies(
     policies: list[ScalingPolicy],
     config: AutoscaleConfig,
     cost_model: CostModel = CostModel(),
-    window_seconds: float | None = None,
 ) -> list[PolicyOutcome]:
     """Run each policy on the same trace; static policies skip the scaler.
 
@@ -136,7 +134,7 @@ def compare_policies(
             ):
                 result = fleet.run(arrivals)
             peak, mean_powered = policy.replicas, float(policy.replicas)
-            energy = fleet_energy(result, power, window_seconds=window_seconds)
+            energy = fleet_energy(result, power)
         else:
             with obs.span(
                 f"policy:{policy.name}", cat="datacenter",
@@ -149,8 +147,7 @@ def compare_policies(
             result = scaled.fleet
             peak, mean_powered = scaled.peak_replicas, scaled.mean_powered
             energy = fleet_energy(
-                result, power, window_seconds=window_seconds,
-                powered=scaled.powered, provisioned_replicas=peak,
+                result, power, powered=scaled.powered, provisioned_replicas=peak,
             )
         outcomes.append(PolicyOutcome(
             policy=policy.name,

@@ -7,12 +7,12 @@ throughput) while the TPU's deterministic execution sustains batch 200
 at ~80% of peak.  This package turns that single-server observation into
 an event-driven, multi-device serving simulator:
 
-* :mod:`repro.serving.engine`  -- the discrete-event loop, batch server,
-  and shared response-time statistics;
+* :mod:`repro.serving.engine`  -- the batch server, latency curves,
+  shared response-time statistics and the closed-loop load generator;
 * :mod:`repro.serving.batcher` -- dynamic batching policies (fixed,
   batch-with-timeout, SLO-adaptive from the platform latency curve);
 * :mod:`repro.serving.fleet`   -- N replicated accelerators behind a
-  round-robin or join-shortest-queue router;
+  round-robin or join-shortest-queue router, on one event heap;
 * :mod:`repro.serving.traffic` -- Poisson / trace / diurnal open-loop
   load generation;
 * :mod:`repro.serving.sweep`   -- load sweeps that emit the
@@ -47,7 +47,6 @@ from repro.serving.continuous import (
 from repro.serving.engine import (
     BatchServer,
     ConstantCurve,
-    EventLoop,
     LatencyCurve,
     ServingStats,
     run_closed_loop,
@@ -59,9 +58,6 @@ from repro.serving.fleet import (
     FleetSim,
     PlatformCurve,
     Replica,
-    RoundRobinRouter,
-    ShortestQueueRouter,
-    make_router,
     occupancy_latency,
 )
 from repro.serving.sweep import (
@@ -89,7 +85,6 @@ __all__ = [
     "LLM_VALIDATION_RTOL",
     "Batcher",
     "ConstantCurve",
-    "EventLoop",
     "FixedBatcher",
     "Fleet",
     "FleetResult",
@@ -99,10 +94,8 @@ __all__ = [
     "OperatingPoint",
     "PlatformCurve",
     "Replica",
-    "RoundRobinRouter",
     "SLOAdaptiveBatcher",
     "ServingStats",
-    "ShortestQueueRouter",
     "TimeoutBatcher",
     "build_llm_config",
     "diurnal_arrivals",
@@ -112,7 +105,6 @@ __all__ = [
     "sample_llm_requests",
     "load_trace",
     "make_batcher",
-    "make_router",
     "make_traffic",
     "max_throughput_under_slo",
     "occupancy_latency",

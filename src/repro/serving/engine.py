@@ -1,13 +1,13 @@
-"""The discrete-event core shared by every serving simulation.
+"""The pieces shared by every batch-serving simulation.
 
-One heap-ordered event loop (:class:`EventLoop`), one server abstraction
-(:class:`BatchServer`), one statistics summarizer and the closed-loop
-load generator (:func:`run_closed_loop`).  The open-loop fleet simulator
-(:mod:`repro.serving.fleet`) and Table 4's closed-loop points
-(:func:`repro.latency.sweep.table4_point`) are both built on these
-pieces, so there is exactly one implementation of "a batch occupies the
-server for ``occupancy(n)`` seconds and its responses complete after
-``latency(n)`` seconds".
+One server abstraction (:class:`BatchServer`), the latency curves it
+runs on, one statistics summarizer and the closed-loop load generator
+(:func:`run_closed_loop`).  The open-loop fleet simulator
+(:mod:`repro.serving.fleet`, which owns its event heap) and Table 4's
+closed-loop points (:func:`repro.latency.sweep.table4_point`) are both
+built on these pieces, so there is exactly one implementation of "a
+batch occupies the server for ``occupancy(n)`` seconds and its
+responses complete after ``latency(n)`` seconds".
 
 Occupancy and latency differ on the TPU, where host work pipelines with
 device work (occupancy = max of the two, latency = their sum); the split
@@ -16,8 +16,6 @@ is what lets TPU throughput exceed 1/service_seconds in Table 4.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,35 +28,6 @@ def reject_first(name: str, values: np.ndarray, bad: np.ndarray, want: str) -> N
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"{name}[{i}] must be {want}, got {values[i].item()!r}")
-
-
-class EventLoop:
-    """A minimal heap-based discrete-event scheduler.
-
-    Events are ``(time, callback)`` pairs; ties break in insertion order
-    so simulations are fully deterministic.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[float], None]]] = []
-        self._seq = 0
-        self.now = 0.0
-
-    def schedule(self, when: float, callback: Callable[[float], None]) -> None:
-        if when < self.now:
-            raise ValueError(f"cannot schedule into the past ({when} < {self.now})")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (when, seq, callback))
-
-    def run(self) -> None:
-        """Process events in time order until the heap is empty."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            when, _, callback = pop(heap)
-            self.now = when
-            callback(when)
 
 
 class LatencyCurve:

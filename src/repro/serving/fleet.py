@@ -1,12 +1,13 @@
 """A fleet of batching accelerator replicas behind a router.
 
-``Fleet`` runs the open-loop simulation on the shared event engine:
-requests arrive (Poisson or trace), the router assigns each to a
-replica, the replica's batching policy decides when to launch, and the
-replica's latency curve (platform-derived or constant) says how long the
-batch occupies the device and when responses return.  One event loop
-drives every replica, so cross-replica effects (load imbalance, JSQ
-draining hotspots) are simulated, not approximated.
+``Fleet`` runs the open-loop simulation: requests arrive (Poisson or
+trace), the router -- round-robin or join-shortest-queue, named in
+:data:`ROUTERS` -- assigns each to a replica, the replica's batching
+policy decides when to launch, and the replica's latency curve
+(platform-derived or constant) says how long the batch occupies the
+device and when responses return.  :class:`FleetSim` owns the one event
+heap and clock that drive every replica, so cross-replica effects (load
+imbalance, JSQ draining hotspots) are simulated, not approximated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from repro.serving.batcher import (
 )
 from repro.serving.engine import (
     BatchServer,
-    EventLoop,
     LatencyCurve,
     ServingStats,
     reject_first,
@@ -110,8 +110,7 @@ class Replica:
     index arrays instead of per-request objects.
     """
 
-    def __init__(self, curve: LatencyCurve, batcher: Batcher, name: str = "") -> None:
-        self.name = name
+    def __init__(self, curve: LatencyCurve, batcher: Batcher) -> None:
         self.server = BatchServer(curve)
         self.batcher = batcher
         self.queue: deque[int] = deque()
@@ -132,55 +131,23 @@ class Replica:
         return len(self.queue)
 
 
-class Router:
-    """Assigns each arriving request to a replica."""
-
-    def pick(self, replicas: list[Replica], now: float) -> Replica:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget routing state from earlier runs (stateless by default)."""
+#: How a fleet assigns arrivals to replicas: ``round_robin`` in list
+#: order, or ``jsq`` (join-shortest-queue: fewest queued requests, then
+#: an idle server, then list order).
+ROUTERS = ("round_robin", "jsq")
 
 
-class RoundRobinRouter(Router):
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self._next = 0
-
-    def pick(self, replicas: list[Replica], now: float) -> Replica:
-        replica = replicas[self._next % len(replicas)]
-        self._next += 1
-        return replica
+def check_router(router: str) -> None:
+    """Raise ``ValueError`` unless ``router`` is one of :data:`ROUTERS`."""
+    if router not in ROUTERS:
+        raise ValueError(f"unknown router {router!r}; try one of {sorted(ROUTERS)}")
 
 
-class ShortestQueueRouter(Router):
-    """Join-shortest-queue: fewest waiting requests, busy server breaks ties."""
-
-    def pick(self, replicas: list[Replica], now: float) -> Replica:
-        best = replicas[0]
-        best_key = (len(best.queue), best.server.free_at > now)
-        for replica in replicas[1:]:
-            key = (len(replica.queue), replica.server.free_at > now)
-            if key < best_key:
-                best, best_key = replica, key
-        return best
-
-
-ROUTERS = {
-    "round_robin": RoundRobinRouter,
-    "jsq": ShortestQueueRouter,
-}
-
-
-def make_router(name: str) -> Router:
-    try:
-        return ROUTERS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown router {name!r}; try one of {sorted(ROUTERS)}"
-        ) from None
+def _check_fleet(replicas: Sequence[Replica], router: str) -> None:
+    """Refuse a fleet with no replica or an unknown router."""
+    if not replicas:
+        raise ValueError("a fleet needs at least one replica")
+    check_router(router)
 
 
 @dataclass(frozen=True)
@@ -254,9 +221,15 @@ class FleetSim:
     ``Fleet.run`` drives it start to finish over a static replica set;
     the autoscaler (:mod:`repro.datacenter.autoscaler`) drives the same
     core with a *dynamic* routing set (``eligible``) and its own
-    control-loop events scheduled on ``loop``.  ``replicas`` accumulates
-    every replica that ever admitted work -- deactivated replicas stay
-    in it so their residual queues drain and their accounting is kept.
+    control-loop events, set with :meth:`schedule`.  ``replicas``
+    accumulates every replica that ever admitted work -- deactivated
+    replicas stay in it so their residual queues drain and their
+    accounting is kept.
+
+    The sim owns its event heap of ``(time, seq, event)`` entries, the
+    sequence counter that breaks time ties in scheduling order, the
+    clock ``now`` and the round-robin counter, so every run starts from
+    the first replica.  ``router`` is one of :data:`ROUTERS`.
 
     ``arrivals`` must be finite times >= 0 s in non-decreasing order, the
     way every generator in :mod:`repro.serving.traffic` draws them; any
@@ -266,9 +239,10 @@ class FleetSim:
     def __init__(
         self,
         replicas: Sequence[Replica],
-        router: Router,
+        router: str,
         arrivals: np.ndarray,
     ) -> None:
+        _check_fleet(replicas, router)
         arrivals = np.asarray(arrivals, dtype=float)
         if arrivals.ndim != 1:
             raise ValueError(
@@ -289,9 +263,12 @@ class FleetSim:
             )
         self.replicas: list[Replica] = list(replicas)
         self.eligible: list[Replica] = list(replicas)  # routing targets
-        self.router = router
+        self._jsq = router == "jsq"
+        self._next = 0  # the round-robin counter
         self.arrivals = arrivals
-        self.loop = EventLoop()
+        self._heap: list[tuple[float, int, Callable[[float], None]]] = []
+        self._seq = 0
+        self.now = 0.0
         self.responses = np.full(arrivals.size, np.nan)
         self.pending = arrivals.size  # arrivals not yet processed
         # Arrival times as Python floats without a copy: the batch scan
@@ -309,6 +286,15 @@ class FleetSim:
         # :meth:`_run_events`.
         self._hold_timers = True
 
+    def schedule(self, when: float, callback: Callable[[float], None]) -> None:
+        """Run ``callback(when)`` at ``when``; events at one time run in
+        the order they were scheduled."""
+        if when < self.now:
+            raise ValueError(f"cannot schedule into the past ({when} < {self.now})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (when, seq, callback))
+
     def poll(self, replica: Replica) -> None:
         """Launch a batch on ``replica`` if its server is free and its
         queue is full, its head's deadline has come, or the trace has
@@ -318,7 +304,7 @@ class FleetSim:
         the float ``wait_deadline`` returns, which ``now - oldest >=
         budget`` can pass one ulp earlier.
         """
-        now = self.loop.now
+        now = self.now
         queue = replica.queue
         if not queue or replica.server.free_at > now:
             return
@@ -328,10 +314,10 @@ class FleetSim:
             deadline = batcher.wait_deadline(n, self._times[queue[0]])
             if deadline is None or deadline > now:
                 if deadline is not None:
-                    self.loop.schedule(deadline, _PollTimer(self, replica))
+                    self.schedule(deadline, _PollTimer(self, replica))
                 return
         self._launch(replica, min(n, batcher.max_batch), now)
-        self.loop.schedule(replica.server.free_at, _PollTimer(self, replica))
+        self.schedule(replica.server.free_at, _PollTimer(self, replica))
 
     def _launch(self, replica: Replica, n: int, now: float) -> None:
         if self._observe:
@@ -384,9 +370,25 @@ class FleetSim:
                 batch=len(batch),
             )
 
+    def _pick(self) -> Replica:
+        """The eligible replica the next arrival joins."""
+        eligible = self.eligible
+        if not self._jsq:
+            replica = eligible[self._next % len(eligible)]
+            self._next += 1
+            return replica
+        now = self.now
+        best = eligible[0]
+        best_key = (len(best.queue), best.server.free_at > now)
+        for replica in eligible[1:]:
+            key = (len(replica.queue), replica.server.free_at > now)
+            if key < best_key:
+                best, best_key = replica, key
+        return best
+
     def _on_arrival(self, index: int) -> None:
         self.pending -= 1
-        replica = self.router.pick(self.eligible, self.loop.now)
+        replica = self._pick()
         replica.admit_index(index)
         self.poll(replica)
         if self.pending == 0:
@@ -407,11 +409,11 @@ class FleetSim:
         """
         for replica in self.replicas:
             while replica.queue:
-                now = max(self.loop.now, replica.server.free_at)
+                now = max(self.now, replica.server.free_at)
                 self._launch(replica, min(len(replica.queue), replica.batcher.max_batch), now)
 
     def _run_events(self) -> None:
-        """Drive the event loop over the arrival trace.
+        """Drive the event heap over the arrival trace.
 
         Fleets whose per-replica arrival streams are known up front
         (:meth:`_scan_applies`: round-robin fixed, timeout and
@@ -423,7 +425,7 @@ class FleetSim:
         dynamic-event heap instead of pushing a heap event per arrival,
         over the trace copied once into a list.  Event order
         is identical to scheduling every arrival up front: events
-        already on the loop when the run starts carry lower sequence
+        already on the heap when the run starts carry lower sequence
         numbers than the arrivals would have received, so they win
         exact time ties; events scheduled during the run would have
         received higher ones, so they lose them.  Between
@@ -433,24 +435,20 @@ class FleetSim:
         A :class:`_PollTimer` on the heap top whose replica is busy at
         the timer's time is dropped unfired, so it never ends a window.
         It is never the run's last event: the free-time poll its
-        replica's launch scheduled comes after it.  While the loop holds
+        replica's launch scheduled comes after it.  While the heap holds
         nothing but poll timers at the start, nothing else is ever
         scheduled, and JSQ windows hold one timer per idle replica
         (``_hold_timers``).
         """
-        loop = self.loop
         if self._scan_applies():
             self._scan_batches()
             return
-        heap = loop._heap
-        pre_seq = loop._seq  # events below this watermark win time ties
+        heap = self._heap
+        pre_seq = self._seq  # events below this watermark win time ties
         self._hold_timers = all(type(event) is _PollTimer for _, _, event in heap)
         pop = heapq.heappop
         on_arrival = self._on_arrival
         poll_timer = _PollTimer
-        # Bulk admission replays only the in-tree routers exactly; a
-        # custom Router subclass keeps the per-arrival path.
-        bulk = type(self.router) in (RoundRobinRouter, ShortestQueueRouter)
         times = self._times = self.arrivals.tolist()
         n = len(times)
         i = 0
@@ -467,20 +465,19 @@ class FleetSim:
                 when = times[i]
                 if top_when < when or (top_when == when and top[1] < pre_seq):
                     pop(heap)
-                    loop.now = top_when
+                    self.now = top_when
                     event(top_when)
                     continue
-                if bulk:
-                    j = self._bulk_admit(i, top_when)
-                    if j > i:
-                        i = j
-                        continue
-                loop.now = when
+                j = self._bulk_admit(i, top_when)
+                if j > i:
+                    i = j
+                    continue
+                self.now = when
                 on_arrival(i)
                 i += 1
             elif heap:
                 pop(heap)
-                loop.now = top_when
+                self.now = top_when
                 event(top_when)
             else:
                 break
@@ -492,12 +489,11 @@ class FleetSim:
         busy replica's poll timer, which :meth:`_run_events` drops) or a
         busy eligible replica's ``free_at``, and a window ends before any
         arrival that would launch a batch, so inside it busy replicas
-        stay busy and idle ones idle.  Under exactly
-        :class:`ShortestQueueRouter` every window goes through
-        :meth:`_jsq_window` (busy replicas' runs as queue extends, idle
-        replicas' polls replayed, one timer held per replica), unless an
-        idle replica's batcher is not one of the in-tree ones it
-        replays.  Round-robin opens a window only while every eligible
+        stay busy and idle ones idle.  Under JSQ every window goes
+        through :meth:`_jsq_window` (busy replicas' runs as queue
+        extends, idle replicas' polls replayed, one timer held per
+        replica), unless an idle replica's batcher is not one of the
+        in-tree ones it replays.  Round-robin opens a window only while every eligible
         replica is busy: ``poll`` then returns at once, so the window is
         strided slices of queue appends.
 
@@ -506,11 +502,9 @@ class FleetSim:
         the first unconsumed index (``== i`` when nothing was admitted).
         """
         eligible = self.eligible
-        if not eligible:
-            return i
         times = self._times
         now = times[i]
-        jsq = type(self.router) is ShortestQueueRouter
+        jsq = self._jsq
         bound = top_when
         for replica in eligible:
             free = replica.server.free_at
@@ -523,12 +517,12 @@ class FleetSim:
         if jsq:
             j = self._jsq_window(i, j, eligible)
         else:
-            _deal(eligible, self.router._next, i, j)
-            self.router._next += j - i
+            _deal(eligible, self._next, i, j)
+            self._next += j - i
         if j == i:
             return i
         self.pending -= j - i
-        self.loop.now = times[j - 1]
+        self.now = times[j - 1]
         return j
 
     def _jsq_window(self, i: int, j: int, eligible: list[Replica]) -> int:
@@ -543,7 +537,7 @@ class FleetSim:
         strided slices.  An arrival sent to an idle replica replays
         :meth:`poll`, ending the window before an arrival that would
         launch and otherwise taking the sequence number
-        ``EventLoop.schedule`` would give its timer.  The window also
+        :meth:`schedule` would give its timer.  The window also
         ends before the earliest such timer.
 
         An idle replica's head stays put inside the window, so of the
@@ -553,7 +547,7 @@ class FleetSim:
         or past its head's deadline, and the held timer's poll sets the
         timer for the head's deadline at its current queue length.  Two
         polls of one replica at one time are the same call, so dropping
-        one is exact while the loop runs nothing but polls
+        one is exact while the heap holds nothing but polls
         (``_hold_timers``).  An autoscaler's control tick could read the
         queue between them, so under one every timer is pushed as set.
         Returns the first unconsumed index.
@@ -611,11 +605,10 @@ class FleetSim:
             if deadline is not None:
                 if deadline <= when:
                     break
-                loop = self.loop
-                seq = loop._seq
-                loop._seq = seq + 1
+                seq = self._seq
+                self._seq = seq + 1
                 if not self._hold_timers:
-                    heapq.heappush(loop._heap, (deadline, seq, _PollTimer(self, replica)))
+                    heapq.heappush(self._heap, (deadline, seq, _PollTimer(self, replica)))
                 elif held is None:
                     held = {q: (deadline, seq)}
                 elif q not in held or deadline < held[q][0]:
@@ -630,7 +623,7 @@ class FleetSim:
                 top = depth
             k += 1
         if held:
-            heap = self.loop._heap
+            heap = self._heap
             for q, (deadline, seq) in held.items():
                 heapq.heappush(heap, (deadline, seq, _PollTimer(self, eligible[q])))
         return k
@@ -638,23 +631,17 @@ class FleetSim:
     def _scan_applies(self) -> bool:
         """Whether each replica's batches follow from its own arrivals.
 
-        They do under exactly :class:`RoundRobinRouter` over a static
-        set of replicas that are idle with empty queues at the first
-        arrival, with nothing pre-scheduled on the loop: replica ``q``
-        then receives the strided slice ``arrivals[(q - base) % R :: R]``
-        and nothing else touches its queue.  Under exactly
-        :class:`ShortestQueueRouter` they do for one such replica, which
-        receives every arrival.  Every batcher must be exactly a
-        :class:`FixedBatcher`, a :class:`TimeoutBatcher`, or an
-        :class:`SLOAdaptiveBatcher` whose wait budgets are finite and
-        never rise with the queue (:meth:`_scan_budgets`).
-        O(replicas + adaptive batch caps).
+        They do under round-robin over a static set of replicas that are
+        idle with empty queues at the first arrival, with nothing
+        scheduled on the heap: replica ``q`` then receives the strided
+        slice ``arrivals[q::R]`` and nothing else touches its queue.
+        Under JSQ they do for one such replica, which receives every
+        arrival.  Every batcher must be exactly a :class:`FixedBatcher`,
+        a :class:`TimeoutBatcher`, or an :class:`SLOAdaptiveBatcher`
+        whose wait budgets are finite and never rise with the queue
+        (:meth:`_scan_budgets`).  O(replicas + adaptive batch caps).
         """
-        router = type(self.router)
-        if self.loop._heap or not (
-            router is RoundRobinRouter
-            or (router is ShortestQueueRouter and len(self.replicas) == 1)
-        ):
+        if self._heap or (self._jsq and len(self.replicas) > 1):
             return False
         first = self._times[0]
         return (
@@ -691,16 +678,11 @@ class FleetSim:
         round-robin slice, or the whole trace for a lone JSQ replica."""
         times = self._times
         count = len(self.replicas)
-        round_robin = type(self.router) is RoundRobinRouter
-        base = self.router._next if round_robin else 0
         for q, replica in enumerate(self.replicas):
-            start = (q - base) % count
-            own = times[start::count]
+            own = times[q::count]
             if own:
-                self._scan_replica(replica, own, start, count)
+                self._scan_replica(replica, own, q, count)
             replica.admitted += len(own)
-        if round_robin:
-            self.router._next = base + len(times)
         self.pending = 0
 
     def _scan_replica(
@@ -872,22 +854,20 @@ class FleetSim:
 
 
 class Fleet:
-    """N replicas, one router, one discrete-event loop."""
+    """N replicas behind one router, named in :data:`ROUTERS`."""
 
-    def __init__(self, replicas: list[Replica], router: Router | str = "round_robin") -> None:
-        if not replicas:
-            raise ValueError("a fleet needs at least one replica")
+    def __init__(self, replicas: list[Replica], router: str = "round_robin") -> None:
+        _check_fleet(replicas, router)
         self.replicas = replicas
-        self.router = make_router(router) if isinstance(router, str) else router
+        self.router = router
 
     def run(self, arrivals: np.ndarray) -> FleetResult:
         """Simulate the fleet over an arrival-time vector.
 
         The partial batches left at the end of the trace are served, so
-        every request completes.  Every run starts from idle replicas
-        and a fresh router, so one fleet can be run again.
+        every request completes.  Every run starts from idle replicas,
+        so one fleet can be run again.
         """
         for replica in self.replicas:
             replica.reset()
-        self.router.reset()
         return FleetSim(self.replicas, self.router, arrivals).run()

@@ -100,7 +100,7 @@ class FleetSpec:
 
     def make_replica(self, index: int) -> Replica:
         """One replica of this spec (shared latency curve and batcher)."""
-        return Replica(self.curve, self.batcher, name=f"{self.platform.kind}{index}")
+        return Replica(self.curve, self.batcher)
 
     def build(self) -> Fleet:
         return Fleet(

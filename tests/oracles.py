@@ -32,9 +32,9 @@ compares the production path with a second, live implementation:
   JSQ fleets, take the per-arrival event loop instead of the per-batch
   scan;
 * :func:`every_event` -- stands in for ``FleetSim._run_events``: every
-  arrival scheduled on the loop as its own event and every timer fired
-  by ``EventLoop.run``, so neither a window nor a dropped poll timer can
-  hide behind the main loop that the two above share;
+  arrival scheduled on the sim's heap as its own event and every timer
+  fired by :func:`run_every_event`, so neither a window nor a dropped
+  poll timer can hide behind the main loop that the two above share;
 * :func:`reference_diurnal_arrivals` -- the diurnal thinning loop one
   candidate at a time, with a scalar sine per candidate;
 * :func:`reference_stride_assign` -- the globe exact backend's stride
@@ -42,7 +42,8 @@ compares the production path with a second, live implementation:
 * :class:`PerTokenLLMSim` -- the LLM decode engine with per-token
   bookkeeping: every iteration walks its running batch to bump each
   request's cache, emitted count and token-time list, every arrival is
-  its own event-loop closure, and TPOT is one ``np.diff`` per request.
+  its own :class:`EventLoop` closure, and TPOT is one ``np.diff`` per
+  request.
 
 :func:`install` routes a whole process through the first three, for
 checks that render paper tables end to end in a fresh interpreter.
@@ -81,7 +82,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import TileSpec
 from repro.serving.continuous import ContinuousBatchingSim, _Chip, _LLMRequest
-from repro.serving.engine import BatchServer, EventLoop, LatencyCurve
+from repro.serving.engine import BatchServer, LatencyCurve
 from repro.serving.fleet import _PollTimer
 
 
@@ -521,6 +522,37 @@ class PerInstructionRun(_DataPass):
         self._commit(index, start + 1, "control")
 
 
+def run_every_event(loop):
+    """Fire every event on ``loop._heap``, ``(time, seq, callback)``
+    entries, in time and then scheduling order until the heap is empty,
+    setting ``loop.now`` to each event's time first.  ``loop`` is an
+    :class:`EventLoop` or a ``FleetSim``, which holds the same heap and
+    clock."""
+    heap = loop._heap
+    pop = heapq.heappop
+    while heap:
+        when, _, callback = pop(heap)
+        loop.now = when
+        callback(when)
+
+
+class EventLoop:
+    """A plain event heap, sequence counter and clock for
+    :class:`PerTokenLLMSim`, run by :func:`run_every_event`."""
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.now = 0.0
+
+    def schedule(self, when, callback):
+        if when < self.now:
+            raise ValueError(f"cannot schedule into the past ({when} < {self.now})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (when, seq, callback))
+
+
 def no_bulk_admission(sim, i, top_when):
     """Admit nothing in bulk: every arrival takes the per-arrival path."""
     return i
@@ -536,8 +568,7 @@ def reference_jsq_window(sim, i, j, eligible):
     now = times[i]
     keys = [(len(r.queue), r.server.free_at > now, q) for q, r in enumerate(eligible)]
     heapq.heapify(keys)
-    loop = sim.loop
-    timers = loop._heap
+    timers = sim._heap
     push, replace = heapq.heappush, heapq.heapreplace
     bound = math.inf  # the earliest timer this window pushed
     for k in range(i, j):
@@ -555,8 +586,8 @@ def reference_jsq_window(sim, i, j, eligible):
             if deadline is not None:
                 if deadline <= when:
                     return k
-                seq = loop._seq
-                loop._seq = seq + 1
+                seq = sim._seq
+                sim._seq = seq + 1
                 push(timers, (deadline, seq, _PollTimer(sim, replica)))
                 if deadline < bound:
                     bound = deadline
@@ -573,12 +604,12 @@ def no_batch_scan(sim):
 
 def every_event(sim):
     """Stands in for ``FleetSim._run_events``: every arrival is its own
-    event on the loop and ``EventLoop.run`` fires every event, a poll
-    timer whose replica is still busy included; no window opens and no
-    batch scan runs."""
+    event on the sim's heap and :func:`run_every_event` fires every
+    event, a poll timer whose replica is still busy included; no window
+    opens and no batch scan runs."""
     for index, when in enumerate(sim._times):
-        sim.loop.schedule(when, lambda _t, i=index: sim._on_arrival(i))
-    sim.loop.run()
+        sim.schedule(when, lambda _t, i=index: sim._on_arrival(i))
+    run_every_event(sim)
 
 
 def reference_diurnal_arrivals(
@@ -647,7 +678,7 @@ class PerTokenLLMSim(ContinuousBatchingSim):
         for req in self.requests:
             self.loop.schedule(req.arrival, self._make_arrival(req.index))
         self._schedule_ticks()
-        self.loop.run()
+        run_every_event(self.loop)
         return self._finalize(self.loop.now)
 
     def _schedule(self, when, callback, *args):

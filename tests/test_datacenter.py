@@ -181,7 +181,7 @@ def quick_config(**kwargs):
 
 
 def make_replica(i):
-    return Replica(ConstantCurve(SERVICE), TimeoutBatcher(16, 1e-3), name=f"r{i}")
+    return Replica(ConstantCurve(SERVICE), TimeoutBatcher(16, 1e-3))
 
 
 class LinearCurve(LatencyCurve):
@@ -199,7 +199,7 @@ def make_adaptive_replica(i):
     shrinks as its queue grows."""
     curve = LinearCurve()
     batcher = SLOAdaptiveBatcher(4e-3, curve, candidates=(1, 4, 8, 16, 32))
-    return Replica(curve, batcher, name=f"r{i}")
+    return Replica(curve, batcher)
 
 
 class TestAutoscaler:
@@ -270,6 +270,28 @@ class TestAutoscaler:
             ).run(arrivals).fleet.stats().p99_seconds
 
         assert p99(10.0) > 2 * p99(0.0)
+
+    @pytest.mark.parametrize("router", ["round_robin", "jsq"])
+    def test_a_second_run_repeats_the_first(self, router):
+        """One autoscaled fleet run twice gives bit-identical results: no
+        routing state outlives a run, so round-robin starts at the first
+        replica each time."""
+        runs = [
+            (StaticPolicy(3), poisson_arrivals(3000.0, 3001, seed=1)),
+            (
+                PredictivePolicy(6000.0, 0.8, 2.0, lead_seconds=0.15, target_utilization=0.7),
+                diurnal_arrivals(6000.0, 0.8, 2.0, 4000, seed=5),
+            ),
+        ]
+        for policy, arrivals in runs:
+            fleet = AutoscaledFleet(
+                make_replica, policy, quick_config(),
+                replica_rps=self.REPLICA_RPS, router=router,
+            )
+            first, second = fleet.run(arrivals), fleet.run(arrivals)
+            assert np.array_equal(first.fleet.responses, second.fleet.responses)
+            assert first.fleet.served_per_replica == second.fleet.served_per_replica
+            assert first.timeline == second.timeline
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

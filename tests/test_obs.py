@@ -31,7 +31,7 @@ def _pristine_obs():
 def _small_fleet_run():
     curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=2e-3)
     fleet = Fleet(
-        [Replica(curve, FixedBatcher(4), name=f"r{i}") for i in range(2)],
+        [Replica(curve, FixedBatcher(4)) for _ in range(2)],
         router="jsq",
     )
     arrivals = [i * 2.5e-4 for i in range(64)]

@@ -14,12 +14,14 @@ import pytest
 
 import repro
 from repro import obs
+from repro.api import spec
 from repro.datacenter.autoscaler import (
     AutoscaleConfig,
     AutoscaledFleet,
     PredictivePolicy,
     ReactivePolicy,
     ScalingPolicy,
+    StaticPolicy,
 )
 from repro.serving.batcher import (
     Batcher,
@@ -30,18 +32,17 @@ from repro.serving.batcher import (
 )
 from repro.serving.engine import (
     ConstantCurve,
-    EventLoop,
     LatencyCurve,
     run_closed_loop,
     summarize,
 )
 from repro.serving.fleet import (
+    ROUTERS,
     Fleet,
     FleetSim,
     PlatformCurve,
     Replica,
     _PollTimer,
-    make_router,
 )
 from repro.serving.sweep import (
     FleetSpec,
@@ -90,20 +91,26 @@ def assert_same_run(a, b):
 
 
 class TestEventLoop:
+    """``FleetSim.schedule``, on the heap a run merges its arrivals into."""
+
+    @staticmethod
+    def _sim():
+        return FleetSim([Replica(ConstantCurve(SERVICE), FixedBatcher(4))], "jsq", np.array([5.0]))
+
     def test_orders_by_time_then_insertion(self):
         seen = []
-        loop = EventLoop()
-        loop.schedule(2.0, lambda t: seen.append("late"))
-        loop.schedule(1.0, lambda t: seen.append("a"))
-        loop.schedule(1.0, lambda t: seen.append("b"))
-        loop.run()
+        sim = self._sim()
+        sim.schedule(2.0, lambda t: seen.append("late"))
+        sim.schedule(1.0, lambda t: seen.append("a"))
+        sim.schedule(1.0, lambda t: seen.append("b"))
+        sim.run()
         assert seen == ["a", "b", "late"]
 
     def test_rejects_past_events(self):
-        loop = EventLoop()
-        loop.schedule(1.0, lambda t: loop.schedule(0.5, lambda _t: None))
-        with pytest.raises(ValueError):
-            loop.run()
+        sim = self._sim()
+        sim.schedule(1.0, lambda t: sim.schedule(0.5, lambda _t: None))
+        with pytest.raises(ValueError, match="past"):
+            sim.run()
 
 
 class TestClosedFormParity:
@@ -227,33 +234,34 @@ class TestMalformedArrivals:
 
 
 class TestJSQTieBreaking:
-    def test_equal_backlogs_prefer_idle_server(self):
-        from repro.serving.fleet import ShortestQueueRouter
+    """``FleetSim``'s per-arrival JSQ pick: fewest queued requests, then
+    an idle server, then list order."""
 
+    @staticmethod
+    def _pick(replicas, now):
+        sim = FleetSim(replicas, "jsq", np.array([now]))
+        sim.now = now
+        return sim._pick()
+
+    def test_equal_backlogs_prefer_idle_server(self):
         curve = ConstantCurve(SERVICE)
-        busy, idle = (Replica(curve, FixedBatcher(4), name=n) for n in ("a", "b"))
+        busy, idle = (Replica(curve, FixedBatcher(4)) for _ in range(2))
         busy.server.start_batch(0.0, 4)  # busy until t=2ms
-        router = ShortestQueueRouter()
-        assert router.pick([busy, idle], now=1e-3) is idle
+        assert self._pick([busy, idle], now=1e-3) is idle
         # Once the busy one frees up, the tie falls back to index order.
-        assert router.pick([busy, idle], now=3e-3) is busy
+        assert self._pick([busy, idle], now=3e-3) is busy
 
     def test_backlog_dominates_idleness(self):
-        from repro.serving.fleet import ShortestQueueRouter
-
         curve = ConstantCurve(SERVICE)
         shallow, deep = (Replica(curve, FixedBatcher(4)) for _ in range(2))
         shallow.server.start_batch(0.0, 4)  # busy, but queue is empty
         deep.admit_index(0)
-        router = ShortestQueueRouter()
-        assert router.pick([deep, shallow], now=1e-3) is shallow
+        assert self._pick([deep, shallow], now=1e-3) is shallow
 
     def test_all_equal_picks_lowest_index(self):
-        from repro.serving.fleet import ShortestQueueRouter
-
         curve = ConstantCurve(SERVICE)
         replicas = [Replica(curve, FixedBatcher(4)) for _ in range(3)]
-        assert ShortestQueueRouter().pick(replicas, now=0.0) is replicas[0]
+        assert self._pick(replicas, now=0.0) is replicas[0]
 
 
 class TestDrainInvariant:
@@ -362,8 +370,30 @@ class TestRouters:
         assert capacity(4) > 3.2 * capacity(1)
 
     def test_unknown_router_rejected(self):
-        with pytest.raises(ValueError):
-            make_router("central-scheduler")
+        replicas = [Replica(ConstantCurve(SERVICE), FixedBatcher(4))]
+        builds = (
+            lambda router: Fleet(replicas, router=router),
+            lambda router: FleetSim(replicas, router, np.array([0.0])),
+            lambda router: AutoscaledFleet(
+                lambda i: replicas[0], StaticPolicy(1), AutoscaleConfig(1.0, 0.0),
+                replica_rps=1.0, router=router,
+            ),
+        )
+        named = r"unknown router 'central-scheduler'; try one of \['jsq', 'round_robin'\]"
+        for build in builds:
+            with pytest.raises(ValueError, match=named):
+                build("central-scheduler")
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_empty_fleet_rejected(self, router):
+        with pytest.raises(ValueError, match="a fleet needs at least one replica"):
+            Fleet([], router=router)
+        with pytest.raises(ValueError, match="a fleet needs at least one replica"):
+            FleetSim([], router, np.array([0.0]))
+
+    def test_the_spec_names_the_fleet_routers(self):
+        """The spec keeps its own tuple, so importing it stays light."""
+        assert spec.ROUTERS == ROUTERS
 
 
 class TestTraffic:
@@ -486,7 +516,7 @@ class TestVectorizedServingParity:
 
     def _replicas(self, n=3):
         curve = ConstantCurve(occupancy_seconds=1e-3, latency_seconds=1.5e-3)
-        return [Replica(curve, TimeoutBatcher(8, 5e-4), name=f"r{i}") for i in range(n)]
+        return [Replica(curve, TimeoutBatcher(8, 5e-4)) for _ in range(n)]
 
     @pytest.mark.parametrize("router", ["round_robin", "jsq"])
     @pytest.mark.parametrize("traffic", ["poisson", "diurnal"])
@@ -514,7 +544,7 @@ class TestVectorizedServingParity:
             with monkeypatch.context() as patch:
                 for name, method in patches.items():
                     patch.setattr(FleetSim, name, method)
-                return FleetSim(self._replicas(), make_router(router), arrivals).run()
+                return FleetSim(self._replicas(), router, arrivals).run()
 
         bulk = run(_bulk_admit=spy)
         per_arrival = run(_bulk_admit=oracles.no_bulk_admission)
@@ -529,9 +559,9 @@ class TestVectorizedServingParity:
         """Below saturation JSQ windows cover idle replicas still filling
         a batch; they must not misfire."""
         arrivals = poisson_arrivals(rate=500.0, n_requests=1000, seed=9)
-        bulk = FleetSim(self._replicas(), make_router("jsq"), arrivals).run()
+        bulk = FleetSim(self._replicas(), "jsq", arrivals).run()
         monkeypatch.setattr(FleetSim, "_bulk_admit", oracles.no_bulk_admission)
-        per_arrival = FleetSim(self._replicas(), make_router("jsq"), arrivals).run()
+        per_arrival = FleetSim(self._replicas(), "jsq", arrivals).run()
         assert np.array_equal(bulk.responses, per_arrival.responses)
         assert bulk.busy_intervals == per_arrival.busy_intervals
 
@@ -597,7 +627,7 @@ class ParityFleets:
             return SLOAdaptiveBatcher(self.OCCUPANCY, curve, candidates=(batch,))
 
         return Fleet(
-            [Replica(curve, batcher(), name=f"r{i}") for i in range(replicas)],
+            [Replica(curve, batcher()) for _ in range(replicas)],
             router=router,
         )
 
@@ -733,23 +763,6 @@ class TestBatchScanParity(ParityFleets):
                 patch.setattr(FleetSim, "_run_events", oracles.every_event)
                 assert_same_run(self._fleet(1, policy, router="jsq").run(arrivals), scanned)
             assert_same_run(self._fleet(1, policy).run(arrivals), scanned)
-
-    def test_router_base_offset(self, monkeypatch):
-        # A FleetSim driven directly may start round-robin mid-cycle.
-        arrivals = self._arrivals("poisson", 3, load=0.8, n=500)
-
-        def run():
-            fleet = self._fleet(3, "timeout")
-            router = make_router("round_robin")
-            router._next = 7
-            return FleetSim(fleet.replicas, router, arrivals).run()
-
-        scanned = run()
-        with monkeypatch.context() as patch:
-            answered = withhold_batch_scan(patch)
-            per_arrival = run()
-        assert answered and scanned.served_per_replica[1] == 167
-        assert_same_run(scanned, per_arrival)
 
     @pytest.mark.parametrize("policy", ParityFleets.POLICIES)
     def test_strided_read_only_trace(self, monkeypatch, policy):
@@ -927,7 +940,7 @@ class TestBatchScanParity(ParityFleets):
         def sim(batcher=TimeoutBatcher, router="round_robin", arrivals=(0.1, 0.2), count=2):
             curve = ConstantCurve(self.OCCUPANCY)
             replicas = [Replica(curve, batcher(4, self.TIMEOUT)) for _ in range(count)]
-            return FleetSim(replicas, make_router(router), np.array(arrivals))
+            return FleetSim(replicas, router, np.array(arrivals))
 
         assert sim()._scan_applies()
         # JSQ picks follow the queues, unless one replica takes every pick.
@@ -935,7 +948,7 @@ class TestBatchScanParity(ParityFleets):
         assert sim(router="jsq", count=1)._scan_applies()
         assert not sim(batcher=CustomTimeout)._scan_applies()
         scheduled = sim()
-        scheduled.loop.schedule(0.15, lambda _t: None)  # e.g. an autoscaler tick
+        scheduled.schedule(0.15, lambda _t: None)  # e.g. an autoscaler tick
         assert not scheduled._scan_applies()
         shrunk = sim()
         shrunk.eligible.pop()
@@ -978,7 +991,7 @@ class TestJSQWindowParity(ParityFleets):
     Two oracles from tests/oracles.py: with ``no_bulk_admission``
     installed (the per-arrival path through the same main loop), and
     with ``every_event`` (every arrival and every timer fired by
-    ``EventLoop.run``), the same fleet must give bit-identical
+    ``run_every_event``), the same fleet must give bit-identical
     responses, per-replica accounting, busy intervals, horizon and busy
     time.
     """
@@ -1027,7 +1040,7 @@ class TestJSQWindowParity(ParityFleets):
         bulk_admit, init, call = FleetSim._bulk_admit, _PollTimer.__init__, _PollTimer.__call__
 
         def spy(sim, i, top_when):
-            heap = sim.loop._heap
+            heap = sim._heap
             if not heap:
                 assert top_when == math.inf
             else:
@@ -1192,11 +1205,11 @@ class TestJSQWindowOracle:
     1-5 replicas, each with a fixed, timeout or SLO-adaptive batcher,
     busy or idle, with 0-6 requests queued; a sorted trace on a 2^-13 s
     grid, so timestamps repeat and deadlines land on arrivals; and a few
-    timers already on the loop.  Both must return the same index and
+    timers already on the heap.  Both must return the same index and
     leave the same queues, admissions, timers from before the window and
     sequence counter.  Of the timers the replay sets, the window holds
     the earliest ``(deadline, seq)`` per replica; with another event on
-    the loop (``_hold_timers`` off) it sets every one.
+    the heap (``_hold_timers`` off) it sets every one.
     """
 
     STEP = 2.0**-13
@@ -1220,13 +1233,13 @@ class TestJSQWindowOracle:
                     9 * 2.0**-12, curve, candidates=(1, batch),
                     service_share=1.0, slo_margin=1.0,
                 )
-            replicas.append(Replica(curve, batcher, name=f"r{q}"))
+            replicas.append(Replica(curve, batcher))
         depths = rng.integers(0, 7, count)
         queued = int(depths.sum())
         n = queued + int(rng.integers(1, 48)) + 1
         span = int(n * rng.uniform(0.1, 2.0)) + 1
         times = np.sort(rng.integers(0, span, n)) * self.STEP
-        sim = FleetSim(replicas, make_router("jsq"), times)
+        sim = FleetSim(replicas, "jsq", times)
         owners = rng.permutation(np.repeat(np.arange(count), depths)).tolist()
         now = sim._times[queued]
         for q, replica in enumerate(replicas):
@@ -1237,10 +1250,10 @@ class TestJSQWindowOracle:
                 replica.server.free_at = now + int(rng.integers(1, 64)) * self.STEP
             else:
                 replica.server.free_at = now - int(rng.integers(0, 4)) * self.STEP
-        sim.loop._seq = int(rng.integers(1000))
+        sim._seq = int(rng.integers(1000))
         for _ in range(int(rng.integers(3))):
             when = now + int(rng.integers(64)) * self.STEP
-            sim.loop.schedule(when, _PollTimer(sim, replicas[int(rng.integers(count))]))
+            sim.schedule(when, _PollTimer(sim, replicas[int(rng.integers(count))]))
         return sim, queued, n - 1
 
     @staticmethod
@@ -1248,7 +1261,7 @@ class TestJSQWindowOracle:
         """The loop's timers as sorted ``(when, seq, replica index)``:
         those set before sequence number ``seq``, and those set since."""
         timers = sorted(
-            (when, s, sim.replicas.index(t.replica)) for when, s, t in sim.loop._heap
+            (when, s, sim.replicas.index(t.replica)) for when, s, t in sim._heap
         )
         return [t for t in timers if t[1] < seq], [t for t in timers if t[1] >= seq]
 
@@ -1267,7 +1280,7 @@ class TestJSQWindowOracle:
         sim, i, j = self._state(seed, log)
         ref, _, _ = self._state(seed)
         sim._hold_timers = hold
-        seq = sim.loop._seq
+        seq = sim._seq
         got = sim._jsq_window(i, j, sim.eligible)
         want = oracles.reference_jsq_window(ref, i, j, ref.eligible)
         assert got == want, seed
@@ -1276,7 +1289,7 @@ class TestJSQWindowOracle:
         before, held = self._timers(sim, seq)
         ref_before, replayed = self._timers(ref, seq)
         assert before == ref_before, seed
-        assert sim.loop._seq == ref.loop._seq
+        assert sim._seq == ref._seq
         return (sim, i, j, got), held, replayed
 
     def test_matches_the_per_arrival_replay(self):
@@ -1332,9 +1345,9 @@ class TestJSQWindowOracle:
         curve = ConstantCurve(1e-3)
         sim = FleetSim(
             [Replica(curve, TimeoutBatcher(4, 1e-3)) for _ in range(2)],
-            make_router("jsq"), np.arange(8) * 1e-4,
+            "jsq", np.arange(8) * 1e-4,
         )
-        sim.loop.schedule(5e-4, lambda _t: None)
+        sim.schedule(5e-4, lambda _t: None)
         sim.run()
         assert not sim._hold_timers
         for seed in range(1000):
@@ -1388,7 +1401,7 @@ class TestGridTies:
                     9 * 2.0**-12, curve, candidates=(1, batch),
                     service_share=1.0, slo_margin=1.0,
                 )
-            return Replica(curve, batcher, name=f"r{i}")
+            return Replica(curve, batcher)
 
         return make_replica
 
